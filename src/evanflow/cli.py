@@ -256,7 +256,7 @@ def cmd_evanesce(cfg) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     aopts = ActionOptions(mu=cfg["mu"], tol_opt=float(cfg["tol_opt"]),
-                          max_iters=int(cfg["max_iters"]), seed=int(cfg["seed"]))
+                          max_iters=int(cfg["max_iters"]))
     solver = cfg.get("solver", "action")
     if solver not in ("action", "shoot", "both"):
         raise InputError(f"unknown solver {solver!r}")
@@ -297,14 +297,7 @@ def cmd_reconstruct(cfg) -> int:
             f"grid has {len(grid_spec)} axes but potential dim is {pp.dim}"
         )
     # f = ||grad psi||^2 = 2 V; only f is handed to the reconstructor
-    psi, V = pp.psi, pp.v
-    from evanflow.fields import DifferentiableField
-    f = DifferentiableField(
-        dim=V.dim,
-        value=lambda x: 2.0 * np.asarray(V.value(x), float),
-        gradient=lambda x: 2.0 * np.asarray(V.gradient(x), float),
-        name=f"f_from_{psi.name}",
-    )
+    f = pp.v.scaled(2.0)
     points = grid_points(grid_spec)
     opts = ReconstructOptions(T=float(cfg["T"]), N=int(cfg["N"]),
                               method=cfg["method"],

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from evanflow import kernels
-from evanflow.fields import DifferentiableField, PotentialPair
+from evanflow.fields import _psi_of, _v_of
 from evanflow.integrate import (
     TERM_DIVERGED,
     Trajectory,
@@ -83,14 +83,6 @@ def _result(check_id, violation, location, tol, notes="") -> CheckResult:
     violation = float(max(violation, 0.0))
     return CheckResult(check_id, violation <= tol, violation,
                       location, float(tol), notes)
-
-
-def _psi_of(pp) -> DifferentiableField:
-    return pp.psi if isinstance(pp, PotentialPair) else pp
-
-
-def _v_of(pp) -> DifferentiableField:
-    return pp.v if isinstance(pp, PotentialPair) else pp
 
 
 def _max_consecutive_increase(times, series):

@@ -23,7 +23,12 @@ from evanflow.evanescent import (
     shoot_evanescent,
 )
 from evanflow.fields import DifferentiableField, PotentialPair, field_from_f
-from evanflow.integrate import IntegratorOptions, gradient_flow, rk4_fixed
+from evanflow.integrate import (
+    IntegratorOptions,
+    _second_order_rhs,
+    gradient_flow,
+    rk4_fixed,
+)
 
 DEFAULT_TOL_RECON = 1e-6
 TAIL_DECAY_SLOPE = -0.1
@@ -83,10 +88,9 @@ def _orbit_nodes(V: DifferentiableField, x0: np.ndarray, T: float, N: int,
     if method == "shoot":
         res = shoot_evanescent(V, x0, T, ShootOptions())
         v0 = np.asarray(res.detail["v0"], float)
-        n = V.dim
-        raw = rk4_fixed(lambda y: np.concatenate([y[n:], V.gradient(y[:n])]),
-                        np.concatenate([x0, v0]), T, T / N, r_max=1e8)
-        nodes = raw.ys[:, :n]
+        raw = rk4_fixed(_second_order_rhs(V), np.concatenate([x0, v0]),
+                        T, T / N, r_max=1e8)
+        nodes = raw.ys[:, :V.dim]
         if len(nodes) < N + 1:
             nodes = np.vstack([nodes, np.tile(nodes[-1], (N + 1 - len(nodes), 1))])
         return nodes, res.converged

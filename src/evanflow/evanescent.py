@@ -15,6 +15,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from evanflow import kernels
 from evanflow.diagnostics import (
+    DEFAULT_EPS_TAIL,
     CheckResult,
     DiagnosticsReport,
     check_first_integral,
@@ -22,20 +23,20 @@ from evanflow.diagnostics import (
     check_monotone_gradient,
     check_phi_residual,
 )
-from evanflow.fields import DifferentiableField, PotentialPair
+from evanflow.fields import DifferentiableField, PotentialPair, _v_of
 from evanflow.integrate import (
     TERM_HORIZON,
     IntegratorOptions,
     Trajectory,
     gradient_flow,
     path_integral,
+    _second_order_rhs,
     rk4_fixed,
     second_order_flow,
 )
 
 DEFAULT_T = 12.0
 DEFAULT_N = 240
-DEFAULT_EPS_TAIL = 1e-4
 
 
 @dataclass
@@ -47,7 +48,6 @@ class ActionOptions:
     shrink: float = 0.5
     tol_el: float = 1e-5
     eps_tail: float = DEFAULT_EPS_TAIL
-    seed: int = 0
 
 
 @dataclass
@@ -112,8 +112,11 @@ def fd_velocities(W: np.ndarray, dt: float) -> np.ndarray:
     return v
 
 
-def _v_of(V) -> DifferentiableField:
-    return V.v if isinstance(V, PotentialPair) else V
+def _potential_values(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
+    Vv = np.asarray(V.value(W), float)
+    if not np.all(np.isfinite(Vv)):
+        raise ValueError("non-finite potential value along path")
+    return Vv
 
 
 def discrete_action(V, path_nodes, dt: float, mu: float, want_grad: bool = True):
@@ -126,9 +129,7 @@ def discrete_action(V, path_nodes, dt: float, mu: float, want_grad: bool = True)
     W = np.asarray(path_nodes, float)
     if W.ndim != 2 or len(W) < 3:
         raise ValueError("path must be an (N+1, n) array with N >= 2")
-    Vv = np.asarray(V.value(W), float)
-    if not np.all(np.isfinite(Vv)):
-        raise ValueError("non-finite potential value along path")
+    Vv = _potential_values(V, W)
     if want_grad:
         Vg = np.asarray(V.gradient(W), float)
     else:
@@ -202,14 +203,9 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
         lam = np.linspace(0.0, 1.0, N + 1)[:, None]
         W = (1.0 - lam) * x0 + lam * x_min
 
-    def full_eval(Wf):
-        return discrete_action(V, Wf, dt, mu, want_grad=True)
-
-    def value_only(Wf):
-        val, _ = discrete_action(V, Wf, dt, mu, want_grad=False)
-        return val
-
-    val, g = full_eval(W)
+    Vv = _potential_values(V, W)
+    Vg = np.asarray(V.gradient(W), float)
+    val, g = kernels.action_assemble(W, Vv, Vg, dt, mu)
     step = dt / 4.0
     s_prev = None
     y_prev = None
@@ -234,29 +230,34 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
             W_trial = W.copy()
             W_trial[1:] -= t * g
             try:
-                val_t = value_only(W_trial)
+                Vv_t = _potential_values(V, W_trial)
             except ValueError:
-                val_t = np.inf
-            if np.isfinite(val_t) and val_t <= val - opts.armijo_c * t * gg:
+                t *= opts.shrink
+                continue
+            # the decrease is summed from per-term differences, so the test
+            # still resolves it near the double-precision floor
+            if kernels.action_decrease(W, Vv, W_trial, Vv_t, dt, mu) \
+                    >= opts.armijo_c * t * gg:
                 accepted = True
                 break
             t *= opts.shrink
         if not accepted:
             break
         s_prev = -t * g
-        W = W_trial
-        val_new, g_new = full_eval(W)
+        W, Vv = W_trial, Vv_t
+        Vg = np.asarray(V.gradient(W), float)
+        val, g_new = kernels.action_assemble(W, Vv, Vg, dt, mu)
         y_prev = g_new - g
-        val, g = val_new, g_new
+        g = g_new
         step = t
         ginf = float(np.max(np.abs(g)))
 
-    Vg = np.asarray(V.gradient(W), float)
     el_res = kernels.el_residual_max(W, Vg, dt)
     path = DiscretePath(W, dt, float(val), float(el_res), mu)
     vel = path.velocities()
-    tail_vprime = float(np.min(np.linalg.norm(vel[-max(2, (N + 1) // 10):], axis=-1)))
-    tail_V = float(np.min(np.asarray(V.value(W[-max(2, (N + 1) // 10):]), float)))
+    m_tail = max(2, (N + 1) // 10)
+    tail_vprime = float(np.min(np.linalg.norm(vel[-m_tail:], axis=-1)))
+    tail_V = float(np.min(Vv[-m_tail:]))
     converged = (
         ginf < opts.tol_opt
         and el_res < opts.tol_el
@@ -518,16 +519,6 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
     r2.check_id = "phi_residual_shoot"
     report.add(r2)
     return report
-
-
-def _second_order_rhs(V):
-    V = _v_of(V)
-    n = V.dim
-
-    def rhs(y):
-        return np.concatenate([y[n:], V.gradient(y[:n])])
-
-    return rhs
 
 
 def _on_grid(traj: Trajectory, N: int) -> np.ndarray:

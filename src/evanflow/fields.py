@@ -87,6 +87,14 @@ class PotentialPair:
         return self.psi.dim
 
 
+def _psi_of(pp) -> DifferentiableField:
+    return pp.psi if isinstance(pp, PotentialPair) else pp
+
+
+def _v_of(pp) -> DifferentiableField:
+    return pp.v if isinstance(pp, PotentialPair) else pp
+
+
 def fd_step(x: np.ndarray) -> float:
     """Central-difference step, balanced for double precision."""
     return 1e-5 * (1.0 + float(np.linalg.norm(x)))
@@ -406,8 +414,9 @@ def resolve_potential(spec_id: str) -> PotentialPair:
     """Catalog lookup by string id.
 
     Base ids: quadratic:<matrix literal>, example_one, neg_square, cubic,
-    quartic_saddle, linear, neg_linear.  A trailing '+<const>' or '-<const>'
-    shifts psi by an additive constant (V unchanged).
+    quartic_saddle, linear, neg_linear.  A trailing '+<const>', where the
+    constant may be negative ('cubic+-2'), shifts psi by an additive constant
+    (V unchanged).
     """
     spec_id = spec_id.strip()
     base, shift = _split_shift(spec_id)
@@ -427,17 +436,15 @@ def resolve_potential(spec_id: str) -> PotentialPair:
 
 
 def _split_shift(spec_id: str) -> tuple[str, float]:
-    # a shift suffix is '+c' or '-c' after the base id; matrix literals never
-    # end in a bare float preceded by '+', so splitting on the last '+' or a
-    # trailing '-<float>' after an alpha char is unambiguous
-    for op in ("+",):
-        if op in spec_id:
-            head, _, tail = spec_id.rpartition(op)
-            if head:
-                try:
-                    return head, float(op + tail)
-                except ValueError:
-                    pass
+    # a shift suffix is '+<const>' after the base id, where the constant may
+    # be negative ('cubic+-2'); splitting on the last '+' is unambiguous for
+    # matrix literals written without '+' signs
+    head, _, tail = spec_id.rpartition("+")
+    if head:
+        try:
+            return head, float(tail)
+        except ValueError:
+            pass
     return spec_id, 0.0
 
 

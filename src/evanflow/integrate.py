@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from evanflow import kernels
-from evanflow.fields import DifferentiableField, NumericDomainError, PotentialPair
+from evanflow.fields import NumericDomainError, _psi_of, _v_of
 
 TERM_HORIZON = "horizon_reached"
 TERM_CRIT = "critical_point_reached"
@@ -205,10 +205,6 @@ def _integrate(rhs, y0, T, opts: IntegratorOptions, stop=None) -> RawOrbit:
     raise ValueError(f"unknown integrator method {opts.method!r}")
 
 
-def _psi_of(pp) -> DifferentiableField:
-    return pp.psi if isinstance(pp, PotentialPair) else pp
-
-
 def gradient_flow(pp, x0, T: float,
                   opts: Optional[IntegratorOptions] = None) -> Trajectory:
     """Integrate u' = -grad psi(u) from x0; velocities are recomputed exactly."""
@@ -240,19 +236,26 @@ def gradient_flow(pp, x0, T: float,
                       raw.termination, meta)
 
 
+def _second_order_rhs(V):
+    """Phase-space right-hand side (v, w)' = (w, grad V(v)) of v'' = grad V(v)."""
+    V = _v_of(V)
+    n = V.dim
+
+    def rhs(y):
+        return np.concatenate([y[n:], V.gradient(y[:n])])
+
+    return rhs
+
+
 def second_order_flow(V, x0, v0, T: float,
                       opts: Optional[IntegratorOptions] = None) -> Trajectory:
     """Integrate the phase-space form (v, w)' = (w, grad V(v)) from (x0, v0)."""
-    Vf = V.v if isinstance(V, PotentialPair) else V
+    V = _v_of(V)
     opts = opts or IntegratorOptions()
-    n = Vf.dim
+    n = V.dim
     x0 = np.asarray(x0, float).reshape(n)
     v0 = np.asarray(v0, float).reshape(n)
-
-    def rhs(y):
-        return np.concatenate([y[n:], Vf.gradient(y[:n])])
-
-    raw = _integrate(rhs, np.concatenate([x0, v0]), T, opts)
+    raw = _integrate(_second_order_rhs(V), np.concatenate([x0, v0]), T, opts)
     return Trajectory(raw.times, raw.ys[:, :n], raw.ys[:, n:],
                       "second_order", raw.termination, dict(raw.meta))
 

@@ -51,6 +51,8 @@ def test_flow_input_errors(tmp_path):
     assert run(["flow", "--potential", "quadratic:1", "--x0", "abc"] + out) == 1
     assert run(["flow", "--potential", "quadratic:1", "--x0", "1",
                 "--checks", "no_such_check"] + out) == 1
+    # shifts are written '+<const>'; 'cubic-2' is an unknown id
+    assert run(["flow", "--potential", "cubic-2", "--x0", "1"] + out) == 1
 
 
 def test_flow_config_file(tmp_path):

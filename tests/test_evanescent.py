@@ -1,6 +1,7 @@
 """Action minimization and shooting against closed-form evanescent orbits."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from evanflow.evanescent import (
     ActionOptions,
@@ -144,6 +145,32 @@ def test_fd_velocities_fourth_order():
     assert np.max(np.abs(v + W)) < 1e-5
 
 
+@st.composite
+def spd_problems(draw):
+    n = draw(st.integers(1, 3))
+    eigs = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    rotation_seed = draw(st.integers(0, 2**32 - 1))
+    x0 = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+    Q, _ = np.linalg.qr(np.random.default_rng(rotation_seed).normal(size=(n, n)))
+    A = Q @ np.diag(eigs) @ Q.T
+    return 0.5 * (A + A.T), x0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(spd_problems())
+def test_minimize_action_spd_quadratic_property(problem):
+    # the evanescent orbit of V = 0.5||Ax||^2 is the gradient flow of
+    # psi = 0.5 x'Ax, so its action is psi(x0) - inf psi = 0.5 x0'Ax0
+    A, x0 = problem
+    exact = 0.5 * float(x0 @ A @ x0)
+    assume(exact >= 1e-3)
+    opts = ActionOptions()
+    res = minimize_action(make_quadratic(A).v, x0, T, N, opts)
+    assert res.detail["iterations"] < opts.max_iters
+    assert res.detail["grad_inf"] < opts.tol_opt
+    assert res.final_action == pytest.approx(exact, rel=5e-3)
+
+
 # --- shooting -------------------------------------------------------------
 
 def test_shoot_quadratic_1d():
@@ -210,3 +237,8 @@ def test_action_route_is_honest_about_unbounded_example():
     pp = make_example_one()
     res = minimize_action(pp.v, [0.0], T, N, psi=pp.psi)
     assert not res.converged
+    # the term-wise Armijo decrease lets the descent reach tol_opt instead of
+    # stalling just above it and using every iteration
+    opts = ActionOptions()
+    assert res.detail["iterations"] < opts.max_iters
+    assert res.detail["grad_inf"] < opts.tol_opt

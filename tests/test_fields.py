@@ -170,6 +170,13 @@ def test_resolve_potential_quadratic_and_shift():
     assert shifted.psi.value(x) == pytest.approx(pp.psi.value(x) + 5.0)
     # V is unchanged by the shift
     assert shifted.v.value(x) == pytest.approx(pp.v.value(x))
+    # the constant may be negative; a minus sign inside a matrix literal is
+    # not a shift
+    cubic, neg = resolve_potential("cubic"), resolve_potential("cubic+-2")
+    y = np.array([1.5])
+    assert neg.psi.value(y) == pytest.approx(cubic.psi.value(y) - 2.0)
+    indefinite = resolve_potential("quadratic:1,0;0,-2")
+    assert indefinite.psi.value(x) == pytest.approx(0.5 * (1.0 - 2.0))
 
 
 def test_resolve_potential_named_entries():

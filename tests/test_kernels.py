@@ -1,19 +1,10 @@
-"""Compiled kernels against the pure-numpy fallback, and kernel contracts."""
+"""Kernel contracts of the discrete action and trajectory quadrature."""
 import math
 
 import numpy as np
 import pytest
 
-from evanflow import _kernels_py
-
-try:
-    from evanflow import _kernels
-    HAVE_EXT = True
-except ImportError:
-    _kernels = None
-    HAVE_EXT = False
-
-needs_ext = pytest.mark.skipif(not HAVE_EXT, reason="compiled extension not built")
+from evanflow import kernels
 
 
 def random_inputs(m, n, seed):
@@ -27,7 +18,7 @@ def random_inputs(m, n, seed):
 def test_action_value_matches_direct_formula():
     W, Vv, Vg = random_inputs(12, 3, 0)
     dt, mu = 0.1, 0.7
-    val, grad = _kernels_py.action_assemble(W, Vv, Vg, dt, mu)
+    val, grad = kernels.action_assemble(W, Vv, Vg, dt, mu)
     direct = sum(
         dt * (0.5 * np.sum(((W[k + 1] - W[k]) / dt) ** 2)
               + 0.5 * (Vv[k] + Vv[k + 1]))
@@ -43,64 +34,55 @@ def test_action_zero_potential_straight_path():
     lam = np.linspace(0, 1, N + 1)[:, None]
     W = (1 - lam) * a + lam * b
     Vv = np.zeros(N + 1)
-    val, _ = _kernels_py.action_assemble(W, Vv, W, T / N, 0.5, want_grad=False)
+    val, _ = kernels.action_assemble(W, Vv, W, T / N, 0.5, want_grad=False)
     assert val == pytest.approx(25.0 / (2.0 * T))
 
 
 def test_el_residual_zero_on_linear_path_with_zero_gradient():
     W = np.linspace(0, 1, 9)[:, None] * np.array([1.0, -2.0])
-    res = _kernels_py.el_residual_max(W, np.zeros_like(W), 0.125)
+    res = kernels.el_residual_max(W, np.zeros_like(W), 0.125)
     assert res == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trapezoid_nonuniform():
     ts = np.array([0.0, 0.5, 2.0])
     vals = np.array([1.0, 3.0, 3.0])
-    assert _kernels_py.trapezoid(ts, vals) == pytest.approx(0.5 * 2 + 1.5 * 3)
-
-
-@needs_ext
-@pytest.mark.parametrize("m,n", [(3, 1), (50, 2), (241, 2), (100, 5)])
-def test_extension_agrees_with_fallback(m, n):
-    W, Vv, Vg = random_inputs(m, n, m * 10 + n)
-    dt, mu = 0.05, 0.5
-    v_py, g_py = _kernels_py.action_assemble(W, Vv, Vg, dt, mu)
-    v_cy, g_cy = _kernels.action_assemble(W, Vv, Vg, dt, mu)
-    assert v_cy == pytest.approx(v_py, rel=1e-12)
-    assert np.allclose(g_cy, g_py, rtol=1e-12, atol=1e-14)
-    assert _kernels.el_residual_max(W, Vg, dt) == pytest.approx(
-        _kernels_py.el_residual_max(W, Vg, dt), rel=1e-12)
-    ts = np.linspace(0.0, 12.0, m)
-    assert _kernels.trapezoid(ts, Vv) == pytest.approx(
-        _kernels_py.trapezoid(ts, Vv), rel=1e-12)
-
-
-@needs_ext
-def test_extension_flag():
-    from evanflow import kernels
-    assert kernels.USING_EXTENSION is True
-    assert _kernels.USING_EXTENSION is True
-    assert _kernels_py.USING_EXTENSION is False
+    assert kernels.trapezoid(ts, vals) == pytest.approx(0.5 * 2 + 1.5 * 3)
 
 
 def test_value_resolves_tiny_decreases():
-    # compensated accumulation: a perturbation near the float noise floor of
-    # a single term must still move the reported value (this is what keeps
-    # the optimizer's line search from stalling near convergence)
+    # a perturbation near the float noise floor of a single term must still
+    # move the reported value, and the term-wise decrease the line search
+    # tests must resolve it to rounding of that one term
     dt, mu = 0.05, 0.5
     ts = dt * np.arange(241)
     W = np.exp(-ts)[:, None] * np.array([1.0, 1.0])
     Vv = np.exp(-2.0 * ts)
-    v0, _ = _kernels_py.action_assemble(W, Vv, W, dt, mu, want_grad=False)
+    v0, _ = kernels.action_assemble(W, Vv, W, dt, mu, want_grad=False)
     Vv2 = Vv.copy()
     Vv2[120] -= 1e-12
-    v1, _ = _kernels_py.action_assemble(W, Vv2, W, dt, mu, want_grad=False)
+    v1, _ = kernels.action_assemble(W, Vv2, W, dt, mu, want_grad=False)
     assert v1 < v0
     assert (v0 - v1) == pytest.approx(0.5 * dt * 2 * 1e-12, rel=1e-2)
+    dec = kernels.action_decrease(W, Vv, W, Vv2, dt, mu)
+    assert dec == pytest.approx(dt * (Vv[120] - Vv2[120]), rel=1e-12)
+    assert dec == pytest.approx(0.5 * dt * 2 * 1e-12, rel=1e-6)
+
+
+def test_action_decrease_matches_value_difference():
+    W, Vv, _ = random_inputs(30, 2, 2)
+    W_t, Vv_t, _ = random_inputs(30, 2, 3)
+    W_t[0] = W[0]
+    Vv_t[0] = Vv[0]
+    dt, mu = 0.1, 0.7
+    v, _ = kernels.action_assemble(W, Vv, W, dt, mu, want_grad=False)
+    v_t, _ = kernels.action_assemble(W_t, Vv_t, W_t, dt, mu, want_grad=False)
+    dec = kernels.action_decrease(W, Vv, W_t, Vv_t, dt, mu)
+    assert dec == pytest.approx(v - v_t, rel=1e-12, abs=1e-12)
 
 
 def test_want_grad_false_returns_none():
     W, Vv, Vg = random_inputs(8, 2, 1)
-    val, grad = _kernels_py.action_assemble(W, Vv, Vg, 0.1, 0.0, want_grad=False)
+    val, grad = kernels.action_assemble(W, Vv, Vg, 0.1, 0.0, want_grad=False)
     assert math.isfinite(val)
     assert grad is None
