@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,8 @@ from evanflow.eikonal import (
     reconstruct_grid,
 )
 from evanflow.evanescent import (
+    DEFAULT_N,
+    DEFAULT_T,
     ActionOptions,
     ShootOptions,
     cross_validate,
@@ -58,26 +61,30 @@ class InputError(Exception):
     pass
 
 
+# the CLI calls IntegratorOptions.method "integrator"
+_INTEG_DEFAULTS = {("integrator" if k == "method" else k): v
+                   for k, v in asdict(IntegratorOptions()).items()}
+_ACTION = ActionOptions()
+
 _DEFAULTS = {
     "flow": {
-        "potential": None, "x0": None, "T": 10.0, "integrator": "rk45",
-        "h": 1e-2, "rtol": 1e-9, "atol": 1e-12, "r_max": 1e6,
-        "eps_crit": 1e-10, "checks": "all", "seed": 0, "out": ".",
+        "potential": None, "x0": None, "T": 10.0, **_INTEG_DEFAULTS,
+        "checks": "all", "seed": 0, "out": ".",
     },
     "second-order": {
         "potential": None, "x0": None, "v0": None, "T": 10.0,
-        "integrator": "rk45", "h": 1e-2, "rtol": 1e-9, "atol": 1e-12,
-        "r_max": 1e6, "eps_crit": 1e-10, "checks": "all", "seed": 0, "out": ".",
+        **_INTEG_DEFAULTS, "checks": "all", "seed": 0, "out": ".",
     },
     "evanesce": {
-        "potential": None, "x0": None, "T": 12.0, "N": 240, "mu": None,
-        "tol_opt": 1e-8, "max_iters": 50000, "solver": "action",
+        "potential": None, "x0": None, "T": DEFAULT_T, "N": DEFAULT_N,
+        "mu": _ACTION.mu, "tol_opt": _ACTION.tol_opt,
+        "max_iters": _ACTION.max_iters, "solver": "action",
         "cross_validate": True, "seed": 0, "out": ".", "checks": "all",
     },
     "reconstruct": {
-        "potential": None, "grid": None, "T": 12.0, "N": 240,
-        "method": "action", "workers": None, "seed": 0, "out": ".",
-        "checks": "all",
+        "potential": None, "grid": None, "T": DEFAULT_T, "N": DEFAULT_N,
+        "method": ReconstructOptions().method, "workers": None, "seed": 0,
+        "out": ".", "checks": "all",
     },
     "determine": {
         "potential1": None, "potential2": None, "samples": 24,

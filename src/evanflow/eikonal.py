@@ -17,18 +17,16 @@ from scipy.integrate import simpson
 
 from evanflow.diagnostics import CheckResult, DiagnosticsReport, check_monotone_gradient
 from evanflow.evanescent import (
+    DEFAULT_N,
+    DEFAULT_T,
     ActionOptions,
     ShootOptions,
+    _shot_on_grid,
     minimize_action,
     shoot_evanescent,
 )
 from evanflow.fields import DifferentiableField, PotentialPair, field_from_f
-from evanflow.integrate import (
-    IntegratorOptions,
-    _second_order_rhs,
-    gradient_flow,
-    rk4_fixed,
-)
+from evanflow.integrate import IntegratorOptions, gradient_flow
 
 DEFAULT_TOL_RECON = 1e-6
 TAIL_DECAY_SLOPE = -0.1
@@ -37,8 +35,8 @@ BOUNDED_BELOW_FLOOR = -1e6
 
 @dataclass
 class ReconstructOptions:
-    T: float = 12.0
-    N: int = 240
+    T: float = DEFAULT_T
+    N: int = DEFAULT_N
     method: str = "action"            # "action" or "shoot"
     workers: int = 1
     max_iters: int = 50_000
@@ -88,12 +86,7 @@ def _orbit_nodes(V: DifferentiableField, x0: np.ndarray, T: float, N: int,
     if method == "shoot":
         res = shoot_evanescent(V, x0, T, ShootOptions())
         v0 = np.asarray(res.detail["v0"], float)
-        raw = rk4_fixed(_second_order_rhs(V), np.concatenate([x0, v0]),
-                        T, T / N, r_max=1e8)
-        nodes = raw.ys[:, :V.dim]
-        if len(nodes) < N + 1:
-            nodes = np.vstack([nodes, np.tile(nodes[-1], (N + 1 - len(nodes), 1))])
-        return nodes, res.converged
+        return _shot_on_grid(V, x0, v0, T, N).states, res.converged
     raise ValueError(f"unknown reconstruction method {method!r}")
 
 

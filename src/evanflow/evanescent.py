@@ -2,8 +2,11 @@
 
 Two independent routes recover the evanescent orbit from a starting point:
 discrete action minimization over a node path with a terminal penalty, and
-sphere-constrained shooting on the initial velocity (the first integral pins
-||v'(0)|| = sqrt(2 V(x0)) for evanescent orbits).
+shooting on the initial velocity.  The first integral pins
+||v'(0)|| = sqrt(2 V(x0)) for evanescent orbits, so shooting is a root-find
+on that sphere: Gauss-Newton on the terminal velocity w(T), with its
+Jacobian from the variational equations along each orbit, continued over
+doubling horizons up to T.
 """
 from __future__ import annotations
 
@@ -11,7 +14,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from evanflow import kernels
 from evanflow.diagnostics import (
@@ -23,7 +25,7 @@ from evanflow.diagnostics import (
     check_monotone_gradient,
     check_phi_residual,
 )
-from evanflow.fields import DifferentiableField, PotentialPair, _v_of
+from evanflow.fields import DifferentiableField, NumericDomainError, PotentialPair, _v_of
 from evanflow.integrate import (
     TERM_HORIZON,
     IntegratorOptions,
@@ -31,7 +33,9 @@ from evanflow.integrate import (
     gradient_flow,
     path_integral,
     _second_order_rhs,
+    _variational_rhs,
     rk4_fixed,
+    rk_adaptive,
     second_order_flow,
 )
 
@@ -55,8 +59,6 @@ class ShootOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
     r_max: float = 1e6
-    search_rtol: float = 1e-9
-    nm_maxfev: int = 800
     eps_tail: float = DEFAULT_EPS_TAIL
 
 
@@ -296,32 +298,21 @@ def _solve_diagnostics(path_or_traj, V, psi=None) -> DiagnosticsReport:
 # shooting
 # ---------------------------------------------------------------------------
 
-def _sphere_point(r: float, angles: np.ndarray, n: int) -> np.ndarray:
-    v = np.empty(n)
-    s = 1.0
-    for i in range(n - 1):
-        v[i] = s * np.cos(angles[i])
-        s = s * np.sin(angles[i])
-    v[n - 1] = s
-    return r * v
-
-
-def _angles_of(v: np.ndarray) -> np.ndarray:
-    n = len(v)
-    angles = np.empty(n - 1)
-    for i in range(n - 1):
-        tail = float(np.linalg.norm(v[i:]))
-        angles[i] = 0.0 if tail == 0.0 else float(np.arccos(np.clip(v[i] / tail, -1, 1)))
-    if v[-1] < 0:
-        angles[-1] = 2.0 * np.pi - angles[-1]
-    return angles
+# horizons T/2^k, ..., T/2, T from the first one <= _FIRST_HORIZON; each
+# ends after _NEWTON_ITERS steps, when a step falls below _STEP_TOL * r, or
+# when the residual stops decreasing
+_FIRST_HORIZON = 1.5
+_NEWTON_ITERS = 8
+_STEP_TOL = 1e-13
 
 
 def shoot_evanescent(V, x0, T: float = DEFAULT_T,
                      opts: Optional[ShootOptions] = None,
                      psi: Optional[DifferentiableField] = None) -> EvanescentSolveResult:
-    """Search the sphere ||v0|| = sqrt(2 V(x0)) for the orbit whose terminal
-    evanescence penalty ||v'(T)||^2 + 2 V(v(T)) is smallest."""
+    """Find the v0 on the sphere ||v0|| = sqrt(2 V(x0)) whose orbit is
+    evanescent, by Gauss-Newton on the terminal velocity w(T): on the sphere
+    ||w(T)||^2 = 2 V(v(T)), so w(T) is the whole terminal penalty.  In 1-D
+    the sphere is the two points +-r and the better one is kept."""
     V = _v_of(V)
     opts = opts or ShootOptions()
     n = V.dim
@@ -339,79 +330,23 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
         return EvanescentSolveResult(traj, "shooting", True, 0.0, report,
                                      {"v0": [0.0] * n, "penalty": 0.0})
 
-    def penalty_at(rtol):
-        search_opts = IntegratorOptions(method="rk45", rtol=rtol,
-                                        atol=opts.atol, r_max=opts.r_max)
-
-        def penalty(v0):
-            # orbits off the stable manifold blow up before the horizon;
-            # score them by how early, so the search can still descend
-            # toward the surviving direction
-            try:
-                traj = second_order_flow(V, x0, v0, T, search_opts)
-            except ArithmeticError:
-                return 1e12 * (1.0 + T)
-            if traj.termination != TERM_HORIZON:
-                return 1e12 * (1.0 + T - traj.t_end)
-            wT = traj.velocities[-1]
-            return float(np.dot(wT, wT) + 2.0 * float(V.value(traj.states[-1])))
-
-        return penalty
-
-    penalty_coarse = penalty_at(max(opts.search_rtol, 1e-6))
-    penalty = penalty_at(opts.search_rtol)
-
-    # candidate seeds: coordinate directions and the downhill V direction
-    candidates = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = r
-        candidates.extend([e, -e])
+    # downhill seed
     gV = np.asarray(V.gradient(x0), float)
     gn = float(np.linalg.norm(gV))
-    if gn > 0:
-        candidates.append(-r * gV / gn)
-    best_v0, best_p = None, np.inf
-    for c in candidates:
-        p = penalty_coarse(c)
-        if p < best_p:
-            best_v0, best_p = c, p
-
-    evaluations = len(candidates)
+    seed = -r * gV / gn if gn > 0 else r * np.eye(n)[0]
     if n == 1:
-        v0 = best_v0 if penalty(best_v0) <= penalty(-best_v0) else -best_v0
-        evaluations += 2
-    elif n <= 4:
-        # two-stage search: a cheap pass locates the basin, then a precise
-        # pass shrinks the simplex to machine precision in the angles (the
-        # valley is extremely sharp because off-manifold error grows
-        # exponentially over [0, T])
-        def fun_coarse(angles):
-            return penalty_coarse(_sphere_point(r, angles, n))
-
-        def fun(angles):
-            return penalty(_sphere_point(r, angles, n))
-
-        stage1 = _scipy_minimize(fun_coarse, _angles_of(best_v0 / r),
-                                 method="Nelder-Mead",
-                                 options={"xatol": 1e-9, "fatol": 1e-300,
-                                          "maxfev": opts.nm_maxfev // 2})
-        stage2 = _scipy_minimize(fun, stage1.x, method="Nelder-Mead",
-                                 options={"xatol": 1e-15, "fatol": 1e-300,
-                                          "maxfev": opts.nm_maxfev // 2})
-        evaluations += stage1.nfev + stage2.nfev
-        v0_nm = _sphere_point(r, np.asarray(stage2.x), n)
-        if penalty(v0_nm) <= best_p:
-            v0 = v0_nm
-        else:
-            v0 = best_v0
+        candidates, evaluations = [seed, -seed], 0
     else:
-        v0 = _projected_descent(penalty, best_v0, r)
+        v0, evaluations = _gauss_newton(V, x0, seed, T, opts)
+        candidates = [v0]
 
     final_opts = IntegratorOptions(method="rk45", rtol=opts.rtol,
                                    atol=opts.atol, r_max=opts.r_max)
-    traj = second_order_flow(V, x0, v0, T, final_opts)
-    p = penalty(v0)
+    p, traj, v0 = min((_scored_orbit(V, x0, c, T, final_opts) + (c,)
+                       for c in candidates), key=lambda s: s[0])
+    evaluations += len(candidates)
+    if traj is None:
+        raise NumericDomainError("every shooting orbit left the domain of V")
     act = path_integral(
         traj, lambda t, x, w: 0.5 * float(np.dot(w, w)) + float(V.value(x))
     ) if len(traj) >= 2 else np.inf
@@ -426,41 +361,70 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     )
 
 
-def _projected_descent(penalty, v0, r, iters=150):
-    """Sphere-constrained descent with finite-difference directional derivatives."""
-    v = v0.copy()
-    pv = penalty(v)
-    step = 0.1 * r
-    h = 1e-6 * r
-    for _ in range(iters):
-        g = np.zeros_like(v)
-        for i in range(len(v)):
-            e = np.zeros_like(v)
-            e[i] = h
-            g[i] = (penalty(_proj(v + e, r)) - penalty(_proj(v - e, r))) / (2 * h)
-        g -= (np.dot(g, v) / (r * r)) * v
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-14 or not np.isfinite(gn):
+def _scored_orbit(V, x0, v0, T, iopts):
+    """(penalty, trajectory) of the plain orbit from (x0, v0).  The penalty is
+    ||w(T)||^2 + 2 V(v(T)); an orbit that stops early scores by how early, and
+    one that leaves the domain of V has no trajectory."""
+    try:
+        traj = second_order_flow(V, x0, v0, T, iopts)
+    except ArithmeticError:
+        return 1e12 * (1.0 + T), None
+    if traj.termination != TERM_HORIZON:
+        return 1e12 * (1.0 + T - traj.t_end), traj
+    wT = traj.velocities[-1]
+    return float(np.dot(wT, wT) + 2.0 * float(V.value(traj.states[-1]))), traj
+
+
+def _gauss_newton(V, x0, v0, T, opts: ShootOptions):
+    """Sphere-constrained Gauss-Newton on w(T) from v0; returns (v0, orbits)."""
+    n = len(x0)
+    r = float(np.linalg.norm(v0))
+    rhs = _variational_rhs(V)
+    y_sens = np.concatenate([np.zeros(n * n), np.eye(n).ravel()])
+    orbits = 0
+
+    def terminal(v0, Tk):
+        """(w(Tk), dw(Tk)/dv0), or None if the orbit diverges or fails."""
+        nonlocal orbits
+        orbits += 1
+        # only (v, w) enters the error norm and the divergence test, so it
+        # takes the steps of the plain orbit; (P, Q) grow like e^{lambda t}
+        try:
+            raw = rk_adaptive(rhs, np.concatenate([x0, v0, y_sens]), Tk,
+                              rtol=opts.rtol, atol=opts.atol,
+                              r_max=opts.r_max, n_ctrl=2 * n)
+        except ArithmeticError:
+            return None
+        y = raw.ys[-1]
+        return ((y[n:2 * n], y[2 * n + n * n:].reshape(n, n))
+                if raw.termination == TERM_HORIZON else None)
+
+    k = max(0, int(np.ceil(np.log2(T / _FIRST_HORIZON))))
+    for Tk in T / 2.0 ** np.arange(k, -1, -1):
+        cur = terminal(v0, Tk)
+        if cur is None:
             break
-        t = step
-        improved = False
-        while t > 1e-14 * r:
-            cand = _proj(v - t * g / gn, r)
-            pc = penalty(cand)
-            if pc < pv:
-                v, pv = cand, pc
-                step = t * 2.0
-                improved = True
+        for _ in range(_NEWTON_ITERS):
+            w, Q = cur
+            B = np.linalg.svd(v0[None, :])[2][1:].T     # tangent basis at v0
+            step = B @ np.linalg.lstsq(Q @ B, -w, rcond=None)[0]
+            while True:
+                cand = v0 + step
+                cand *= r / float(np.linalg.norm(cand))
+                if float(np.linalg.norm(step)) < _STEP_TOL * r:
+                    new = None          # converged: take the step unchecked
+                    break
+                new = terminal(cand, Tk)
+                if new is not None:
+                    break
+                step = 0.5 * step       # a diverging or failing orbit halves it
+            if new is None:
+                v0 = cand
                 break
-            t *= 0.5
-        if not improved:
-            break
-    return v
-
-
-def _proj(v, r):
-    nv = float(np.linalg.norm(v))
-    return v * (r / nv) if nv > 0 else v
+            if not np.linalg.norm(new[0]) < np.linalg.norm(w):
+                break
+            v0, cur = cand, new
+    return v0, orbits
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +447,16 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
     pairs = np.stack([base[:20], base[20:]], axis=1)
     report.add(check_monotone_gradient(psi, pairs))
 
-    h = T / N
-    flow = gradient_flow(pp, x0, T, IntegratorOptions(method="rk4", h=h))
-    flow_states = _on_grid(flow, N)
+    flow = gradient_flow(pp, x0, T, IntegratorOptions(method="rk4", h=T / N))
+    flow_states = _pad_to(flow.states, N + 1)
 
     act = minimize_action(V, x0, T, N, action_opts, psi=psi)
     act_states = act.path.nodes
 
     shot = shoot_evanescent(V, x0, T, shoot_opts, psi=psi)
     v0 = np.asarray(shot.detail.get("v0", -psi.gradient(x0)), float)
-    raw = rk4_fixed(_second_order_rhs(V), np.concatenate([x0, v0]), T, h,
-                    r_max=1e8)
-    shot_states = _pad_to(raw.ys[:, :psi.dim], N + 1)
-    shot_vel = _pad_to(raw.ys[:, psi.dim:], N + 1)
+    shot_traj = _shot_on_grid(V, x0, v0, T, N)
+    shot_states = shot_traj.states
 
     def dist(a, b):
         return float(np.max(np.linalg.norm(a - b, axis=-1)))
@@ -508,10 +469,7 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
         d = dist(a, b)
         report.add(CheckResult(cid, d <= tol_xv, d, None, float(tol_xv)))
 
-    times = h * np.arange(N + 1)
     act_traj = act.path.as_trajectory()
-    shot_traj = Trajectory(times, shot_states, shot_vel, "second_order",
-                           raw.termination, dict(raw.meta))
     r1 = check_phi_residual(act_traj, psi, sigma=+1, tol=1e-3)
     r1.check_id = "phi_residual_action"
     report.add(r1)
@@ -521,8 +479,15 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
     return report
 
 
-def _on_grid(traj: Trajectory, N: int) -> np.ndarray:
-    return _pad_to(traj.states, N + 1)
+def _shot_on_grid(V, x0, v0, T: float, N: int) -> Trajectory:
+    """The orbit from (x0, v0) by RK4 on the uniform grid with spacing T/N,
+    padded with its last state to N + 1 nodes if it diverges early."""
+    n = len(x0)
+    raw = rk4_fixed(_second_order_rhs(V), np.concatenate([x0, v0]), T, T / N,
+                    r_max=1e8)
+    ys = _pad_to(raw.ys, N + 1)
+    return Trajectory(T / N * np.arange(N + 1), ys[:, :n], ys[:, n:],
+                      "second_order", raw.termination, dict(raw.meta))
 
 
 def _pad_to(states: np.ndarray, m: int) -> np.ndarray:

@@ -9,6 +9,7 @@ Every potential ``psi`` comes paired with the induced potential
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -416,7 +417,7 @@ def resolve_potential(spec_id: str) -> PotentialPair:
     Base ids: quadratic:<matrix literal>, example_one, neg_square, cubic,
     quartic_saddle, linear, neg_linear.  A trailing '+<const>', where the
     constant may be negative ('cubic+-2'), shifts psi by an additive constant
-    (V unchanged).
+    (V unchanged); the '+' of a signed exponent is not a shift ('quadratic:1e+2').
     """
     spec_id = spec_id.strip()
     base, shift = _split_shift(spec_id)
@@ -437,12 +438,12 @@ def resolve_potential(spec_id: str) -> PotentialPair:
 
 def _split_shift(spec_id: str) -> tuple[str, float]:
     # a shift suffix is '+<const>' after the base id, where the constant may
-    # be negative ('cubic+-2'); splitting on the last '+' is unambiguous for
-    # matrix literals written without '+' signs
-    head, _, tail = spec_id.rpartition("+")
-    if head:
+    # be negative ('cubic+-2'); it starts at the last '+' that is not the sign
+    # of an exponent ('quadratic:1e+2' has no shift, 'quadratic:1e+2+5' does)
+    signs = [m.start() for m in re.finditer(r"(?<![0-9.][eE])\+", spec_id)]
+    if signs and signs[-1] > 0:
         try:
-            return head, float(tail)
+            return spec_id[:signs[-1]], float(spec_id[signs[-1] + 1:])
         except ValueError:
             pass
     return spec_id, 0.0

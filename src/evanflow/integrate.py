@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from evanflow import kernels
-from evanflow.fields import NumericDomainError, _psi_of, _v_of
+from evanflow.fields import NumericDomainError, _psi_of, _v_of, fd_step
 
 TERM_HORIZON = "horizon_reached"
 TERM_CRIT = "critical_point_reached"
@@ -133,13 +133,19 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
                 atol: float = 1e-12, r_max: float = DEFAULT_R_MAX,
                 stop: Optional[Callable] = None,
-                h0: Optional[float] = None) -> RawOrbit:
-    """Embedded Dormand-Prince 5(4) pair; nodes at accepted steps."""
+                h0: Optional[float] = None,
+                n_ctrl: Optional[int] = None) -> RawOrbit:
+    """Embedded Dormand-Prince 5(4) pair; nodes at accepted steps.
+
+    Only y[:n_ctrl] (default: all of y) enters the error norm and the
+    r_max test, so appended components ride along on the steps of the rest.
+    """
     if not (1e-12 <= rtol <= 1e-2):
         raise ValueError(f"rtol must lie in [1e-12, 1e-2], got {rtol:g}")
     if atol <= 0:
         raise ValueError("atol must be positive")
     y = np.asarray(y0, float).copy()
+    ctrl = slice(n_ctrl)
     t = 0.0
     h = h0 if h0 is not None else min(1e-3 * T, 0.1)
     times = [0.0]
@@ -174,15 +180,15 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
             h *= 0.5
             n_rejected += 1
             continue
-        err = float(np.linalg.norm(y5 - y4))
-        tol = atol + rtol * float(np.linalg.norm(y))
+        err = float(np.linalg.norm((y5 - y4)[ctrl]))
+        tol = atol + rtol * float(np.linalg.norm(y[ctrl]))
         if err <= tol:
             t += h
             y = y5
             n_steps += 1
             times.append(t)
             ys.append(y.copy())
-            if np.linalg.norm(y) > r_max:
+            if np.linalg.norm(y[ctrl]) > r_max:
                 termination = TERM_DIVERGED
                 break
         else:
@@ -243,6 +249,30 @@ def _second_order_rhs(V):
 
     def rhs(y):
         return np.concatenate([y[n:], V.gradient(y[:n])])
+
+    return rhs
+
+
+def _variational_rhs(V):
+    """(v, w, P, Q)' = (w, grad V(v), Q, Hess V(v) P): v'' = grad V(v) with
+    its sensitivities P = dv/dv0, Q = dw/dv0 (n x n, row-major after (v, w)).
+    Without a hessvec, Hess V(v) p is a central difference of grad V along p.
+    """
+    V = _v_of(V)
+    n = V.dim
+    orbit_rhs = _second_order_rhs(V)
+
+    def hess_rows(v, Pt):
+        if V.hessvec is not None:
+            return np.asarray(V.hessvec(np.tile(v, (n, 1)), Pt), float)
+        norms = np.linalg.norm(Pt, axis=1, keepdims=True)
+        t = fd_step(v) / np.where(norms > 0.0, norms, 1.0)
+        return (V.gradient(v + t * Pt) - V.gradient(v - t * Pt)) / (2.0 * t)
+
+    def rhs(y):
+        Pt = y[2 * n:2 * n + n * n].reshape(n, n).T
+        return np.concatenate([orbit_rhs(y[:2 * n]), y[2 * n + n * n:],
+                               hess_rows(y[:n], Pt).T.ravel()])
 
     return rhs
 

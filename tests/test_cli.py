@@ -53,6 +53,11 @@ def test_flow_input_errors(tmp_path):
                 "--checks", "no_such_check"] + out) == 1
     # shifts are written '+<const>'; 'cubic-2' is an unknown id
     assert run(["flow", "--potential", "cubic-2", "--x0", "1"] + out) == 1
+    # a signed exponent is not a shift: '1e+' stays a bad literal, while
+    # '1e+2' and '1e+2+5' resolve
+    assert run(["flow", "--potential", "quadratic:1e+", "--x0", "1"] + out) == 1
+    assert run(["flow", "--potential", "quadratic:1e+2", "--x0", "1"] + out) == 0
+    assert run(["flow", "--potential", "quadratic:1e+2+5", "--x0", "1"] + out) == 0
 
 
 def test_flow_config_file(tmp_path):

@@ -12,7 +12,12 @@ from evanflow.evanescent import (
     minimize_action,
     shoot_evanescent,
 )
-from evanflow.fields import make_counterexample, make_example_one, make_quadratic
+from evanflow.fields import (
+    induced_potential,
+    make_counterexample,
+    make_example_one,
+    make_quadratic,
+)
 from evanflow.integrate import IntegratorOptions, gradient_flow
 
 QUAD_1D = make_quadratic([[1.0]])
@@ -146,9 +151,9 @@ def test_fd_velocities_fourth_order():
 
 
 @st.composite
-def spd_problems(draw):
-    n = draw(st.integers(1, 3))
-    eigs = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+def spd_problems(draw, dims=(1, 3), eig_range=(0.5, 2.0)):
+    n = draw(st.integers(*dims))
+    eigs = draw(st.lists(st.floats(*eig_range), min_size=n, max_size=n))
     rotation_seed = draw(st.integers(0, 2**32 - 1))
     x0 = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
     Q, _ = np.linalg.qr(np.random.default_rng(rotation_seed).normal(size=(n, n)))
@@ -198,6 +203,43 @@ def test_shoot_2d_sphere_search():
     assert res.converged
     v0 = np.asarray(res.detail["v0"])
     assert np.allclose(v0, [-1.0, 0.0], atol=1e-6)
+    # from (1, 1) both modes are excited; the solve integrates a few dozen
+    # orbits at most
+    res = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T, psi=QUAD_2D.psi)
+    assert res.converged and res.detail["evaluations"] <= 50
+    assert np.allclose(res.detail["v0"], [-1.0, -2.0], rtol=0.0, atol=1e-8)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(spd_problems(dims=(2, 4), eig_range=(0.8, 2.0)))
+def test_shoot_spd_quadratic_property(problem):
+    # the evanescent orbit of V = 0.5||Ax||^2 is x(t) = e^{-tA} x0, so it
+    # leaves x0 with v0 = -A x0
+    A, x0 = problem
+    res = shoot_evanescent(make_quadratic(A).v, x0, T)
+    assert np.max(np.abs(np.asarray(res.detail["v0"]) + A @ x0)) < 1e-8
+    # converged says the terminal penalty ||w(T)||^2 + 2V(v(T)) fell below
+    # 2 eps_tail^2; on the exact orbit it is 2||A e^{-TA} x0||^2, which a
+    # slow mode with a large x0 keeps above the limit at this horizon.  The
+    # verdict must match the exact orbit's outside a factor-2 band.
+    lam, Q = np.linalg.eigh(A)
+    exact_penalty = 2.0 * float(np.sum((lam * np.exp(-T * lam) * (Q.T @ x0)) ** 2))
+    limit = 2.0 * ShootOptions().eps_tail ** 2
+    if exact_penalty < 0.5 * limit:
+        assert res.converged, res.detail
+    elif exact_penalty > 2.0 * limit:
+        assert not res.converged, res.detail
+
+
+def test_shoot_without_hessvec():
+    # V = 0.5||grad psi||^2 built by induced_potential has no hessvec, so the
+    # sensitivities take central differences of grad V
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    V = induced_potential(make_quadratic(A).psi)
+    assert V.hessvec is None
+    res = shoot_evanescent(V, [1.0, -1.0], T)
+    assert res.converged
+    assert np.max(np.abs(np.asarray(res.detail["v0"]) + A @ [1.0, -1.0])) < 1e-8
 
 
 def test_shoot_equilibrium_start():
@@ -213,9 +255,19 @@ def test_cross_validate_quadratic_2d():
     assert rep.all_passed, rep.to_json()
 
 
-def test_cross_validate_offdiag_quadratic():
-    pp = make_quadratic([[2.0, 0.5], [0.5, 1.0]])
-    rep = cross_validate(pp, [1.0, -1.0])
+def _rotated_diag12(degrees):
+    c, s = np.cos(np.radians(degrees)), np.sin(np.radians(degrees))
+    R = np.array([[c, -s], [s, c]])
+    return R @ np.diag([1.0, 2.0]) @ R.T
+
+
+@pytest.mark.parametrize("A, x0", [
+    ([[2.0, 0.5], [0.5, 1.0]], [1.0, -1.0]),
+    (_rotated_diag12(30.0), [1.0, 1.0]),
+    (_rotated_diag12(60.0), [1.0, 1.0]),
+], ids=["offdiag", "diag12-rot30", "diag12-rot60"])
+def test_cross_validate_offdiag_quadratic(A, x0):
+    rep = cross_validate(make_quadratic(A), x0)
     assert rep.all_passed, rep.to_json()
 
 

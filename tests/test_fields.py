@@ -177,6 +177,10 @@ def test_resolve_potential_quadratic_and_shift():
     assert neg.psi.value(y) == pytest.approx(cubic.psi.value(y) - 2.0)
     indefinite = resolve_potential("quadratic:1,0;0,-2")
     assert indefinite.psi.value(x) == pytest.approx(0.5 * (1.0 - 2.0))
+    # the '+' of a signed exponent is part of the literal, not a shift
+    y = np.array([1.0])
+    assert resolve_potential("quadratic:1e+2").psi.value(y) == pytest.approx(50.0)
+    assert resolve_potential("quadratic:1e+2+5").psi.value(y) == pytest.approx(55.0)
 
 
 def test_resolve_potential_named_entries():
