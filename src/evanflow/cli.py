@@ -288,7 +288,8 @@ def cmd_evanesce(cfg) -> int:
         all_converged = all_converged and res.converged
     if cfg.get("cross_validate", True):
         xv = cross_validate(pp, x0, T, N, seed=int(cfg["seed"]),
-                            action_opts=aopts)
+                            action_opts=aopts, action=results.get("action"),
+                            shot=results.get("shoot"))
         payload["cross_validation"] = xv.to_dict()
         all_converged = all_converged and xv.all_passed
     _emit(out, "evanesce_report", payload)

@@ -7,7 +7,6 @@ exposes the determination and convexity-implication checks as bundles.
 """
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field as dc_field, asdict
 import json
 from typing import Optional
@@ -21,8 +20,8 @@ from evanflow.evanescent import (
     DEFAULT_T,
     ActionOptions,
     ShootOptions,
+    _minimize_actions,
     _shot_on_grid,
-    minimize_action,
     shoot_evanescent,
 )
 from evanflow.fields import DifferentiableField, PotentialPair, field_from_f
@@ -31,6 +30,9 @@ from evanflow.integrate import IntegratorOptions, gradient_flow
 DEFAULT_TOL_RECON = 1e-6
 TAIL_DECAY_SLOPE = -0.1
 BOUNDED_BELOW_FLOOR = -1e6
+# the action route solves the points of a grid as stacks of paths; a stack
+# holds as many paths as fit this many bytes of (B, N+1, n) float64 nodes
+_STACK_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -38,7 +40,7 @@ class ReconstructOptions:
     T: float = DEFAULT_T
     N: int = DEFAULT_N
     method: str = "action"            # "action" or "shoot"
-    workers: int = 1
+    workers: int = 1                  # accepted for compatibility; no effect
     max_iters: int = 50_000
     eps_equilibrium: float = 1e-12
 
@@ -77,17 +79,44 @@ class ReconstructionResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def _orbit_nodes(V: DifferentiableField, x0: np.ndarray, T: float, N: int,
-                 method: str, max_iters: int):
-    """Evanescent orbit sampled on the uniform grid with spacing T/N."""
-    if method == "action":
-        res = minimize_action(V, x0, T, N, ActionOptions(max_iters=max_iters))
-        return res.path.nodes, res.converged
-    if method == "shoot":
-        res = shoot_evanescent(V, x0, T, ShootOptions())
-        v0 = np.asarray(res.detail["v0"], float)
-        return _shot_on_grid(V, x0, v0, T, N).states, res.converged
-    raise ValueError(f"unknown reconstruction method {method!r}")
+def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
+            opts: ReconstructOptions) -> list:
+    """Evanescent orbit from each row of X0 sampled on the uniform grid with
+    spacing T/N, as (nodes, converged), or the ValueError or ArithmeticError
+    its solve raised.  The action route solves the rows as stacks of paths."""
+    if opts.method == "shoot":
+        return [_caught(_shot_nodes, V, x0, T, N) for x0 in X0]
+    if opts.method != "action":
+        return [ValueError(f"unknown reconstruction method {opts.method!r}")] * len(X0)
+    aopts = ActionOptions(max_iters=opts.max_iters)
+
+    def solve(X):
+        return [(path.nodes, converged)
+                for path, converged, _ in _minimize_actions(V, X, T, N, aopts)]
+
+    size = max(1, _STACK_BYTES // (8 * (N + 1) * V.dim))
+    out = []
+    for lo in range(0, len(X0), size):
+        stack = X0[lo:lo + size]
+        try:
+            out += solve(stack)
+        except (ValueError, ArithmeticError):
+            # solved again one row at a time, so only the offending rows fail
+            out += [_caught(lambda x0: solve(x0[None])[0], x0) for x0 in stack]
+    return out
+
+
+def _caught(solve, *args):
+    try:
+        return solve(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
+def _shot_nodes(V, x0, T, N):
+    res = shoot_evanescent(V, x0, T, ShootOptions())
+    v0 = np.asarray(res.detail["v0"], float)
+    return _shot_on_grid(V, x0, v0, T, N).states, res.converged
 
 
 def _tail_fit(times: np.ndarray, fvals: np.ndarray):
@@ -108,26 +137,85 @@ def reconstruct_value(f: DifferentiableField, x0,
                       opts: Optional[ReconstructOptions] = None) -> dict:
     """Reconstruct psi(x0) - inf psi by integrating f along the evanescent
     orbit of V = f/2, with an exponential-tail extrapolation past the horizon."""
-    opts = opts or ReconstructOptions()
-    V = field_from_f(f)
     x0 = np.asarray(x0, float).reshape(f.dim)
+    out = _reconstruct(f, x0[None], opts or ReconstructOptions())[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    if float(f.value(x0)) <= opts.eps_equilibrium:
-        return {"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
-                "converged": True, "T_used": opts.T, "tail_slope": -np.inf,
-                "method": opts.method}
+
+def reconstruct_grid(f: DifferentiableField, points,
+                     opts: Optional[ReconstructOptions] = None) -> ReconstructionResult:
+    """Per-point reconstructions, renormalized so min psi_hat = 0.  A point
+    whose solve fails carries NaN values and the message under "error"."""
+    opts = opts or ReconstructOptions()
+    points = np.asarray(points, float).reshape(-1, f.dim)
+    details = [d if not isinstance(d, Exception) else
+               {"psi_hat": np.nan, "ev_integral": np.nan,
+                "tail_estimate": np.nan, "converged": False,
+                "T_used": opts.T, "tail_slope": np.nan,
+                "method": opts.method, "error": str(d)}
+               for d in _reconstruct(f, points, opts)]
+
+    raw = np.array([d["psi_hat"] for d in details])
+    good = np.isfinite(raw)
+    offset = float(np.min(raw[good])) if np.any(good) else 0.0
+    psi_hat = raw - offset
+    for d in details:
+        d["psi_hat_raw"] = d["psi_hat"]
+        d["psi_hat"] = d["psi_hat"] - offset if np.isfinite(d["psi_hat"]) else d["psi_hat"]
+    config = {k: (v if not isinstance(v, np.ndarray) else v.tolist())
+              for k, v in asdict(opts).items()}
+    config["normalization_offset"] = offset
+    return ReconstructionResult(points, psi_hat, details, config)
+
+
+def _reconstruct(f: DifferentiableField, points: np.ndarray,
+                 opts: ReconstructOptions) -> list:
+    """The reconstruction dict of each point, or the ValueError or
+    ArithmeticError its solve raised.  V = f/2 is built once, so an f that
+    is negative at a probe point raises NonnegativityError here.  Points
+    where f vanishes are equilibria; the others are solved together at
+    (T, N), and those whose tail is not yet decaying again at (2T, 2N)."""
+    V = field_from_f(f)
+    out = [None] * len(points)
+    todo = []
+    for i, x0 in enumerate(points):
+        try:
+            still = float(f.value(x0)) <= opts.eps_equilibrium
+        except (ValueError, ArithmeticError) as exc:
+            out[i] = exc
+            continue
+        if still:
+            out[i] = {"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
+                      "converged": True, "T_used": opts.T, "tail_slope": -np.inf,
+                      "method": opts.method}
+        else:
+            todo.append(i)
 
     T, N = opts.T, opts.N
     for attempt in range(2):
-        nodes, solve_ok = _orbit_nodes(V, x0, T, N, opts.method, opts.max_iters)
-        dt = T / N
-        times = dt * np.arange(len(nodes))
-        fvals = np.asarray(f.value(nodes), float)
-        slope, f_end = _tail_fit(times, fvals)
-        if slope <= TAIL_DECAY_SLOPE or attempt == 1:
-            break
-        T, N = 2.0 * T, 2 * N    # tail not yet decaying: push the horizon once
+        retry = []
+        for i, orbit in zip(todo, _orbits(V, points[todo], T, N, opts)):
+            out[i] = orbit if isinstance(orbit, Exception) else _caught(
+                _value_on_orbit, f, orbit, T, N, opts.method, attempt == 1)
+            if out[i] is None:
+                retry.append(i)
+        # tails not yet decaying: push the horizon once
+        todo, T, N = retry, 2.0 * T, 2 * N
+    return out
 
+
+def _value_on_orbit(f, orbit, T, N, method, final):
+    """The reconstruction dict from an orbit's (nodes, converged), or None
+    when its tail is not yet decaying and a longer horizon remains to try."""
+    nodes, solve_ok = orbit
+    dt = T / N
+    times = dt * np.arange(len(nodes))
+    fvals = np.asarray(f.value(nodes), float)
+    slope, f_end = _tail_fit(times, fvals)
+    if slope > TAIL_DECAY_SLOPE and not final:
+        return None
     ev_integral = float(simpson(fvals, dx=dt))
     if f_end <= 0.0 or slope == -np.inf:
         tail = 0.0
@@ -145,42 +233,8 @@ def reconstruct_value(f: DifferentiableField, x0,
         "converged": bool(solve_ok and tail_ok),
         "T_used": T,
         "tail_slope": slope,
-        "method": opts.method,
+        "method": method,
     }
-
-
-def reconstruct_grid(f: DifferentiableField, points,
-                     opts: Optional[ReconstructOptions] = None) -> ReconstructionResult:
-    """Independent per-point reconstructions, renormalized so min psi_hat = 0."""
-    opts = opts or ReconstructOptions()
-    points = np.asarray(points, float).reshape(-1, f.dim)
-
-    def one(p):
-        try:
-            return reconstruct_value(f, p, opts)
-        except (ValueError, ArithmeticError) as exc:
-            return {"psi_hat": np.nan, "ev_integral": np.nan,
-                    "tail_estimate": np.nan, "converged": False,
-                    "T_used": opts.T, "tail_slope": np.nan,
-                    "method": opts.method, "error": str(exc)}
-
-    if opts.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            details = list(pool.map(one, points))
-    else:
-        details = [one(p) for p in points]
-
-    raw = np.array([d["psi_hat"] for d in details])
-    good = np.isfinite(raw)
-    offset = float(np.min(raw[good])) if np.any(good) else 0.0
-    psi_hat = raw - offset
-    for d in details:
-        d["psi_hat_raw"] = d["psi_hat"]
-        d["psi_hat"] = d["psi_hat"] - offset if np.isfinite(d["psi_hat"]) else d["psi_hat"]
-    config = {k: (v if not isinstance(v, np.ndarray) else v.tolist())
-              for k, v in asdict(opts).items()}
-    config["normalization_offset"] = offset
-    return ReconstructionResult(points, psi_hat, details, config)
 
 
 # ---------------------------------------------------------------------------

@@ -140,29 +140,200 @@ def discrete_action(V, path_nodes, dt: float, mu: float, want_grad: bool = True)
                                    want_grad=want_grad)
 
 
-def _descend_on_field(V: DifferentiableField, x0: np.ndarray,
+def _descend_on_field(V: DifferentiableField, X: np.ndarray,
                       max_iters: int = 2000, tol: float = 1e-10) -> np.ndarray:
-    """Cheap preliminary descent on V itself, used to aim the initial path."""
-    x = x0.copy()
-    val = float(V.value(x))
-    step = 1.0
+    """Cheap preliminary descent on V itself from each row of X (B, n), used
+    to aim the initial paths.  Every row keeps its own step and stops on its
+    own: when its gradient is below tol or its line search finds no step."""
+    X = np.array(X, float)
+    ids = np.arange(len(X))
+    x = X.copy()
+    val = np.asarray(V.value(x), float)
+    step = np.ones(len(x))
     for _ in range(max_iters):
         g = np.asarray(V.gradient(x), float)
-        gg = float(np.dot(g, g))
-        if gg < tol * tol:
-            break
+        # row-wise dot products, rounded as np.dot rounds them
+        gg = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        going = gg >= tol * tol
         t = step
-        while t > 1e-16:
-            xt = x - t * g
-            vt = float(V.value(xt))
-            if np.isfinite(vt) and vt <= val - 1e-4 * t * gg:
+        x_t = x - t[:, None] * g
+        v_t = np.asarray(V.value(x_t), float)
+        ok = going & np.isfinite(v_t) & (v_t <= val - 1e-4 * t * gg)
+        if not ok.all():
+            retry = (going & ~ok).nonzero()[0]
+            while retry.size:
+                t[retry] *= 0.5
+                retry = retry[t[retry] > 1e-16]
+                if not retry.size:
+                    break
+                x_r = x[retry] - t[retry, None] * g[retry]
+                v_r = np.asarray(V.value(x_r), float)
+                hit = np.isfinite(v_r) & (v_r <= val[retry] - 1e-4 * t[retry] * gg[retry])
+                x_t[retry[hit]], v_t[retry[hit]], ok[retry[hit]] = x_r[hit], v_r[hit], True
+                retry = retry[~hit]
+            # rows that stop keep where they are and leave the working set
+            stop = ~ok
+            X[ids[stop]] = x[stop]
+            ids, x_t, v_t, t = ids[ok], x_t[ok], v_t[ok], t[ok]
+            if not ids.size:
+                return X
+        x, val, step = x_t, v_t, np.minimum(t * 2.0, 1e6)
+    X[ids] = x
+    return X
+
+
+def _gradients(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
+    """grad V at every node of a (B, N+1, n) stack.  Fields see the nodes of
+    a stack as one (B*(N+1), n) array, the shape of a single path."""
+    return np.asarray(V.gradient(W.reshape(-1, W.shape[-1])), float).reshape(W.shape)
+
+
+def _trial_values(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
+    """V at every node of a (B, N+1, n) stack, as (B, N+1), with a row of
+    NaN for each path whose evaluation raises ValueError; the line search
+    rejects those like non-finite values."""
+    try:
+        return np.asarray(V.value(W.reshape(-1, W.shape[-1])), float).reshape(W.shape[:-1])
+    except ValueError:
+        if len(W) == 1:
+            return np.full(W.shape[:-1], np.nan)
+        return np.concatenate([_trial_values(V, w[None]) for w in W])
+
+
+def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
+             opts: ActionOptions):
+    """Monotone descent on the discrete action of each path of a (B, N+1, n)
+    stack; node 0 of every path is fixed.
+
+    Each member takes its own steps: a Barzilai-Borwein (short variant)
+    trial step, safeguarded by Armijo backtracking on the term-wise
+    decrease, so its action is nonincreasing; a trial where V is not finite
+    is rejected like one that fails the test.  A member stops when its
+    gradient inf-norm falls below opts.tol_opt, after opts.max_iters
+    iterations, or when its line search finds no step, and then leaves the
+    working set; only rejected members are tried again inside a line
+    search.  Returns the final (W, Vv, Vg, iterations, grad_inf) per member.
+    """
+    W = np.array(W, float)
+    Vv = _potential_values(V, W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
+    Vg = _gradients(V, W)
+    out_W, out_Vv, out_Vg = np.empty_like(W), np.empty_like(Vv), np.empty_like(Vg)
+    iters = np.zeros(len(W), int)
+    ginf = np.zeros(len(W))
+
+    def armijo(D, Vv, D_t, Vv_t, t, gg):
+        # the decrease is summed from per-term differences, so the test
+        # still resolves it near the double-precision floor
+        if np.isfinite(Vv_t).all():
+            return kernels._decrease(D, Vv, D_t, Vv_t, dt, mu) >= opts.armijo_c * t * gg
+        ok = np.isfinite(Vv_t).all(axis=1)
+        ok[ok] = armijo(D[ok], Vv[ok], D_t[ok], Vv_t[ok], t[ok], gg[ok])
+        return ok
+
+    # the working set: original index and state of every member still going
+    ids = np.arange(len(W))
+    D = W[:, 1:] - W[:, :-1]
+    g = kernels.action_gradient(W, Vg, dt, mu)
+    gi = np.maximum.reduce(np.abs(g), axis=(1, 2))
+    step = np.full(len(W), dt / 4.0)
+    s = y = None
+    stop = gi < opts.tol_opt
+    k = 0
+    while True:
+        if k >= opts.max_iters:
+            stop[:] = True
+        if stop.any():
+            done = ids[stop]
+            out_W[done], out_Vv[done], out_Vg[done] = W[stop], Vv[stop], Vg[stop]
+            iters[done], ginf[done] = k, gi[stop]
+            if stop.all():
                 break
-            t *= 0.5
-        else:
-            break
-        x, val = xt, vt
-        step = min(t * 2.0, 1e6)
-    return x
+            go = ~stop
+            ids, W, Vv, Vg, D, g, step = (a[go] for a in (ids, W, Vv, Vg, D, g, step))
+            if s is not None:
+                s, y = s[go], y[go]
+        k += 1
+        gg = np.add.reduce(g * g, axis=(1, 2))
+        # Barzilai-Borwein (short variant) trial step, safeguarded by Armijo;
+        # the short step passes the monotone test almost always, so the
+        # backtracking loop rarely fires
+        if s is not None:
+            sy = np.add.reduce(s * y, axis=(1, 2))
+            yy = np.add.reduce(y * y, axis=(1, 2))
+            step = np.divide(sy, yy, out=step * 2.0, where=(sy > 0) & (yy > 0))
+        t = np.minimum(np.maximum(step, 1e-12), 1e6)
+        tg = t[:, None, None] * g
+        W_t = W.copy()
+        W_t[:, 1:] -= tg
+        Vv_t = _trial_values(V, W_t)
+        D_t = W_t[:, 1:] - W_t[:, :-1]
+        ok = armijo(D, Vv, D_t, Vv_t, t, gg)
+        failed = None
+        if not ok.all():
+            retry = (~ok).nonzero()[0]
+            while retry.size:
+                t[retry] *= opts.shrink
+                retry = retry[t[retry] >= 1e-16]
+                if not retry.size:
+                    break
+                W_r = W[retry]
+                W_r[:, 1:] -= t[retry, None, None] * g[retry]
+                Vv_r = _trial_values(V, W_r)
+                D_r = W_r[:, 1:] - W_r[:, :-1]
+                hit = armijo(D[retry], Vv[retry], D_r, Vv_r, t[retry], gg[retry])
+                acc = retry[hit]
+                W_t[acc], Vv_t[acc], D_t[acc], ok[acc] = W_r[hit], Vv_r[hit], D_r[hit], True
+                retry = retry[~hit]
+            # a member whose line search finds no step keeps its path and stops
+            failed = ~ok
+            W_t[failed], Vv_t[failed], D_t[failed] = W[failed], Vv[failed], D[failed]
+            tg = t[:, None, None] * g
+        s = -tg
+        W, Vv, D = W_t, Vv_t, D_t
+        Vg = _gradients(V, W)
+        g_new = kernels.action_gradient(W, Vg, dt, mu)
+        y = g_new - g
+        g = g_new
+        step = t
+        gi = np.maximum.reduce(np.abs(g), axis=(1, 2))
+        stop = gi < opts.tol_opt
+        if failed is not None:
+            stop |= failed
+    return out_W, out_Vv, out_Vg, iters, ginf
+
+
+def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
+                      opts: ActionOptions, W: Optional[np.ndarray] = None) -> list:
+    """The action solves from the rows of X0 (B, n) as one stack.  W holds the
+    initial paths; by default each is the straight path from its x0 to the
+    end of a descent on V.  Returns (DiscretePath, converged, detail) per
+    row."""
+    dt = T / N
+    mu = opts.mu if opts.mu is not None else 10.0 * dt
+    if W is None:
+        X_min = _descend_on_field(V, X0)
+        lam = np.linspace(0.0, 1.0, N + 1)[:, None]
+        W = (1.0 - lam) * X0[:, None, :] + lam * X_min[:, None, :]
+    W, Vv, Vg, iters, ginf = _descend(V, W, dt, mu, opts)
+    values, _ = kernels.action_assemble(W, Vv, Vg, dt, mu, want_grad=False)
+    el_res = kernels.el_residual_max(W, Vg, dt)
+    m_tail = max(2, (N + 1) // 10)
+    out = []
+    for i in range(len(W)):
+        path = DiscretePath(W[i], dt, float(values[i]), float(el_res[i]), mu)
+        vel = path.velocities()
+        tail_vprime = float(np.min(np.linalg.norm(vel[-m_tail:], axis=-1)))
+        tail_V = float(np.min(Vv[i, -m_tail:]))
+        converged = (
+            ginf[i] < opts.tol_opt
+            and el_res[i] < opts.tol_el
+            and tail_vprime < opts.eps_tail
+            and tail_V < opts.eps_tail
+        )
+        out.append((path, bool(converged),
+                    {"iterations": int(iters[i]), "grad_inf": float(ginf[i]),
+                     "tail_vprime": tail_vprime, "tail_V": tail_V}))
+    return out
 
 
 def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
@@ -195,83 +366,17 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
         return EvanescentSolveResult(path, "action", True, float(val), report,
                                      {"iterations": 0, "grad_inf": 0.0})
 
+    W = None
     if init_path is not None:
         W = np.array(init_path, float)
         if W.shape != (N + 1, V.dim):
             raise ValueError("init_path has wrong shape")
         W[0] = x0
-    else:
-        x_min = _descend_on_field(V, x0)
-        lam = np.linspace(0.0, 1.0, N + 1)[:, None]
-        W = (1.0 - lam) * x0 + lam * x_min
-
-    Vv = _potential_values(V, W)
-    Vg = np.asarray(V.gradient(W), float)
-    val, g = kernels.action_assemble(W, Vv, Vg, dt, mu)
-    step = dt / 4.0
-    s_prev = None
-    y_prev = None
-    iters = 0
-    ginf = float(np.max(np.abs(g)))
-    while iters < opts.max_iters and ginf >= opts.tol_opt:
-        iters += 1
-        gg = float(np.sum(g * g))
-        # Barzilai-Borwein (short variant) trial step, safeguarded by Armijo;
-        # the short step passes the monotone test almost always, so the
-        # backtracking loop rarely fires
-        if s_prev is not None:
-            sy = float(np.sum(s_prev * y_prev))
-            yy = float(np.sum(y_prev * y_prev))
-            if sy > 0 and yy > 0:
-                step = sy / yy
-            else:
-                step = step * 2.0
-        t = min(max(step, 1e-12), 1e6)
-        accepted = False
-        while t >= 1e-16:
-            W_trial = W.copy()
-            W_trial[1:] -= t * g
-            try:
-                Vv_t = _potential_values(V, W_trial)
-            except ValueError:
-                t *= opts.shrink
-                continue
-            # the decrease is summed from per-term differences, so the test
-            # still resolves it near the double-precision floor
-            if kernels.action_decrease(W, Vv, W_trial, Vv_t, dt, mu) \
-                    >= opts.armijo_c * t * gg:
-                accepted = True
-                break
-            t *= opts.shrink
-        if not accepted:
-            break
-        s_prev = -t * g
-        W, Vv = W_trial, Vv_t
-        Vg = np.asarray(V.gradient(W), float)
-        val, g_new = kernels.action_assemble(W, Vv, Vg, dt, mu)
-        y_prev = g_new - g
-        g = g_new
-        step = t
-        ginf = float(np.max(np.abs(g)))
-
-    el_res = kernels.el_residual_max(W, Vg, dt)
-    path = DiscretePath(W, dt, float(val), float(el_res), mu)
-    vel = path.velocities()
-    m_tail = max(2, (N + 1) // 10)
-    tail_vprime = float(np.min(np.linalg.norm(vel[-m_tail:], axis=-1)))
-    tail_V = float(np.min(Vv[-m_tail:]))
-    converged = (
-        ginf < opts.tol_opt
-        and el_res < opts.tol_el
-        and tail_vprime < opts.eps_tail
-        and tail_V < opts.eps_tail
-    )
+        W = W[None]
+    path, converged, detail = _minimize_actions(V, x0[None], T, N, opts, W)[0]
     report = _solve_diagnostics(path, V, psi)
-    return EvanescentSolveResult(
-        path, "action", bool(converged), float(val), report,
-        {"iterations": iters, "grad_inf": ginf,
-         "tail_vprime": tail_vprime, "tail_V": tail_V},
-    )
+    return EvanescentSolveResult(path, "action", converged, path.action, report,
+                                 detail)
 
 
 def _solve_diagnostics(path_or_traj, V, psi=None) -> DiagnosticsReport:
@@ -435,9 +540,13 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
                    N: int = DEFAULT_N, tol_xv: float = 5e-3,
                    seed: int = 0,
                    action_opts: Optional[ActionOptions] = None,
-                   shoot_opts: Optional[ShootOptions] = None) -> DiagnosticsReport:
+                   shoot_opts: Optional[ShootOptions] = None,
+                   action: Optional[EvanescentSolveResult] = None,
+                   shot: Optional[EvanescentSolveResult] = None) -> DiagnosticsReport:
     """Run gradient flow, action minimization and shooting from the same x0
-    and assert the three orbits agree on a shared uniform grid."""
+    and assert the three orbits agree on a shared uniform grid.  A route
+    already solved from x0 at (T, N) with these options and psi = pp.psi is
+    passed in as ``action`` or ``shot`` and not solved again."""
     psi, V = pp.psi, pp.v
     x0 = np.asarray(x0, float).reshape(psi.dim)
     report = DiagnosticsReport(subject=f"cross-validate {psi.name} from {x0.tolist()}")
@@ -450,10 +559,10 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
     flow = gradient_flow(pp, x0, T, IntegratorOptions(method="rk4", h=T / N))
     flow_states = _pad_to(flow.states, N + 1)
 
-    act = minimize_action(V, x0, T, N, action_opts, psi=psi)
+    act = action or minimize_action(V, x0, T, N, action_opts, psi=psi)
     act_states = act.path.nodes
 
-    shot = shoot_evanescent(V, x0, T, shoot_opts, psi=psi)
+    shot = shot or shoot_evanescent(V, x0, T, shoot_opts, psi=psi)
     v0 = np.asarray(shot.detail.get("v0", -psi.gradient(x0)), float)
     shot_traj = _shot_on_grid(V, x0, v0, T, N)
     shot_states = shot_traj.states

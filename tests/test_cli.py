@@ -125,6 +125,32 @@ def test_evanesce_both_solvers_cross_validated(tmp_path):
     assert (tmp_path / "evanesce_action_path.csv").exists()
 
 
+@pytest.mark.parametrize("solver", ["action", "both"])
+def test_evanesce_solves_each_route_once(tmp_path, monkeypatch, solver):
+    # cross-validation reuses the routes the command already solved
+    import evanflow.cli as cli
+    import evanflow.evanescent as evanescent
+    calls = {"action": 0, "shoot": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (cli, evanescent):
+        monkeypatch.setattr(mod, "minimize_action",
+                            counting(evanescent.minimize_action, "action"))
+        monkeypatch.setattr(mod, "shoot_evanescent",
+                            counting(evanescent.shoot_evanescent, "shoot"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": solver}))
+    rc = run(["evanesce", "--config", str(cfg), "--potential", "quadratic:1",
+              "--x0", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    assert calls == {"action": 1, "shoot": 1}
+
+
 def test_evanesce_failure_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"potential": "quadratic:1", "x0": "1",

@@ -1,5 +1,6 @@
 """Potential reconstruction from the squared gradient modulus, and the
 determination / convexity check bundles."""
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,8 @@ from evanflow.eikonal import (
     reconstruct_value,
 )
 from evanflow.fields import (
+    NonnegativityError,
+    NumericDomainError,
     make_counterexample,
     make_quadratic,
     resolve_potential,
@@ -97,6 +100,59 @@ def test_reconstruct_grid_workers_match_serial():
     one = reconstruct_grid(f_of(QUAD_1D), pts, ReconstructOptions(N=60, workers=1))
     four = reconstruct_grid(f_of(QUAD_1D), pts, ReconstructOptions(N=60, workers=4))
     assert np.array_equal(one.psi_hat, four.psi_hat)
+
+
+def test_reconstruct_grid_matches_reconstruct_value():
+    # the grid solves its points as one stack; each point's dict is the one
+    # reconstruct_value gives, bit for bit, equilibrium origin included
+    pts = grid_points([(-1.0, 1.0, 3), (-1.0, 1.0, 3)])
+    opts = ReconstructOptions(N=120)
+    rec = reconstruct_grid(f_of(QUAD_2D), pts, opts)
+    assert rec.per_point[4]["ev_integral"] == 0.0      # the origin
+    for p, d in zip(pts, rec.per_point):
+        alone = reconstruct_value(f_of(QUAD_2D), p, opts)
+        assert d["psi_hat_raw"] == alone.pop("psi_hat")
+        assert {k: v for k, v in d.items() if not k.startswith("psi_hat")} == alone
+
+
+def test_reconstruct_grid_horizon_retry():
+    # the orbit decays like e^{-0.04 t}, so no tail is decaying at T = 12:
+    # every non-equilibrium point is solved again at 2T, and since its tail
+    # is still too flat there it is reported as not converged
+    f = f_of(resolve_potential("quadratic:0.04"))
+    pts = grid_points([(-1.0, 1.0, 5)])
+    opts = ReconstructOptions(N=60)
+    rec = reconstruct_grid(f, pts, opts)
+    assert [d["T_used"] for d in rec.per_point] == [24.0, 24.0, 12.0, 24.0, 24.0]
+    assert [d["converged"] for d in rec.per_point] == [False, False, True, False, False]
+    for p, d in zip(pts, rec.per_point):
+        assert d["psi_hat_raw"] == reconstruct_value(f, p, opts)["psi_hat"]
+
+
+def test_reconstruct_grid_isolates_a_failing_point():
+    # the gradient of f fails beyond x = 0.95; the stack that holds that
+    # point is solved again point by point, so only that point fails
+    f = f_of(QUAD_1D)
+
+    def gradient(x):
+        if np.any(np.asarray(x)[..., 0] > 0.95):
+            raise NumericDomainError("outside the domain of the gradient")
+        return f.gradient(x)
+
+    bad = dataclasses.replace(f, gradient=gradient)
+    pts = grid_points([(-1.0, 1.0, 5)])
+    rec = reconstruct_grid(bad, pts, ReconstructOptions(N=60))
+    assert ["error" in d for d in rec.per_point] == [False] * 4 + [True]
+    assert "outside the domain" in rec.per_point[-1]["error"]
+    assert np.isnan(rec.psi_hat[-1])
+    good = reconstruct_grid(f, pts[:4], ReconstructOptions(N=60))
+    assert np.array_equal(rec.psi_hat[:4], good.psi_hat)
+
+
+def test_reconstruct_grid_raises_on_negative_f():
+    f = QUAD_1D.v.scaled(-2.0)
+    with pytest.raises(NonnegativityError):
+        reconstruct_grid(f, grid_points([(-1.0, 1.0, 3)]))
 
 
 # --- eikonal residual -----------------------------------------------------

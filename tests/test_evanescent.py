@@ -11,6 +11,8 @@ from evanflow.evanescent import (
     fd_velocities,
     minimize_action,
     shoot_evanescent,
+    _descend,
+    _descend_on_field,
 )
 from evanflow.fields import (
     induced_potential,
@@ -174,6 +176,50 @@ def test_minimize_action_spd_quadratic_property(problem):
     assert res.detail["iterations"] < opts.max_iters
     assert res.detail["grad_inf"] < opts.tol_opt
     assert res.final_action == pytest.approx(exact, rel=5e-3)
+
+
+@st.composite
+def spd_stacks(draw):
+    """One random SPD quadratic, 1-3 start points of it (one may be the
+    equilibrium 0) and an iteration budget that some members may exhaust."""
+    A, x0 = draw(spd_problems())
+    n = len(x0)
+    starts = [x0] + [np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n,
+                                            max_size=n)))
+                     for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        starts.append(np.zeros(n))
+    return A, np.array(starts), draw(st.integers(1, 400))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(spd_stacks())
+def test_descend_stack_matches_single_paths(problem):
+    # every member of a stack takes exactly the steps it takes alone
+    A, X0, max_iters = problem
+    V = make_quadratic(A).v
+    n_small = 40
+    dt = T / n_small
+    lam = np.linspace(0.0, 1.0, n_small + 1)[:, None]
+    W = (1.0 - lam) * X0[:, None, :]        # straight paths to the minimizer
+    opts = ActionOptions(max_iters=max_iters)
+    W_s, Vv_s, Vg_s, iters_s, ginf_s = _descend(V, W, dt, 10.0 * dt, opts)
+    for b in range(len(X0)):
+        W_1, Vv_1, Vg_1, iters_1, ginf_1 = _descend(V, W[b:b + 1], dt, 10.0 * dt, opts)
+        assert np.array_equal(W_s[b], W_1[0])
+        assert np.array_equal(Vg_s[b], Vg_1[0])
+        assert iters_s[b] == iters_1[0] and ginf_s[b] == ginf_1[0]
+        assert iters_1[0] <= max_iters
+
+
+def test_descend_on_field_stack_matches_single_points():
+    V = make_quadratic([[2.0, 0.5], [0.5, 1.0]]).v
+    X = np.array([[1.0, -1.0], [0.0, 0.0], [-0.3, 1.4]])
+    stacked = _descend_on_field(V, X)
+    for b in range(len(X)):
+        assert np.array_equal(stacked[b], _descend_on_field(V, X[b:b + 1])[0])
+    assert np.array_equal(stacked[1], [0.0, 0.0])
+    assert np.max(np.abs(stacked)) < 1e-9
 
 
 # --- shooting -------------------------------------------------------------

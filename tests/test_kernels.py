@@ -86,3 +86,24 @@ def test_want_grad_false_returns_none():
     val, grad = kernels.action_assemble(W, Vv, Vg, 0.1, 0.0, want_grad=False)
     assert math.isfinite(val)
     assert grad is None
+
+
+def test_kernels_take_a_batch_axis():
+    # a stack of paths gives, path by path, exactly what each path gives alone
+    stack = [random_inputs(17, 2, seed) for seed in range(4)]
+    W, Vv, Vg = (np.stack(a) for a in zip(*stack))
+    W_t, Vv_t = W[::-1].copy(), Vv[::-1].copy()
+    dt, mu = 0.1, 0.7
+    val, grad = kernels.action_assemble(W, Vv, Vg, dt, mu)
+    dec = kernels.action_decrease(W, Vv, W_t, Vv_t, dt, mu)
+    el = kernels.el_residual_max(W, Vg, dt)
+    assert val.shape == dec.shape == el.shape == (4,)
+    assert grad.shape == (4, 16, 2)
+    for b in range(4):
+        v1, g1 = kernels.action_assemble(W[b], Vv[b], Vg[b], dt, mu)
+        assert isinstance(v1, float) and val[b] == v1
+        assert np.array_equal(grad[b], g1)
+        assert np.array_equal(grad[b], kernels.action_gradient(W[b], Vg[b], dt, mu))
+        d1 = kernels.action_decrease(W[b], Vv[b], W_t[b], Vv_t[b], dt, mu)
+        assert isinstance(d1, float) and dec[b] == d1
+        assert el[b] == kernels.el_residual_max(W[b], Vg[b], dt)
