@@ -34,7 +34,6 @@ from evanflow.evanescent import (
     ActionOptions,
     DiscretePath,
     EvanescentSolveResult,
-    ShootOptions,
     cross_validate,
     discrete_action,
     minimize_action,
@@ -60,7 +59,7 @@ __all__ = [
     "DifferentiableField", "DiscretePath", "EvanescentSolveResult",
     "IntegratorOptions", "NonnegativityError", "NumericDomainError",
     "PotentialPair", "ReconstructOptions", "ReconstructionResult",
-    "ShootOptions", "Trajectory", "USING_EXTENSION", "catalog_ids",
+    "Trajectory", "USING_EXTENSION", "catalog_ids",
     "convexity_criterion_check", "cross_validate", "determination_check",
     "determination_verdict", "discrete_action", "eikonal_residual",
     "evanescence_measures", "field_from_f", "gradient_flow", "grid_points",

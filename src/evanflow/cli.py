@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from evanflow.diagnostics import (
 )
 from evanflow.eikonal import (
     ReconstructOptions,
+    convexity_criterion_check,
     determination_check,
     determination_verdict,
     eikonal_residual,
@@ -38,12 +38,11 @@ from evanflow.evanescent import (
     DEFAULT_N,
     DEFAULT_T,
     ActionOptions,
-    ShootOptions,
     cross_validate,
     minimize_action,
     shoot_evanescent,
 )
-from evanflow.fields import CatalogError, NonnegativityError, resolve_potential
+from evanflow.fields import resolve_potential
 from evanflow.integrate import (
     IntegratorOptions,
     gradient_flow,
@@ -57,127 +56,159 @@ EXIT_CHECK_FAILED = 2
 EXIT_HYPOTHESIS = 3
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """Bad command-line or config input; the CLI exits 1."""
 
 
-# the CLI calls IntegratorOptions.method "integrator"
-_INTEG_DEFAULTS = {("integrator" if k == "method" else k): v
-                   for k, v in asdict(IntegratorOptions()).items()}
+# Declared types of config values.  Each takes a value from a flag (always a
+# string) or from a config file and returns it as the config holds it:
+# numbers coerced, vectors and grids checked and kept as given (parsed=True
+# returns them parsed).  A value of another type raises TypeError or
+# ValueError; the docstring names the type in the error message.
+
+def _float(value) -> float:
+    """a number"""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
+def _int(value) -> int:
+    """an integer"""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(value)
+    return int(value)
+
+
+def _str(value) -> str:
+    """a string"""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _bool(value) -> bool:
+    """true or false"""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+def _names(value):
+    """a comma-separated string or a list of strings"""
+    return [_str(v) for v in value] if isinstance(value, list) else _str(value)
+
+
+def _vector(value, parsed=False):
+    """a vector: a number, "x,y,..." or a list of numbers"""
+    items = value if isinstance(value, list) else (
+        [value] if isinstance(value, (int, float)) else _str(value).split(","))
+    vec = np.array([_float(v) for v in items])
+    return vec if parsed else value
+
+
+def _grid(value, parsed=False):
+    """a grid: "min:max:count[,...]" or a list of [min, max, count], count >= 1"""
+    axes = value if isinstance(value, list) else [
+        axis.split(":") for axis in _str(value).split(",")]
+    spec = [(_float(lo), _float(hi), _int(count)) for lo, hi, count in axes]
+    if any(count < 1 for _, _, count in spec):
+        raise ValueError(value)
+    return spec if parsed else value
+
+
+# Each command's config keys: default and declared type; a default of ...
+# marks a required key.  A key in _FLAGS also has a flag --<key>, a key in
+# _POSITIONAL a positional argument; the others are set from a file only.
+_INTEG = IntegratorOptions()
 _ACTION = ActionOptions()
-
+_INTEG_KEYS = {
+    # the CLI calls IntegratorOptions.method "integrator"
+    "integrator": (_INTEG.method, _str), "h": (_INTEG.h, _float),
+    "rtol": (_INTEG.rtol, _float), "atol": (_INTEG.atol, _float),
+    "r_max": (_INTEG.r_max, _float), "eps_crit": (_INTEG.eps_crit, _float),
+}
 _DEFAULTS = {
     "flow": {
-        "potential": None, "x0": None, "T": 10.0, **_INTEG_DEFAULTS,
-        "checks": "all", "seed": 0, "out": ".",
+        "potential": (..., _str), "x0": (..., _vector), "T": (10.0, _float),
+        **_INTEG_KEYS, "checks": ("all", _names), "out": (".", _str),
     },
     "second-order": {
-        "potential": None, "x0": None, "v0": None, "T": 10.0,
-        **_INTEG_DEFAULTS, "checks": "all", "seed": 0, "out": ".",
+        "potential": (..., _str), "x0": (..., _vector), "v0": (..., _vector),
+        "T": (10.0, _float), **_INTEG_KEYS, "checks": ("all", _names),
+        "out": (".", _str),
     },
     "evanesce": {
-        "potential": None, "x0": None, "T": DEFAULT_T, "N": DEFAULT_N,
-        "mu": _ACTION.mu, "tol_opt": _ACTION.tol_opt,
-        "max_iters": _ACTION.max_iters, "solver": "action",
-        "cross_validate": True, "seed": 0, "out": ".", "checks": "all",
+        "potential": (..., _str), "x0": (..., _vector),
+        "T": (DEFAULT_T, _float), "N": (DEFAULT_N, _int),
+        "mu": (_ACTION.mu, _float), "tol_opt": (_ACTION.tol_opt, _float),
+        "max_iters": (_ACTION.max_iters, _int), "solver": ("action", _str),
+        "cross_validate": (True, _bool), "seed": (0, _int), "out": (".", _str),
     },
     "reconstruct": {
-        "potential": None, "grid": None, "T": DEFAULT_T, "N": DEFAULT_N,
-        "method": ReconstructOptions().method, "workers": None, "seed": 0,
-        "out": ".", "checks": "all",
+        "potential": (..., _str), "grid": (..., _grid),
+        "T": (DEFAULT_T, _float), "N": (DEFAULT_N, _int),
+        "method": (ReconstructOptions().method, _str), "out": (".", _str),
     },
     "determine": {
-        "potential1": None, "potential2": None, "samples": 24,
-        "box": 2.0, "seed": 0, "out": ".",
+        "potential1": (..., _str), "potential2": (..., _str),
+        "samples": (24, _int), "box": (2.0, _float), "seed": (0, _int),
+        "out": (".", _str),
     },
     "check-convexity": {
-        "potential": None, "samples": 20, "box": 2.0, "seed": 0, "out": ".",
+        "potential": (..., _str), "samples": (20, _int),
+        "box": (2.0, _float), "seed": (0, _int), "out": (".", _str),
     },
 }
+_FLAGS = ("potential", "x0", "v0", "T", "h", "rtol", "N", "mu", "grid",
+          "seed", "out", "checks")
+_POSITIONAL = ("potential1", "potential2")
 
 
-def _load_config(cmd: str, args) -> dict:
-    cfg = dict(_DEFAULTS[cmd])
-    if args.config:
+def _load_config(cmd: str, path, flags: dict) -> dict:
+    """The command's defaults, overlaid by the JSON object in the file at
+    path, then by the flags given; every value is coerced to its declared
+    type, and only a key whose default is null may be null."""
+    table = _DEFAULTS[cmd]
+    cfg = {key: default for key, (default, _) in table.items()}
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read config {args.config}: {exc}")
+            raise InputError(f"cannot read config {path}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise InputError(f"config {path} is not a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise InputError(
                 f"unknown config keys for {cmd}: {sorted(unknown)}"
             )
         cfg.update(file_cfg)
-    overrides = {
-        "potential": args.potential, "x0": args.x0, "v0": args.v0,
-        "T": args.T, "h": args.h, "rtol": args.rtol, "N": args.N,
-        "mu": args.mu, "grid": args.grid, "seed": args.seed,
-        "out": args.out, "checks": args.checks, "workers": args.workers,
-    }
-    for key, val in overrides.items():
-        if val is not None and key in cfg:
-            cfg[key] = val
-    if cmd == "determine":
-        if args.potential1 is not None:
-            cfg["potential1"] = args.potential1
-        if args.potential2 is not None:
-            cfg["potential2"] = args.potential2
-    if cfg.get("workers") is None and "workers" in cfg:
-        cfg["workers"] = int(os.environ.get("EVANFLOW_WORKERS", "1"))
+    cfg.update((key, val) for key, val in flags.items() if val is not None)
+    for key, (default, kind) in table.items():
+        if cfg[key] is ...:
+            raise InputError(f"missing required {key}")
+        if cfg[key] is None and default is None:
+            continue
+        try:
+            cfg[key] = kind(cfg[key])
+        except (TypeError, ValueError):
+            raise InputError(f"{key} must be {kind.__doc__}, got {cfg[key]!r}")
     return cfg
 
 
-def _parse_vector(text, name) -> np.ndarray:
-    if text is None:
-        raise InputError(f"missing required {name}")
-    if isinstance(text, (list, tuple)):
-        return np.asarray(text, float)
-    try:
-        return np.array([float(v) for v in str(text).split(",")])
-    except ValueError:
-        raise InputError(f"bad {name} value {text!r}")
-
-
-def _parse_grid(text):
-    if text is None:
-        raise InputError("missing required grid spec 'min:max:count[,...]'")
-    if isinstance(text, list):
-        return [(float(a), float(b), int(c)) for a, b, c in text]
-    spec = []
-    for axis in str(text).split(","):
-        parts = axis.split(":")
-        if len(parts) != 3:
-            raise InputError(f"bad grid axis {axis!r}, want min:max:count")
-        try:
-            spec.append((float(parts[0]), float(parts[1]), int(parts[2])))
-        except ValueError:
-            raise InputError(f"bad grid axis {axis!r}")
-    return spec
-
-
-def _resolve(potential_id):
-    if not potential_id:
-        raise InputError("missing required potential id")
-    try:
-        return resolve_potential(potential_id)
-    except CatalogError as exc:
-        raise InputError(str(exc))
-
-
-def _integ_opts(cfg) -> IntegratorOptions:
-    return IntegratorOptions(method=cfg["integrator"], h=float(cfg["h"]),
-                             rtol=float(cfg["rtol"]), atol=float(cfg["atol"]),
-                             r_max=float(cfg["r_max"]),
-                             eps_crit=float(cfg["eps_crit"]))
+def _options(cls, cfg, **renamed):
+    """cls built from the config keys named as its fields (or as renamed)."""
+    keys = {f.name: renamed.get(f.name, f.name) for f in fields(cls)}
+    return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg})
 
 
 def _requested(cfg, available):
-    sel = cfg.get("checks", "all")
-    if sel in ("all", None, ""):
+    sel = cfg["checks"]
+    if sel in ("all", ""):
         return list(available)
-    names = sel if isinstance(sel, list) else str(sel).split(",")
+    names = sel if isinstance(sel, list) else sel.split(",")
     unknown = [n for n in names if n not in available]
     if unknown:
         raise InputError(f"unknown checks {unknown}; available: {sorted(available)}")
@@ -214,9 +245,10 @@ def _finish(report: DiagnosticsReport, cfg, out_dir, stem, extra=None) -> int:
 
 
 def cmd_flow(cfg) -> int:
-    pp = _resolve(cfg["potential"])
-    x0 = _parse_vector(cfg["x0"], "x0")
-    traj = gradient_flow(pp, x0, float(cfg["T"]), _integ_opts(cfg))
+    pp = resolve_potential(cfg["potential"])
+    x0 = _vector(cfg["x0"], parsed=True)
+    opts = _options(IntegratorOptions, cfg, method="integrator")
+    traj = gradient_flow(pp, x0, cfg["T"], opts)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "flow_trajectory.csv")
@@ -234,10 +266,11 @@ def cmd_flow(cfg) -> int:
 
 
 def cmd_second_order(cfg) -> int:
-    pp = _resolve(cfg["potential"])
-    x0 = _parse_vector(cfg["x0"], "x0")
-    v0 = _parse_vector(cfg["v0"], "v0")
-    traj = second_order_flow(pp, x0, v0, float(cfg["T"]), _integ_opts(cfg))
+    pp = resolve_potential(cfg["potential"])
+    x0 = _vector(cfg["x0"], parsed=True)
+    v0 = _vector(cfg["v0"], parsed=True)
+    opts = _options(IntegratorOptions, cfg, method="integrator")
+    traj = second_order_flow(pp, x0, v0, cfg["T"], opts)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "second_order_trajectory.csv")
@@ -257,23 +290,21 @@ def cmd_second_order(cfg) -> int:
 
 
 def cmd_evanesce(cfg) -> int:
-    pp = _resolve(cfg["potential"])
-    x0 = _parse_vector(cfg["x0"], "x0")
-    T, N = float(cfg["T"]), int(cfg["N"])
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    aopts = ActionOptions(mu=cfg["mu"], tol_opt=float(cfg["tol_opt"]),
-                          max_iters=int(cfg["max_iters"]))
-    solver = cfg.get("solver", "action")
+    pp = resolve_potential(cfg["potential"])
+    x0 = _vector(cfg["x0"], parsed=True)
+    T, N, solver = cfg["T"], cfg["N"], cfg["solver"]
     if solver not in ("action", "shoot", "both"):
         raise InputError(f"unknown solver {solver!r}")
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    aopts = _options(ActionOptions, cfg)
     results = {}
     if solver in ("action", "both"):
         res = minimize_action(pp.v, x0, T, N, aopts, psi=pp.psi)
         write_trajectory_csv(res.trajectory(), out / "evanesce_action_path.csv")
         results["action"] = res
     if solver in ("shoot", "both"):
-        res = shoot_evanescent(pp.v, x0, T, ShootOptions(), psi=pp.psi)
+        res = shoot_evanescent(pp.v, x0, T, psi=pp.psi)
         write_trajectory_csv(res.trajectory(), out / "evanesce_shoot_path.csv")
         results["shoot"] = res
     payload = {"config": cfg, "results": {}}
@@ -286,8 +317,8 @@ def cmd_evanesce(cfg) -> int:
             "diagnostics": res.diagnostics.to_dict(),
         }
         all_converged = all_converged and res.converged
-    if cfg.get("cross_validate", True):
-        xv = cross_validate(pp, x0, T, N, seed=int(cfg["seed"]),
+    if cfg["cross_validate"]:
+        xv = cross_validate(pp, x0, T, N, seed=cfg["seed"],
                             action_opts=aopts, action=results.get("action"),
                             shot=results.get("shoot"))
         payload["cross_validation"] = xv.to_dict()
@@ -298,8 +329,8 @@ def cmd_evanesce(cfg) -> int:
 
 
 def cmd_reconstruct(cfg) -> int:
-    pp = _resolve(cfg["potential"])
-    grid_spec = _parse_grid(cfg["grid"])
+    pp = resolve_potential(cfg["potential"])
+    grid_spec = _grid(cfg["grid"], parsed=True)
     if len(grid_spec) != pp.dim:
         raise InputError(
             f"grid has {len(grid_spec)} axes but potential dim is {pp.dim}"
@@ -307,13 +338,7 @@ def cmd_reconstruct(cfg) -> int:
     # f = ||grad psi||^2 = 2 V; only f is handed to the reconstructor
     f = pp.v.scaled(2.0)
     points = grid_points(grid_spec)
-    opts = ReconstructOptions(T=float(cfg["T"]), N=int(cfg["N"]),
-                              method=cfg["method"],
-                              workers=int(cfg["workers"] or 1))
-    try:
-        recon = reconstruct_grid(f, points, opts)
-    except NonnegativityError as exc:
-        raise InputError(str(exc))
+    recon = reconstruct_grid(f, points, _options(ReconstructOptions, cfg))
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     recon.write_csv(out / "reconstruction.csv")
@@ -330,13 +355,13 @@ def cmd_reconstruct(cfg) -> int:
 
 
 def cmd_determine(cfg) -> int:
-    pp1 = _resolve(cfg["potential1"])
-    pp2 = _resolve(cfg["potential2"])
+    pp1 = resolve_potential(cfg["potential1"])
+    pp2 = resolve_potential(cfg["potential2"])
     if pp1.dim != pp2.dim:
         raise InputError("potentials have different dimensions")
-    rng = np.random.default_rng(int(cfg["seed"]))
-    box = float(cfg["box"])
-    pts = rng.uniform(-box, box, size=(int(cfg["samples"]), pp1.dim))
+    rng = np.random.default_rng(cfg["seed"])
+    box = cfg["box"]
+    pts = rng.uniform(-box, box, size=(cfg["samples"], pp1.dim))
     report = determination_check(pp1.psi, pp2.psi, pts)
     verdict, c = determination_verdict(report)
     out = Path(cfg["out"])
@@ -353,11 +378,9 @@ def cmd_determine(cfg) -> int:
 
 
 def cmd_check_convexity(cfg) -> int:
-    from evanflow.eikonal import convexity_criterion_check
-    pp = _resolve(cfg["potential"])
-    rng = np.random.default_rng(int(cfg["seed"]))
-    box = float(cfg["box"])
-    m = int(cfg["samples"])
+    pp = resolve_potential(cfg["potential"])
+    rng = np.random.default_rng(cfg["seed"])
+    box, m = cfg["box"], cfg["samples"]
     pairs = rng.uniform(-box, box, size=(m, 2, pp.dim))
     probes = rng.uniform(-box, box, size=(m, pp.dim))
     report = convexity_criterion_check(pp, pairs, probes)
@@ -381,8 +404,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evanflow",
         description="Gradient-flow simulation, evanescent-orbit solving and "
                     "potential reconstruction.",
@@ -390,38 +418,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--potential", default=None)
-        p.add_argument("--x0", default=None)
-        p.add_argument("--v0", default=None)
-        p.add_argument("--T", type=float, default=None)
-        p.add_argument("--h", type=float, default=None)
-        p.add_argument("--rtol", type=float, default=None)
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--grid", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--checks", default=None)
-        p.add_argument("--workers", type=int, default=None)
-        if name == "determine":
-            p.add_argument("potential1", nargs="?", default=None)
-            p.add_argument("potential2", nargs="?", default=None)
+        p.add_argument("--config")
+        for key in _DEFAULTS[name]:
+            if key in _FLAGS:
+                p.add_argument(f"--{key}")
+            elif key in _POSITIONAL:
+                p.add_argument(key, nargs="?")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if not hasattr(args, "potential1"):
-        args.potential1 = None
-        args.potential2 = None
     try:
-        cfg = _load_config(args.command, args)
-        return _COMMANDS[args.command](cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (CatalogError, NonnegativityError, ValueError) as exc:
+        args = vars(build_parser().parse_args(argv))
+        cmd = args.pop("command")
+        cfg = _load_config(cmd, args.pop("config"), args)
+        return _COMMANDS[cmd](cfg)
+    except ValueError as exc:   # InputError, CatalogError, NonnegativityError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,14 +15,16 @@ import numpy as np
 from evanflow import kernels
 from evanflow.fields import _psi_of, _v_of
 from evanflow.integrate import (
+    DEFAULT_EPS_CRIT,
     TERM_DIVERGED,
     Trajectory,
     path_integral,
 )
 
-DEFAULT_EPS_CRIT = 1e-10
 DEFAULT_EPS_TAIL = 1e-4
 DEFAULT_EPS_CONV = 1e-4
+STABILITY_REL = 0.01  # evanescence_measures: |full - half| / full of a stable integral
+DECAY_FACTOR = 0.2    # and tail / peak of a shrunk tail
 
 
 @dataclass
@@ -380,17 +382,14 @@ def check_monotone_gradient(field, point_pairs, tol=None) -> CheckResult:
     )
 
 
-def evanescence_measures(traj: Trajectory, V,
-                         eps_tail: float = DEFAULT_EPS_TAIL,
-                         stability_rel: float = 0.01,
-                         decay_factor: float = 0.2) -> dict:
+def evanescence_measures(traj: Trajectory, V) -> dict:
     """Evanescence integral, tail minima and a three-way classification.
 
     The conditions at infinity are proxied on [0, T]: "strong" requires the
     integral to be horizon-stable (half- vs full-horizon difference < 1%)
-    with both tails below eps_tail; "weak_only_proxy" requires the tails to
-    have decayed by decay_factor (or below eps_tail) while the integral is
-    still growing; anything else is "none".
+    with both tails below DEFAULT_EPS_TAIL; "weak_only_proxy" requires the
+    tails to have decayed by DECAY_FACTOR (or below DEFAULT_EPS_TAIL) while
+    the integral is still growing; anything else is "none".
     """
     V = _v_of(V)
     Vvals = np.asarray(V.value(traj.states), float)
@@ -407,11 +406,12 @@ def evanescence_measures(traj: Trajectory, V,
     peak_vprime = float(np.max(speeds)) if len(speeds) else 0.0
     peak_V = float(np.max(Vvals)) if len(Vvals) else 0.0
 
-    stable = abs(full - half) < stability_rel * max(abs(full), 1e-300) or full < 1e-14
-    tails_small = tail_vprime < eps_tail and tail_V < eps_tail
+    eps = DEFAULT_EPS_TAIL
+    stable = abs(full - half) < STABILITY_REL * max(abs(full), 1e-300) or full < 1e-14
+    tails_small = tail_vprime < eps and tail_V < eps
     tails_shrunk = (
-        (tail_vprime < eps_tail or tail_vprime <= decay_factor * peak_vprime)
-        and (tail_V < eps_tail or tail_V <= decay_factor * peak_V)
+        (tail_vprime < eps or tail_vprime <= DECAY_FACTOR * peak_vprime)
+        and (tail_V < eps or tail_V <= DECAY_FACTOR * peak_V)
     )
     if stable and tails_small and traj.termination != TERM_DIVERGED:
         classification = "strong"

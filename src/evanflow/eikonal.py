@@ -19,7 +19,6 @@ from evanflow.evanescent import (
     DEFAULT_N,
     DEFAULT_T,
     ActionOptions,
-    ShootOptions,
     _minimize_actions,
     _shot_on_grid,
     shoot_evanescent,
@@ -27,9 +26,15 @@ from evanflow.evanescent import (
 from evanflow.fields import DifferentiableField, PotentialPair, field_from_f
 from evanflow.integrate import IntegratorOptions, gradient_flow
 
-DEFAULT_TOL_RECON = 1e-6
 TAIL_DECAY_SLOPE = -0.1
 BOUNDED_BELOW_FLOOR = -1e6
+EPS_EQUILIBRIUM = 1e-12       # f <= this: an equilibrium, psi_hat = 0
+# determination: min ||grad psi1|| < EPS_INF passes the infimum probe; the
+# moduli (TOL_NORMS) and gradients (TOL_CONCLUSION) agree relative to 1 + max
+EPS_INF = 1e-3
+TOL_NORMS = 1e-8
+TOL_CONCLUSION = 1e-6
+CONVEXITY_FLOW_T = 10.0       # horizon of the flows probing psi's lower bound
 # the action route solves the points of a grid as stacks of paths; a stack
 # holds as many paths as fit this many bytes of (B, N+1, n) float64 nodes
 _STACK_BYTES = 4 * 2**20
@@ -42,7 +47,6 @@ class ReconstructOptions:
     method: str = "action"            # "action" or "shoot"
     workers: int = 1                  # accepted for compatibility; no effect
     max_iters: int = 50_000
-    eps_equilibrium: float = 1e-12
 
 
 @dataclass
@@ -86,8 +90,6 @@ def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
     its solve raised.  The action route solves the rows as stacks of paths."""
     if opts.method == "shoot":
         return [_caught(_shot_nodes, V, x0, T, N) for x0 in X0]
-    if opts.method != "action":
-        return [ValueError(f"unknown reconstruction method {opts.method!r}")] * len(X0)
     aopts = ActionOptions(max_iters=opts.max_iters)
 
     def solve(X):
@@ -114,7 +116,7 @@ def _caught(solve, *args):
 
 
 def _shot_nodes(V, x0, T, N):
-    res = shoot_evanescent(V, x0, T, ShootOptions())
+    res = shoot_evanescent(V, x0, T)
     v0 = np.asarray(res.detail["v0"], float)
     return _shot_on_grid(V, x0, v0, T, N).states, res.converged
 
@@ -176,13 +178,16 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     ArithmeticError its solve raised.  V = f/2 is built once, so an f that
     is negative at a probe point raises NonnegativityError here.  Points
     where f vanishes are equilibria; the others are solved together at
-    (T, N), and those whose tail is not yet decaying again at (2T, 2N)."""
+    (T, N), and those whose tail is not yet decaying again at (2T, 2N).
+    An unknown method raises ValueError before anything is solved."""
+    if opts.method not in ("action", "shoot"):
+        raise ValueError(f"unknown reconstruction method {opts.method!r}")
     V = field_from_f(f)
     out = [None] * len(points)
     todo = []
     for i, x0 in enumerate(points):
         try:
-            still = float(f.value(x0)) <= opts.eps_equilibrium
+            still = float(f.value(x0)) <= EPS_EQUILIBRIUM
         except (ValueError, ArithmeticError) as exc:
             out[i] = exc
             continue
@@ -250,9 +255,7 @@ def _pairs_from_points(points: np.ndarray) -> np.ndarray:
 
 
 def determination_check(psi1: DifferentiableField, psi2: DifferentiableField,
-                        sample_points, eps_inf: float = 1e-3,
-                        tol_norms: float = 1e-8,
-                        tol_conclusion: float = 1e-6) -> DiagnosticsReport:
+                        sample_points) -> DiagnosticsReport:
     """Hypothesis + conclusion bundle.  Checks with ids starting 'hyp_' are
     hypothesis probes; if any fails the verdict is hypothesis_not_met and the
     conclusion checks carry no refutation weight."""
@@ -266,8 +269,8 @@ def determination_check(psi1: DifferentiableField, psi2: DifferentiableField,
     gap = np.abs(n1 - n2)
     i = int(np.argmax(gap))
     scale = 1.0 + float(np.max(n1))
-    report.add(CheckResult("hyp_equal_grad_norms", bool(gap[i] <= tol_norms * scale),
-                           float(gap[i]), pts[i].tolist(), tol_norms * scale))
+    report.add(CheckResult("hyp_equal_grad_norms", bool(gap[i] <= TOL_NORMS * scale),
+                           float(gap[i]), pts[i].tolist(), TOL_NORMS * scale))
 
     pairs = _pairs_from_points(pts)
     c1 = check_monotone_gradient(psi1, pairs)
@@ -282,10 +285,10 @@ def determination_check(psi1: DifferentiableField, psi2: DifferentiableField,
     v2 = np.asarray(psi2.value(pts), float)
     flagged = ((psi1.claims_bounded_below and float(np.min(v1)) > BOUNDED_BELOW_FLOOR)
                or (psi2.claims_bounded_below and float(np.min(v2)) > BOUNDED_BELOW_FLOOR))
-    inf_ok = min_norm < eps_inf or flagged
+    inf_ok = min_norm < EPS_INF or flagged
     report.add(CheckResult(
         "hyp_inf_gradient_or_bounded", bool(inf_ok),
-        0.0 if inf_ok else min_norm, None, eps_inf,
+        0.0 if inf_ok else min_norm, None, EPS_INF,
         notes=(f"min ||grad psi1|| over samples = {min_norm:.3g}; "
                f"bounded-below flag corroborated = {flagged}; "
                f"min sampled psi1 = {float(np.min(v1)):.3g}, "
@@ -295,13 +298,13 @@ def determination_check(psi1: DifferentiableField, psi2: DifferentiableField,
     gd = np.linalg.norm(g1 - g2, axis=-1)
     j = int(np.argmax(gd))
     report.add(CheckResult("det_gradients_equal",
-                           bool(gd[j] <= tol_conclusion * scale),
-                           float(gd[j]), pts[j].tolist(), tol_conclusion * scale))
+                           bool(gd[j] <= TOL_CONCLUSION * scale),
+                           float(gd[j]), pts[j].tolist(), TOL_CONCLUSION * scale))
 
     diff = v2 - v1
     c = float(np.mean(diff))
     spread = float(np.std(diff))
-    tol_c = tol_conclusion * (1.0 + abs(c))
+    tol_c = TOL_CONCLUSION * (1.0 + abs(c))
     report.add(CheckResult("det_difference_constant", bool(spread <= tol_c),
                            spread, None, tol_c,
                            notes=f"constant c = {c:.12g}"))
@@ -326,8 +329,7 @@ def determination_verdict(report: DiagnosticsReport):
 # ---------------------------------------------------------------------------
 
 def convexity_criterion_check(pp: PotentialPair, sample_pairs,
-                              lower_bound_probe_points,
-                              flow_T: float = 10.0) -> DiagnosticsReport:
+                              lower_bound_probe_points) -> DiagnosticsReport:
     """Bundle (i) V convex, (ii) psi bounded-below evidence, (iii) psi convex.
     If (i) and (ii) pass while (iii) fails the implication is broken, which
     indicates a bug or tolerance problem; that event is its own check."""
@@ -344,7 +346,7 @@ def convexity_criterion_check(pp: PotentialPair, sample_pairs,
     flow_opts = IntegratorOptions(method="rk45", rtol=1e-8, r_max=1e6)
     for x0 in probes[:5]:
         try:
-            traj = gradient_flow(pp, x0, flow_T, flow_opts)
+            traj = gradient_flow(pp, x0, CONVEXITY_FLOW_T, flow_opts)
         except ArithmeticError:
             min_val = -np.inf
             min_loc = x0.tolist()

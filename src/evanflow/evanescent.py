@@ -42,24 +42,18 @@ from evanflow.integrate import (
 DEFAULT_T = 12.0
 DEFAULT_N = 240
 
+_ARMIJO_C = 1e-4      # Armijo constant of the action line search
+_SHRINK = 0.5         # its backtracking factor
+_TOL_EL = 1e-5        # a converged path's Euler-Lagrange residual is below this
+_SHOOT_RTOL = 1e-10   # shooting orbits; atol and r_max as in IntegratorOptions
+TOL_XV = 5e-3         # the routes of cross_validate agree to this distance
+
 
 @dataclass
 class ActionOptions:
     mu: Optional[float] = None        # terminal penalty weight; default 10*T/N
     tol_opt: float = 1e-8             # inf-norm gradient stopping tolerance
     max_iters: int = 50_000
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    tol_el: float = 1e-5
-    eps_tail: float = DEFAULT_EPS_TAIL
-
-
-@dataclass
-class ShootOptions:
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    r_max: float = 1e6
-    eps_tail: float = DEFAULT_EPS_TAIL
 
 
 @dataclass
@@ -225,7 +219,7 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
         # the decrease is summed from per-term differences, so the test
         # still resolves it near the double-precision floor
         if np.isfinite(Vv_t).all():
-            return kernels._decrease(D, Vv, D_t, Vv_t, dt, mu) >= opts.armijo_c * t * gg
+            return kernels._decrease(D, Vv, D_t, Vv_t, dt, mu) >= _ARMIJO_C * t * gg
         ok = np.isfinite(Vv_t).all(axis=1)
         ok[ok] = armijo(D[ok], Vv[ok], D_t[ok], Vv_t[ok], t[ok], gg[ok])
         return ok
@@ -272,7 +266,7 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
         if not ok.all():
             retry = (~ok).nonzero()[0]
             while retry.size:
-                t[retry] *= opts.shrink
+                t[retry] *= _SHRINK
                 retry = retry[t[retry] >= 1e-16]
                 if not retry.size:
                     break
@@ -326,9 +320,9 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
         tail_V = float(np.min(Vv[i, -m_tail:]))
         converged = (
             ginf[i] < opts.tol_opt
-            and el_res[i] < opts.tol_el
-            and tail_vprime < opts.eps_tail
-            and tail_V < opts.eps_tail
+            and el_res[i] < _TOL_EL
+            and tail_vprime < DEFAULT_EPS_TAIL
+            and tail_V < DEFAULT_EPS_TAIL
         )
         out.append((path, bool(converged),
                     {"iterations": int(iters[i]), "grad_inf": float(ginf[i]),
@@ -412,14 +406,12 @@ _STEP_TOL = 1e-13
 
 
 def shoot_evanescent(V, x0, T: float = DEFAULT_T,
-                     opts: Optional[ShootOptions] = None,
                      psi: Optional[DifferentiableField] = None) -> EvanescentSolveResult:
     """Find the v0 on the sphere ||v0|| = sqrt(2 V(x0)) whose orbit is
     evanescent, by Gauss-Newton on the terminal velocity w(T): on the sphere
     ||w(T)||^2 = 2 V(v(T)), so w(T) is the whole terminal penalty.  In 1-D
     the sphere is the two points +-r and the better one is kept."""
     V = _v_of(V)
-    opts = opts or ShootOptions()
     n = V.dim
     x0 = np.asarray(x0, float).reshape(n)
     v0_sq = 2.0 * float(V.value(x0))
@@ -442,11 +434,10 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     if n == 1:
         candidates, evaluations = [seed, -seed], 0
     else:
-        v0, evaluations = _gauss_newton(V, x0, seed, T, opts)
+        v0, evaluations = _gauss_newton(V, x0, seed, T)
         candidates = [v0]
 
-    final_opts = IntegratorOptions(method="rk45", rtol=opts.rtol,
-                                   atol=opts.atol, r_max=opts.r_max)
+    final_opts = IntegratorOptions(rtol=_SHOOT_RTOL)
     p, traj, v0 = min((_scored_orbit(V, x0, c, T, final_opts) + (c,)
                        for c in candidates), key=lambda s: s[0])
     evaluations += len(candidates)
@@ -456,7 +447,7 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
         traj, lambda t, x, w: 0.5 * float(np.dot(w, w)) + float(V.value(x))
     ) if len(traj) >= 2 else np.inf
     converged = (
-        traj.termination == TERM_HORIZON and p < 2.0 * opts.eps_tail ** 2
+        traj.termination == TERM_HORIZON and p < 2.0 * DEFAULT_EPS_TAIL ** 2
     )
     report = _solve_diagnostics(traj, V, psi)
     return EvanescentSolveResult(
@@ -480,7 +471,7 @@ def _scored_orbit(V, x0, v0, T, iopts):
     return float(np.dot(wT, wT) + 2.0 * float(V.value(traj.states[-1]))), traj
 
 
-def _gauss_newton(V, x0, v0, T, opts: ShootOptions):
+def _gauss_newton(V, x0, v0, T):
     """Sphere-constrained Gauss-Newton on w(T) from v0; returns (v0, orbits)."""
     n = len(x0)
     r = float(np.linalg.norm(v0))
@@ -496,8 +487,7 @@ def _gauss_newton(V, x0, v0, T, opts: ShootOptions):
         # takes the steps of the plain orbit; (P, Q) grow like e^{lambda t}
         try:
             raw = rk_adaptive(rhs, np.concatenate([x0, v0, y_sens]), Tk,
-                              rtol=opts.rtol, atol=opts.atol,
-                              r_max=opts.r_max, n_ctrl=2 * n)
+                              rtol=_SHOOT_RTOL, n_ctrl=2 * n)
         except ArithmeticError:
             return None
         y = raw.ys[-1]
@@ -537,10 +527,8 @@ def _gauss_newton(V, x0, v0, T, opts: ShootOptions):
 # ---------------------------------------------------------------------------
 
 def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
-                   N: int = DEFAULT_N, tol_xv: float = 5e-3,
-                   seed: int = 0,
+                   N: int = DEFAULT_N, seed: int = 0,
                    action_opts: Optional[ActionOptions] = None,
-                   shoot_opts: Optional[ShootOptions] = None,
                    action: Optional[EvanescentSolveResult] = None,
                    shot: Optional[EvanescentSolveResult] = None) -> DiagnosticsReport:
     """Run gradient flow, action minimization and shooting from the same x0
@@ -562,7 +550,7 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
     act = action or minimize_action(V, x0, T, N, action_opts, psi=psi)
     act_states = act.path.nodes
 
-    shot = shot or shoot_evanescent(V, x0, T, shoot_opts, psi=psi)
+    shot = shot or shoot_evanescent(V, x0, T, psi=psi)
     v0 = np.asarray(shot.detail.get("v0", -psi.gradient(x0)), float)
     shot_traj = _shot_on_grid(V, x0, v0, T, N)
     shot_states = shot_traj.states
@@ -576,7 +564,7 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
         ("xv_action_vs_shoot", act_states, shot_states),
     ):
         d = dist(a, b)
-        report.add(CheckResult(cid, d <= tol_xv, d, None, float(tol_xv)))
+        report.add(CheckResult(cid, d <= TOL_XV, d, None, TOL_XV))
 
     act_traj = act.path.as_trajectory()
     r1 = check_phi_residual(act_traj, psi, sigma=+1, tol=1e-3)

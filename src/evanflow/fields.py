@@ -49,12 +49,6 @@ class DifferentiableField:
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
-    def value_at(self, x) -> float:
-        return float(self.value(np.asarray(x, float)))
-
-    def gradient_at(self, x) -> np.ndarray:
-        return np.asarray(self.gradient(np.asarray(x, float)), float)
-
     def shifted(self, c: float) -> "DifferentiableField":
         """Same field plus an additive constant (gradient unchanged)."""
         base_value = self.value
@@ -369,12 +363,10 @@ def _make_linear(slope: float) -> PotentialPair:
     return PotentialPair(psi=psi, v=v)
 
 
-def field_from_f(f: DifferentiableField, probes=None) -> DifferentiableField:
-    """Build V = f/2 from the squared gradient modulus f, checking f >= 0."""
-    if probes is None:
-        rng = np.random.default_rng(0)
-        probes = rng.uniform(-2.0, 2.0, size=(64, f.dim))
-    probes = np.asarray(probes, float).reshape(-1, f.dim)
+def field_from_f(f: DifferentiableField) -> DifferentiableField:
+    """Build V = f/2 from the squared gradient modulus f, checking f >= 0 at
+    64 seeded random probes in [-2, 2]^n."""
+    probes = np.random.default_rng(0).uniform(-2.0, 2.0, size=(64, f.dim))
     vals = np.asarray(f.value(probes), float)
     if np.any(vals < -1e-12):
         i = int(np.argmin(vals))

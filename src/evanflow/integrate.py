@@ -114,8 +114,7 @@ def rk4_fixed(rhs: Callable, y0, T: float, h: float,
     )
 
 
-# Dormand-Prince 5(4) coefficients
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) coefficients (autonomous right-hand sides: no nodes c_i)
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -133,7 +132,6 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
                 atol: float = 1e-12, r_max: float = DEFAULT_R_MAX,
                 stop: Optional[Callable] = None,
-                h0: Optional[float] = None,
                 n_ctrl: Optional[int] = None) -> RawOrbit:
     """Embedded Dormand-Prince 5(4) pair; nodes at accepted steps.
 
@@ -147,7 +145,7 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     y = np.asarray(y0, float).copy()
     ctrl = slice(n_ctrl)
     t = 0.0
-    h = h0 if h0 is not None else min(1e-3 * T, 0.1)
+    h = min(1e-3 * T, 0.1)
     times = [0.0]
     ys = [y.copy()]
     termination = TERM_HORIZON

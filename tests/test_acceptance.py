@@ -242,7 +242,7 @@ def test_criterion_13_velocity_and_level_bounds(announce):
 
 def test_criterion_14_determinism(announce, tmp_path):
     argv = ["flow", "--potential", "quadratic:1,0;0,2", "--x0", "1,1",
-            "--seed", "0", "--out", str(tmp_path)]
+            "--out", str(tmp_path)]
     assert cli_main(argv) == 0
     files = ["flow_report.json", "flow_trajectory.csv"]
     first = {f: (tmp_path / f).read_bytes() for f in files}

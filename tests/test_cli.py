@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from evanflow.cli import main
+from evanflow.cli import _DEFAULTS, main
 
 
 def run(argv):
@@ -180,6 +180,22 @@ def test_reconstruct_bad_grid_spec(tmp_path):
                 "--grid=-1:1", "--out", str(tmp_path)]) == 1
 
 
+def test_reconstruct_rejects_an_empty_axis(tmp_path):
+    out = tmp_path / "out"
+    assert run(["reconstruct", "--potential", "quadratic:1",
+                "--grid=-1:1:0", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_reconstruct_unknown_method(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "bogus"}))
+    out = tmp_path / "out"
+    assert run(["reconstruct", "--config", str(cfg), "--potential", "quadratic:1",
+                "--grid=-1:1:3", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 # --- determine ------------------------------------------------------------
 
 def test_determine_shifted_pair(tmp_path, capsys):
@@ -226,3 +242,67 @@ def test_check_convexity_cubic_consistent(tmp_path):
     assert by_id["crit_V_convex"]
     assert not by_id["crit_psi_convex"]
     assert by_id["crit_implication_holds"]
+
+
+# --- parser and config types ----------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--potential", "quadratic:1", "--x0", "1", "--T", "abc"],
+    ["flow", "--potential", "quadratic:1", "--x0", "1", "--no-such-flag", "1"],
+    ["no-such-command"],
+    [],
+    # flags a command does not read
+    ["flow", "--potential", "quadratic:1", "--x0", "1", "--grid=-1:1:5"],
+    ["determine", "quadratic:1", "quadratic:1+5", "--T", "5"],
+    ["reconstruct", "--potential", "quadratic:1", "--grid=-1:1:5",
+     "--workers", "2"],
+    ["flow", "--potential", "quadratic:1", "--x0", "1", "--seed", "3"],
+])
+def test_parser_rejections_exit_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
+# a valid config of each command, and values outside each declared type
+VALID = {
+    "flow": {"potential": "quadratic:1", "x0": "1"},
+    "second-order": {"potential": "quadratic:1", "x0": "1", "v0": "-1"},
+    "evanesce": {"potential": "quadratic:1", "x0": "1"},
+    "reconstruct": {"potential": "quadratic:1", "grid": "-1:1:3"},
+    "determine": {"potential1": "quadratic:1", "potential2": "quadratic:1+5"},
+    "check-convexity": {"potential": "cubic"},
+}
+MISTYPED = {
+    "_float": [[1], {"a": 1}, "abc", True],
+    "_int": [[3], {"a": 1}, "abc", 2.5, True],
+    "_str": [5, [1], {"a": 1}, True],
+    "_bool": ["yes", 1, [True], {"a": 1}],
+    "_names": [5, [1], {"a": 1}],
+    "_vector": [{"a": 1}, ["a"], [[1]], "1,,2", True],
+    "_grid": [[1], {"a": 1}, "-1:1", [[-1, 1]], [[-1, 1, 2.5]], "-1:1:0"],
+}
+
+
+@pytest.mark.parametrize("cmd,key", [(cmd, key) for cmd, table in _DEFAULTS.items()
+                                     for key in table])
+def test_mistyped_config_value_exits_1(tmp_path, monkeypatch, capsys, cmd, key):
+    default, kind = _DEFAULTS[cmd][key]
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    cfg = tmp_path / "cfg.json"
+    for value in MISTYPED[kind.__name__] + ([] if default is None else [None]):
+        cfg.write_text(json.dumps({**VALID[cmd], key: value}))
+        assert run([cmd, "--config", str(cfg)]) == 1, value
+        assert capsys.readouterr().err.startswith(f"error: {key} must be "), value
+        assert not any(run_dir.iterdir()), value
+
+
+def test_numeric_strings_in_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": "quadratic:1", "x0": "1",
+                               "rtol": "1e-9"}))
+    assert run(["flow", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "flow_report.json")["config"]["rtol"] == 1e-9

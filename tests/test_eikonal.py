@@ -129,6 +129,19 @@ def test_reconstruct_grid_horizon_retry():
         assert d["psi_hat_raw"] == reconstruct_value(f, p, opts)["psi_hat"]
 
 
+def test_reconstruct_unknown_method_raises_before_solving():
+    # the equilibrium point too: no point is solved under an unknown method
+    f = f_of(QUAD_1D)
+    calls = []
+    counted = dataclasses.replace(f, value=lambda x: calls.append(1) or f.value(x))
+    opts = ReconstructOptions(method="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        reconstruct_grid(counted, [[0.0], [1.0]], opts)
+    with pytest.raises(ValueError, match="bogus"):
+        reconstruct_value(counted, [0.0], opts)
+    assert calls == []
+
+
 def test_reconstruct_grid_isolates_a_failing_point():
     # the gradient of f fails beyond x = 0.95; the stack that holds that
     # point is solved again point by point, so only that point fails

@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from evanflow.evanescent import (
     ActionOptions,
-    ShootOptions,
     cross_validate,
     discrete_action,
     fd_velocities,
@@ -14,6 +13,7 @@ from evanflow.evanescent import (
     _descend,
     _descend_on_field,
 )
+from evanflow.diagnostics import DEFAULT_EPS_TAIL
 from evanflow.fields import (
     induced_potential,
     make_counterexample,
@@ -270,7 +270,7 @@ def test_shoot_spd_quadratic_property(problem):
     # verdict must match the exact orbit's outside a factor-2 band.
     lam, Q = np.linalg.eigh(A)
     exact_penalty = 2.0 * float(np.sum((lam * np.exp(-T * lam) * (Q.T @ x0)) ** 2))
-    limit = 2.0 * ShootOptions().eps_tail ** 2
+    limit = 2.0 * DEFAULT_EPS_TAIL ** 2
     if exact_penalty < 0.5 * limit:
         assert res.converged, res.detail
     elif exact_penalty > 2.0 * limit:
