@@ -73,11 +73,35 @@ def _float(value) -> float:
     return float(value)
 
 
+def _positive(value) -> float:
+    """a positive finite number"""
+    x = _float(value)
+    if not 0.0 < x < np.inf:
+        raise ValueError(value)
+    return x
+
+
+def _nonnegative(value) -> float:
+    """a finite number >= 0"""
+    x = _float(value)
+    if not 0.0 <= x < np.inf:
+        raise ValueError(value)
+    return x
+
+
 def _int(value) -> int:
     """an integer"""
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise TypeError(value)
     return int(value)
+
+
+def _nodes(value) -> int:
+    """an integer >= 2"""
+    k = _int(value)
+    if k < 2:
+        raise ValueError(value)
+    return k
 
 
 def _str(value) -> str:
@@ -108,11 +132,11 @@ def _vector(value, parsed=False):
 
 
 def _grid(value, parsed=False):
-    """a grid: "min:max:count[,...]" or a list of [min, max, count], count >= 1"""
+    """a grid: "min:max:count[,...]" or a list of [min, max, count], finite, count >= 1"""
     axes = value if isinstance(value, list) else [
         axis.split(":") for axis in _str(value).split(",")]
     spec = [(_float(lo), _float(hi), _int(count)) for lo, hi, count in axes]
-    if any(count < 1 for _, _, count in spec):
+    if any(count < 1 or not np.isfinite([lo, hi]).all() for lo, hi, count in spec):
         raise ValueError(value)
     return spec if parsed else value
 
@@ -130,24 +154,24 @@ _INTEG_KEYS = {
 }
 _DEFAULTS = {
     "flow": {
-        "potential": (..., _str), "x0": (..., _vector), "T": (10.0, _float),
+        "potential": (..., _str), "x0": (..., _vector), "T": (10.0, _positive),
         **_INTEG_KEYS, "checks": ("all", _names), "out": (".", _str),
     },
     "second-order": {
         "potential": (..., _str), "x0": (..., _vector), "v0": (..., _vector),
-        "T": (10.0, _float), **_INTEG_KEYS, "checks": ("all", _names),
+        "T": (10.0, _positive), **_INTEG_KEYS, "checks": ("all", _names),
         "out": (".", _str),
     },
     "evanesce": {
         "potential": (..., _str), "x0": (..., _vector),
-        "T": (DEFAULT_T, _float), "N": (DEFAULT_N, _int),
-        "mu": (_ACTION.mu, _float), "tol_opt": (_ACTION.tol_opt, _float),
+        "T": (DEFAULT_T, _positive), "N": (DEFAULT_N, _nodes),
+        "mu": (_ACTION.mu, _nonnegative), "tol_opt": (_ACTION.tol_opt, _float),
         "max_iters": (_ACTION.max_iters, _int), "solver": ("action", _str),
         "cross_validate": (True, _bool), "seed": (0, _int), "out": (".", _str),
     },
     "reconstruct": {
         "potential": (..., _str), "grid": (..., _grid),
-        "T": (DEFAULT_T, _float), "N": (DEFAULT_N, _int),
+        "T": (DEFAULT_T, _positive), "N": (DEFAULT_N, _nodes),
         "method": (ReconstructOptions().method, _str), "out": (".", _str),
     },
     "determine": {
@@ -248,18 +272,19 @@ def cmd_flow(cfg) -> int:
     pp = resolve_potential(cfg["potential"])
     x0 = _vector(cfg["x0"], parsed=True)
     opts = _options(IntegratorOptions, cfg, method="integrator")
-    traj = gradient_flow(pp, x0, cfg["T"], opts)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / "flow_trajectory.csv")
     available = {
         "lyapunov": lambda: check_lyapunov_psi(traj, pp),
         "energy": lambda: check_energy_identity(traj, pp),
         "grad_norm_monotone": lambda: check_grad_norm_monotone(traj, pp),
         "limit_point": lambda: check_limit_point(traj, pp),
     }
+    requested = _requested(cfg, available)
+    traj = gradient_flow(pp, x0, cfg["T"], opts)
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(traj, out / "flow_trajectory.csv")
     report = DiagnosticsReport(subject=f"flow {pp.psi.name}")
-    for name in _requested(cfg, available):
+    for name in requested:
         report.add(available[name]())
     return _finish(report, cfg, out, "flow_report",
                    {"termination": traj.termination, "t_end": traj.t_end})
@@ -270,18 +295,19 @@ def cmd_second_order(cfg) -> int:
     x0 = _vector(cfg["x0"], parsed=True)
     v0 = _vector(cfg["v0"], parsed=True)
     opts = _options(IntegratorOptions, cfg, method="integrator")
-    traj = second_order_flow(pp, x0, v0, cfg["T"], opts)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / "second_order_trajectory.csv")
     available = {
         "first_integral": lambda: check_first_integral(traj, pp),
         "modula": lambda: check_modula_equality(traj, psi=pp.psi, V=pp.v),
         "phi_residual": lambda: check_phi_residual(traj, pp.psi),
         "hardy": lambda: check_hardy(traj),
     }
+    requested = _requested(cfg, available)
+    traj = second_order_flow(pp, x0, v0, cfg["T"], opts)
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(traj, out / "second_order_trajectory.csv")
     report = DiagnosticsReport(subject=f"second-order {pp.psi.name}")
-    for name in _requested(cfg, available):
+    for name in requested:
         report.add(available[name]())
     measures = evanescence_measures(traj, pp.v)
     return _finish(report, cfg, out, "second_order_report",

@@ -19,6 +19,7 @@ from evanflow.evanescent import (
     DEFAULT_N,
     DEFAULT_T,
     ActionOptions,
+    _check_horizon,
     _minimize_actions,
     _shot_on_grid,
     shoot_evanescent,
@@ -179,9 +180,11 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     is negative at a probe point raises NonnegativityError here.  Points
     where f vanishes are equilibria; the others are solved together at
     (T, N), and those whose tail is not yet decaying again at (2T, 2N).
-    An unknown method raises ValueError before anything is solved."""
+    An unknown method, a T that is not a positive finite number and an
+    N below 2 raise ValueError before anything is solved."""
     if opts.method not in ("action", "shoot"):
         raise ValueError(f"unknown reconstruction method {opts.method!r}")
+    _check_horizon(opts.T, opts.N)
     V = field_from_f(f)
     out = [None] * len(points)
     todo = []

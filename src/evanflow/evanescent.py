@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from evanflow import kernels
 from evanflow.diagnostics import (
@@ -134,48 +135,6 @@ def discrete_action(V, path_nodes, dt: float, mu: float, want_grad: bool = True)
                                    want_grad=want_grad)
 
 
-def _descend_on_field(V: DifferentiableField, X: np.ndarray,
-                      max_iters: int = 2000, tol: float = 1e-10) -> np.ndarray:
-    """Cheap preliminary descent on V itself from each row of X (B, n), used
-    to aim the initial paths.  Every row keeps its own step and stops on its
-    own: when its gradient is below tol or its line search finds no step."""
-    X = np.array(X, float)
-    ids = np.arange(len(X))
-    x = X.copy()
-    val = np.asarray(V.value(x), float)
-    step = np.ones(len(x))
-    for _ in range(max_iters):
-        g = np.asarray(V.gradient(x), float)
-        # row-wise dot products, rounded as np.dot rounds them
-        gg = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-        going = gg >= tol * tol
-        t = step
-        x_t = x - t[:, None] * g
-        v_t = np.asarray(V.value(x_t), float)
-        ok = going & np.isfinite(v_t) & (v_t <= val - 1e-4 * t * gg)
-        if not ok.all():
-            retry = (going & ~ok).nonzero()[0]
-            while retry.size:
-                t[retry] *= 0.5
-                retry = retry[t[retry] > 1e-16]
-                if not retry.size:
-                    break
-                x_r = x[retry] - t[retry, None] * g[retry]
-                v_r = np.asarray(V.value(x_r), float)
-                hit = np.isfinite(v_r) & (v_r <= val[retry] - 1e-4 * t[retry] * gg[retry])
-                x_t[retry[hit]], v_t[retry[hit]], ok[retry[hit]] = x_r[hit], v_r[hit], True
-                retry = retry[~hit]
-            # rows that stop keep where they are and leave the working set
-            stop = ~ok
-            X[ids[stop]] = x[stop]
-            ids, x_t, v_t, t = ids[ok], x_t[ok], v_t[ok], t[ok]
-            if not ids.size:
-                return X
-        x, val, step = x_t, v_t, np.minimum(t * 2.0, 1e6)
-    X[ids] = x
-    return X
-
-
 def _gradients(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
     """grad V at every node of a (B, N+1, n) stack.  Fields see the nodes of
     a stack as one (B*(N+1), n) array, the shape of a single path."""
@@ -196,17 +155,24 @@ def _trial_values(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
 
 def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
              opts: ActionOptions):
-    """Monotone descent on the discrete action of each path of a (B, N+1, n)
-    stack; node 0 of every path is fixed.
+    """Monotone preconditioned descent on the discrete action of each path
+    of a (B, N+1, n) stack; node 0 of every path is fixed.
 
-    Each member takes its own steps: a Barzilai-Borwein (short variant)
-    trial step, safeguarded by Armijo backtracking on the term-wise
-    decrease, so its action is nonincreasing; a trial where V is not finite
-    is rejected like one that fails the test.  A member stops when its
-    gradient inf-norm falls below opts.tol_opt, after opts.max_iters
-    iterations, or when its line search finds no step, and then leaves the
-    working set; only rejected members are tried again inside a line
-    search.  Returns the final (W, Vv, Vg, iterations, grad_inf) per member.
+    Member b steps along -P_b^{-1} g.  P_b is the action's Hessian on nodes
+    1..N for the isotropic quadratic V = c_b ||x||^2 / 2: tridiagonal with
+    off-diagonal -1/dt, diagonal 2/dt + c_b dt and last diagonal
+    1/dt + c_b (dt/2 + mu), where c_b = ||grad V(x0)||^2 / (2 V(x0)), or 1
+    where V(x0) = 0.  It removes the O(N^2) condition number of the kinetic
+    term, and is exact when V is such a quadratic; the first trial step, 1,
+    is then the Newton step.  Later trial steps are the preconditioned
+    Barzilai-Borwein step s.y / y.P_b^{-1} y, safeguarded by Armijo
+    backtracking on the term-wise decrease against t g.P_b^{-1} g, so the
+    action is nonincreasing; a trial where V is not finite is rejected like
+    one that fails the test.  A member stops when its gradient inf-norm
+    falls below opts.tol_opt, after opts.max_iters iterations, or when its
+    line search finds no step, and then leaves the working set; only
+    rejected members are tried again inside a line search.  Returns the
+    final (W, Vv, Vg, iterations, grad_inf) per member.
     """
     W = np.array(W, float)
     Vv = _potential_values(V, W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
@@ -214,23 +180,38 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     out_W, out_Vv, out_Vg = np.empty_like(W), np.empty_like(Vv), np.empty_like(Vg)
     iters = np.zeros(len(W), int)
     ginf = np.zeros(len(W))
+    # P_b is factored once; each member takes its own banded solve, so its
+    # result is the one it gets alone
+    N = W.shape[1] - 1
+    factors = np.empty((len(W), 2, N))
+    for b, (v, g0) in enumerate(zip(Vv[:, 0], Vg[:, 0])):
+        c = float(np.dot(g0, g0)) / (2.0 * v) if v > 0.0 else 1.0
+        band = np.full((2, N), -1.0 / dt)
+        band[1] = 2.0 / dt + c * dt
+        band[1, -1] = 1.0 / dt + c * (0.5 * dt + mu)
+        factors[b] = cholesky_banded(band)
 
-    def armijo(D, Vv, D_t, Vv_t, t, gg):
+    def precondition(g):
+        return np.stack([cho_solve_banded((f, False), gb, check_finite=False)
+                         for f, gb in zip(factors, g)])
+
+    def armijo(D, Vv, D_t, Vv_t, t, gp):
         # the decrease is summed from per-term differences, so the test
         # still resolves it near the double-precision floor
         if np.isfinite(Vv_t).all():
-            return kernels._decrease(D, Vv, D_t, Vv_t, dt, mu) >= _ARMIJO_C * t * gg
+            return kernels._decrease(D, Vv, D_t, Vv_t, dt, mu) >= _ARMIJO_C * t * gp
         ok = np.isfinite(Vv_t).all(axis=1)
-        ok[ok] = armijo(D[ok], Vv[ok], D_t[ok], Vv_t[ok], t[ok], gg[ok])
+        ok[ok] = armijo(D[ok], Vv[ok], D_t[ok], Vv_t[ok], t[ok], gp[ok])
         return ok
 
-    # the working set: original index and state of every member still going
+    # the working set: original index and state of every member still going,
+    # with p = P^{-1} g and the next trial step
     ids = np.arange(len(W))
     D = W[:, 1:] - W[:, :-1]
     g = kernels.action_gradient(W, Vg, dt, mu)
+    p = precondition(g)
     gi = np.maximum.reduce(np.abs(g), axis=(1, 2))
-    step = np.full(len(W), dt / 4.0)
-    s = y = None
+    step = np.ones(len(W))
     stop = gi < opts.tol_opt
     k = 0
     while True:
@@ -243,71 +224,71 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
             if stop.all():
                 break
             go = ~stop
-            ids, W, Vv, Vg, D, g, step = (a[go] for a in (ids, W, Vv, Vg, D, g, step))
-            if s is not None:
-                s, y = s[go], y[go]
+            ids, W, Vv, Vg, D, g, p, step, factors = (
+                a[go] for a in (ids, W, Vv, Vg, D, g, p, step, factors))
         k += 1
-        gg = np.add.reduce(g * g, axis=(1, 2))
-        # Barzilai-Borwein (short variant) trial step, safeguarded by Armijo;
-        # the short step passes the monotone test almost always, so the
-        # backtracking loop rarely fires
-        if s is not None:
-            sy = np.add.reduce(s * y, axis=(1, 2))
-            yy = np.add.reduce(y * y, axis=(1, 2))
-            step = np.divide(sy, yy, out=step * 2.0, where=(sy > 0) & (yy > 0))
+        gp = np.add.reduce(g * p, axis=(1, 2))
         t = np.minimum(np.maximum(step, 1e-12), 1e6)
-        tg = t[:, None, None] * g
         W_t = W.copy()
-        W_t[:, 1:] -= tg
+        W_t[:, 1:] -= t[:, None, None] * p
         Vv_t = _trial_values(V, W_t)
         D_t = W_t[:, 1:] - W_t[:, :-1]
-        ok = armijo(D, Vv, D_t, Vv_t, t, gg)
-        failed = None
-        if not ok.all():
-            retry = (~ok).nonzero()[0]
-            while retry.size:
-                t[retry] *= _SHRINK
-                retry = retry[t[retry] >= 1e-16]
-                if not retry.size:
-                    break
-                W_r = W[retry]
-                W_r[:, 1:] -= t[retry, None, None] * g[retry]
-                Vv_r = _trial_values(V, W_r)
-                D_r = W_r[:, 1:] - W_r[:, :-1]
-                hit = armijo(D[retry], Vv[retry], D_r, Vv_r, t[retry], gg[retry])
-                acc = retry[hit]
-                W_t[acc], Vv_t[acc], D_t[acc], ok[acc] = W_r[hit], Vv_r[hit], D_r[hit], True
-                retry = retry[~hit]
-            # a member whose line search finds no step keeps its path and stops
-            failed = ~ok
-            W_t[failed], Vv_t[failed], D_t[failed] = W[failed], Vv[failed], D[failed]
-            tg = t[:, None, None] * g
-        s = -tg
+        ok = armijo(D, Vv, D_t, Vv_t, t, gp)
+        retry = (~ok).nonzero()[0]
+        while retry.size:
+            t[retry] *= _SHRINK
+            retry = retry[t[retry] >= 1e-16]
+            if not retry.size:
+                break
+            W_r = W[retry]
+            W_r[:, 1:] -= t[retry, None, None] * p[retry]
+            Vv_r = _trial_values(V, W_r)
+            D_r = W_r[:, 1:] - W_r[:, :-1]
+            hit = armijo(D[retry], Vv[retry], D_r, Vv_r, t[retry], gp[retry])
+            acc = retry[hit]
+            W_t[acc], Vv_t[acc], D_t[acc], ok[acc] = W_r[hit], Vv_r[hit], D_r[hit], True
+            retry = retry[~hit]
+        # a member whose line search finds no step keeps its path and stops
+        failed = ~ok
+        W_t[failed], Vv_t[failed], D_t[failed] = W[failed], Vv[failed], D[failed]
         W, Vv, D = W_t, Vv_t, D_t
         Vg = _gradients(V, W)
         g_new = kernels.action_gradient(W, Vg, dt, mu)
-        y = g_new - g
-        g = g_new
-        step = t
+        p_new = precondition(g_new)
+        # preconditioned Barzilai-Borwein step s.y / y.P^{-1}y, where s = -t p
+        # and P^{-1}y = p_new - p; twice the last step where it is undefined
+        s, y, py = -t[:, None, None] * p, g_new - g, p_new - p
+        sy = np.add.reduce(s * y, axis=(1, 2))
+        ypy = np.add.reduce(y * py, axis=(1, 2))
+        step = np.divide(sy, ypy, out=t * 2.0, where=(sy > 0) & (ypy > 0))
+        g, p = g_new, p_new
         gi = np.maximum.reduce(np.abs(g), axis=(1, 2))
-        stop = gi < opts.tol_opt
-        if failed is not None:
-            stop |= failed
+        stop = (gi < opts.tol_opt) | failed
     return out_W, out_Vv, out_Vg, iters, ginf
+
+
+def _check_horizon(T: float, N: int) -> None:
+    """Raise ValueError unless T is a positive finite horizon and N >= 2."""
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be a positive finite number, got {T!r}")
+    if not N >= 2:
+        raise ValueError(f"N must be >= 2, got {N!r}")
 
 
 def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
                       opts: ActionOptions, W: Optional[np.ndarray] = None) -> list:
     """The action solves from the rows of X0 (B, n) as one stack.  W holds the
-    initial paths; by default each is the straight path from its x0 to the
-    end of a descent on V.  Returns (DiscretePath, converged, detail) per
-    row."""
+    initial paths; by default each is the constant path at its x0.  T, N and
+    a mu out of range raise ValueError before anything is solved.  Returns
+    (DiscretePath, converged, detail) per row."""
+    _check_horizon(T, N)
     dt = T / N
     mu = opts.mu if opts.mu is not None else 10.0 * dt
+    if not 0.0 <= mu < np.inf:
+        # a negative terminal penalty leaves the action unbounded below
+        raise ValueError(f"mu must be a finite number >= 0, got {mu!r}")
     if W is None:
-        X_min = _descend_on_field(V, X0)
-        lam = np.linspace(0.0, 1.0, N + 1)[:, None]
-        W = (1.0 - lam) * X0[:, None, :] + lam * X_min[:, None, :]
+        W = np.repeat(np.asarray(X0, float)[:, None, :], N + 1, axis=1)
     W, Vv, Vg, iters, ginf = _descend(V, W, dt, mu, opts)
     values, _ = kernels.action_assemble(W, Vv, Vg, dt, mu, want_grad=False)
     el_res = kernels.el_residual_max(W, Vg, dt)
@@ -334,32 +315,19 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
                     opts: Optional[ActionOptions] = None,
                     psi: Optional[DifferentiableField] = None,
                     init_path: Optional[np.ndarray] = None) -> EvanescentSolveResult:
-    """Monotone descent on the discrete action with Armijo backtracking.
-
-    The initial trial step uses a Barzilai-Borwein estimate; every accepted
-    step satisfies the Armijo decrease condition, so the action value is
-    nonincreasing across iterations.
+    """Monotone descent on the discrete action from init_path, or from the
+    constant path W = x0, preconditioned by the action's Hessian P for the
+    isotropic quadratic V = c ||x||^2 / 2, c = ||grad V(x0)||^2 / (2 V(x0))
+    (1 where V(x0) = 0; see _descend).  Every accepted step satisfies the
+    Armijo condition, so the action is nonincreasing across iterations.  At
+    an equilibrium the constant path has zero gradient and stops at once.
     """
     V = _v_of(V)
     opts = opts or ActionOptions()
-    if N < 2:
-        raise ValueError("N must be >= 2")
     x0 = np.asarray(x0, float).reshape(V.dim)
     v00 = float(V.value(x0))
     if v00 < -1e-12:
         raise ValueError(f"V(x0) = {v00:g} is negative")
-    dt = T / N
-    mu = opts.mu if opts.mu is not None else 10.0 * dt
-
-    if v00 <= 1e-14 and float(np.linalg.norm(V.gradient(x0))) < 1e-10:
-        # equilibrium: the constant path is the exact minimizer
-        W = np.tile(x0, (N + 1, 1))
-        val, _ = discrete_action(V, W, dt, mu, want_grad=False)
-        path = DiscretePath(W, dt, float(val), 0.0, mu)
-        report = _solve_diagnostics(path, V, psi)
-        return EvanescentSolveResult(path, "action", True, float(val), report,
-                                     {"iterations": 0, "grad_inf": 0.0})
-
     W = None
     if init_path is not None:
         W = np.array(init_path, float)

@@ -60,6 +60,17 @@ def test_flow_input_errors(tmp_path):
     assert run(["flow", "--potential", "quadratic:1e+2+5", "--x0", "1"] + out) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "--potential", "quadratic:1", "--x0", "1"],
+    ["second-order", "--potential", "quadratic:1", "--x0", "1", "--v0=-1"],
+], ids=["flow", "second-order"])
+def test_unknown_check_name_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--checks", "no_such", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown checks")
+    assert not out.exists()
+
+
 def test_flow_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"potential": "quadratic:1", "x0": "1", "T": 5.0}))
@@ -153,7 +164,9 @@ def test_evanesce_solves_each_route_once(tmp_path, monkeypatch, solver):
 
 def test_evanesce_failure_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"potential": "quadratic:1", "x0": "1",
+    # on quadratic:1 one preconditioned step converges, so the budget is cut
+    # on a quadratic with two rates
+    cfg.write_text(json.dumps({"potential": "quadratic:1,0;0,2", "x0": "1,1",
                                "max_iters": 1, "cross_validate": False}))
     assert run(["evanesce", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
@@ -276,12 +289,16 @@ VALID = {
 }
 MISTYPED = {
     "_float": [[1], {"a": 1}, "abc", True],
+    "_positive": [[1], {"a": 1}, "abc", True, 0, -1.5, "nan", "inf", "-inf"],
+    "_nonnegative": [[1], {"a": 1}, "abc", True, -1, -1e-300, "nan", "inf"],
     "_int": [[3], {"a": 1}, "abc", 2.5, True],
+    "_nodes": [[3], {"a": 1}, "abc", 2.5, True, 1, 0, -240],
     "_str": [5, [1], {"a": 1}, True],
     "_bool": ["yes", 1, [True], {"a": 1}],
     "_names": [5, [1], {"a": 1}],
     "_vector": [{"a": 1}, ["a"], [[1]], "1,,2", True],
-    "_grid": [[1], {"a": 1}, "-1:1", [[-1, 1]], [[-1, 1, 2.5]], "-1:1:0"],
+    "_grid": [[1], {"a": 1}, "-1:1", [[-1, 1]], [[-1, 1, 2.5]], "-1:1:0",
+              "-1:nan:3", "-inf:1:3", [[-1, "inf", 3]]],
 }
 
 

@@ -67,7 +67,9 @@ def test_reconstruct_action_and_shoot_agree():
 
 
 def test_reconstruct_value_unconverged_is_flagged():
-    out = reconstruct_value(f_of(QUAD_1D), [1.0], ReconstructOptions(max_iters=1))
+    # on quadratic:1 one preconditioned step converges, so the budget is cut
+    # on a quadratic with two rates
+    out = reconstruct_value(f_of(QUAD_2D), [1.0, 1.0], ReconstructOptions(max_iters=1))
     assert not out["converged"]
 
 
@@ -139,6 +141,22 @@ def test_reconstruct_unknown_method_raises_before_solving():
         reconstruct_grid(counted, [[0.0], [1.0]], opts)
     with pytest.raises(ValueError, match="bogus"):
         reconstruct_value(counted, [0.0], opts)
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["action", "shoot"])
+@pytest.mark.parametrize("T, N", [(0.0, 240), (-1.0, 240), (np.nan, 240),
+                                  (np.inf, 240), (12.0, 1)],
+                         ids=["T0", "Tneg", "Tnan", "Tinf", "N1"])
+def test_reconstruct_rejects_out_of_range_horizon_before_solving(method, T, N):
+    f = f_of(QUAD_1D)
+    calls = []
+    counted = dataclasses.replace(f, value=lambda x: calls.append(1) or f.value(x))
+    opts = ReconstructOptions(T=T, N=N, method=method)
+    with pytest.raises(ValueError, match="must be"):
+        reconstruct_grid(counted, [[0.0], [1.0]], opts)
+    with pytest.raises(ValueError, match="must be"):
+        reconstruct_value(counted, [1.0], opts)
     assert calls == []
 
 
