@@ -172,7 +172,7 @@ _DEFAULTS = {
     "reconstruct": {
         "potential": (..., _str), "grid": (..., _grid),
         "T": (DEFAULT_T, _positive), "N": (DEFAULT_N, _nodes),
-        "method": (ReconstructOptions().method, _str), "out": (".", _str),
+        "out": (".", _str),
     },
     "determine": {
         "potential1": (..., _str), "potential2": (..., _str),

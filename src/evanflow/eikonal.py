@@ -21,8 +21,6 @@ from evanflow.evanescent import (
     ActionOptions,
     _check_horizon,
     _minimize_actions,
-    _shot_on_grid,
-    shoot_evanescent,
 )
 from evanflow.fields import DifferentiableField, PotentialPair, field_from_f
 from evanflow.integrate import IntegratorOptions, gradient_flow
@@ -45,7 +43,6 @@ _STACK_BYTES = 4 * 2**20
 class ReconstructOptions:
     T: float = DEFAULT_T
     N: int = DEFAULT_N
-    method: str = "action"            # "action" or "shoot"
     workers: int = 1                  # accepted for compatibility; no effect
     max_iters: int = 50_000
 
@@ -89,8 +86,6 @@ def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
     """Evanescent orbit from each row of X0 sampled on the uniform grid with
     spacing T/N, as (nodes, converged), or the ValueError or ArithmeticError
     its solve raised.  The action route solves the rows as stacks of paths."""
-    if opts.method == "shoot":
-        return [_caught(_shot_nodes, V, x0, T, N) for x0 in X0]
     aopts = ActionOptions(max_iters=opts.max_iters)
 
     def solve(X):
@@ -114,12 +109,6 @@ def _caught(solve, *args):
         return solve(*args)
     except (ValueError, ArithmeticError) as exc:
         return exc
-
-
-def _shot_nodes(V, x0, T, N):
-    res = shoot_evanescent(V, x0, T)
-    v0 = np.asarray(res.detail["v0"], float)
-    return _shot_on_grid(V, x0, v0, T, N).states, res.converged
 
 
 def _tail_fit(times: np.ndarray, fvals: np.ndarray):
@@ -156,8 +145,7 @@ def reconstruct_grid(f: DifferentiableField, points,
     details = [d if not isinstance(d, Exception) else
                {"psi_hat": np.nan, "ev_integral": np.nan,
                 "tail_estimate": np.nan, "converged": False,
-                "T_used": opts.T, "tail_slope": np.nan,
-                "method": opts.method, "error": str(d)}
+                "T_used": opts.T, "tail_slope": np.nan, "error": str(d)}
                for d in _reconstruct(f, points, opts)]
 
     raw = np.array([d["psi_hat"] for d in details])
@@ -180,10 +168,8 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     is negative at a probe point raises NonnegativityError here.  Points
     where f vanishes are equilibria; the others are solved together at
     (T, N), and those whose tail is not yet decaying again at (2T, 2N).
-    An unknown method, a T that is not a positive finite number and an
-    N below 2 raise ValueError before anything is solved."""
-    if opts.method not in ("action", "shoot"):
-        raise ValueError(f"unknown reconstruction method {opts.method!r}")
+    A T that is not a positive finite number and an N below 2 raise
+    ValueError before anything is solved."""
     _check_horizon(opts.T, opts.N)
     V = field_from_f(f)
     out = [None] * len(points)
@@ -196,8 +182,7 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
             continue
         if still:
             out[i] = {"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
-                      "converged": True, "T_used": opts.T, "tail_slope": -np.inf,
-                      "method": opts.method}
+                      "converged": True, "T_used": opts.T, "tail_slope": -np.inf}
         else:
             todo.append(i)
 
@@ -206,7 +191,7 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
         retry = []
         for i, orbit in zip(todo, _orbits(V, points[todo], T, N, opts)):
             out[i] = orbit if isinstance(orbit, Exception) else _caught(
-                _value_on_orbit, f, orbit, T, N, opts.method, attempt == 1)
+                _value_on_orbit, f, orbit, T, N, attempt == 1)
             if out[i] is None:
                 retry.append(i)
         # tails not yet decaying: push the horizon once
@@ -214,7 +199,7 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     return out
 
 
-def _value_on_orbit(f, orbit, T, N, method, final):
+def _value_on_orbit(f, orbit, T, N, final):
     """The reconstruction dict from an orbit's (nodes, converged), or None
     when its tail is not yet decaying and a longer horizon remains to try."""
     nodes, solve_ok = orbit
@@ -241,7 +226,6 @@ def _value_on_orbit(f, orbit, T, N, method, final):
         "converged": bool(solve_ok and tail_ok),
         "T_used": T,
         "tail_slope": slope,
-        "method": method,
     }
 
 

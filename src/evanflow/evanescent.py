@@ -10,7 +10,7 @@ doubling horizons up to T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -33,9 +33,7 @@ from evanflow.integrate import (
     Trajectory,
     gradient_flow,
     path_integral,
-    _second_order_rhs,
     _variational_rhs,
-    rk4_fixed,
     rk_adaptive,
     second_order_flow,
 )
@@ -267,11 +265,12 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     return out_W, out_Vv, out_Vg, iters, ginf
 
 
-def _check_horizon(T: float, N: int) -> None:
-    """Raise ValueError unless T is a positive finite horizon and N >= 2."""
+def _check_horizon(T: float, N: Optional[int] = None) -> None:
+    """Raise ValueError unless T is a positive finite horizon and N, if
+    given, is >= 2."""
     if not 0.0 < T < np.inf:
         raise ValueError(f"T must be a positive finite number, got {T!r}")
-    if not N >= 2:
+    if N is not None and not N >= 2:
         raise ValueError(f"N must be >= 2, got {N!r}")
 
 
@@ -378,7 +377,10 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     """Find the v0 on the sphere ||v0|| = sqrt(2 V(x0)) whose orbit is
     evanescent, by Gauss-Newton on the terminal velocity w(T): on the sphere
     ||w(T)||^2 = 2 V(v(T)), so w(T) is the whole terminal penalty.  In 1-D
-    the sphere is the two points +-r and the better one is kept."""
+    the sphere is the two points +-r and the better one is kept; at r = 0 it
+    is the one point v0 = 0.  A T that is not a positive finite number
+    raises ValueError before V is evaluated."""
+    _check_horizon(T)
     V = _v_of(V)
     n = V.dim
     x0 = np.asarray(x0, float).reshape(n)
@@ -387,19 +389,13 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
         raise ValueError(f"V(x0) = {0.5 * v0_sq:g} is negative")
     r = float(np.sqrt(max(v0_sq, 0.0)))
 
-    if r == 0.0 or float(np.linalg.norm(V.gradient(x0))) < 1e-10 and r < 1e-10:
-        times = np.array([0.0, T])
-        traj = Trajectory(times, np.vstack([x0, x0]), np.zeros((2, n)),
-                          "second_order", TERM_HORIZON, {"method": "shooting"})
-        report = _solve_diagnostics(traj, V, psi)
-        return EvanescentSolveResult(traj, "shooting", True, 0.0, report,
-                                     {"v0": [0.0] * n, "penalty": 0.0})
-
     # downhill seed
     gV = np.asarray(V.gradient(x0), float)
     gn = float(np.linalg.norm(gV))
     seed = -r * gV / gn if gn > 0 else r * np.eye(n)[0]
-    if n == 1:
+    if r == 0.0:
+        candidates, evaluations = [np.zeros(n)], 0
+    elif n == 1:
         candidates, evaluations = [seed, -seed], 0
     else:
         v0, evaluations = _gauss_newton(V, x0, seed, T)
@@ -500,9 +496,12 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
                    action: Optional[EvanescentSolveResult] = None,
                    shot: Optional[EvanescentSolveResult] = None) -> DiagnosticsReport:
     """Run gradient flow, action minimization and shooting from the same x0
-    and assert the three orbits agree on a shared uniform grid.  A route
-    already solved from x0 at (T, N) with these options and psi = pp.psi is
-    passed in as ``action`` or ``shot`` and not solved again."""
+    and assert the three orbits agree on the shared uniform grid with
+    spacing T/N; each phi residual is the one its route's solve reports.  A
+    route already solved from x0 at (T, N) with these options is passed in
+    as ``action`` or ``shot`` and not solved again.  T and N out of range raise ValueError before anything is
+    evaluated."""
+    _check_horizon(T, N)
     psi, V = pp.psi, pp.v
     x0 = np.asarray(x0, float).reshape(psi.dim)
     report = DiagnosticsReport(subject=f"cross-validate {psi.name} from {x0.tolist()}")
@@ -512,16 +511,13 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
     pairs = np.stack([base[:20], base[20:]], axis=1)
     report.add(check_monotone_gradient(psi, pairs))
 
+    grid = T / N * np.arange(N + 1)
     flow = gradient_flow(pp, x0, T, IntegratorOptions(method="rk4", h=T / N))
-    flow_states = _pad_to(flow.states, N + 1)
-
     act = action or minimize_action(V, x0, T, N, action_opts, psi=psi)
-    act_states = act.path.nodes
-
     shot = shot or shoot_evanescent(V, x0, T, psi=psi)
-    v0 = np.asarray(shot.detail.get("v0", -psi.gradient(x0)), float)
-    shot_traj = _shot_on_grid(V, x0, v0, T, N)
-    shot_states = shot_traj.states
+    flow_states = _on_grid(flow, grid)
+    act_states = act.path.nodes
+    shot_states = _on_grid(shot.trajectory(), grid)
 
     def dist(a, b):
         return float(np.max(np.linalg.norm(a - b, axis=-1)))
@@ -534,29 +530,22 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
         d = dist(a, b)
         report.add(CheckResult(cid, d <= TOL_XV, d, None, TOL_XV))
 
-    act_traj = act.path.as_trajectory()
-    r1 = check_phi_residual(act_traj, psi, sigma=+1, tol=1e-3)
-    r1.check_id = "phi_residual_action"
-    report.add(r1)
-    r2 = check_phi_residual(shot_traj, psi, sigma=+1, tol=1e-3)
-    r2.check_id = "phi_residual_shoot"
-    report.add(r2)
+    for cid, res in (("phi_residual_action", act), ("phi_residual_shoot", shot)):
+        # a route solved without psi has no phi residual of its own
+        own = (res.diagnostics.get("phi_residual_sigma+1")
+               or check_phi_residual(res.trajectory(), psi, sigma=+1, tol=1e-3))
+        report.add(replace(own, check_id=cid))
     return report
 
 
-def _shot_on_grid(V, x0, v0, T: float, N: int) -> Trajectory:
-    """The orbit from (x0, v0) by RK4 on the uniform grid with spacing T/N,
-    padded with its last state to N + 1 nodes if it diverges early."""
-    n = len(x0)
-    raw = rk4_fixed(_second_order_rhs(V), np.concatenate([x0, v0]), T, T / N,
-                    r_max=1e8)
-    ys = _pad_to(raw.ys, N + 1)
-    return Trajectory(T / N * np.arange(N + 1), ys[:, :n], ys[:, n:],
-                      "second_order", raw.termination, dict(raw.meta))
-
-
-def _pad_to(states: np.ndarray, m: int) -> np.ndarray:
-    if len(states) >= m:
-        return states[:m]
-    pad = np.tile(states[-1], (m - len(states), 1))
-    return np.vstack([states, pad])
+def _on_grid(traj: Trajectory, times: np.ndarray) -> np.ndarray:
+    """The states of traj at the given times by the cubic Hermite interpolant
+    of its node states and velocities: a node's own state at its time, and
+    the last state past the end of the orbit."""
+    t, x, w = traj.times, traj.states, traj.velocities
+    s = np.minimum(times, t[-1])
+    i = np.clip(np.searchsorted(t, s, side="right") - 1, 0, len(t) - 2)
+    h = (t[i + 1] - t[i])[:, None]
+    u = (s - t[i])[:, None] / h
+    return ((1.0 + 2.0 * u) * (1.0 - u) ** 2 * x[i] + u * (1.0 - u) ** 2 * h * w[i]
+            + u * u * (3.0 - 2.0 * u) * x[i + 1] + u * u * (u - 1.0) * h * w[i + 1])

@@ -201,8 +201,9 @@ def test_reconstruct_rejects_an_empty_axis(tmp_path):
 
 
 def test_reconstruct_unknown_method(tmp_path):
+    # reconstruction has one route, so a method key is an unknown key
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"method": "bogus"}))
+    cfg.write_text(json.dumps({"method": "shoot"}))
     out = tmp_path / "out"
     assert run(["reconstruct", "--config", str(cfg), "--potential", "quadratic:1",
                 "--grid=-1:1:3", "--out", str(out)]) == 1

@@ -16,6 +16,7 @@ from evanflow.eikonal import (
     reconstruct_grid,
     reconstruct_value,
 )
+from evanflow.evanescent import shoot_evanescent
 from evanflow.fields import (
     NonnegativityError,
     NumericDomainError,
@@ -60,10 +61,12 @@ def test_reconstruct_value_equilibrium_point():
 
 
 def test_reconstruct_action_and_shoot_agree():
-    a = reconstruct_value(f_of(QUAD_1D), [1.0], ReconstructOptions(method="action"))
-    s = reconstruct_value(f_of(QUAD_1D), [1.0], ReconstructOptions(method="shoot"))
-    assert a["converged"] and s["converged"]
-    assert abs(a["psi_hat"] - s["psi_hat"]) < 5e-3
+    # along an evanescent orbit 0.5||w||^2 = V, so the shooting solve's action
+    # is the integral of f = 2V that the reconstruction takes
+    a = reconstruct_value(f_of(QUAD_1D), [1.0])
+    s = shoot_evanescent(QUAD_1D.v, [1.0])
+    assert a["converged"] and s.converged
+    assert abs(a["psi_hat"] - s.final_action) < 5e-3
 
 
 def test_reconstruct_value_unconverged_is_flagged():
@@ -131,28 +134,14 @@ def test_reconstruct_grid_horizon_retry():
         assert d["psi_hat_raw"] == reconstruct_value(f, p, opts)["psi_hat"]
 
 
-def test_reconstruct_unknown_method_raises_before_solving():
-    # the equilibrium point too: no point is solved under an unknown method
-    f = f_of(QUAD_1D)
-    calls = []
-    counted = dataclasses.replace(f, value=lambda x: calls.append(1) or f.value(x))
-    opts = ReconstructOptions(method="bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        reconstruct_grid(counted, [[0.0], [1.0]], opts)
-    with pytest.raises(ValueError, match="bogus"):
-        reconstruct_value(counted, [0.0], opts)
-    assert calls == []
-
-
-@pytest.mark.parametrize("method", ["action", "shoot"])
 @pytest.mark.parametrize("T, N", [(0.0, 240), (-1.0, 240), (np.nan, 240),
                                   (np.inf, 240), (12.0, 1)],
                          ids=["T0", "Tneg", "Tnan", "Tinf", "N1"])
-def test_reconstruct_rejects_out_of_range_horizon_before_solving(method, T, N):
+def test_reconstruct_rejects_out_of_range_horizon_before_solving(T, N):
     f = f_of(QUAD_1D)
     calls = []
     counted = dataclasses.replace(f, value=lambda x: calls.append(1) or f.value(x))
-    opts = ReconstructOptions(T=T, N=N, method=method)
+    opts = ReconstructOptions(T=T, N=N)
     with pytest.raises(ValueError, match="must be"):
         reconstruct_grid(counted, [[0.0], [1.0]], opts)
     with pytest.raises(ValueError, match="must be"):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import evanflow.evanescent as evanescent
+import evanflow.integrate as integrate
 from evanflow.evanescent import (
     ActionOptions,
     cross_validate,
@@ -14,9 +16,11 @@ from evanflow.evanescent import (
     shoot_evanescent,
     _descend,
     _minimize_actions,
+    _on_grid,
 )
 from evanflow.diagnostics import DEFAULT_EPS_TAIL
 from evanflow.fields import (
+    PotentialPair,
     induced_potential,
     make_counterexample,
     make_example_one,
@@ -33,6 +37,13 @@ DT = T / N
 
 def exact_nodes_1d():
     return np.exp(-DT * np.arange(N + 1))[:, None]
+
+
+def _counted(field, calls):
+    return dataclasses.replace(
+        field, value=lambda x: calls.append(1) or field.value(x),
+        gradient=lambda x: calls.append(1) or field.gradient(x),
+        hessvec=lambda x, p: calls.append(1) or field.hessvec(x, p))
 
 
 # --- discrete action ------------------------------------------------------
@@ -129,9 +140,8 @@ def test_action_iterations_do_not_grow_with_N():
 def test_action_solves_reject_out_of_range_inputs(T_, N_, mu):
     # a negative mu leaves the action unbounded below; each is refused
     # before the field is evaluated
-    V, calls = QUAD_2D.v, []
-    counted = dataclasses.replace(V, value=lambda x: calls.append(1) or V.value(x),
-                                  gradient=lambda x: calls.append(1) or V.gradient(x))
+    calls = []
+    counted = _counted(QUAD_2D.v, calls)
     opts = ActionOptions(mu=mu)
     with pytest.raises(ValueError, match="must be"):
         _minimize_actions(counted, np.array([[1.0, 1.0]]), T_, N_, opts)
@@ -313,12 +323,82 @@ def test_shoot_without_hessvec():
 
 
 def test_shoot_equilibrium_start():
-    res = shoot_evanescent(QUAD_1D.v, [0.0], T)
-    assert res.converged
-    assert res.final_action == 0.0
+    # at r = 0 the sphere is the one point v0 = 0, scored by one orbit
+    for pp, x0 in ((QUAD_1D, [0.0]), (QUAD_2D, [0.0, 0.0])):
+        res = shoot_evanescent(pp.v, x0, T)
+        assert res.converged
+        assert res.final_action == 0.0
+        assert res.detail["v0"] == [0.0] * len(x0)
+        assert res.detail["evaluations"] == 1
+
+
+@pytest.mark.parametrize("T_, N_", [(0.0, N), (-1.0, N), (np.nan, N), (np.inf, N),
+                                    (T, 1)],
+                         ids=["T0", "Tneg", "Tnan", "Tinf", "N1"])
+def test_shoot_and_cross_validate_reject_out_of_range_horizon(T_, N_):
+    # refused before the field is evaluated; shooting takes no N
+    calls = []
+    pp = PotentialPair(_counted(QUAD_2D.psi, calls), _counted(QUAD_2D.v, calls))
+    if N_ == N:
+        with pytest.raises(ValueError, match="must be"):
+            shoot_evanescent(pp.v, [1.0, 1.0], T_)
+    with pytest.raises(ValueError, match="must be"):
+        cross_validate(pp, [1.0, 1.0], T_, N_)
+    assert calls == []
 
 
 # --- cross validation -----------------------------------------------------
+
+def test_on_grid_keeps_node_states_and_holds_the_last():
+    traj = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T).trajectory()
+    assert np.array_equal(_on_grid(traj, traj.times), traj.states)
+    past = _on_grid(traj, np.array([traj.t_end, traj.t_end + 1.0, 1e9]))
+    assert np.array_equal(past, np.repeat(traj.states[-1:], 3, axis=0))
+
+
+def test_on_grid_samples_the_shooting_orbit():
+    traj = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T).trajectory()
+    grid = DT * np.arange(N + 1)
+    exact = np.stack([np.exp(-grid), np.exp(-2.0 * grid)], axis=1)
+    assert np.max(np.abs(_on_grid(traj, grid) - exact)) < 1e-6
+
+
+def test_cross_validate_compares_the_returned_shooting_orbit():
+    # psi = x^3 from 1: the flow is 1/(1+3t); the shooting orbit the solver
+    # returns follows it, where an RK4 pass from its v0 grows away
+    pp = make_counterexample("cubic")
+    rep = cross_validate(pp, [1.0])
+    assert rep.get("xv_shoot_vs_flow").worst_violation < 1e-5
+    shot = shoot_evanescent(pp.v, [1.0], T, psi=pp.psi)
+    assert rep.get("phi_residual_shoot") == dataclasses.replace(
+        shot.diagnostics.get("phi_residual_sigma+1"), check_id="phi_residual_shoot")
+    traj = shot.trajectory()
+    assert np.max(np.abs(traj.states[:, 0] - 1.0 / (1.0 + 3.0 * traj.times))) < 2.1e-6
+
+
+def test_cross_validate_integrates_only_the_flow(monkeypatch):
+    # the routes passed in are sampled as returned, not integrated again
+    action = minimize_action(QUAD_2D.v, [1.0, 1.0], T, N, psi=QUAD_2D.psi)
+    shot = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T, psi=QUAD_2D.psi)
+    calls = []
+    # an integrator that evanescent imports by name is counted there too
+    for mod in (integrate, evanescent):
+        for name in ("rk4_fixed", "rk_adaptive"):
+            if hasattr(mod, name):
+                fn = getattr(integrate, name)
+                monkeypatch.setattr(mod, name, lambda *a, fn=fn, name=name, **k:
+                                    calls.append(name) or fn(*a, **k))
+    rep = cross_validate(QUAD_2D, [1.0, 1.0], action=action, shot=shot)
+    assert rep.all_passed, rep.to_json()
+    assert calls == ["rk4_fixed"]
+
+
+def test_cross_validate_takes_routes_solved_without_psi():
+    # their phi residuals are computed, the ones the solves would report
+    x0 = [1.0, 1.0]
+    rep = cross_validate(QUAD_2D, x0, action=minimize_action(QUAD_2D.v, x0, T, N),
+                         shot=shoot_evanescent(QUAD_2D.v, x0, T))
+    assert rep.to_dict() == cross_validate(QUAD_2D, x0).to_dict()
 
 def test_cross_validate_quadratic_2d():
     rep = cross_validate(QUAD_2D, [1.0, 1.0])
