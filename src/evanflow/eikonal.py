@@ -85,7 +85,7 @@ def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
             opts: ReconstructOptions) -> list:
     """Evanescent orbit from each row of X0 sampled on the uniform grid with
     spacing T/N, as (nodes, converged), or the ValueError or ArithmeticError
-    its solve raised.  The action route solves the rows as stacks of paths."""
+    its solve raised.  The rows are solved as stacks of action paths."""
     aopts = ActionOptions(max_iters=opts.max_iters)
 
     def solve(X):
