@@ -354,6 +354,11 @@ def test_on_grid_keeps_node_states_and_holds_the_last():
     assert np.array_equal(_on_grid(traj, traj.times), traj.states)
     past = _on_grid(traj, np.array([traj.t_end, traj.t_end + 1.0, 1e9]))
     assert np.array_equal(past, np.repeat(traj.states[-1:], 3, axis=0))
+    # an orbit stopped at its first node is that node at every time
+    one = dataclasses.replace(traj, times=traj.times[:1], states=traj.states[:1],
+                              velocities=traj.velocities[:1])
+    assert np.array_equal(_on_grid(one, np.array([0.0, 1.0])),
+                          np.repeat(traj.states[:1], 2, axis=0))
 
 
 def test_on_grid_samples_the_shooting_orbit():
@@ -392,13 +397,6 @@ def test_cross_validate_integrates_only_the_flow(monkeypatch):
     assert rep.all_passed, rep.to_json()
     assert calls == ["rk4_fixed"]
 
-
-def test_cross_validate_takes_routes_solved_without_psi():
-    # their phi residuals are computed, the ones the solves would report
-    x0 = [1.0, 1.0]
-    rep = cross_validate(QUAD_2D, x0, action=minimize_action(QUAD_2D.v, x0, T, N),
-                         shot=shoot_evanescent(QUAD_2D.v, x0, T))
-    assert rep.to_dict() == cross_validate(QUAD_2D, x0).to_dict()
 
 def test_cross_validate_quadratic_2d():
     rep = cross_validate(QUAD_2D, [1.0, 1.0])
