@@ -162,15 +162,14 @@ def check_grad_norm_monotone(traj: Trajectory, psi, tol=None) -> CheckResult:
     return _result("grad_norm_monotone", viol, where, tol)
 
 
-def check_distance_monotone(traj: Trajectory, xhat, psi,
-                            eps_crit=DEFAULT_EPS_CRIT, tol=None) -> CheckResult:
+def check_distance_monotone(traj: Trajectory, xhat, psi, tol=None) -> CheckResult:
     """||u(t) - xhat|| is nonincreasing for any critical point xhat."""
     psi = _psi_of(psi)
     xhat = np.asarray(xhat, float).reshape(psi.dim)
     gn = float(np.linalg.norm(psi.gradient(xhat)))
-    if gn >= eps_crit:
+    if gn >= DEFAULT_EPS_CRIT:
         raise ValueError(
-            f"xhat is not critical: ||grad psi(xhat)|| = {gn:g} >= {eps_crit:g}"
+            f"xhat is not critical: ||grad psi(xhat)|| = {gn:g} >= {DEFAULT_EPS_CRIT:g}"
         )
     dist = np.linalg.norm(traj.states - xhat, axis=-1)
     if tol is None:
@@ -197,15 +196,15 @@ def check_velocity_bound(traj: Trajectory, psi, y, tol=1e-8) -> CheckResult:
 
 
 def check_level_integral_bound(traj: Trajectory, psi, crit_point,
-                               eps_crit=DEFAULT_EPS_CRIT, tol=None) -> CheckResult:
+                               tol=None) -> CheckResult:
     """Integral of (psi(u) - min psi) is at most half the squared distance
     from u(0) to the supplied critical point."""
     psi = _psi_of(psi)
     crit_point = np.asarray(crit_point, float).reshape(psi.dim)
     gn = float(np.linalg.norm(psi.gradient(crit_point)))
-    if gn >= eps_crit:
+    if gn >= DEFAULT_EPS_CRIT:
         raise ValueError(
-            f"crit_point is not critical: ||grad psi|| = {gn:g} >= {eps_crit:g}"
+            f"crit_point is not critical: ||grad psi|| = {gn:g} >= {DEFAULT_EPS_CRIT:g}"
         )
     psi_min = float(psi.value(crit_point))
     lhs = path_integral(traj, lambda t, x, w: float(psi.value(x)) - psi_min)
@@ -217,13 +216,12 @@ def check_level_integral_bound(traj: Trajectory, psi, crit_point,
                    notes=f"lhs={lhs:.12g} rhs={rhs:.12g}")
 
 
-def check_limit_point(traj: Trajectory, psi, eps_conv=DEFAULT_EPS_CONV,
-                      tol=None) -> CheckResult:
+def check_limit_point(traj: Trajectory, psi, tol=DEFAULT_EPS_CONV) -> CheckResult:
     """Convex flows either diverge (empty critical set) or settle at a
     critical point with a shrinking tail."""
     psi = _psi_of(psi)
     if traj.termination == TERM_DIVERGED:
-        return _result("limit_point", 0.0, traj.t_end, eps_conv,
+        return _result("limit_point", 0.0, traj.t_end, tol,
                        notes="diverged: consistent with empty critical set")
     gend = float(np.linalg.norm(psi.gradient(traj.states[-1])))
     m = max(2, len(traj) // 10)
@@ -231,8 +229,6 @@ def check_limit_point(traj: Trajectory, psi, eps_conv=DEFAULT_EPS_CONV,
     spread = float(np.max(
         np.linalg.norm(tail[:, None, :] - tail[None, :, :], axis=-1)
     ))
-    if tol is None:
-        tol = eps_conv
     if max(gend, spread) <= tol:
         return _result("limit_point", max(gend, spread), traj.t_end, tol,
                        notes=f"settled: terminal_grad_norm={gend:.3g} "

@@ -81,15 +81,16 @@ class ReconstructionResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
-            opts: ReconstructOptions) -> list:
-    """Evanescent orbit from each row of X0 sampled on the uniform grid with
-    spacing T/N, as (nodes, converged), or the ValueError or ArithmeticError
-    its solve raised.  The rows are solved as stacks of action paths."""
+def _orbits(f: DifferentiableField, V: DifferentiableField, X0: np.ndarray,
+            T: float, N: int, opts: ReconstructOptions, final: bool) -> list:
+    """The reconstruction dict of each row of X0 from its evanescent orbit,
+    sampled on the uniform grid with spacing T/N (see _value_on_orbit), or
+    the ValueError or ArithmeticError its solve or value step raised.  The
+    rows are solved as stacks of action paths."""
     aopts = ActionOptions(max_iters=opts.max_iters)
 
     def solve(X):
-        return [(path.nodes, converged)
+        return [_value_on_orbit(f, path.nodes, converged, T, N, final)
                 for path, converged, _ in _minimize_actions(V, X, T, N, aopts)]
 
     size = max(1, _STACK_BYTES // (8 * (N + 1) * V.dim))
@@ -100,15 +101,12 @@ def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
             out += solve(stack)
         except (ValueError, ArithmeticError):
             # solved again one row at a time, so only the offending rows fail
-            out += [_caught(lambda x0: solve(x0[None])[0], x0) for x0 in stack]
+            for x0 in stack:
+                try:
+                    out += solve(x0[None])
+                except (ValueError, ArithmeticError) as exc:
+                    out.append(exc)
     return out
-
-
-def _caught(solve, *args):
-    try:
-        return solve(*args)
-    except (ValueError, ArithmeticError) as exc:
-        return exc
 
 
 def _tail_fit(times: np.ndarray, fvals: np.ndarray):
@@ -164,48 +162,35 @@ def reconstruct_grid(f: DifferentiableField, points,
 def _reconstruct(f: DifferentiableField, points: np.ndarray,
                  opts: ReconstructOptions) -> list:
     """The reconstruction dict of each point, or the ValueError or
-    ArithmeticError its solve raised.  V = f/2 is built once, so an f that
-    is negative at a probe point raises NonnegativityError here.  Points
-    where f vanishes are equilibria; the others are solved together at
-    (T, N), and those whose tail is not yet decaying again at (2T, 2N).
-    A T that is not a positive finite number and an N below 2 raise
-    ValueError before anything is solved."""
+    ArithmeticError its solve or value step raised.  V = f/2 is built once,
+    so an f that is negative at a probe point raises NonnegativityError
+    here.  Every point is solved at (T, N), and those whose tail is not yet
+    decaying again at (2T, 2N).  A T that is not a positive finite number
+    and an N below 2 raise ValueError before anything is solved."""
     _check_horizon(opts.T, opts.N)
     V = field_from_f(f)
     out = [None] * len(points)
-    todo = []
-    for i, x0 in enumerate(points):
-        try:
-            still = float(f.value(x0)) <= EPS_EQUILIBRIUM
-        except (ValueError, ArithmeticError) as exc:
-            out[i] = exc
-            continue
-        if still:
-            out[i] = {"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
-                      "converged": True, "T_used": opts.T, "tail_slope": -np.inf}
-        else:
-            todo.append(i)
-
+    todo = list(range(len(points)))
     T, N = opts.T, opts.N
-    for attempt in range(2):
-        retry = []
-        for i, orbit in zip(todo, _orbits(V, points[todo], T, N, opts)):
-            out[i] = orbit if isinstance(orbit, Exception) else _caught(
-                _value_on_orbit, f, orbit, T, N, attempt == 1)
-            if out[i] is None:
-                retry.append(i)
+    for final in (False, True):
+        for i, d in zip(todo, _orbits(f, V, points[todo], T, N, opts, final)):
+            out[i] = d
         # tails not yet decaying: push the horizon once
-        todo, T, N = retry, 2.0 * T, 2 * N
+        todo = [i for i in todo if out[i] is None]
+        T, N = 2.0 * T, 2 * N
     return out
 
 
-def _value_on_orbit(f, orbit, T, N, final):
-    """The reconstruction dict from an orbit's (nodes, converged), or None
-    when its tail is not yet decaying and a longer horizon remains to try."""
-    nodes, solve_ok = orbit
+def _value_on_orbit(f, nodes, solve_ok, T, N, final):
+    """The reconstruction dict from an orbit's nodes and its solve verdict,
+    or None when its tail is not yet decaying and a longer horizon remains
+    to try.  A start where f vanishes is an equilibrium, psi_hat = 0."""
     dt = T / N
     times = dt * np.arange(len(nodes))
     fvals = np.asarray(f.value(nodes), float)
+    if fvals[0] <= EPS_EQUILIBRIUM:
+        return {"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
+                "converged": True, "T_used": T, "tail_slope": -np.inf}
     slope, f_end = _tail_fit(times, fvals)
     if slope > TAIL_DECAY_SLOPE and not final:
         return None
@@ -328,8 +313,9 @@ def convexity_criterion_check(pp: PotentialPair, sample_pairs,
     ci.check_id = "crit_V_convex"
     report.add(ci)
 
-    min_val = float(np.min(np.asarray(pp.psi.value(probes), float)))
-    min_loc = probes[int(np.argmin(np.asarray(pp.psi.value(probes), float)))].tolist()
+    vals = np.asarray(pp.psi.value(probes), float)
+    i = int(np.argmin(vals))
+    min_val, min_loc = float(vals[i]), probes[i].tolist()
     flow_opts = IntegratorOptions(method="rk45", rtol=1e-8, r_max=1e6)
     for x0 in probes[:5]:
         try:
@@ -340,11 +326,12 @@ def convexity_criterion_check(pp: PotentialPair, sample_pairs,
             break
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.asarray(pp.psi.value(traj.states), float)
-        vals = vals[np.isfinite(vals)]
+        finite = np.isfinite(vals)
+        vals, states = vals[finite], traj.states[finite]
         if len(vals) and float(np.min(vals)) < min_val:
-            min_val = float(np.min(vals))
-            min_loc = traj.states[int(np.argmin(vals))].tolist()
-        if not np.all(np.isfinite(np.asarray(pp.psi.value(traj.states), float))):
+            i = int(np.argmin(vals))
+            min_val, min_loc = float(vals[i]), states[i].tolist()
+        if not finite.all():
             min_val = -np.inf
     bounded_ok = min_val > BOUNDED_BELOW_FLOOR
     report.add(CheckResult(
@@ -393,19 +380,15 @@ def eikonal_residual(recon: ReconstructionResult, f: DifferentiableField,
         raise ValueError("grid_spec does not match the reconstruction size")
     psi_grid = np.asarray(recon.psi_hat, float).reshape(counts)
     grads = np.gradient(psi_grid, *[s for s in spacings if s > 0])
-    if len(counts) == 1 or isinstance(grads, np.ndarray):
-        grads = [grads] if isinstance(grads, np.ndarray) else grads
+    if psi_grid.ndim == 1:
+        grads = [grads]
     sq = np.zeros_like(psi_grid)
     for g in grads:
         sq = sq + g * g
     fvals = np.asarray(f.value(recon.points), float).reshape(counts)
     interior = tuple(slice(1, -1) if c >= 3 else slice(None) for c in counts)
     resid = np.abs(sq - fvals)[interior]
-    if resid.size == 0:
-        resid = np.abs(sq - fvals)
     worst = float(np.max(resid))
-    idx = np.unravel_index(int(np.argmax(np.abs(sq - fvals)[interior])),
-                           resid.shape) if resid.size else None
-    return CheckResult("eikonal_residual", worst <= tol, worst,
-                       list(idx) if idx is not None else None, float(tol),
-                       notes=f"interior points: {resid.size}")
+    idx = np.unravel_index(int(np.argmax(resid)), resid.shape)
+    return CheckResult("eikonal_residual", worst <= tol, worst, list(idx),
+                       float(tol), notes=f"interior points: {resid.size}")

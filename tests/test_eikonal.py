@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from evanflow.eikonal import (
+    CONVEXITY_FLOW_T,
     ReconstructOptions,
     convexity_criterion_check,
     determination_check,
@@ -20,6 +21,7 @@ from evanflow.evanescent import shoot_evanescent
 from evanflow.fields import (
     NonnegativityError,
     NumericDomainError,
+    PotentialPair,
     make_counterexample,
     make_quadratic,
     resolve_potential,
@@ -55,9 +57,14 @@ def test_reconstruct_value_quadratic_2d():
 
 
 def test_reconstruct_value_equilibrium_point():
-    out = reconstruct_value(f_of(QUAD_2D), [0.0, 0.0])
-    assert out["converged"]
-    assert out["psi_hat"] == 0.0
+    # the origin, and a start where f = 1e-18 is below EPS_EQUILIBRIUM: the
+    # orbit from there is nearly flat, so without that threshold its tail
+    # would read as not decaying and the point would fail at 2T
+    for pp, x0 in ((QUAD_2D, [0.0, 0.0]), (QUAD_1D, [1e-9])):
+        out = reconstruct_value(f_of(pp), x0)
+        assert out["converged"]
+        assert out["psi_hat"] == 0.0
+        assert out["T_used"] == 12.0
 
 
 def test_reconstruct_action_and_shoot_agree():
@@ -284,6 +291,21 @@ def test_convexity_criterion_cubic_consistent():
     assert not rep.get("crit_psi_bounded_evidence").passed
     assert not rep.get("crit_psi_convex").passed
     assert rep.get("crit_implication_holds").passed
+
+
+def test_convexity_criterion_locates_the_least_finite_psi():
+    # psi = x^2/2 is NaN on a band that the flow from 2 crosses first; the
+    # state of least finite psi along that flow, its end 2 e^{-T}, is
+    # reported, not one shifted by the NaN values dropped before it
+    def value(x):
+        x = np.asarray(x, float)[..., 0]
+        return np.where(np.abs(x - 1.0) < 0.2, np.nan, 0.5 * x * x)
+
+    holed = PotentialPair(dataclasses.replace(QUAD_1D.psi, value=value), QUAD_1D.v)
+    probes = [[2.0], [1.5], [0.5], [1.6], [1.7]]
+    rep = convexity_criterion_check(holed, pair_samples(1), probes)
+    loc = rep.get("crit_psi_bounded_evidence").worst_location
+    assert loc == pytest.approx([2.0 * np.exp(-CONVEXITY_FLOW_T)], rel=1e-5)
 
 
 def test_convexity_criterion_quartic_saddle_consistent():

@@ -20,6 +20,7 @@ from evanflow.evanescent import (
 )
 from evanflow.diagnostics import DEFAULT_EPS_TAIL
 from evanflow.fields import (
+    NumericDomainError,
     PotentialPair,
     induced_potential,
     make_counterexample,
@@ -256,6 +257,36 @@ def test_descend_stack_matches_single_paths(problem):
         assert iters_1[0] <= max_iters
 
 
+def _walled(V, wall):
+    """V made +inf where x[0] < 0.3, or raising ValueError there."""
+    def value(x):
+        x = np.asarray(x, float)
+        if wall == "raise" and np.any(x[..., 0] < 0.3):
+            raise ValueError("outside the domain of V")
+        return np.where(x[..., 0] < 0.3, np.inf, V.value(x))
+    return dataclasses.replace(V, value=value)
+
+
+@pytest.mark.parametrize("wall", ["inf", "raise"])
+def test_descend_rejects_trials_outside_the_domain(wall):
+    # a trial that reaches the wall is rejected like one that fails the
+    # Armijo test, member by member, so a stack still gives each member its
+    # solo result, and both walls give the same paths; the first member's
+    # line search runs out of steps early, the second runs to max_iters
+    V = _walled(QUAD_2D.v, wall)
+    X0 = np.array([[1.0, 1.0], [0.5, -0.5]])
+    opts = ActionOptions(max_iters=50)
+    out = _minimize_actions(V, X0, T, N, opts)
+    ref = _minimize_actions(_walled(QUAD_2D.v, "inf"), X0, T, N, opts)
+    assert out[0][2]["iterations"] < out[1][2]["iterations"] == 50
+    for b, (path, converged, _) in enumerate(out):
+        alone = _minimize_actions(V, X0[b:b + 1], T, N, opts)[0][0]
+        assert np.array_equal(path.nodes, alone.nodes)
+        assert np.array_equal(path.nodes, ref[b][0].nodes)
+        assert np.isfinite(path.action)
+        assert not converged
+
+
 # --- shooting -------------------------------------------------------------
 
 def test_shoot_quadratic_1d():
@@ -330,6 +361,23 @@ def test_shoot_equilibrium_start():
         assert res.final_action == 0.0
         assert res.detail["v0"] == [0.0] * len(x0)
         assert res.detail["evaluations"] == 1
+
+
+def test_shoot_raises_when_every_orbit_leaves_the_domain():
+    # grad V fails where x[0] < 0.5, which the orbit from (1, 1) must cross:
+    # Newton's trial orbits fail until their step is halved to nothing, the
+    # orbit at the next horizon fails, and so does the final orbit, so no
+    # orbit is left to score
+    V = QUAD_2D.v
+
+    def gradient(x):
+        if np.any(np.asarray(x, float)[..., 0] < 0.5):
+            raise NumericDomainError("outside the domain of grad V")
+        return V.gradient(x)
+
+    walled = dataclasses.replace(V, gradient=gradient)
+    with pytest.raises(NumericDomainError, match="every shooting orbit left"):
+        shoot_evanescent(walled, [1.0, 1.0], T)
 
 
 @pytest.mark.parametrize("T_, N_", [(0.0, N), (-1.0, N), (np.nan, N), (np.inf, N),
