@@ -371,7 +371,7 @@ def cmd_reconstruct(cfg) -> int:
     payload = recon.to_dict()
     payload["config_cli"] = cfg
     ok = all(d["converged"] for d in recon.per_point)
-    if all(c >= 2 for _, _, c in grid_spec):
+    if all(c >= 2 and lo != hi for lo, hi, c in grid_spec):
         resid = eikonal_residual(recon, f, grid_spec)
         payload["eikonal_residual"] = resid.to_dict()
         ok = ok and resid.passed

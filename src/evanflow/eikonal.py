@@ -313,26 +313,27 @@ def convexity_criterion_check(pp: PotentialPair, sample_pairs,
     ci.check_id = "crit_V_convex"
     report.add(ci)
 
-    vals = np.asarray(pp.psi.value(probes), float)
-    i = int(np.argmin(vals))
-    min_val, min_loc = float(vals[i]), probes[i].tolist()
+    # psi on the probes and along the flows from the first five; a
+    # non-finite psi or a flow that fails is evidence of no lower bound, and
+    # the reported location is the least finite psi sampled
+    vals, states = [np.asarray(pp.psi.value(probes), float)], [probes]
+    unbounded = False
     flow_opts = IntegratorOptions(method="rk45", rtol=1e-8, r_max=1e6)
     for x0 in probes[:5]:
         try:
             traj = gradient_flow(pp, x0, CONVEXITY_FLOW_T, flow_opts)
         except ArithmeticError:
-            min_val = -np.inf
-            min_loc = x0.tolist()
-            break
+            unbounded = True
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(pp.psi.value(traj.states), float)
-        finite = np.isfinite(vals)
-        vals, states = vals[finite], traj.states[finite]
-        if len(vals) and float(np.min(vals)) < min_val:
-            i = int(np.argmin(vals))
-            min_val, min_loc = float(vals[i]), states[i].tolist()
-        if not finite.all():
-            min_val = -np.inf
+            vals.append(np.asarray(pp.psi.value(traj.states), float))
+        states.append(traj.states)
+    vals, states = np.concatenate(vals), np.concatenate(states)
+    finite = np.isfinite(vals)
+    i = int(np.argmin(np.where(finite, vals, np.inf)))
+    unbounded = unbounded or not finite.all()
+    min_val = -np.inf if unbounded else float(vals[i])
+    min_loc = states[i].tolist()
     bounded_ok = min_val > BOUNDED_BELOW_FLOOR
     report.add(CheckResult(
         "crit_psi_bounded_evidence", bool(bounded_ok),
@@ -370,16 +371,16 @@ def grid_points(grid_spec) -> np.ndarray:
 def eikonal_residual(recon: ReconstructionResult, f: DifferentiableField,
                      grid_spec, tol: float = 5e-2) -> CheckResult:
     """Compare the squared finite-difference gradient of psi_hat against f on
-    interior grid points."""
+    interior grid points.  Every axis needs >= 2 distinct points, since the
+    gradient across it is measured."""
     counts = [int(c) for _, _, c in grid_spec]
-    spacings = [(hi - lo) / (c - 1) if c > 1 else 0.0 for (lo, hi, c), _ in
-                zip(grid_spec, counts)]
-    if any(c < 2 for c in counts):
-        raise ValueError("eikonal_residual needs >= 2 points per axis")
+    if any(c < 2 or lo == hi for lo, hi, c in grid_spec):
+        raise ValueError("eikonal_residual needs >= 2 distinct points per axis")
     if len(recon.psi_hat) != int(np.prod(counts)):
         raise ValueError("grid_spec does not match the reconstruction size")
     psi_grid = np.asarray(recon.psi_hat, float).reshape(counts)
-    grads = np.gradient(psi_grid, *[s for s in spacings if s > 0])
+    grads = np.gradient(psi_grid, *[(hi - lo) / (c - 1)
+                                    for (lo, hi, _), c in zip(grid_spec, counts)])
     if psi_grid.ndim == 1:
         grads = [grads]
     sq = np.zeros_like(psi_grid)

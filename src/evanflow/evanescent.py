@@ -33,8 +33,7 @@ from evanflow.integrate import (
     Trajectory,
     gradient_flow,
     path_integral,
-    _variational_rhs,
-    rk_adaptive,
+    _variational_orbit,
     second_order_flow,
 )
 
@@ -437,26 +436,14 @@ def _scored_orbit(V, x0, v0, T, iopts):
 
 def _gauss_newton(V, x0, v0, T):
     """Sphere-constrained Gauss-Newton on w(T) from v0; returns (v0, orbits)."""
-    n = len(x0)
     r = float(np.linalg.norm(v0))
-    rhs = _variational_rhs(V)
-    y_sens = np.concatenate([np.zeros(n * n), np.eye(n).ravel()])
     orbits = 0
 
     def terminal(v0, Tk):
         """(w(Tk), dw(Tk)/dv0), or None if the orbit diverges or fails."""
         nonlocal orbits
         orbits += 1
-        # only (v, w) enters the error norm and the divergence test, so it
-        # takes the steps of the plain orbit; (P, Q) grow like e^{lambda t}
-        try:
-            raw = rk_adaptive(rhs, np.concatenate([x0, v0, y_sens]), Tk,
-                              rtol=_SHOOT_RTOL, n_ctrl=2 * n)
-        except ArithmeticError:
-            return None
-        y = raw.ys[-1]
-        return ((y[n:2 * n], y[2 * n + n * n:].reshape(n, n))
-                if raw.termination == TERM_HORIZON else None)
+        return _variational_orbit(V, x0, v0, Tk, _SHOOT_RTOL)
 
     k = max(0, int(np.ceil(np.log2(T / _FIRST_HORIZON))))
     for Tk in T / 2.0 ** np.arange(k, -1, -1):

@@ -1,12 +1,16 @@
 """ODE integration for the two gradient systems and trajectory functionals.
 
 Two integrators are provided: classical fixed-step RK4 and an embedded
-Dormand-Prince 5(4) pair with step-size control.  Orbit generators wrap them
-for u' = -grad psi(u) and for the phase-space form of v'' = grad V(v).
+Dormand-Prince 5(4) pair with step-size control that reuses each accepted
+step's last stage as the next step's first (FSAL).  Orbit generators wrap them
+for u' = -grad psi(u) and for the phase-space form of v'' = grad V(v); the
+variational form used by shooting carries the sensitivities P = dv/dv0 and
+Q = dw/dv0 transposed, one row per component of v0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -135,8 +139,12 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
                 n_ctrl: Optional[int] = None) -> RawOrbit:
     """Embedded Dormand-Prince 5(4) pair; nodes at accepted steps.
 
-    Only y[:n_ctrl] (default: all of y) enters the error norm and the
-    r_max test, so appended components ride along on the steps of the rest.
+    First same as last (FSAL): the input of the seventh stage is the
+    5th-order solution, so its slope is the next step's first stage, and
+    rhs is called once at y0 and then six times per attempted step,
+    rejected or not.  Only y[:n_ctrl] (default: all of y) enters the error
+    norm and the r_max test, so appended components ride along on the
+    steps of the rest.
     """
     if not (1e-12 <= rtol <= 1e-2):
         raise ValueError(f"rtol must lie in [1e-12, 1e-2], got {rtol:g}")
@@ -147,10 +155,14 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     t = 0.0
     h = min(1e-3 * T, 0.1)
     times = [0.0]
-    ys = [y.copy()]
+    ys = [y]
     termination = TERM_HORIZON
     n_steps = 0
     n_rejected = 0
+    K = np.empty((7, y.size))
+    K[0] = rhs(y)
+    # Euclidean norms as np.linalg.norm takes them on 1-D input
+    y_norm = sqrt(y[ctrl].dot(y[ctrl]))
     while t < T * (1.0 - 1e-15):
         if stop is not None and stop(y):
             termination = TERM_CRIT
@@ -159,34 +171,31 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
             termination = TERM_STEP_COLLAPSE
             break
         h = min(h, T - t)
-        K = np.empty((7, y.size))
-        K[0] = rhs(y)
         bad = False
         for i in range(1, 7):
             yi = y + h * (_DP_A[i] @ K[:i])
-            if not np.all(np.isfinite(yi)):
+            if not np.isfinite(yi).all():
                 bad = True
                 break
             K[i] = rhs(yi)
-        if bad or not np.all(np.isfinite(K)):
+        if bad or not np.isfinite(K).all():
             h *= 0.5
             n_rejected += 1
             continue
-        y5 = y + h * (_DP_B5 @ K)
+        y5 = yi                 # _DP_B5 is _DP_A[6] with a zero last weight
         y4 = y + h * (_DP_B4 @ K)
-        if not np.all(np.isfinite(y5)):
-            h *= 0.5
-            n_rejected += 1
-            continue
-        err = float(np.linalg.norm((y5 - y4)[ctrl]))
-        tol = atol + rtol * float(np.linalg.norm(y[ctrl]))
+        d = (y5 - y4)[ctrl]
+        err = sqrt(d.dot(d))
+        tol = atol + rtol * y_norm
         if err <= tol:
             t += h
             y = y5
+            K[0] = K[6]
             n_steps += 1
             times.append(t)
-            ys.append(y.copy())
-            if np.linalg.norm(y[ctrl]) > r_max:
+            ys.append(y)
+            y_norm = sqrt(y[ctrl].dot(y[ctrl]))
+            if y_norm > r_max:
                 termination = TERM_DIVERGED
                 break
         else:
@@ -241,38 +250,67 @@ def gradient_flow(pp, x0, T: float,
 
 
 def _second_order_rhs(V):
-    """Phase-space right-hand side (v, w)' = (w, grad V(v)) of v'' = grad V(v)."""
+    """Phase-space right-hand side (v, w)' = (w, grad V(v)) of v'' = grad V(v).
+    It returns a new array shaped like y and fills its first 2n entries, so a
+    longer state (the variational one) fills the rest itself."""
     V = _v_of(V)
     n = V.dim
 
     def rhs(y):
-        return np.concatenate([y[n:], V.gradient(y[:n])])
+        out = np.empty_like(y)
+        out[:n] = y[n:2 * n]
+        out[n:2 * n] = V.gradient(y[:n])
+        return out
 
     return rhs
 
 
 def _variational_rhs(V):
     """(v, w, P, Q)' = (w, grad V(v), Q, Hess V(v) P): v'' = grad V(v) with
-    its sensitivities P = dv/dv0, Q = dw/dv0 (n x n, row-major after (v, w)).
-    Without a hessvec, Hess V(v) p is a central difference of grad V along p.
+    its sensitivities P = dv/dv0, Q = dw/dv0.  After (v, w) the state holds
+    P and Q transposed, row-major: row j of each block is column j, the
+    sensitivity to v0[j], so Hess V(v) acts on rows and nothing is
+    transposed.  Without a hessvec, Hess V(v) p is a central difference of
+    grad V along p.
     """
     V = _v_of(V)
     n = V.dim
+    m = 2 * n + n * n
     orbit_rhs = _second_order_rhs(V)
 
     def hess_rows(v, Pt):
         if V.hessvec is not None:
-            return np.asarray(V.hessvec(np.tile(v, (n, 1)), Pt), float)
+            return np.asarray(V.hessvec(v[None].repeat(n, 0), Pt), float)
         norms = np.linalg.norm(Pt, axis=1, keepdims=True)
         t = fd_step(v) / np.where(norms > 0.0, norms, 1.0)
         return (V.gradient(v + t * Pt) - V.gradient(v - t * Pt)) / (2.0 * t)
 
     def rhs(y):
-        Pt = y[2 * n:2 * n + n * n].reshape(n, n).T
-        return np.concatenate([orbit_rhs(y[:2 * n]), y[2 * n + n * n:],
-                               hess_rows(y[:n], Pt).T.ravel()])
+        out = orbit_rhs(y)
+        out[2 * n:m] = y[m:]
+        out[m:] = hess_rows(y[:n], y[2 * n:m].reshape(n, n)).ravel()
+        return out
 
     return rhs
+
+
+def _variational_orbit(V, x0, v0, T: float, rtol: float):
+    """(w(T), Q(T) = dw(T)/dv0) of the orbit of v'' = grad V(v) from
+    (x0, v0), or None if the orbit diverges or leaves the domain of V.  Only
+    (v, w) enters the error norm and the divergence test, so it takes the
+    steps of the plain orbit at rtol; (P, Q) grow like e^{lambda t}."""
+    n = len(x0)
+    y0 = np.concatenate([x0, v0, np.zeros(n * n), np.eye(n).ravel()])
+    try:
+        raw = rk_adaptive(_variational_rhs(V), y0, T, rtol=rtol, n_ctrl=2 * n)
+    except ArithmeticError:
+        return None
+    if raw.termination != TERM_HORIZON:
+        return None
+    y = raw.ys[-1]
+    # Q is stored transposed; it is returned contiguous because products
+    # with a transposed view of it round differently
+    return y[n:2 * n], np.ascontiguousarray(y[2 * n + n * n:].reshape(n, n).T)
 
 
 def second_order_flow(V, x0, v0, T: float,

@@ -183,6 +183,17 @@ def test_reconstruct_1d_grid(tmp_path):
     assert len(lines) == 6
 
 
+def test_reconstruct_skips_the_residual_across_a_zero_width_axis(tmp_path):
+    # x = 1 at all nine points, so no residual can see grad psi across x;
+    # every point converges and the run passes
+    rc = run(["reconstruct", "--potential", "quadratic:1,0;0,2",
+              "--grid=1:1:3,-1:1:3", "--out", str(tmp_path)])
+    assert rc == 0
+    rep = read_json(tmp_path / "reconstruction.json")
+    assert "eikonal_residual" not in rep
+    assert all(d["converged"] for d in rep["per_point"])
+
+
 def test_reconstruct_grid_dim_mismatch(tmp_path):
     assert run(["reconstruct", "--potential", "quadratic:1,0;0,2",
                 "--grid=-1:1:5", "--out", str(tmp_path)]) == 1

@@ -219,6 +219,15 @@ def test_eikonal_residual_rejects_mismatched_spec():
         eikonal_residual(rec, f_of(QUAD_1D), [(-1.0, 1.0, 1)])
 
 
+def test_eikonal_residual_rejects_a_zero_width_axis():
+    # x = 1 at every point: the gradient across x cannot be measured
+    spec = [(1.0, 1.0, 3), (-1.0, 1.0, 3)]
+    rec = reconstruct_grid(f_of(QUAD_2D), grid_points(spec),
+                           ReconstructOptions(N=60))
+    with pytest.raises(ValueError):
+        eikonal_residual(rec, f_of(QUAD_2D), spec)
+
+
 # --- determination --------------------------------------------------------
 
 def test_determination_shifted_pair_passes():
@@ -294,9 +303,10 @@ def test_convexity_criterion_cubic_consistent():
 
 
 def test_convexity_criterion_locates_the_least_finite_psi():
-    # psi = x^2/2 is NaN on a band that the flow from 2 crosses first; the
-    # state of least finite psi along that flow, its end 2 e^{-T}, is
-    # reported, not one shifted by the NaN values dropped before it
+    # psi = x^2/2 is NaN on a band that the flows from 2, 1.6 and 1.7 cross;
+    # the state of least finite psi over the probes and every flow, the end
+    # 0.5 e^{-T} of the flow from 0.5, is reported, not the end of the first
+    # flow that meets the band
     def value(x):
         x = np.asarray(x, float)[..., 0]
         return np.where(np.abs(x - 1.0) < 0.2, np.nan, 0.5 * x * x)
@@ -305,7 +315,7 @@ def test_convexity_criterion_locates_the_least_finite_psi():
     probes = [[2.0], [1.5], [0.5], [1.6], [1.7]]
     rep = convexity_criterion_check(holed, pair_samples(1), probes)
     loc = rep.get("crit_psi_bounded_evidence").worst_location
-    assert loc == pytest.approx([2.0 * np.exp(-CONVEXITY_FLOW_T)], rel=1e-5)
+    assert loc == pytest.approx([0.5 * np.exp(-CONVEXITY_FLOW_T)], rel=1e-5)
 
 
 def test_convexity_criterion_quartic_saddle_consistent():

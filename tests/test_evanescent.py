@@ -20,6 +20,7 @@ from evanflow.evanescent import (
 )
 from evanflow.diagnostics import DEFAULT_EPS_TAIL
 from evanflow.fields import (
+    DifferentiableField,
     NumericDomainError,
     PotentialPair,
     induced_potential,
@@ -27,7 +28,12 @@ from evanflow.fields import (
     make_example_one,
     make_quadratic,
 )
-from evanflow.integrate import IntegratorOptions, gradient_flow
+from evanflow.integrate import (
+    IntegratorOptions,
+    _variational_orbit,
+    gradient_flow,
+    second_order_flow,
+)
 
 QUAD_1D = make_quadratic([[1.0]])
 QUAD_2D = make_quadratic([[1.0, 0.0], [0.0, 2.0]])
@@ -351,6 +357,41 @@ def test_shoot_without_hessvec():
     res = shoot_evanescent(V, [1.0, -1.0], T)
     assert res.converged
     assert np.max(np.abs(np.asarray(res.detail["v0"]) + A @ [1.0, -1.0])) < 1e-8
+
+
+@pytest.mark.parametrize("with_hessvec", [True, False])
+def test_variational_orbit_sensitivity_layout(with_hessvec):
+    # V = x1^2/2 + x2^2 + (x1 + x2)^4/4 is neither separable nor quadratic,
+    # so Hess V changes along the orbit and Q(T) = dw(T)/dv0 is not
+    # symmetric: a transposed P or Q shows up against central differences
+    # of the plain orbit's w(T) over v0
+    def value(x):
+        x = np.asarray(x, float)
+        return 0.5 * x[..., 0] ** 2 + x[..., 1] ** 2 + 0.25 * (x[..., 0] + x[..., 1]) ** 4
+
+    def gradient(x):
+        x = np.asarray(x, float)
+        return x * [1.0, 2.0] + (x[..., :1] + x[..., 1:]) ** 3
+
+    def hessvec(x, h):
+        x, h = np.asarray(x, float), np.asarray(h, float)
+        s = x[..., :1] + x[..., 1:]
+        return h * [1.0, 2.0] + 3.0 * s * s * (h[..., :1] + h[..., 1:])
+
+    V = DifferentiableField(dim=2, value=value, gradient=gradient,
+                            hessvec=hessvec if with_hessvec else None)
+    x0, v0, T_ = np.array([0.6, -0.2]), np.array([-0.5, 0.3]), 1.5
+    w, Q = _variational_orbit(V, x0, v0, T_, evanescent._SHOOT_RTOL)
+
+    def w_at(v):
+        return second_order_flow(V, x0, v, T_, IntegratorOptions(rtol=1e-12)).velocities[-1]
+
+    eps = 1e-5
+    fd = np.column_stack([(w_at(v0 + eps * e) - w_at(v0 - eps * e)) / (2.0 * eps)
+                          for e in np.eye(2)])
+    assert np.max(np.abs(Q - Q.T)) > 1e-2
+    assert np.max(np.abs(Q - fd)) < 1e-6
+    assert np.max(np.abs(w - w_at(v0))) < 1e-8
 
 
 def test_shoot_equilibrium_start():

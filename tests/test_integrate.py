@@ -2,13 +2,20 @@
 import numpy as np
 import pytest
 
-from evanflow.fields import NumericDomainError, make_example_one, make_quadratic
+from evanflow import integrate
+from evanflow.fields import (
+    NumericDomainError,
+    make_counterexample,
+    make_example_one,
+    make_quadratic,
+)
 from evanflow.integrate import (
     TERM_CRIT,
     TERM_DIVERGED,
     TERM_HORIZON,
     TERM_STEP_COLLAPSE,
     IntegratorOptions,
+    _variational_rhs,
     gradient_flow,
     path_integral,
     rk4_fixed,
@@ -54,6 +61,63 @@ def test_adaptive_decay_accuracy():
     assert raw.termination == TERM_HORIZON
     assert abs(raw.ys[-1, 0] - np.exp(-5.0)) < 1e-9
     assert raw.meta["n_steps"] == len(raw.times) - 1
+
+
+@pytest.mark.parametrize("rate, rtol", [(1.0, 1e-9), (50.0, 1e-12)])
+def test_adaptive_first_same_as_last_work_count(rate, rtol):
+    # rhs is called once at y0 and six times per attempted step: an accepted
+    # step's last stage is the next step's first, and a step rejected on its
+    # error keeps its first stage; the fast decay at rtol 1e-12 rejects steps
+    calls = 0
+
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        return -rate * y
+
+    raw = rk_adaptive(rhs, np.array([1.0]), 1.0, rtol=rtol)
+    assert raw.termination == TERM_HORIZON
+    assert (raw.meta["n_rejected"] > 0) == (rate > 1.0)
+    assert calls == 1 + 6 * (raw.meta["n_steps"] + raw.meta["n_rejected"])
+
+
+def _seven_stage_reference(rhs, y0, T, rtol, n_ctrl=None, atol=1e-12):
+    """The Dormand-Prince loop that evaluates all seven stages every step."""
+    y, t, h, ctrl = np.asarray(y0, float).copy(), 0.0, min(1e-3 * T, 0.1), slice(n_ctrl)
+    times, ys = [0.0], [y.copy()]
+    while t < T * (1.0 - 1e-15):
+        h = min(h, T - t)
+        K = np.empty((7, y.size))
+        K[0] = rhs(y)
+        for i in range(1, 7):
+            K[i] = rhs(y + h * (integrate._DP_A[i] @ K[:i]))
+        y5 = y + h * (integrate._DP_B5 @ K)
+        y4 = y + h * (integrate._DP_B4 @ K)
+        err = float(np.linalg.norm((y5 - y4)[ctrl]))
+        tol = atol + rtol * float(np.linalg.norm(y[ctrl]))
+        if err <= tol:
+            t, y = t + h, y5
+            times.append(t)
+            ys.append(y.copy())
+        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+    return np.asarray(times), np.asarray(ys)
+
+
+def test_adaptive_nodes_equal_the_seven_stage_loop():
+    # reusing the last stage (FSAL) changes no node, bit for bit: on the
+    # variational state of a nonlinear V, error-controlled on (v, w) or on
+    # all of it, and on a fast decay whose steps are rejected
+    rhs = _variational_rhs(make_counterexample("quartic_saddle").v)
+    y0 = np.concatenate([[0.3, -0.2], [-0.1, 0.1], np.zeros(4), np.eye(2).ravel()])
+    for f, y, T, rtol, n_ctrl in ((rhs, y0, 3.0, 1e-10, 4), (rhs, y0, 3.0, 1e-6, None),
+                                  (lambda y: -50.0 * y, [1.0], 1.0, 1e-12, None)):
+        raw = rk_adaptive(f, y, T, rtol=rtol, n_ctrl=n_ctrl)
+        times, ys = _seven_stage_reference(f, y, T, rtol, n_ctrl)
+        assert raw.termination == TERM_HORIZON
+        assert np.array_equal(raw.times, times)
+        assert np.array_equal(raw.ys, ys)
+    assert raw.meta["n_rejected"] > 0
 
 
 def test_adaptive_rtol_bounds():
