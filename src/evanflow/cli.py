@@ -176,12 +176,12 @@ _DEFAULTS = {
     },
     "determine": {
         "potential1": (..., _str), "potential2": (..., _str),
-        "samples": (24, _int), "box": (2.0, _float), "seed": (0, _int),
+        "samples": (24, _nodes), "box": (2.0, _positive), "seed": (0, _int),
         "out": (".", _str),
     },
     "check-convexity": {
         "potential": (..., _str), "samples": (20, _int),
-        "box": (2.0, _float), "seed": (0, _int), "out": (".", _str),
+        "box": (2.0, _positive), "seed": (0, _int), "out": (".", _str),
     },
 }
 _FLAGS = ("potential", "x0", "v0", "T", "h", "rtol", "N", "mu", "grid",
@@ -386,8 +386,7 @@ def cmd_determine(cfg) -> int:
     if pp1.dim != pp2.dim:
         raise InputError("potentials have different dimensions")
     rng = np.random.default_rng(cfg["seed"])
-    box = cfg["box"]
-    pts = rng.uniform(-box, box, size=(cfg["samples"], pp1.dim))
+    pts = cfg["box"] * rng.uniform(-1.0, 1.0, size=(cfg["samples"], pp1.dim))
     report = determination_check(pp1.psi, pp2.psi, pts)
     verdict, c = determination_verdict(report)
     out = Path(cfg["out"])
@@ -407,8 +406,8 @@ def cmd_check_convexity(cfg) -> int:
     pp = resolve_potential(cfg["potential"])
     rng = np.random.default_rng(cfg["seed"])
     box, m = cfg["box"], cfg["samples"]
-    pairs = rng.uniform(-box, box, size=(m, 2, pp.dim))
-    probes = rng.uniform(-box, box, size=(m, pp.dim))
+    pairs = box * rng.uniform(-1.0, 1.0, size=(m, 2, pp.dim))
+    probes = box * rng.uniform(-1.0, 1.0, size=(m, pp.dim))
     report = convexity_criterion_check(pp, pairs, probes)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

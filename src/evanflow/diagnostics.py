@@ -207,7 +207,7 @@ def check_level_integral_bound(traj: Trajectory, psi, crit_point,
             f"crit_point is not critical: ||grad psi|| = {gn:g} >= {DEFAULT_EPS_CRIT:g}"
         )
     psi_min = float(psi.value(crit_point))
-    lhs = path_integral(traj, lambda t, x, w: float(psi.value(x)) - psi_min)
+    lhs = path_integral(traj, np.asarray(psi.value(traj.states), float) - psi_min)
     rhs = 0.5 * float(np.sum((traj.states[0] - crit_point) ** 2))
     x0 = traj.states[0]
     if tol is None:
@@ -303,17 +303,13 @@ def check_hardy(traj: Trajectory, tol=None) -> CheckResult:
     """Hardy-type bound: int ||v - v(0)||^2 / t^2 <= 4 int ||v'||^2."""
     if len(traj) < 3:
         raise ValueError("check_hardy needs >= 3 nodes")
-    v0 = traj.states[0]
-    w0sq = float(np.dot(traj.velocities[0], traj.velocities[0]))
-
-    def integrand(t, x, w):
-        if t == 0.0:
-            return w0sq
-        d = x - v0
-        return float(np.dot(d, d)) / (t * t)
-
-    lhs = path_integral(traj, integrand)
-    rhs = path_integral(traj, lambda t, x, w: float(np.dot(w, w)))
+    t = traj.times
+    wsq = kernels.row_dots(traj.velocities)
+    # the t = 0 limit of ||v - v(0)||^2 / t^2 is ||v'(0)||^2
+    lhs = path_integral(traj, np.divide(
+        kernels.row_dots(traj.states - traj.states[0]), t * t,
+        out=np.full_like(t, wsq[0]), where=t > 0))
+    rhs = path_integral(traj, wsq)
     if tol is None:
         tol = 1e-6 * (1.0 + rhs)
     return _result("hardy", lhs - 4.0 * rhs, traj.t_end, tol,

@@ -279,7 +279,7 @@ def determination_check(psi1: DifferentiableField, psi2: DifferentiableField,
     tol_c = TOL_CONCLUSION * (1.0 + abs(c))
     report.add(CheckResult("det_difference_constant", bool(spread <= tol_c),
                            spread, None, tol_c,
-                           notes=f"constant c = {c:.12g}"))
+                           notes=f"constant c = {c:.17g}"))
     return report
 
 

@@ -407,7 +407,8 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     if traj is None:
         raise NumericDomainError("every shooting orbit left the domain of V")
     act = path_integral(
-        traj, lambda t, x, w: 0.5 * float(np.dot(w, w)) + float(V.value(x))
+        traj, 0.5 * kernels.row_dots(traj.velocities)
+        + np.asarray(V.value(traj.states), float)
     ) if len(traj) >= 2 else np.inf
     converged = (
         traj.termination == TERM_HORIZON and p < 2.0 * DEFAULT_EPS_TAIL ** 2

@@ -248,98 +248,77 @@ def make_example_one() -> PotentialPair:
     return PotentialPair(psi=psi, v=v)
 
 
-_COUNTEREXAMPLE_KINDS = ("neg_square", "cubic", "quartic_saddle", "linear")
+def _neg_square() -> PotentialPair:
+    # psi(x) = -x^2: the orbit e^{2t} x0 solves both systems but evanesces
+    # for no initial condition except 0.
+    pp = make_quadratic([[-2.0]])
+    return PotentialPair(psi=replace(pp.psi, name="neg_square"),
+                         v=replace(pp.v, name="half-sq-grad(neg_square)"))
 
 
-def make_counterexample(kind: str) -> PotentialPair:
-    """Potentials on which specific claims are expected to break down."""
-    if kind == "neg_square":
-        # psi(x) = -x^2: the orbit e^{2t} x0 solves both systems but evanesces
-        # for no initial condition except 0.
-        psi = DifferentiableField(
-            dim=1,
-            value=lambda x: -np.asarray(x, float)[..., 0] ** 2,
-            gradient=lambda x: -2.0 * np.asarray(x, float),
-            hessvec=lambda x, h: -2.0 * np.asarray(h, float),
-            name="neg_square",
-        )
-        v = DifferentiableField(
-            dim=1,
-            value=lambda x: 2.0 * np.asarray(x, float)[..., 0] ** 2,
-            gradient=lambda x: 4.0 * np.asarray(x, float),
-            hessvec=lambda x, h: 4.0 * np.asarray(h, float),
-            name="half-sq-grad(neg_square)",
-            claims_convex=True, claims_bounded_below=True,
-        )
-        return PotentialPair(psi=psi, v=v)
+def _cubic() -> PotentialPair:
+    # psi(x) = x^3 is not convex although V(x) = (9/2) x^4 is.
+    psi = DifferentiableField(
+        dim=1,
+        value=lambda x: np.asarray(x, float)[..., 0] ** 3,
+        gradient=lambda x: 3.0 * np.asarray(x, float) ** 2,
+        hessvec=lambda x, h: 6.0 * np.asarray(x, float) * np.asarray(h, float),
+        name="cubic",
+    )
+    v = DifferentiableField(
+        dim=1,
+        value=lambda x: 4.5 * np.asarray(x, float)[..., 0] ** 4,
+        gradient=lambda x: 18.0 * np.asarray(x, float) ** 3,
+        hessvec=lambda x, h: 54.0 * np.asarray(x, float) ** 2 * np.asarray(h, float),
+        name="half-sq-grad(cubic)",
+        claims_convex=True, claims_bounded_below=True,
+    )
+    return PotentialPair(psi=psi, v=v)
 
-    if kind == "cubic":
-        # psi(x) = x^3 is not convex although V(x) = (9/2) x^4 is.
-        psi = DifferentiableField(
-            dim=1,
-            value=lambda x: np.asarray(x, float)[..., 0] ** 3,
-            gradient=lambda x: 3.0 * np.asarray(x, float) ** 2,
-            hessvec=lambda x, h: 6.0 * np.asarray(x, float) * np.asarray(h, float),
-            name="cubic",
-        )
-        v = DifferentiableField(
-            dim=1,
-            value=lambda x: 4.5 * np.asarray(x, float)[..., 0] ** 4,
-            gradient=lambda x: 18.0 * np.asarray(x, float) ** 3,
-            hessvec=lambda x, h: 54.0 * np.asarray(x, float) ** 2 * np.asarray(h, float),
-            name="half-sq-grad(cubic)",
-            claims_convex=True, claims_bounded_below=True,
-        )
-        return PotentialPair(psi=psi, v=v)
 
-    if kind == "quartic_saddle":
-        # psi(x1, x2) = x1^4 - x2^2; V = 8 x1^6 + 2 x2^2 is convex.
-        def value(x):
-            x = np.asarray(x, float)
-            return x[..., 0] ** 4 - x[..., 1] ** 2
+def _quartic_saddle() -> PotentialPair:
+    # psi(x1, x2) = x1^4 - x2^2; V = 8 x1^6 + 2 x2^2 is convex.
+    def value(x):
+        x = np.asarray(x, float)
+        return x[..., 0] ** 4 - x[..., 1] ** 2
 
-        def gradient(x):
-            x = np.asarray(x, float)
-            return np.stack([4.0 * x[..., 0] ** 3, -2.0 * x[..., 1]], axis=-1)
+    def gradient(x):
+        x = np.asarray(x, float)
+        return np.stack([4.0 * x[..., 0] ** 3, -2.0 * x[..., 1]], axis=-1)
 
-        def hessvec(x, h):
-            x = np.asarray(x, float)
-            h = np.asarray(h, float)
-            return np.stack(
-                [12.0 * x[..., 0] ** 2 * h[..., 0], -2.0 * h[..., 1]], axis=-1
-            )
-
-        psi = DifferentiableField(
-            dim=2, value=value, gradient=gradient, hessvec=hessvec,
-            name="quartic_saddle",
+    def hessvec(x, h):
+        x = np.asarray(x, float)
+        h = np.asarray(h, float)
+        return np.stack(
+            [12.0 * x[..., 0] ** 2 * h[..., 0], -2.0 * h[..., 1]], axis=-1
         )
 
-        def v_value(x):
-            x = np.asarray(x, float)
-            return 8.0 * x[..., 0] ** 6 + 2.0 * x[..., 1] ** 2
+    psi = DifferentiableField(
+        dim=2, value=value, gradient=gradient, hessvec=hessvec,
+        name="quartic_saddle",
+    )
 
-        def v_gradient(x):
-            x = np.asarray(x, float)
-            return np.stack([48.0 * x[..., 0] ** 5, 4.0 * x[..., 1]], axis=-1)
+    def v_value(x):
+        x = np.asarray(x, float)
+        return 8.0 * x[..., 0] ** 6 + 2.0 * x[..., 1] ** 2
 
-        def v_hessvec(x, h):
-            x = np.asarray(x, float)
-            h = np.asarray(h, float)
-            return np.stack(
-                [240.0 * x[..., 0] ** 4 * h[..., 0], 4.0 * h[..., 1]], axis=-1
-            )
+    def v_gradient(x):
+        x = np.asarray(x, float)
+        return np.stack([48.0 * x[..., 0] ** 5, 4.0 * x[..., 1]], axis=-1)
 
-        v = DifferentiableField(
-            dim=2, value=v_value, gradient=v_gradient, hessvec=v_hessvec,
-            name="half-sq-grad(quartic_saddle)",
-            claims_convex=True, claims_bounded_below=True,
+    def v_hessvec(x, h):
+        x = np.asarray(x, float)
+        h = np.asarray(h, float)
+        return np.stack(
+            [240.0 * x[..., 0] ** 4 * h[..., 0], 4.0 * h[..., 1]], axis=-1
         )
-        return PotentialPair(psi=psi, v=v)
 
-    if kind == "linear":
-        return _make_linear(1.0)
-
-    raise CatalogError(f"unknown counterexample kind {kind!r}")
+    v = DifferentiableField(
+        dim=2, value=v_value, gradient=v_gradient, hessvec=v_hessvec,
+        name="half-sq-grad(quartic_saddle)",
+        claims_convex=True, claims_bounded_below=True,
+    )
+    return PotentialPair(psi=psi, v=v)
 
 
 def _make_linear(slope: float) -> PotentialPair:
@@ -361,6 +340,27 @@ def _make_linear(slope: float) -> PotentialPair:
         claims_convex=True, claims_bounded_below=True,
     )
     return PotentialPair(psi=psi, v=v)
+
+
+# The named potentials, in catalog order (criterion 8 draws per entry in this
+# order): id -> (constructor, whether make_counterexample builds it).
+_CATALOG = {
+    "example_one": (make_example_one, False),
+    "neg_square": (_neg_square, True),
+    "cubic": (_cubic, True),
+    "quartic_saddle": (_quartic_saddle, True),
+    "linear": (lambda: _make_linear(1.0), True),
+    "neg_linear": (lambda: _make_linear(-1.0), False),
+}
+
+
+def make_counterexample(kind: str) -> PotentialPair:
+    """Potentials on which specific claims are expected to break down:
+    neg_square, cubic, quartic_saddle and linear."""
+    make, counterexample = _CATALOG.get(kind, (None, False))
+    if not counterexample:
+        raise CatalogError(f"unknown counterexample kind {kind!r}")
+    return make()
 
 
 def field_from_f(f: DifferentiableField) -> DifferentiableField:
@@ -406,19 +406,15 @@ def parse_matrix_literal(text: str) -> np.ndarray:
 def resolve_potential(spec_id: str) -> PotentialPair:
     """Catalog lookup by string id.
 
-    Base ids: quadratic:<matrix literal>, example_one, neg_square, cubic,
-    quartic_saddle, linear, neg_linear.  A trailing '+<const>', where the
-    constant may be negative ('cubic+-2'), shifts psi by an additive constant
-    (V unchanged); the '+' of a signed exponent is not a shift ('quadratic:1e+2').
+    Base ids: quadratic:<matrix literal> and the named ids of catalog_ids().
+    A trailing '+<const>', where the constant may be negative ('cubic+-2'),
+    shifts psi by an additive constant (V unchanged); the '+' of a signed
+    exponent is not a shift ('quadratic:1e+2').
     """
     spec_id = spec_id.strip()
     base, shift = _split_shift(spec_id)
-    if base == "example_one":
-        pair = make_example_one()
-    elif base in _COUNTEREXAMPLE_KINDS:
-        pair = make_counterexample(base)
-    elif base == "neg_linear":
-        pair = _make_linear(-1.0)
+    if base in _CATALOG:
+        pair = _CATALOG[base][0]()
     elif base.startswith("quadratic:"):
         pair = make_quadratic(parse_matrix_literal(base[len("quadratic:"):]))
     else:
@@ -442,7 +438,4 @@ def _split_shift(spec_id: str) -> tuple[str, float]:
 
 
 def catalog_ids() -> list[str]:
-    return [
-        "quadratic:<matrix literal>", "example_one", "neg_square",
-        "cubic", "quartic_saddle", "linear", "neg_linear",
-    ]
+    return ["quadratic:<matrix literal>", *_CATALOG]

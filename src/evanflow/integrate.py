@@ -2,10 +2,12 @@
 
 Two integrators are provided: classical fixed-step RK4 and an embedded
 Dormand-Prince 5(4) pair with step-size control that reuses each accepted
-step's last stage as the next step's first (FSAL).  Orbit generators wrap them
-for u' = -grad psi(u) and for the phase-space form of v'' = grad V(v); the
-variational form used by shooting carries the sensitivities P = dv/dv0 and
-Q = dw/dv0 transposed, one row per component of v0.
+step's last stage as the next step's first (FSAL).  The right-hand side is
+their only callback: an orbit stops where its first stage rhs(y) is shorter
+than eps_crit.  Orbit generators wrap them for u' = -grad psi(u) and for the
+phase-space form of v'' = grad V(v); the variational form used by shooting
+carries the sensitivities P = dv/dv0 and Q = dw/dv0 transposed, one row per
+component of v0.  Orbit integrals take one value per node.
 """
 from __future__ import annotations
 
@@ -76,8 +78,10 @@ def _check_state(y: np.ndarray, r_max: float) -> Optional[str]:
 
 def rk4_fixed(rhs: Callable, y0, T: float, h: float,
               r_max: float = DEFAULT_R_MAX,
-              stop: Optional[Callable] = None) -> RawOrbit:
-    """Classical 4th-order Runge-Kutta with node spacing h (last step partial)."""
+              eps_crit: Optional[float] = None) -> RawOrbit:
+    """Classical 4th-order Runge-Kutta with node spacing h (last step partial);
+    given eps_crit, the orbit ends (TERM_CRIT) at the first node where
+    ||k1|| < eps_crit."""
     if h <= 0 or T <= 0:
         raise ValueError("rk4_fixed requires h > 0 and T > 0")
     y = np.asarray(y0, float).copy()
@@ -87,14 +91,14 @@ def rk4_fixed(rhs: Callable, y0, T: float, h: float,
     termination = TERM_HORIZON
     n_steps = 0
     while t < T - 1e-14 * T:
-        if stop is not None and stop(y):
+        k1 = rhs(y)
+        if eps_crit is not None and sqrt(k1.dot(k1)) < eps_crit:
             termination = TERM_CRIT
             break
         # node times are computed as multiples of h (not accumulated) so the
         # grid is exactly uniform apart from a final partial step
         t_next = min((n_steps + 1) * h, T)
         hs = t_next - t
-        k1 = rhs(y)
         k2 = rhs(y + 0.5 * hs * k1)
         k3 = rhs(y + 0.5 * hs * k2)
         k4 = rhs(y + hs * k3)
@@ -135,16 +139,17 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
                 atol: float = 1e-12, r_max: float = DEFAULT_R_MAX,
-                stop: Optional[Callable] = None,
+                eps_crit: Optional[float] = None,
                 n_ctrl: Optional[int] = None) -> RawOrbit:
     """Embedded Dormand-Prince 5(4) pair; nodes at accepted steps.
 
     First same as last (FSAL): the input of the seventh stage is the
     5th-order solution, so its slope is the next step's first stage, and
     rhs is called once at y0 and then six times per attempted step,
-    rejected or not.  Only y[:n_ctrl] (default: all of y) enters the error
-    norm and the r_max test, so appended components ride along on the
-    steps of the rest.
+    rejected or not.  Given eps_crit, the orbit ends (TERM_CRIT) at the first
+    node where ||rhs(y)|| < eps_crit.  Only y[:n_ctrl] (default: all of y)
+    enters the error norm and the r_max test, so appended components ride
+    along on the steps of the rest.
     """
     if not (1e-12 <= rtol <= 1e-2):
         raise ValueError(f"rtol must lie in [1e-12, 1e-2], got {rtol:g}")
@@ -164,7 +169,8 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     # Euclidean norms as np.linalg.norm takes them on 1-D input
     y_norm = sqrt(y[ctrl].dot(y[ctrl]))
     while t < T * (1.0 - 1e-15):
-        if stop is not None and stop(y):
+        # K[0] is rhs(y): set at y0, carried over by FSAL, kept on rejection
+        if eps_crit is not None and sqrt(K[0].dot(K[0])) < eps_crit:
             termination = TERM_CRIT
             break
         if h < 1e-14 * T:
@@ -209,18 +215,19 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     )
 
 
-def _integrate(rhs, y0, T, opts: IntegratorOptions, stop=None) -> RawOrbit:
+def _integrate(rhs, y0, T, opts: IntegratorOptions, eps_crit=None) -> RawOrbit:
     if opts.method == "rk4":
-        return rk4_fixed(rhs, y0, T, opts.h, r_max=opts.r_max, stop=stop)
+        return rk4_fixed(rhs, y0, T, opts.h, r_max=opts.r_max, eps_crit=eps_crit)
     if opts.method == "rk45":
         return rk_adaptive(rhs, y0, T, rtol=opts.rtol, atol=opts.atol,
-                           r_max=opts.r_max, stop=stop)
+                           r_max=opts.r_max, eps_crit=eps_crit)
     raise ValueError(f"unknown integrator method {opts.method!r}")
 
 
 def gradient_flow(pp, x0, T: float,
                   opts: Optional[IntegratorOptions] = None) -> Trajectory:
-    """Integrate u' = -grad psi(u) from x0; velocities are recomputed exactly."""
+    """Integrate u' = -grad psi(u) from x0 until ||grad psi|| < opts.eps_crit;
+    velocities are recomputed exactly."""
     psi = _psi_of(pp)
     opts = opts or IntegratorOptions()
     x0 = np.asarray(x0, float).reshape(psi.dim)
@@ -228,10 +235,7 @@ def gradient_flow(pp, x0, T: float,
     def rhs(y):
         return -psi.gradient(y)
 
-    def stop(y):
-        return float(np.linalg.norm(psi.gradient(y))) < opts.eps_crit
-
-    if stop(x0):
+    if float(np.linalg.norm(psi.gradient(x0))) < opts.eps_crit:
         # equilibrium: constant orbit, flagged immediately
         times = np.array([0.0, T])
         states = np.vstack([x0, x0])
@@ -239,7 +243,7 @@ def gradient_flow(pp, x0, T: float,
         return Trajectory(times, states, vel, "first_order", TERM_CRIT,
                           {"method": opts.method, "n_steps": 0, "n_rejected": 0,
                            "stopped_at": 0.0})
-    raw = _integrate(rhs, x0, T, opts, stop=stop)
+    raw = _integrate(rhs, x0, T, opts, eps_crit=opts.eps_crit)
     states = raw.ys
     velocities = -psi.gradient(states)
     meta = dict(raw.meta)
@@ -326,14 +330,13 @@ def second_order_flow(V, x0, v0, T: float,
                       "second_order", raw.termination, dict(raw.meta))
 
 
-def path_integral(traj: Trajectory, integrand: Callable) -> float:
-    """Composite trapezoid of integrand(t, x, w) over the trajectory nodes."""
+def path_integral(traj: Trajectory, values) -> float:
+    """Composite trapezoid of an integrand's values, one per trajectory node."""
     if len(traj) < 2:
         raise ValueError("path_integral needs a trajectory with >= 2 nodes")
-    vals = np.array([
-        float(integrand(t, x, w))
-        for t, x, w in zip(traj.times, traj.states, traj.velocities)
-    ])
+    vals = np.asarray(values, float)
+    if vals.shape != traj.times.shape:
+        raise ValueError(f"path_integral needs one value per node, got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise NumericDomainError("non-finite integrand value along trajectory")
     return kernels.trapezoid(traj.times, vals)

@@ -13,7 +13,7 @@ import numpy as np
 USING_EXTENSION = False
 
 __all__ = ["USING_EXTENSION", "action_assemble", "action_decrease",
-           "action_gradient", "el_residual_max", "trapezoid"]
+           "action_gradient", "el_residual_max", "row_dots", "trapezoid"]
 
 
 def _scalar(x):
@@ -82,6 +82,12 @@ def el_residual_max(W, Vg, dt):
         return _scalar(np.zeros(W.shape[:-2]))
     res = (W[..., 2:, :] - 2.0 * W[..., 1:-1, :] + W[..., :-2, :]) / (dt * dt) - Vg[..., 1:-1, :]
     return _scalar(np.max(np.sqrt(np.sum(res * res, axis=-1)), axis=-1))
+
+
+def row_dots(X):
+    """x.dot(x) for each row x of X, rounded as np.dot rounds it (a sum of
+    squares can differ in the last bit)."""
+    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
 
 
 def trapezoid(ts, vals):

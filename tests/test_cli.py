@@ -246,6 +246,20 @@ def test_determine_dimension_mismatch(tmp_path):
                 "--out", str(tmp_path)]) == 1
 
 
+# a box as large as 1e308 draws finite points; the fields overflow on them,
+# which the reports record as failed checks
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv,stem,code", [
+    (["determine", "quadratic:1", "quadratic:1+5"], "determination", 3),
+    (["check-convexity", "--potential", "cubic"], "convexity_criterion", 0),
+])
+def test_huge_box_draws_without_overflow(tmp_path, argv, stem, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"box": 1e308}))
+    assert run(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == code
+    assert (tmp_path / f"{stem}.json").exists()
+
+
 # --- check-convexity ------------------------------------------------------
 
 def test_check_convexity_quadratic(tmp_path):

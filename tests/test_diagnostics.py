@@ -168,6 +168,25 @@ def test_hardy_inequality_on_evanescent_orbits():
         assert c.worst_violation <= 1e-6
 
 
+def test_orbit_integrands_match_per_node_loops(monkeypatch):
+    # the integrands are evaluated on all nodes at once; each value is the
+    # one the per-node formula gives, bit for bit
+    import evanflow.diagnostics as diagnostics
+    seen = []
+    monkeypatch.setattr(diagnostics, "path_integral",
+                        lambda traj, values: seen.append(values) or 0.0)
+    traj = evanescent_orbit()
+    check_hardy(traj)
+    t, X, W = traj.times, traj.states, traj.velocities
+    hardy = [W[0].dot(W[0])] + [(x - X[0]).dot(x - X[0]) / (s * s)
+                                for s, x in zip(t[1:], X[1:])]
+    flow = quad_flow(QUAD_2D, (1.0, -1.0))
+    check_level_integral_bound(flow, QUAD_2D, [0.0, 0.0])
+    level = [float(QUAD_2D.psi.value(x)) for x in flow.states]
+    for got, want in zip(seen, (hardy, [w.dot(w) for w in W], level)):
+        assert np.array_equal(got, want)
+
+
 def test_contraction_quadratic_pairs():
     opts = dict(method="rk4", h=0.01)
     t1 = evanescent_orbit(QUAD_1D, (1.0,), **opts)

@@ -254,6 +254,15 @@ def test_determination_negative_shift():
     assert c == pytest.approx(-3.0, abs=1e-9)
 
 
+def test_determination_constant_is_the_exact_mean_difference():
+    # the shift 1/3 is reported as the computed mean of psi2 - psi1, not as
+    # a 12-digit rounding of it
+    pts = rand_points(1, seed=3)
+    psi2 = QUAD_1D.psi.shifted(1.0 / 3.0)
+    _, c = determination_verdict(determination_check(QUAD_1D.psi, psi2, pts))
+    assert c == float(np.mean(psi2.value(pts) - QUAD_1D.psi.value(pts)))
+
+
 def test_determination_linear_pair_hypothesis_not_met():
     # x and -x have equal gradient moduli everywhere but differ by a
     # non-constant; neither is bounded below nor has vanishing gradient,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import evanflow.evanescent as evanescent
+from evanflow import kernels
 import evanflow.integrate as integrate
 from evanflow.evanescent import (
     ActionOptions,
@@ -325,6 +326,12 @@ def test_shoot_2d_sphere_search():
     res = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T, psi=QUAD_2D.psi)
     assert res.converged and res.detail["evaluations"] <= 50
     assert np.allclose(res.detail["v0"], [-1.0, -2.0], rtol=0.0, atol=1e-8)
+    # the action integrand, evaluated on all nodes at once, is the per-node
+    # 0.5 ||w||^2 + V(x) bit for bit
+    traj = res.trajectory()
+    per_node = [0.5 * w.dot(w) + float(QUAD_2D.v.value(x))
+                for x, w in zip(traj.states, traj.velocities)]
+    assert res.final_action == kernels.trapezoid(traj.times, per_node)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

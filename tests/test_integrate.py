@@ -1,4 +1,6 @@
 """Integrators: closed-form oracles, terminations, CSV contract."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,33 @@ def test_gradient_flow_stops_at_critical_point():
     assert np.linalg.norm(pp.psi.gradient(traj.states[-1])) < 1e-5
 
 
+@pytest.mark.parametrize("opts", [IntegratorOptions(),
+                                  IntegratorOptions(method="rk4", h=0.05)],
+                         ids=["rk45", "rk4"])
+@pytest.mark.parametrize("T,termination", [(3.0, TERM_HORIZON), (60.0, TERM_CRIT)])
+def test_gradient_flow_calls_grad_psi_once_per_stage(opts, T, termination):
+    # the stop test reads the first stage, so grad psi is called once per
+    # right-hand-side evaluation, plus the equilibrium test at x0 and the
+    # batched velocities
+    pp = make_quadratic([[1.0, 0.0], [0.0, 2.0]])
+    calls = []
+
+    def gradient(x):
+        calls.append(np.shape(x))
+        return pp.psi.gradient(x)
+
+    psi = dataclasses.replace(pp.psi, gradient=gradient)
+    traj = gradient_flow(psi, [1.0, 1.0], T, opts)
+    assert traj.termination == termination
+    attempted = traj.meta["n_steps"] + traj.meta["n_rejected"]
+    if opts.method == "rk45":
+        stages = 1 + 6 * attempted
+    else:
+        stages = 4 * attempted + (termination == TERM_CRIT)
+    assert len(calls) == stages + 2
+    assert calls[-1] == traj.states.shape
+
+
 def test_second_order_quadratic_closed_form():
     # v'' = v with v(0) = 1, v'(0) = -1 gives e^{-t}
     pp = make_quadratic([[1.0]])
@@ -201,8 +230,24 @@ def test_second_order_neg_square_growth():
 def test_path_integral_trapezoid():
     pp = make_quadratic([[1.0]])
     traj = gradient_flow(pp, [1.0], 4.0, IntegratorOptions(rtol=1e-10))
-    val = path_integral(traj, lambda t, x, w: 1.0)
+    val = path_integral(traj, np.ones(len(traj)))
     assert val == pytest.approx(traj.t_end, abs=1e-12)
+
+
+def test_path_integral_rejects_bad_values():
+    pp = make_quadratic([[1.0]])
+    traj = gradient_flow(pp, [1.0], 1.0, IntegratorOptions(method="rk4", h=0.25))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericDomainError):
+            path_integral(traj, np.r_[np.ones(len(traj) - 1), bad])
+    for m in (len(traj) - 1, len(traj) + 1):
+        with pytest.raises(ValueError):
+            path_integral(traj, np.ones(m))
+    one_node = dataclasses.replace(traj, times=traj.times[:1],
+                                   states=traj.states[:1],
+                                   velocities=traj.velocities[:1])
+    with pytest.raises(ValueError):
+        path_integral(one_node, np.ones(1))
 
 
 def test_trajectory_csv_contract(tmp_path):

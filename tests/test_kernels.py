@@ -50,6 +50,13 @@ def test_trapezoid_nonuniform():
     assert kernels.trapezoid(ts, vals) == pytest.approx(0.5 * 2 + 1.5 * 3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_row_dots_round_as_np_dot(n):
+    Y = np.random.default_rng(n).normal(size=(200, 2 * n))
+    for X in (Y, Y[:, n:]):             # contiguous, and a strided view
+        assert np.array_equal(kernels.row_dots(X), [x.dot(x) for x in X])
+
+
 def test_value_resolves_tiny_decreases():
     # a perturbation near the float noise floor of a single term must still
     # move the reported value, and the term-wise decrease the line search
