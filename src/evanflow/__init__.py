@@ -32,7 +32,6 @@ from evanflow.diagnostics import (
 )
 from evanflow.evanescent import (
     ActionOptions,
-    DiscretePath,
     EvanescentSolveResult,
     cross_validate,
     discrete_action,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionOptions", "CatalogError", "CheckResult", "DiagnosticsReport",
-    "DifferentiableField", "DiscretePath", "EvanescentSolveResult",
+    "DifferentiableField", "EvanescentSolveResult",
     "IntegratorOptions", "NonnegativityError", "NumericDomainError",
     "PotentialPair", "ReconstructOptions", "ReconstructionResult",
     "Trajectory", "USING_EXTENSION", "catalog_ids",

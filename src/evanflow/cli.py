@@ -42,7 +42,7 @@ from evanflow.evanescent import (
     minimize_action,
     shoot_evanescent,
 )
-from evanflow.fields import resolve_potential
+from evanflow.fields import NumericDomainError, resolve_potential
 from evanflow.integrate import (
     IntegratorOptions,
     gradient_flow,
@@ -96,6 +96,14 @@ def _int(value) -> int:
     return int(value)
 
 
+def _count(value) -> int:
+    """an integer >= 1"""
+    k = _int(value)
+    if k < 1:
+        raise ValueError(value)
+    return k
+
+
 def _nodes(value) -> int:
     """an integer >= 2"""
     k = _int(value)
@@ -124,10 +132,12 @@ def _names(value):
 
 
 def _vector(value, parsed=False):
-    """a vector: a number, "x,y,..." or a list of numbers"""
+    """a vector of finite numbers: a number, "x,y,..." or a list of numbers"""
     items = value if isinstance(value, list) else (
         [value] if isinstance(value, (int, float)) else _str(value).split(","))
     vec = np.array([_float(v) for v in items])
+    if not np.isfinite(vec).all():
+        raise ValueError(value)
     return vec if parsed else value
 
 
@@ -148,9 +158,10 @@ _INTEG = IntegratorOptions()
 _ACTION = ActionOptions()
 _INTEG_KEYS = {
     # the CLI calls IntegratorOptions.method "integrator"
-    "integrator": (_INTEG.method, _str), "h": (_INTEG.h, _float),
-    "rtol": (_INTEG.rtol, _float), "atol": (_INTEG.atol, _float),
-    "r_max": (_INTEG.r_max, _float), "eps_crit": (_INTEG.eps_crit, _float),
+    "integrator": (_INTEG.method, _str), "h": (_INTEG.h, _positive),
+    "rtol": (_INTEG.rtol, _float), "atol": (_INTEG.atol, _positive),
+    "r_max": (_INTEG.r_max, _positive),
+    "eps_crit": (_INTEG.eps_crit, _nonnegative),
 }
 _DEFAULTS = {
     "flow": {
@@ -165,7 +176,7 @@ _DEFAULTS = {
     "evanesce": {
         "potential": (..., _str), "x0": (..., _vector),
         "T": (DEFAULT_T, _positive), "N": (DEFAULT_N, _nodes),
-        "mu": (_ACTION.mu, _nonnegative), "tol_opt": (_ACTION.tol_opt, _float),
+        "mu": (_ACTION.mu, _nonnegative), "tol_opt": (_ACTION.tol_opt, _positive),
         "max_iters": (_ACTION.max_iters, _int), "solver": ("action", _str),
         "cross_validate": (True, _bool), "seed": (0, _int), "out": (".", _str),
     },
@@ -180,7 +191,7 @@ _DEFAULTS = {
         "out": (".", _str),
     },
     "check-convexity": {
-        "potential": (..., _str), "samples": (20, _int),
+        "potential": (..., _str), "samples": (20, _count),
         "box": (2.0, _positive), "seed": (0, _int), "out": (".", _str),
     },
 }
@@ -239,23 +250,32 @@ def _requested(cfg, available):
     return names
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+def _plain(obj):
+    """obj as plain Python data: numpy values and arrays converted, and each
+    non-finite float None."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(val) for val in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
+def _dumps(obj, **kw) -> str:
+    """Strict JSON of obj, keys sorted, non-finite numbers as null; the one
+    encoder of every artifact and summary line."""
+    return json.dumps(_plain(obj), sort_keys=True, allow_nan=False, **kw)
 
 
 def _emit(out_dir, stem, report_dict) -> None:
     path = Path(out_dir) / f"{stem}.json"
     with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(report_dict, indent=2, sort_keys=True,
-                            default=_json_default) + "\n")
+        fh.write(_dumps(report_dict, indent=2) + "\n")
 
 
 def _finish(report: DiagnosticsReport, cfg, out_dir, stem, extra=None) -> int:
@@ -264,7 +284,7 @@ def _finish(report: DiagnosticsReport, cfg, out_dir, stem, extra=None) -> int:
     if extra:
         payload.update(extra)
     _emit(out_dir, stem, payload)
-    print(json.dumps(payload["summary"], sort_keys=True))
+    print(_dumps(payload["summary"]))
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
@@ -280,12 +300,12 @@ def cmd_flow(cfg) -> int:
     }
     requested = _requested(cfg, available)
     traj = gradient_flow(pp, x0, cfg["T"], opts)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / "flow_trajectory.csv")
     report = DiagnosticsReport(subject=f"flow {pp.psi.name}")
     for name in requested:
         report.add(available[name]())
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(traj, out / "flow_trajectory.csv")
     return _finish(report, cfg, out, "flow_report",
                    {"termination": traj.termination, "t_end": traj.t_end})
 
@@ -303,13 +323,13 @@ def cmd_second_order(cfg) -> int:
     }
     requested = _requested(cfg, available)
     traj = second_order_flow(pp, x0, v0, cfg["T"], opts)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / "second_order_trajectory.csv")
     report = DiagnosticsReport(subject=f"second-order {pp.psi.name}")
     for name in requested:
         report.add(available[name]())
     measures = evanescence_measures(traj, pp.v)
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(traj, out / "second_order_trajectory.csv")
     return _finish(report, cfg, out, "second_order_report",
                    {"termination": traj.termination, "t_end": traj.t_end,
                     "evanescence": measures})
@@ -321,18 +341,12 @@ def cmd_evanesce(cfg) -> int:
     T, N, solver = cfg["T"], cfg["N"], cfg["solver"]
     if solver not in ("action", "shoot", "both"):
         raise InputError(f"unknown solver {solver!r}")
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     aopts = _options(ActionOptions, cfg)
     results = {}
     if solver in ("action", "both"):
-        res = minimize_action(pp.v, x0, T, N, aopts, psi=pp.psi)
-        write_trajectory_csv(res.trajectory(), out / "evanesce_action_path.csv")
-        results["action"] = res
+        results["action"] = minimize_action(pp.v, x0, T, N, aopts, psi=pp.psi)
     if solver in ("shoot", "both"):
-        res = shoot_evanescent(pp.v, x0, T, psi=pp.psi)
-        write_trajectory_csv(res.trajectory(), out / "evanesce_shoot_path.csv")
-        results["shoot"] = res
+        results["shoot"] = shoot_evanescent(pp.v, x0, T, psi=pp.psi)
     payload = {"config": cfg, "results": {}}
     all_converged = True
     for key, res in results.items():
@@ -349,8 +363,12 @@ def cmd_evanesce(cfg) -> int:
                             shot=results.get("shoot"))
         payload["cross_validation"] = xv.to_dict()
         all_converged = all_converged and xv.all_passed
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for key, res in results.items():
+        write_trajectory_csv(res.trajectory, out / f"evanesce_{key}_path.csv")
     _emit(out, "evanesce_report", payload)
-    print(json.dumps({"converged": all_converged}, sort_keys=True))
+    print(_dumps({"converged": all_converged}))
     return EXIT_OK if all_converged else EXIT_CHECK_FAILED
 
 
@@ -376,7 +394,7 @@ def cmd_reconstruct(cfg) -> int:
         payload["eikonal_residual"] = resid.to_dict()
         ok = ok and resid.passed
     _emit(out, "reconstruction", payload)
-    print(json.dumps({"converged": ok}, sort_keys=True))
+    print(_dumps({"converged": ok}))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -396,7 +414,7 @@ def cmd_determine(cfg) -> int:
     payload["verdict"] = verdict
     payload["constant"] = c
     _emit(out, "determination", payload)
-    print(json.dumps({"constant": c, "verdict": verdict}, sort_keys=True))
+    print(_dumps({"constant": c, "verdict": verdict}))
     if verdict == "hypothesis_not_met":
         return EXIT_HYPOTHESIS
     return EXIT_OK if verdict == "pass" else EXIT_CHECK_FAILED
@@ -415,7 +433,7 @@ def cmd_check_convexity(cfg) -> int:
     payload["config"] = cfg
     _emit(out, "convexity_criterion", payload)
     by_id = {c.check_id: c for c in report.checks}
-    print(json.dumps({k: by_id[k].passed for k in sorted(by_id)}, sort_keys=True))
+    print(_dumps({k: by_id[k].passed for k in sorted(by_id)}))
     return EXIT_OK if by_id["crit_implication_holds"].passed else EXIT_CHECK_FAILED
 
 
@@ -458,7 +476,9 @@ def main(argv=None) -> int:
         cmd = args.pop("command")
         cfg = _load_config(cmd, args.pop("config"), args)
         return _COMMANDS[cmd](cfg)
-    except ValueError as exc:   # InputError, CatalogError, NonnegativityError, ...
+    # InputError, CatalogError, NonnegativityError, ..., and a field that
+    # leaves its domain
+    except (ValueError, NumericDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -6,7 +6,6 @@ pure functions of trajectories and fields; the report is plain data.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field, asdict
 from typing import Optional
 
@@ -74,11 +73,6 @@ class DiagnosticsReport:
         return {"subject": self.subject,
                 "checks": [c.to_dict() for c in self.checks],
                 "summary": self.summary}
-
-    def to_json(self, **kw) -> str:
-        kw.setdefault("indent", 2)
-        kw.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _result(check_id, violation, location, tol, notes="") -> CheckResult:

@@ -8,7 +8,6 @@ exposes the determination and convexity-implication checks as bundles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, asdict
-import json
 from typing import Optional
 
 import numpy as np
@@ -62,11 +61,6 @@ class ReconstructionResult:
             "config": self.config,
         }
 
-    def to_json(self, **kw) -> str:
-        kw.setdefault("indent", 2)
-        kw.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kw)
-
     def write_csv(self, path) -> None:
         n = self.points.shape[1]
         header = ",".join([f"x{i}" for i in range(n)]
@@ -90,8 +84,8 @@ def _orbits(f: DifferentiableField, V: DifferentiableField, X0: np.ndarray,
     aopts = ActionOptions(max_iters=opts.max_iters)
 
     def solve(X):
-        return [_value_on_orbit(f, path.nodes, converged, T, N, final)
-                for path, converged, _ in _minimize_actions(V, X, T, N, aopts)]
+        return [_value_on_orbit(f, traj, converged, T, final)
+                for traj, _, converged, _ in _minimize_actions(V, X, T, N, aopts)]
 
     size = max(1, _STACK_BYTES // (8 * (N + 1) * V.dim))
     out = []
@@ -181,13 +175,14 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     return out
 
 
-def _value_on_orbit(f, nodes, solve_ok, T, N, final):
-    """The reconstruction dict from an orbit's nodes and its solve verdict,
-    or None when its tail is not yet decaying and a longer horizon remains
-    to try.  A start where f vanishes is an equilibrium, psi_hat = 0."""
-    dt = T / N
-    times = dt * np.arange(len(nodes))
-    fvals = np.asarray(f.value(nodes), float)
+def _value_on_orbit(f, traj, solve_ok, T, final):
+    """The reconstruction dict from an action trajectory at the nominal
+    horizon T and its solve verdict, or None when its tail is not yet
+    decaying and a longer horizon remains to try.  A start where f vanishes
+    is an equilibrium, psi_hat = 0."""
+    dt = traj.meta["dt"]
+    times = traj.times
+    fvals = np.asarray(f.value(traj.states), float)
     if fvals[0] <= EPS_EQUILIBRIUM:
         return {"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
                 "converged": True, "T_used": T, "tail_slope": -np.inf}

@@ -55,37 +55,13 @@ class ActionOptions:
 
 
 @dataclass
-class DiscretePath:
-    nodes: np.ndarray                 # (N+1, n), nodes[0] = x0 fixed
-    dt: float
-    action: float
-    el_residual: float
-    mu: float
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.nodes))
-
-    def velocities(self) -> np.ndarray:
-        return fd_velocities(self.nodes, self.dt)
-
-    def as_trajectory(self) -> Trajectory:
-        return Trajectory(self.times, self.nodes, self.velocities(),
-                          "second_order", TERM_HORIZON,
-                          {"method": "action", "dt": self.dt})
-
-
-@dataclass
 class EvanescentSolveResult:
-    path: object                      # DiscretePath (action) or Trajectory (shooting)
+    trajectory: Trajectory            # the action route's nodes, or the shot orbit
     method: str
     converged: bool
     final_action: float
     diagnostics: DiagnosticsReport
     detail: dict = dc_field(default_factory=dict)
-
-    def trajectory(self) -> Trajectory:
-        return self.path.as_trajectory() if isinstance(self.path, DiscretePath) else self.path
 
 
 def fd_velocities(W: np.ndarray, dt: float) -> np.ndarray:
@@ -278,7 +254,8 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
     """The action solves from the rows of X0 (B, n) as one stack.  W holds the
     initial paths; by default each is the constant path at its x0.  T, N and
     a mu out of range raise ValueError before anything is solved.  Returns
-    (DiscretePath, converged, detail) per row."""
+    (trajectory, action, converged, detail) per row: the trajectory holds
+    the nodes at times dt * k with their finite-difference velocities."""
     _check_horizon(T, N)
     dt = T / N
     mu = opts.mu if opts.mu is not None else 10.0 * dt
@@ -293,9 +270,10 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
     m_tail = max(2, (N + 1) // 10)
     out = []
     for i in range(len(W)):
-        path = DiscretePath(W[i], dt, float(values[i]), float(el_res[i]), mu)
-        vel = path.velocities()
-        tail_vprime = float(np.min(np.linalg.norm(vel[-m_tail:], axis=-1)))
+        traj = Trajectory(dt * np.arange(N + 1), W[i], fd_velocities(W[i], dt),
+                          "second_order", TERM_HORIZON,
+                          {"method": "action", "dt": dt, "mu": mu})
+        tail_vprime = float(np.min(np.linalg.norm(traj.velocities[-m_tail:], axis=-1)))
         tail_V = float(np.min(Vv[i, -m_tail:]))
         converged = (
             ginf[i] < opts.tol_opt
@@ -303,9 +281,10 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
             and tail_vprime < DEFAULT_EPS_TAIL
             and tail_V < DEFAULT_EPS_TAIL
         )
-        out.append((path, bool(converged),
+        out.append((traj, float(values[i]), bool(converged),
                     {"iterations": int(iters[i]), "grad_inf": float(ginf[i]),
-                     "tail_vprime": tail_vprime, "tail_V": tail_V}))
+                     "tail_vprime": tail_vprime, "tail_V": tail_V,
+                     "el_residual": float(el_res[i])}))
     return out
 
 
@@ -333,24 +312,20 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
             raise ValueError("init_path has wrong shape")
         W[0] = x0
         W = W[None]
-    path, converged, detail = _minimize_actions(V, x0[None], T, N, opts, W)[0]
-    report = _solve_diagnostics(path, V, psi)
-    return EvanescentSolveResult(path, "action", converged, path.action, report,
-                                 detail)
+    traj, action, converged, detail = _minimize_actions(V, x0[None], T, N, opts, W)[0]
+    # node velocities come from finite differences, so the conserved
+    # quantity carries an O(dt^2) discretization error
+    speed0 = float(np.linalg.norm(traj.velocities[0]))
+    fi_tol = max(1e-6, traj.meta["dt"] ** 2) * (1.0 + speed0 ** 2)
+    report = _solve_diagnostics(traj, V, psi, fi_tol)
+    return EvanescentSolveResult(traj, "action", converged, action, report, detail)
 
 
-def _solve_diagnostics(path_or_traj, V, psi=None) -> DiagnosticsReport:
-    discrete = isinstance(path_or_traj, DiscretePath)
-    traj = path_or_traj.as_trajectory() if discrete else path_or_traj
+def _solve_diagnostics(traj, V, psi=None, fi_tol=None) -> DiagnosticsReport:
+    """First integral (to fi_tol, or its own default), equality of modula
+    and, given psi, the phi residual along an orbit."""
     report = DiagnosticsReport(subject="evanescent solve")
-    if discrete:
-        # node velocities come from finite differences, so the conserved
-        # quantity carries an O(dt^2) discretization error
-        speed0 = float(np.linalg.norm(traj.velocities[0]))
-        fi_tol = max(1e-6, path_or_traj.dt ** 2) * (1.0 + speed0 ** 2)
-        report.add(check_first_integral(traj, V, tol=fi_tol))
-    else:
-        report.add(check_first_integral(traj, V))
+    report.add(check_first_integral(traj, V, tol=fi_tol))
     report.add(check_modula_equality(traj, psi=psi, V=V,
                                      tol=1e-3 * (1.0 + float(
                                          np.linalg.norm(traj.velocities[0])))))
@@ -504,8 +479,8 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
     act = action or minimize_action(V, x0, T, N, action_opts, psi=psi)
     shot = shot or shoot_evanescent(V, x0, T, psi=psi)
     flow_states = _on_grid(flow, grid)
-    act_states = act.path.nodes
-    shot_states = _on_grid(shot.trajectory(), grid)
+    act_states = act.trajectory.states
+    shot_states = _on_grid(shot.trajectory, grid)
 
     def dist(a, b):
         return float(np.max(np.linalg.norm(a - b, axis=-1)))
@@ -519,7 +494,7 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
         report.add(CheckResult(cid, d <= TOL_XV, d, None, TOL_XV))
 
     for cid, res in (("phi_residual_action", act), ("phi_residual_shoot", shot)):
-        own = check_phi_residual(res.trajectory(), psi, sigma=+1, tol=1e-3)
+        own = check_phi_residual(res.trajectory, psi, sigma=+1, tol=1e-3)
         report.add(replace(own, check_id=cid))
     return report
 

@@ -82,7 +82,7 @@ def rk4_fixed(rhs: Callable, y0, T: float, h: float,
     """Classical 4th-order Runge-Kutta with node spacing h (last step partial);
     given eps_crit, the orbit ends (TERM_CRIT) at the first node where
     ||k1|| < eps_crit."""
-    if h <= 0 or T <= 0:
+    if not (h > 0 and T > 0):
         raise ValueError("rk4_fixed requires h > 0 and T > 0")
     y = np.asarray(y0, float).copy()
     t = 0.0
@@ -153,7 +153,7 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     """
     if not (1e-12 <= rtol <= 1e-2):
         raise ValueError(f"rtol must lie in [1e-12, 1e-2], got {rtol:g}")
-    if atol <= 0:
+    if not atol > 0:
         raise ValueError("atol must be positive")
     y = np.asarray(y0, float).copy()
     ctrl = slice(n_ctrl)

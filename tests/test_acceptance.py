@@ -165,9 +165,9 @@ def test_criterion_08_convexity_criterion(announce):
 
 def test_criterion_09_action_solve(announce):
     res = minimize_action(QUAD_2D.v, [1.0, 1.0], 12.0, 240, psi=QUAD_2D.psi)
-    ts = res.path.times
+    ts = res.trajectory.times
     exact = np.stack([np.exp(-ts), np.exp(-2.0 * ts)], axis=1)
-    node_err = float(np.max(np.abs(res.path.nodes - exact)))
+    node_err = float(np.max(np.abs(res.trajectory.states - exact)))
 
     rng = np.random.default_rng(3)
     worst_rel = 0.0

@@ -257,7 +257,65 @@ def test_huge_box_draws_without_overflow(tmp_path, argv, stem, code):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"box": 1e308}))
     assert run(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == code
-    assert (tmp_path / f"{stem}.json").exists()
+    rep = strict_json((tmp_path / f"{stem}.json").read_text())
+    if stem == "determination":
+        # the mean of psi2 - psi1 over overflowed values is not a number
+        assert rep["constant"] is None
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def strict_json(text):
+    """text parsed as strict JSON: NaN and Infinity are refused."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
+README_RUNS = [
+    ["flow", "--potential", "quadratic:1,0;0,2", "--x0", "1,1", "--T", "10"],
+    ["second-order", "--potential", "quadratic:1,0;0,2", "--x0", "1,1",
+     "--v0=-1,-2", "--T", "12"],
+    ["evanesce", "--potential", "quadratic:1", "--x0", "1"],
+    ["reconstruct", "--potential", "quadratic:1,0;0,2", "--grid=-1:1:5,-1:1:5"],
+    ["determine", "quadratic:1", "quadratic:1+5"],
+    ["check-convexity", "--potential", "cubic"],
+    # every field value overflows, so every point fails with NaN values
+    ["reconstruct", "--potential", "quadratic:1e200", "--grid=-1:1:3"],
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", README_RUNS, ids=lambda argv: " ".join(argv[:3]))
+def test_json_artifacts_and_summaries_are_strict(tmp_path, capsys, argv):
+    # an equilibrium's tail slope is -inf and a failed point's values NaN;
+    # both are written as null
+    assert run(argv + ["--out", str(tmp_path)]) in (0, 2)
+    artifacts = sorted(tmp_path.glob("*.json"))
+    assert artifacts
+    for path in artifacts:
+        strict_json(path.read_text())
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for line in lines:
+        strict_json(line)
+
+
+# the fields overflow on these starts
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv,config", [
+    # the orbit leaves r_max at once, so the Hardy check has too few nodes
+    (["second-order", "--potential", "neg_square", "--x0", "1e200", "--v0", "1"], {}),
+    # the first RK4 step overflows
+    (["flow", "--potential", "neg_square", "--x0", "1e308"], {"integrator": "rk4"}),
+], ids=["second-order-hardy", "flow-rk4-overflow"])
+def test_failed_run_writes_no_artifact(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # --- check-convexity ------------------------------------------------------
@@ -318,11 +376,12 @@ MISTYPED = {
     "_positive": [[1], {"a": 1}, "abc", True, 0, -1.5, "nan", "inf", "-inf"],
     "_nonnegative": [[1], {"a": 1}, "abc", True, -1, -1e-300, "nan", "inf"],
     "_int": [[3], {"a": 1}, "abc", 2.5, True],
+    "_count": [[3], {"a": 1}, "abc", 2.5, True, 0, -1],
     "_nodes": [[3], {"a": 1}, "abc", 2.5, True, 1, 0, -240],
     "_str": [5, [1], {"a": 1}, True],
     "_bool": ["yes", 1, [True], {"a": 1}],
     "_names": [5, [1], {"a": 1}],
-    "_vector": [{"a": 1}, ["a"], [[1]], "1,,2", True],
+    "_vector": [{"a": 1}, ["a"], [[1]], "1,,2", True, "inf", "1,nan", ["-inf"]],
     "_grid": [[1], {"a": 1}, "-1:1", [[-1, 1]], [[-1, 1, 2.5]], "-1:1:0",
               "-1:nan:3", "-inf:1:3", [[-1, "inf", 3]]],
 }

@@ -257,7 +257,7 @@ def test_report_json_round_trip():
     rep = DiagnosticsReport(subject="s")
     rep.add(CheckResult("a", True, 0.0, [1.0, 2.0], 1e-6, notes="n"))
     rep.add(CheckResult("b", False, 2.0, 0.5, 1e-6))
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert data["subject"] == "s"
     assert data["summary"] == {"total": 2, "passed": 1, "failed": 1}
     assert not rep.all_passed

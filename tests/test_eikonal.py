@@ -98,7 +98,7 @@ def test_reconstruct_grid_quadratic_values_and_normalization():
 def test_reconstruct_grid_json_and_csv(tmp_path):
     pts = grid_points([(-1.0, 1.0, 3)])
     rec = reconstruct_grid(f_of(QUAD_1D), pts, ReconstructOptions(N=60))
-    data = json.loads(rec.to_json())
+    data = json.loads(json.dumps(rec.to_dict()))
     assert len(data["points"]) == 3
     out = tmp_path / "recon.csv"
     rec.write_csv(out)

@@ -99,7 +99,7 @@ def test_minimize_action_quadratic_1d():
     res = minimize_action(QUAD_1D.v, [1.0], T, N, psi=QUAD_1D.psi)
     assert res.converged
     assert res.method == "action"
-    err = np.max(np.abs(res.path.nodes - exact_nodes_1d()))
+    err = np.max(np.abs(res.trajectory.states - exact_nodes_1d()))
     assert err < 1e-3
     assert res.diagnostics.all_passed
 
@@ -107,11 +107,24 @@ def test_minimize_action_quadratic_1d():
 def test_minimize_action_quadratic_2d():
     res = minimize_action(QUAD_2D.v, [1.0, 1.0], T, N, psi=QUAD_2D.psi)
     assert res.converged
-    ts = res.path.times
+    ts = res.trajectory.times
     exact = np.stack([np.exp(-ts), np.exp(-2.0 * ts)], axis=1)
-    assert np.max(np.abs(res.path.nodes - exact)) < 2e-3
+    assert np.max(np.abs(res.trajectory.states - exact)) < 2e-3
     phi = res.diagnostics.get("phi_residual_sigma+1")
     assert phi is not None and phi.passed
+
+
+def test_action_route_returns_its_nodes_as_a_trajectory():
+    res = minimize_action(QUAD_2D.v, [1.0, 1.0], T, N)
+    traj = res.trajectory
+    assert isinstance(traj, integrate.Trajectory)
+    assert np.array_equal(traj.times, DT * np.arange(N + 1))
+    assert np.array_equal(traj.velocities, fd_velocities(traj.states, DT))
+    assert traj.termination == integrate.TERM_HORIZON
+    assert traj.meta == {"method": "action", "dt": DT, "mu": 10 * DT}
+    # the Euler-Lagrange residual of the converged verdict is reported
+    Vg = QUAD_2D.v.gradient(traj.states)
+    assert res.detail["el_residual"] == kernels.el_residual_max(traj.states, Vg, DT)
 
 
 def test_minimize_action_value_monotone_in_iteration_budget():
@@ -127,7 +140,7 @@ def test_minimize_action_equilibrium_start():
     res = minimize_action(QUAD_2D.v, [0.0, 0.0], T, N)
     assert res.converged
     assert res.final_action == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(res.path.nodes, 0.0)
+    assert np.allclose(res.trajectory.states, 0.0)
     # the constant path has zero action gradient, so the descent stops at once
     assert res.detail["iterations"] == 0
 
@@ -164,11 +177,11 @@ def test_minimize_action_unique_minimizer_across_inits():
     base = minimize_action(QUAD_2D.v, x0, T, N)
     assert base.converged
     for _ in range(5):
-        init = base.path.nodes + 0.5 * rng.normal(size=(N + 1, 2))
+        init = base.trajectory.states + 0.5 * rng.normal(size=(N + 1, 2))
         init[0] = x0
         res = minimize_action(QUAD_2D.v, x0, T, N, init_path=init)
         assert res.converged
-        assert np.max(np.abs(res.path.nodes - base.path.nodes)) < 5e-3
+        assert np.max(np.abs(res.trajectory.states - base.trajectory.states)) < 5e-3
 
 
 def test_minimized_action_beats_random_paths():
@@ -176,9 +189,9 @@ def test_minimized_action_beats_random_paths():
     best = minimize_action(QUAD_2D.v, x0, T, N)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        W = best.path.nodes + rng.normal(scale=0.3, size=(N + 1, 2))
+        W = best.trajectory.states + rng.normal(scale=0.3, size=(N + 1, 2))
         W[0] = x0
-        val, _ = discrete_action(QUAD_2D.v, W, DT, best.path.mu, want_grad=False)
+        val, _ = discrete_action(QUAD_2D.v, W, DT, 10 * DT, want_grad=False)
         assert val > best.final_action
 
 
@@ -285,12 +298,12 @@ def test_descend_rejects_trials_outside_the_domain(wall):
     opts = ActionOptions(max_iters=50)
     out = _minimize_actions(V, X0, T, N, opts)
     ref = _minimize_actions(_walled(QUAD_2D.v, "inf"), X0, T, N, opts)
-    assert out[0][2]["iterations"] < out[1][2]["iterations"] == 50
-    for b, (path, converged, _) in enumerate(out):
+    assert out[0][3]["iterations"] < out[1][3]["iterations"] == 50
+    for b, (traj, action, converged, _) in enumerate(out):
         alone = _minimize_actions(V, X0[b:b + 1], T, N, opts)[0][0]
-        assert np.array_equal(path.nodes, alone.nodes)
-        assert np.array_equal(path.nodes, ref[b][0].nodes)
-        assert np.isfinite(path.action)
+        assert np.array_equal(traj.states, alone.states)
+        assert np.array_equal(traj.states, ref[b][0].states)
+        assert np.isfinite(action)
         assert not converged
 
 
@@ -301,7 +314,7 @@ def test_shoot_quadratic_1d():
     assert res.converged
     assert res.method == "shooting"
     assert res.detail["v0"][0] == pytest.approx(-1.0, abs=1e-12)
-    traj = res.trajectory()
+    traj = res.trajectory
     assert np.max(np.abs(traj.states[:, 0] - np.exp(-traj.times))) < 1e-6
 
 
@@ -311,7 +324,7 @@ def test_shoot_neg_square_orbit():
     res = shoot_evanescent(pp.v, [1.0], T)
     assert res.converged
     assert res.detail["v0"][0] == pytest.approx(-2.0, abs=1e-12)
-    traj = res.trajectory()
+    traj = res.trajectory
     assert np.max(np.abs(traj.states[:, 0] - np.exp(-2.0 * traj.times))) < 1e-6
 
 
@@ -328,7 +341,7 @@ def test_shoot_2d_sphere_search():
     assert np.allclose(res.detail["v0"], [-1.0, -2.0], rtol=0.0, atol=1e-8)
     # the action integrand, evaluated on all nodes at once, is the per-node
     # 0.5 ||w||^2 + V(x) bit for bit
-    traj = res.trajectory()
+    traj = res.trajectory
     per_node = [0.5 * w.dot(w) + float(QUAD_2D.v.value(x))
                 for x, w in zip(traj.states, traj.velocities)]
     assert res.final_action == kernels.trapezoid(traj.times, per_node)
@@ -446,7 +459,7 @@ def test_shoot_and_cross_validate_reject_out_of_range_horizon(T_, N_):
 # --- cross validation -----------------------------------------------------
 
 def test_on_grid_keeps_node_states_and_holds_the_last():
-    traj = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T).trajectory()
+    traj = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T).trajectory
     assert np.array_equal(_on_grid(traj, traj.times), traj.states)
     past = _on_grid(traj, np.array([traj.t_end, traj.t_end + 1.0, 1e9]))
     assert np.array_equal(past, np.repeat(traj.states[-1:], 3, axis=0))
@@ -458,7 +471,7 @@ def test_on_grid_keeps_node_states_and_holds_the_last():
 
 
 def test_on_grid_samples_the_shooting_orbit():
-    traj = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T).trajectory()
+    traj = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T).trajectory
     grid = DT * np.arange(N + 1)
     exact = np.stack([np.exp(-grid), np.exp(-2.0 * grid)], axis=1)
     assert np.max(np.abs(_on_grid(traj, grid) - exact)) < 1e-6
@@ -473,7 +486,7 @@ def test_cross_validate_compares_the_returned_shooting_orbit():
     shot = shoot_evanescent(pp.v, [1.0], T, psi=pp.psi)
     assert rep.get("phi_residual_shoot") == dataclasses.replace(
         shot.diagnostics.get("phi_residual_sigma+1"), check_id="phi_residual_shoot")
-    traj = shot.trajectory()
+    traj = shot.trajectory
     assert np.max(np.abs(traj.states[:, 0] - 1.0 / (1.0 + 3.0 * traj.times))) < 2.1e-6
 
 
@@ -490,13 +503,13 @@ def test_cross_validate_integrates_only_the_flow(monkeypatch):
                 monkeypatch.setattr(mod, name, lambda *a, fn=fn, name=name, **k:
                                     calls.append(name) or fn(*a, **k))
     rep = cross_validate(QUAD_2D, [1.0, 1.0], action=action, shot=shot)
-    assert rep.all_passed, rep.to_json()
+    assert rep.all_passed, rep.to_dict()
     assert calls == ["rk4_fixed"]
 
 
 def test_cross_validate_quadratic_2d():
     rep = cross_validate(QUAD_2D, [1.0, 1.0])
-    assert rep.all_passed, rep.to_json()
+    assert rep.all_passed, rep.to_dict()
 
 
 def _rotated_diag12(degrees):
@@ -512,7 +525,7 @@ def _rotated_diag12(degrees):
 ], ids=["offdiag", "diag12-rot30", "diag12-rot60"])
 def test_cross_validate_offdiag_quadratic(A, x0):
     rep = cross_validate(make_quadratic(A), x0)
-    assert rep.all_passed, rep.to_json()
+    assert rep.all_passed, rep.to_dict()
 
 
 def test_shoot_matches_flow_on_unbounded_example():
@@ -520,7 +533,7 @@ def test_shoot_matches_flow_on_unbounded_example():
     # action route cannot follow it; shooting still recovers the flow orbit
     pp = make_example_one()
     res = shoot_evanescent(pp.v, [0.0], T)
-    traj = res.trajectory()
+    traj = res.trajectory
     exact = 1.0 - np.sqrt(1.0 + 2.0 * traj.times)
     assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-4
 

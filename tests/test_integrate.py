@@ -48,6 +48,9 @@ def test_rk4_rejects_bad_arguments():
         rk4_fixed(lambda y: -y, np.array([1.0]), 1.0, -0.1)
     with pytest.raises(ValueError):
         rk4_fixed(lambda y: -y, np.array([1.0]), 0.0, 0.1)
+    for T, h in ((1.0, np.nan), (np.nan, 0.1)):
+        with pytest.raises(ValueError):
+            rk4_fixed(lambda y: -y, np.array([1.0]), T, h)
 
 
 def test_rk4_nan_raises():
@@ -127,6 +130,21 @@ def test_adaptive_rtol_bounds():
         rk_adaptive(lambda y: -y, np.array([1.0]), 1.0, rtol=1e-1)
     with pytest.raises(ValueError):
         rk_adaptive(lambda y: -y, np.array([1.0]), 1.0, rtol=1e-13)
+
+
+def test_adaptive_rejects_nan_atol():
+    # err <= atol + rtol ||y|| never holds for a NaN atol, so every step
+    # would be rejected; the counting rhs stops such a run
+    calls = []
+
+    def rhs(y):
+        calls.append(1)
+        if len(calls) > 100_000:
+            raise RuntimeError("rk_adaptive kept rejecting steps")
+        return -y
+
+    with pytest.raises(ValueError, match="atol"):
+        rk_adaptive(rhs, np.array([1.0]), 1.0, atol=np.nan)
 
 
 def test_adaptive_divergence_guard():
