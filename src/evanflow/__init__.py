@@ -23,7 +23,6 @@ from evanflow.integrate import (
     gradient_flow,
     path_integral,
     second_order_flow,
-    write_trajectory_csv,
 )
 from evanflow.diagnostics import (
     CheckResult,
@@ -66,5 +65,4 @@ __all__ = [
     "make_pair", "make_quadratic", "minimize_action", "parse_matrix_literal",
     "path_integral", "reconstruct_grid", "reconstruct_value",
     "resolve_potential", "second_order_flow", "shoot_evanescent",
-    "write_trajectory_csv",
 ]

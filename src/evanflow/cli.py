@@ -1,5 +1,9 @@
 """Command-line front end: scenario runner with CSV/JSON outputs.
 
+Each command computes its run and returns its artifacts as texts, its
+summary and its exit code; main alone creates --out, writes the artifacts
+and prints the summary, so a run that fails writes nothing.
+
 Exit codes: 0 all requested checks pass, 1 input error, 2 at least one check
 failed, 3 theorem hypotheses not met (determination).
 """
@@ -43,12 +47,7 @@ from evanflow.evanescent import (
     shoot_evanescent,
 )
 from evanflow.fields import NumericDomainError, resolve_potential
-from evanflow.integrate import (
-    IntegratorOptions,
-    gradient_flow,
-    second_order_flow,
-    write_trajectory_csv,
-)
+from evanflow.integrate import IntegratorOptions, gradient_flow, second_order_flow
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -94,6 +93,14 @@ def _int(value) -> int:
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise TypeError(value)
     return int(value)
+
+
+def _seed(value) -> int:
+    """an integer >= 0"""
+    k = _int(value)
+    if k < 0:
+        raise ValueError(value)
+    return k
 
 
 def _count(value) -> int:
@@ -177,8 +184,8 @@ _DEFAULTS = {
         "potential": (..., _str), "x0": (..., _vector),
         "T": (DEFAULT_T, _positive), "N": (DEFAULT_N, _nodes),
         "mu": (_ACTION.mu, _nonnegative), "tol_opt": (_ACTION.tol_opt, _positive),
-        "max_iters": (_ACTION.max_iters, _int), "solver": ("action", _str),
-        "cross_validate": (True, _bool), "seed": (0, _int), "out": (".", _str),
+        "max_iters": (_ACTION.max_iters, _count), "solver": ("action", _str),
+        "cross_validate": (True, _bool), "seed": (0, _seed), "out": (".", _str),
     },
     "reconstruct": {
         "potential": (..., _str), "grid": (..., _grid),
@@ -187,12 +194,12 @@ _DEFAULTS = {
     },
     "determine": {
         "potential1": (..., _str), "potential2": (..., _str),
-        "samples": (24, _nodes), "box": (2.0, _positive), "seed": (0, _int),
+        "samples": (24, _nodes), "box": (2.0, _positive), "seed": (0, _seed),
         "out": (".", _str),
     },
     "check-convexity": {
         "potential": (..., _str), "samples": (20, _count),
-        "box": (2.0, _positive), "seed": (0, _int), "out": (".", _str),
+        "box": (2.0, _positive), "seed": (0, _seed), "out": (".", _str),
     },
 }
 _FLAGS = ("potential", "x0", "v0", "T", "h", "rtol", "N", "mu", "grid",
@@ -272,23 +279,38 @@ def _dumps(obj, **kw) -> str:
     return json.dumps(_plain(obj), sort_keys=True, allow_nan=False, **kw)
 
 
-def _emit(out_dir, stem, report_dict) -> None:
-    path = Path(out_dir) / f"{stem}.json"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_dumps(report_dict, indent=2) + "\n")
+def _json(obj) -> str:
+    """The text of a JSON artifact."""
+    return _dumps(obj, indent=2) + "\n"
 
 
-def _finish(report: DiagnosticsReport, cfg, out_dir, stem, extra=None) -> int:
-    payload = report.to_dict()
-    payload["config"] = cfg
-    if extra:
-        payload.update(extra)
-    _emit(out_dir, stem, payload)
-    print(_dumps(payload["summary"]))
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+def _csv(header, rows) -> str:
+    """The text of a CSV artifact: the header, then one line per row, with
+    numbers to 17 significant digits (nan and inf kept) and flags as true
+    or false."""
+    lines = [",".join(header)]
+    lines += [",".join(str(v).lower() if isinstance(v, bool) else f"{v:.17g}"
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_flow(cfg) -> int:
+def _trajectory_csv(traj) -> str:
+    """One row t, x0..x{n-1}, w0..w{n-1} per node of traj."""
+    n = traj.dim
+    return _csv(["t", *(f"x{i}" for i in range(n)), *(f"w{i}" for i in range(n))],
+                np.column_stack([traj.times, traj.states, traj.velocities]))
+
+
+def _orbit_run(stem, report: DiagnosticsReport, traj, cfg, **extra):
+    """The artifacts, summary and exit code of a flow or second-order run."""
+    payload = {**report.to_dict(), "config": cfg, "termination": traj.termination,
+               "t_end": traj.t_end, **extra}
+    files = {f"{stem}_trajectory.csv": _trajectory_csv(traj),
+             f"{stem}_report.json": _json(payload)}
+    return files, payload["summary"], EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+
+
+def cmd_flow(cfg):
     pp = resolve_potential(cfg["potential"])
     x0 = _vector(cfg["x0"], parsed=True)
     opts = _options(IntegratorOptions, cfg, method="integrator")
@@ -303,14 +325,10 @@ def cmd_flow(cfg) -> int:
     report = DiagnosticsReport(subject=f"flow {pp.psi.name}")
     for name in requested:
         report.add(available[name]())
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / "flow_trajectory.csv")
-    return _finish(report, cfg, out, "flow_report",
-                   {"termination": traj.termination, "t_end": traj.t_end})
+    return _orbit_run("flow", report, traj, cfg)
 
 
-def cmd_second_order(cfg) -> int:
+def cmd_second_order(cfg):
     pp = resolve_potential(cfg["potential"])
     x0 = _vector(cfg["x0"], parsed=True)
     v0 = _vector(cfg["v0"], parsed=True)
@@ -326,16 +344,11 @@ def cmd_second_order(cfg) -> int:
     report = DiagnosticsReport(subject=f"second-order {pp.psi.name}")
     for name in requested:
         report.add(available[name]())
-    measures = evanescence_measures(traj, pp.v)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / "second_order_trajectory.csv")
-    return _finish(report, cfg, out, "second_order_report",
-                   {"termination": traj.termination, "t_end": traj.t_end,
-                    "evanescence": measures})
+    return _orbit_run("second_order", report, traj, cfg,
+                      evanescence=evanescence_measures(traj, pp.v))
 
 
-def cmd_evanesce(cfg) -> int:
+def cmd_evanesce(cfg):
     pp = resolve_potential(cfg["potential"])
     x0 = _vector(cfg["x0"], parsed=True)
     T, N, solver = cfg["T"], cfg["N"], cfg["solver"]
@@ -363,16 +376,14 @@ def cmd_evanesce(cfg) -> int:
                             shot=results.get("shoot"))
         payload["cross_validation"] = xv.to_dict()
         all_converged = all_converged and xv.all_passed
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    for key, res in results.items():
-        write_trajectory_csv(res.trajectory, out / f"evanesce_{key}_path.csv")
-    _emit(out, "evanesce_report", payload)
-    print(_dumps({"converged": all_converged}))
-    return EXIT_OK if all_converged else EXIT_CHECK_FAILED
+    files = {f"evanesce_{key}_path.csv": _trajectory_csv(res.trajectory)
+             for key, res in results.items()}
+    files["evanesce_report.json"] = _json(payload)
+    return files, {"converged": all_converged}, (
+        EXIT_OK if all_converged else EXIT_CHECK_FAILED)
 
 
-def cmd_reconstruct(cfg) -> int:
+def cmd_reconstruct(cfg):
     pp = resolve_potential(cfg["potential"])
     grid_spec = _grid(cfg["grid"], parsed=True)
     if len(grid_spec) != pp.dim:
@@ -383,9 +394,6 @@ def cmd_reconstruct(cfg) -> int:
     f = pp.v.scaled(2.0)
     points = grid_points(grid_spec)
     recon = reconstruct_grid(f, points, _options(ReconstructOptions, cfg))
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    recon.write_csv(out / "reconstruction.csv")
     payload = recon.to_dict()
     payload["config_cli"] = cfg
     ok = all(d["converged"] for d in recon.per_point)
@@ -393,12 +401,16 @@ def cmd_reconstruct(cfg) -> int:
         resid = eikonal_residual(recon, f, grid_spec)
         payload["eikonal_residual"] = resid.to_dict()
         ok = ok and resid.passed
-    _emit(out, "reconstruction", payload)
-    print(_dumps({"converged": ok}))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    header = [*(f"x{i}" for i in range(pp.dim)),
+              "psi_hat", "ev_integral", "tail_estimate", "converged"]
+    rows = ([*p, v, d["ev_integral"], d["tail_estimate"], bool(d["converged"])]
+            for p, v, d in zip(recon.points, recon.psi_hat, recon.per_point))
+    files = {"reconstruction.csv": _csv(header, rows),
+             "reconstruction.json": _json(payload)}
+    return files, {"converged": ok}, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_determine(cfg) -> int:
+def cmd_determine(cfg):
     pp1 = resolve_potential(cfg["potential1"])
     pp2 = resolve_potential(cfg["potential2"])
     if pp1.dim != pp2.dim:
@@ -407,34 +419,24 @@ def cmd_determine(cfg) -> int:
     pts = cfg["box"] * rng.uniform(-1.0, 1.0, size=(cfg["samples"], pp1.dim))
     report = determination_check(pp1.psi, pp2.psi, pts)
     verdict, c = determination_verdict(report)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
-    payload["config"] = cfg
-    payload["verdict"] = verdict
-    payload["constant"] = c
-    _emit(out, "determination", payload)
-    print(_dumps({"constant": c, "verdict": verdict}))
-    if verdict == "hypothesis_not_met":
-        return EXIT_HYPOTHESIS
-    return EXIT_OK if verdict == "pass" else EXIT_CHECK_FAILED
+    payload = {**report.to_dict(), "config": cfg, "verdict": verdict, "constant": c}
+    code = {"pass": EXIT_OK, "hypothesis_not_met": EXIT_HYPOTHESIS}.get(
+        verdict, EXIT_CHECK_FAILED)
+    return ({"determination.json": _json(payload)},
+            {"constant": c, "verdict": verdict}, code)
 
 
-def cmd_check_convexity(cfg) -> int:
+def cmd_check_convexity(cfg):
     pp = resolve_potential(cfg["potential"])
     rng = np.random.default_rng(cfg["seed"])
     box, m = cfg["box"], cfg["samples"]
     pairs = box * rng.uniform(-1.0, 1.0, size=(m, 2, pp.dim))
     probes = box * rng.uniform(-1.0, 1.0, size=(m, pp.dim))
     report = convexity_criterion_check(pp, pairs, probes)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
-    payload["config"] = cfg
-    _emit(out, "convexity_criterion", payload)
-    by_id = {c.check_id: c for c in report.checks}
-    print(_dumps({k: by_id[k].passed for k in sorted(by_id)}))
-    return EXIT_OK if by_id["crit_implication_holds"].passed else EXIT_CHECK_FAILED
+    payload = {**report.to_dict(), "config": cfg}
+    by_id = {c.check_id: c.passed for c in report.checks}
+    code = EXIT_OK if by_id["crit_implication_holds"] else EXIT_CHECK_FAILED
+    return {"convexity_criterion.json": _json(payload)}, by_id, code
 
 
 _COMMANDS = {
@@ -475,12 +477,18 @@ def main(argv=None) -> int:
         args = vars(build_parser().parse_args(argv))
         cmd = args.pop("command")
         cfg = _load_config(cmd, args.pop("config"), args)
-        return _COMMANDS[cmd](cfg)
-    # InputError, CatalogError, NonnegativityError, ..., and a field that
-    # leaves its domain
-    except (ValueError, NumericDomainError) as exc:
+        files, summary, code = _COMMANDS[cmd](cfg)
+        out = Path(cfg["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, newline="\n")
+    # InputError, CatalogError, NonnegativityError, ..., a field that
+    # leaves its domain, and an --out that cannot be created or written
+    except (ValueError, NumericDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    print(_dumps(summary))
+    return code
 
 
 if __name__ == "__main__":

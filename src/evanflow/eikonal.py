@@ -61,19 +61,6 @@ class ReconstructionResult:
             "config": self.config,
         }
 
-    def write_csv(self, path) -> None:
-        n = self.points.shape[1]
-        header = ",".join([f"x{i}" for i in range(n)]
-                          + ["psi_hat", "ev_integral", "tail_estimate", "converged"])
-        lines = [header]
-        for p, v, d in zip(self.points, self.psi_hat, self.per_point):
-            row = [f"{x:.17g}" for x in p]
-            row += [f"{v:.17g}", f"{d['ev_integral']:.17g}",
-                    f"{d['tail_estimate']:.17g}", str(bool(d["converged"])).lower()]
-            lines.append(",".join(row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def _orbits(f: DifferentiableField, V: DifferentiableField, X0: np.ndarray,
             T: float, N: int, opts: ReconstructOptions, final: bool) -> list:

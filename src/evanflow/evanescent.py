@@ -275,17 +275,32 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
                           {"method": "action", "dt": dt, "mu": mu})
         tail_vprime = float(np.min(np.linalg.norm(traj.velocities[-m_tail:], axis=-1)))
         tail_V = float(np.min(Vv[i, -m_tail:]))
+        # a path whose grid cannot resolve the orbit still solves its own
+        # discrete problem, but breaks the first integral I = 0.5 ||v'||^2 - V
+        I = 0.5 * np.sum(traj.velocities ** 2, axis=-1) - Vv[i]
+        fi_drift = float(np.max(np.abs(I - I[0])))
         converged = (
             ginf[i] < opts.tol_opt
             and el_res[i] < _TOL_EL
             and tail_vprime < DEFAULT_EPS_TAIL
             and tail_V < DEFAULT_EPS_TAIL
+            and fi_drift <= _first_integral_tol(traj)
         )
         out.append((traj, float(values[i]), bool(converged),
                     {"iterations": int(iters[i]), "grad_inf": float(ginf[i]),
                      "tail_vprime": tail_vprime, "tail_V": tail_V,
-                     "el_residual": float(el_res[i])}))
+                     "el_residual": float(el_res[i]),
+                     "first_integral_drift": fi_drift}))
     return out
+
+
+def _first_integral_tol(traj: Trajectory) -> float:
+    """The first-integral tolerance of an action path: an O(dt^2) share of
+    its kinetic scale ||v'(0)||^2, the discretization error of a path that
+    resolves its orbit.  It has no absolute floor, so an orbit of little
+    energy is held to the same relative drift as any other."""
+    speed0 = float(np.linalg.norm(traj.velocities[0]))
+    return max(1e-6, traj.meta["dt"] ** 2) * speed0 ** 2
 
 
 def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
@@ -313,11 +328,7 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
         W[0] = x0
         W = W[None]
     traj, action, converged, detail = _minimize_actions(V, x0[None], T, N, opts, W)[0]
-    # node velocities come from finite differences, so the conserved
-    # quantity carries an O(dt^2) discretization error
-    speed0 = float(np.linalg.norm(traj.velocities[0]))
-    fi_tol = max(1e-6, traj.meta["dt"] ** 2) * (1.0 + speed0 ** 2)
-    report = _solve_diagnostics(traj, V, psi, fi_tol)
+    report = _solve_diagnostics(traj, V, psi, _first_integral_tol(traj))
     return EvanescentSolveResult(traj, "action", converged, action, report, detail)
 
 

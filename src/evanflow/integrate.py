@@ -340,15 +340,3 @@ def path_integral(traj: Trajectory, values) -> float:
     if not np.all(np.isfinite(vals)):
         raise NumericDomainError("non-finite integrand value along trajectory")
     return kernels.trapezoid(traj.times, vals)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV contract: header t,x0..x{n-1},w0..w{n-1}; 17 significant digits; LF."""
-    n = traj.dim
-    header = ",".join(["t"] + [f"x{i}" for i in range(n)] + [f"w{i}" for i in range(n)])
-    lines = [header]
-    for t, x, w in zip(traj.times, traj.states, traj.velocities):
-        row = [t, *x, *w]
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

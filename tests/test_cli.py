@@ -318,6 +318,18 @@ def test_failed_run_writes_no_artifact(tmp_path, capsys, argv, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_cannot_be_created_exits_1(tmp_path, monkeypatch, capsys, out):
+    # --out names a regular file, or a path under one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept")
+    assert run(["determine", "quadratic:1", "quadratic:1+5", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept"
+
+
 # --- check-convexity ------------------------------------------------------
 
 def test_check_convexity_quadratic(tmp_path):
@@ -375,7 +387,7 @@ MISTYPED = {
     "_float": [[1], {"a": 1}, "abc", True],
     "_positive": [[1], {"a": 1}, "abc", True, 0, -1.5, "nan", "inf", "-inf"],
     "_nonnegative": [[1], {"a": 1}, "abc", True, -1, -1e-300, "nan", "inf"],
-    "_int": [[3], {"a": 1}, "abc", 2.5, True],
+    "_seed": [[3], {"a": 1}, "abc", 2.5, True, -1],
     "_count": [[3], {"a": 1}, "abc", 2.5, True, 0, -1],
     "_nodes": [[3], {"a": 1}, "abc", 2.5, True, 1, 0, -240],
     "_str": [5, [1], {"a": 1}, True],

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from evanflow.cli import main
 from evanflow.eikonal import (
     CONVEXITY_FLOW_T,
     ReconstructOptions,
@@ -97,14 +98,22 @@ def test_reconstruct_grid_quadratic_values_and_normalization():
 
 def test_reconstruct_grid_json_and_csv(tmp_path):
     pts = grid_points([(-1.0, 1.0, 3)])
-    rec = reconstruct_grid(f_of(QUAD_1D), pts, ReconstructOptions(N=60))
+    # T = 1 is too short for the orbits from +-1, so only the origin converges
+    rec = reconstruct_grid(f_of(QUAD_1D), pts, ReconstructOptions(T=1.0, N=60))
     data = json.loads(json.dumps(rec.to_dict()))
     assert len(data["points"]) == 3
-    out = tmp_path / "recon.csv"
-    rec.write_csv(out)
-    lines = out.read_text().strip().split("\n")
+    # the CSV the CLI writes for the same grid
+    assert main(["reconstruct", "--potential", "quadratic:1", "--grid=-1:1:3",
+                 "--T", "1", "--N", "60", "--out", str(tmp_path)]) == 2
+    blob = (tmp_path / "reconstruction.csv").read_bytes()
+    assert b"\r" not in blob
+    lines = blob.decode().strip().split("\n")
     assert lines[0] == "x0,psi_hat,ev_integral,tail_estimate,converged"
     assert len(lines) == 4
+    rows = [line.split(",") for line in lines[1:]]
+    # 17 significant digits are preserved on a round trip; flags are true/false
+    assert [float(r[1]) for r in rows] == rec.psi_hat.tolist()
+    assert [r[-1] for r in rows] == ["false", "true", "false"]
 
 
 def test_reconstruct_grid_workers_match_serial():

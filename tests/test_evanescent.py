@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import evanflow.evanescent as evanescent
 from evanflow import kernels
@@ -241,6 +241,23 @@ def test_minimize_action_spd_quadratic_property(problem):
     assert res.detail["iterations"] <= 100
     assert res.detail["grad_inf"] < opts.tol_opt
     assert res.final_action == pytest.approx(exact, rel=5e-3)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(spd_problems(eig_range=(0.5, 60.0)))
+# an orbit of little energy: 4% off, with a first-integral drift below dt^2
+@example((np.array([[12.0]]), np.array([0.02])))
+def test_minimize_action_converged_only_on_resolved_orbits(problem):
+    # at dt = T/N = 0.05 a fast mode's discrete path is far from its orbit:
+    # the discrete problem is solved, but the first integral drifts, and a
+    # path that reports converged must carry the action 0.5 x0'Ax0 to 1%;
+    # the budget only bounds the run time of the ill-conditioned draws
+    A, x0 = problem
+    exact = 0.5 * float(x0 @ A @ x0)
+    assume(exact >= 1e-3)
+    res = minimize_action(make_quadratic(A).v, x0, T, N, ActionOptions(max_iters=300))
+    if res.converged:
+        assert abs(res.final_action - exact) <= 1e-2 * exact
 
 
 @st.composite

@@ -1,4 +1,6 @@
 """Catalog potentials: analytic derivatives, flags, lookup and parsing."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,25 @@ def test_analytic_gradients_match_finite_differences(name):
             g_fd = fd_gradient(field, x)
             scale = 1.0 + np.linalg.norm(g_fd)
             assert np.allclose(g, g_fd, atol=5e-6 * scale), (name, field.name, x)
+
+
+WITH_HESSVEC = [f"{name}.{which}" for name, pp in sorted(ALL_PAIRS.items())
+                for which in ("psi", "v") if getattr(pp, which).hessvec is not None]
+
+
+@pytest.mark.parametrize("name", WITH_HESSVEC)
+def test_hessvec_matches_gradient_differences(name):
+    # shooting's variational equations take Hess V(x) h from the hessvec
+    pair, which = name.split(".")
+    field = getattr(ALL_PAIRS[pair], which)
+    X = sample_points(field.dim, m=12, seed=5)
+    H = sample_points(field.dim, m=12, seed=6, scale=1.0)
+    step = 1e-6
+    hv = np.asarray(field.hessvec(X, H), float)
+    fd = (np.asarray(field.gradient(X + step * H), float)
+          - np.asarray(field.gradient(X - step * H), float)) / (2.0 * step)
+    gap = np.linalg.norm(hv - fd, axis=-1) / (1.0 + np.linalg.norm(fd, axis=-1))
+    assert np.max(gap) < 1e-8
 
 
 @pytest.mark.parametrize("name", sorted(ALL_PAIRS))
@@ -135,6 +156,10 @@ def test_induced_potential_matches_analytic():
     pts = sample_points(2, seed=9)
     assert np.allclose(v2.value(pts), pp.v.value(pts), atol=1e-12)
     assert np.allclose(v2.gradient(pts), pp.v.gradient(pts), atol=1e-12)
+    # without a hessvec, grad V is a central difference of V
+    v_fd = induced_potential(dataclasses.replace(pp.psi, hessvec=None))
+    assert np.allclose(v_fd.value(pts), pp.v.value(pts), atol=1e-12)
+    assert np.allclose(v_fd.gradient(pts), pp.v.gradient(pts), rtol=0.0, atol=1e-8)
 
 
 def test_field_from_f_builds_half_f():

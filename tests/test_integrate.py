@@ -1,10 +1,12 @@
 """Integrators: closed-form oracles, terminations, CSV contract."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from evanflow import integrate
+from evanflow.cli import main
 from evanflow.fields import (
     NumericDomainError,
     make_counterexample,
@@ -23,7 +25,6 @@ from evanflow.integrate import (
     rk4_fixed,
     rk_adaptive,
     second_order_flow,
-    write_trajectory_csv,
 )
 
 
@@ -271,9 +272,13 @@ def test_path_integral_rejects_bad_values():
 def test_trajectory_csv_contract(tmp_path):
     pp = make_quadratic([[1.0, 0.0], [0.0, 2.0]])
     traj = gradient_flow(pp, [1.0, 1.0], 1.0, IntegratorOptions(method="rk4", h=0.25))
-    out = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, out)
-    data = out.read_bytes()
+    # the CSV the CLI writes for the same flow
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"integrator": "rk4", "h": 0.25}))
+    assert main(["flow", "--config", str(cfg), "--potential", "quadratic:1,0;0,2",
+                 "--x0", "1,1", "--T", "1", "--checks", "lyapunov",
+                 "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "flow_trajectory.csv").read_bytes()
     assert b"\r" not in data
     lines = data.decode().strip().split("\n")
     assert lines[0] == "t,x0,x1,w0,w1"
