@@ -42,6 +42,7 @@ DEFAULT_N = 240
 
 _ARMIJO_C = 1e-4      # Armijo constant of the action line search
 _SHRINK = 0.5         # its backtracking factor
+_HALVINGS = 20        # and its most halvings per iteration
 _TOL_EL = 1e-5        # a converged path's Euler-Lagrange residual is below this
 _SHOOT_RTOL = 1e-10   # shooting orbits; atol and r_max as in IntegratorOptions
 TOL_XV = 5e-3         # the routes of cross_validate agree to this distance
@@ -141,10 +142,11 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     Barzilai-Borwein step s.y / y.P_b^{-1} y, safeguarded by Armijo
     backtracking on the term-wise decrease against t g.P_b^{-1} g, so the
     action is nonincreasing; a trial where V is not finite is rejected like
-    one that fails the test.  A member stops when its gradient inf-norm
-    falls below opts.tol_opt, after opts.max_iters iterations, or when its
-    line search finds no step, and then leaves the working set; only
-    rejected members are tried again inside a line search.  Returns the
+    one that fails the test.  A line search halves its step at most
+    _HALVINGS times.  A member stops when its gradient inf-norm falls below
+    opts.tol_opt, after opts.max_iters iterations, or when its line search
+    finds no step, and then leaves the working set; only rejected members
+    are tried again inside a line search.  Returns the
     final (W, Vv, Vg, iterations, grad_inf) per member.
     """
     W = np.array(W, float)
@@ -208,11 +210,10 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
         D_t = W_t[:, 1:] - W_t[:, :-1]
         ok = armijo(D, Vv, D_t, Vv_t, t, gp)
         retry = (~ok).nonzero()[0]
-        while retry.size:
-            t[retry] *= _SHRINK
-            retry = retry[t[retry] >= 1e-16]
+        for _ in range(_HALVINGS):
             if not retry.size:
                 break
+            t[retry] *= _SHRINK
             W_r = W[retry]
             W_r[:, 1:] -= t[retry, None, None] * p[retry]
             Vv_r = _trial_values(V, W_r)

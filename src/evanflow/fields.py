@@ -5,7 +5,9 @@ product.  All maps are vectorized over leading axes: points have shape
 ``(..., n)``, values ``(...)``, gradients ``(..., n)``.
 
 Every potential ``psi`` comes paired with the induced potential
-``V(x) = 0.5 * ||grad psi(x)||^2`` of the second-order system.
+``V(x) = 0.5 * ||grad psi(x)||^2`` of the second-order system.  A named
+catalog entry defines psi only and takes V from ``induced_potential``; the
+quadratic family alone writes V in closed form, with its exact Hessian A^2.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ class DifferentiableField:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessvec: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = ""
-    claims_convex: bool = False
     claims_bounded_below: bool = False
 
     def __post_init__(self):
@@ -67,7 +68,6 @@ class DifferentiableField:
             gradient=lambda x: a * g(x),
             hessvec=(None if hv is None else (lambda x, h: a * hv(x, h))),
             name=f"scale({a:g})*{self.name}",
-            claims_convex=self.claims_convex if a >= 0 else False,
             claims_bounded_below=self.claims_bounded_below if a >= 0 else False,
         )
 
@@ -145,13 +145,13 @@ def induced_potential(psi: DifferentiableField) -> DifferentiableField:
         value=v_value,
         gradient=v_gradient,
         name=f"half-sq-grad({psi.name})",
-        claims_convex=False,
         claims_bounded_below=True,
     )
 
 
-def make_pair(psi: DifferentiableField, v: DifferentiableField | None = None) -> PotentialPair:
-    return PotentialPair(psi=psi, v=v if v is not None else induced_potential(psi))
+def make_pair(psi: DifferentiableField) -> PotentialPair:
+    """psi paired with its induced potential V = 0.5 * ||grad psi||^2."""
+    return PotentialPair(psi=psi, v=induced_potential(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def make_quadratic(A) -> PotentialPair:
     psi = DifferentiableField(
         dim=n, value=value, gradient=gradient, hessvec=hessvec,
         name=f"quadratic:{_matrix_literal(A)}",
-        claims_convex=psd, claims_bounded_below=psd,
+        claims_bounded_below=psd,
     )
 
     A2 = A @ A
@@ -194,7 +194,7 @@ def make_quadratic(A) -> PotentialPair:
         gradient=lambda x: np.asarray(x, float) @ A2,
         hessvec=lambda x, h: np.asarray(h, float) @ A2,
         name=f"half-sq-grad({psi.name})",
-        claims_convex=True, claims_bounded_below=True,
+        claims_bounded_below=True,
     )
     return PotentialPair(psi=psi, v=v)
 
@@ -211,41 +211,21 @@ def make_example_one() -> PotentialPair:
         tn = np.minimum(t, 0.0)
         return np.where(t <= 0.0, -np.log1p(-tn), 0.5 * t * t + t)
 
-    def d1(t):
-        tn = np.minimum(t, 0.0)
-        return np.where(t <= 0.0, 1.0 / (1.0 - tn), t + 1.0)
-
-    def d2(t):
-        tn = np.minimum(t, 0.0)
-        return np.where(t <= 0.0, 1.0 / (1.0 - tn) ** 2, 1.0)
-
     def gradient(x):
         t = np.asarray(x, float)[..., 0]
-        return d1(t)[..., None]
+        tn = np.minimum(t, 0.0)
+        return np.where(t <= 0.0, 1.0 / (1.0 - tn), t + 1.0)[..., None]
 
     def hessvec(x, h):
         t = np.asarray(x, float)[..., 0]
-        return d2(t)[..., None] * np.asarray(h, float)
+        tn = np.minimum(t, 0.0)
+        d2 = np.where(t <= 0.0, 1.0 / (1.0 - tn) ** 2, 1.0)
+        return d2[..., None] * np.asarray(h, float)
 
-    psi = DifferentiableField(
+    return make_pair(DifferentiableField(
         dim=1, value=value, gradient=gradient, hessvec=hessvec,
-        name="example_one", claims_convex=True, claims_bounded_below=False,
-    )
-
-    def v_value(x):
-        t = np.asarray(x, float)[..., 0]
-        return 0.5 * d1(t) ** 2
-
-    def v_gradient(x):
-        t = np.asarray(x, float)[..., 0]
-        return (d1(t) * d2(t))[..., None]
-
-    v = DifferentiableField(
-        dim=1, value=v_value, gradient=v_gradient,
-        name="half-sq-grad(example_one)",
-        claims_convex=False, claims_bounded_below=True,
-    )
-    return PotentialPair(psi=psi, v=v)
+        name="example_one",
+    ))
 
 
 def _neg_square() -> PotentialPair:
@@ -258,22 +238,13 @@ def _neg_square() -> PotentialPair:
 
 def _cubic() -> PotentialPair:
     # psi(x) = x^3 is not convex although V(x) = (9/2) x^4 is.
-    psi = DifferentiableField(
+    return make_pair(DifferentiableField(
         dim=1,
         value=lambda x: np.asarray(x, float)[..., 0] ** 3,
         gradient=lambda x: 3.0 * np.asarray(x, float) ** 2,
         hessvec=lambda x, h: 6.0 * np.asarray(x, float) * np.asarray(h, float),
         name="cubic",
-    )
-    v = DifferentiableField(
-        dim=1,
-        value=lambda x: 4.5 * np.asarray(x, float)[..., 0] ** 4,
-        gradient=lambda x: 18.0 * np.asarray(x, float) ** 3,
-        hessvec=lambda x, h: 54.0 * np.asarray(x, float) ** 2 * np.asarray(h, float),
-        name="half-sq-grad(cubic)",
-        claims_convex=True, claims_bounded_below=True,
-    )
-    return PotentialPair(psi=psi, v=v)
+    ))
 
 
 def _quartic_saddle() -> PotentialPair:
@@ -293,53 +264,21 @@ def _quartic_saddle() -> PotentialPair:
             [12.0 * x[..., 0] ** 2 * h[..., 0], -2.0 * h[..., 1]], axis=-1
         )
 
-    psi = DifferentiableField(
+    return make_pair(DifferentiableField(
         dim=2, value=value, gradient=gradient, hessvec=hessvec,
         name="quartic_saddle",
-    )
-
-    def v_value(x):
-        x = np.asarray(x, float)
-        return 8.0 * x[..., 0] ** 6 + 2.0 * x[..., 1] ** 2
-
-    def v_gradient(x):
-        x = np.asarray(x, float)
-        return np.stack([48.0 * x[..., 0] ** 5, 4.0 * x[..., 1]], axis=-1)
-
-    def v_hessvec(x, h):
-        x = np.asarray(x, float)
-        h = np.asarray(h, float)
-        return np.stack(
-            [240.0 * x[..., 0] ** 4 * h[..., 0], 4.0 * h[..., 1]], axis=-1
-        )
-
-    v = DifferentiableField(
-        dim=2, value=v_value, gradient=v_gradient, hessvec=v_hessvec,
-        name="half-sq-grad(quartic_saddle)",
-        claims_convex=True, claims_bounded_below=True,
-    )
-    return PotentialPair(psi=psi, v=v)
+    ))
 
 
 def _make_linear(slope: float) -> PotentialPair:
     slope = float(slope)
-    psi = DifferentiableField(
+    return make_pair(DifferentiableField(
         dim=1,
         value=lambda x: slope * np.asarray(x, float)[..., 0],
         gradient=lambda x: slope * np.ones_like(np.asarray(x, float)),
         hessvec=lambda x, h: np.zeros_like(np.asarray(h, float)),
         name="linear" if slope == 1.0 else "neg_linear",
-        claims_convex=True, claims_bounded_below=False,
-    )
-    v = DifferentiableField(
-        dim=1,
-        value=lambda x: np.full(np.asarray(x, float)[..., 0].shape, 0.5 * slope * slope),
-        gradient=lambda x: np.zeros_like(np.asarray(x, float)),
-        hessvec=lambda x, h: np.zeros_like(np.asarray(h, float)),
-        name=f"half-sq-grad({psi.name})",
-        claims_convex=True, claims_bounded_below=True,
-    )
-    return PotentialPair(psi=psi, v=v)
+    ))
 
 
 # The named potentials, in catalog order (criterion 8 draws per entry in this
@@ -372,15 +311,7 @@ def field_from_f(f: DifferentiableField) -> DifferentiableField:
         i = int(np.argmin(vals))
         raise NonnegativityError(probes[i], vals[i])
 
-    return DifferentiableField(
-        dim=f.dim,
-        value=lambda x: 0.5 * np.asarray(f.value(x), float),
-        gradient=lambda x: 0.5 * np.asarray(f.gradient(x), float),
-        hessvec=(None if f.hessvec is None else (lambda x, h: 0.5 * f.hessvec(x, h))),
-        name=f"half({f.name})",
-        claims_convex=f.claims_convex,
-        claims_bounded_below=True,
-    )
+    return replace(f.scaled(0.5), name=f"half({f.name})", claims_bounded_below=True)
 
 
 # ---------------------------------------------------------------------------

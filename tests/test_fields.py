@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from evanflow.diagnostics import check_monotone_gradient
 from evanflow.fields import (
     CatalogError,
     NonnegativityError,
@@ -82,7 +83,7 @@ def test_quadratic_values_and_gradient():
     assert np.allclose(pp.psi.gradient(x), [1.0, 2.0])
     assert pp.v.value(x) == pytest.approx(0.5 * (1.0 + 4.0))
     assert np.allclose(pp.v.gradient(x), [1.0, 4.0])
-    assert pp.psi.claims_convex and pp.psi.claims_bounded_below
+    assert pp.psi.claims_bounded_below
 
 
 def test_quadratic_matrix_is_symmetrized():
@@ -94,7 +95,6 @@ def test_quadratic_matrix_is_symmetrized():
 
 def test_quadratic_negative_definite_flags():
     pp = make_quadratic([[-1.0]])
-    assert not pp.psi.claims_convex
     assert not pp.psi.claims_bounded_below
     # V = 0.5 x^2 is still convex and nonnegative
     assert pp.v.value(np.array([2.0])) == pytest.approx(2.0)
@@ -111,7 +111,6 @@ def test_example_one_branches():
     # C^1 junction
     assert pp.psi.value(np.array([0.0])) == pytest.approx(0.0)
     assert pp.psi.gradient(np.array([0.0]))[0] == pytest.approx(1.0)
-    assert pp.psi.claims_convex
     assert not pp.psi.claims_bounded_below
 
 
@@ -126,7 +125,6 @@ def test_counterexample_neg_square():
     x = np.array([1.5])
     assert pp.psi.value(x) == pytest.approx(-2.25)
     assert pp.v.value(x) == pytest.approx(2.0 * 2.25)
-    assert not pp.psi.claims_convex
 
 
 def test_counterexample_cubic_v_convex_psi_not():
@@ -134,8 +132,10 @@ def test_counterexample_cubic_v_convex_psi_not():
     x = np.array([-1.0])
     assert pp.psi.value(x) == pytest.approx(-1.0)
     assert pp.v.value(x) == pytest.approx(4.5)
-    assert pp.v.claims_convex
-    assert not pp.psi.claims_convex
+    # sampled convexity: grad V is monotone on [-2, 2], grad psi is not
+    pairs = sample_points(1, m=40, seed=7).reshape(20, 2, 1)
+    assert check_monotone_gradient(pp.v, pairs).passed
+    assert not check_monotone_gradient(pp.psi, pairs).passed
 
 
 def test_counterexample_quartic_saddle():
@@ -143,6 +143,24 @@ def test_counterexample_quartic_saddle():
     x = np.array([1.0, 2.0])
     assert pp.psi.value(x) == pytest.approx(1.0 - 4.0)
     assert pp.v.value(x) == pytest.approx(0.5 * (16.0 + 16.0))
+
+
+@pytest.mark.parametrize("name", ["example_one", "linear", "neg_linear"])
+def test_induced_v_rounds_as_its_closed_form(name):
+    # V = 0.5 * d1^2 with grad V = d1 * d2 for example_one (d1, d2 the first
+    # two derivatives of psi), and V = 1/2 with grad V = 0 for the linear
+    # pair, to the last bit
+    pp = resolve_potential(name)
+    x = np.linspace(-3.0, 3.0, 13)[:, None]
+    if name == "example_one":
+        tn = np.minimum(x[:, 0], 0.0)
+        d1 = np.where(x[:, 0] <= 0.0, 1.0 / (1.0 - tn), x[:, 0] + 1.0)
+        d2 = np.where(x[:, 0] <= 0.0, 1.0 / (1.0 - tn) ** 2, 1.0)
+        value, gradient = 0.5 * d1 ** 2, (d1 * d2)[:, None]
+    else:
+        value, gradient = np.full(13, 0.5), np.zeros((13, 1))
+    assert np.array_equal(pp.v.value(x), value)
+    assert np.array_equal(pp.v.gradient(x), gradient)
 
 
 def test_unknown_counterexample_rejected():
