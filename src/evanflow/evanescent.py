@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from evanflow import kernels
 from evanflow.diagnostics import (
@@ -33,6 +33,7 @@ from evanflow.integrate import (
     Trajectory,
     gradient_flow,
     path_integral,
+    _hess_rows,
     _variational_orbit,
     second_order_flow,
 )
@@ -66,21 +67,22 @@ class EvanescentSolveResult:
 
 
 def fd_velocities(W: np.ndarray, dt: float) -> np.ndarray:
-    """4th-order finite-difference velocities on a uniform node grid."""
+    """4th-order finite-difference velocities on a uniform node grid, for
+    one path (N+1, n) or a stack of them (..., N+1, n)."""
     W = np.asarray(W, float)
-    m = len(W)
+    m = W.shape[-2]
     if m < 5:
         if m < 2:
             return np.zeros_like(W)
-        v = np.gradient(W, dt, axis=0)
-        return v
+        return np.gradient(W, dt, axis=-2)
+    W = np.moveaxis(W, -2, 0)
     v = np.empty_like(W)
     v[2:-2] = (W[:-4] - 8.0 * W[1:-3] + 8.0 * W[3:-1] - W[4:]) / (12.0 * dt)
     v[0] = (-25.0 * W[0] + 48.0 * W[1] - 36.0 * W[2] + 16.0 * W[3] - 3.0 * W[4]) / (12.0 * dt)
     v[1] = (-3.0 * W[0] - 10.0 * W[1] + 18.0 * W[2] - 6.0 * W[3] + W[4]) / (12.0 * dt)
     v[-2] = (3.0 * W[-1] + 10.0 * W[-2] - 18.0 * W[-3] + 6.0 * W[-4] - W[-5]) / (12.0 * dt)
     v[-1] = (25.0 * W[-1] - 48.0 * W[-2] + 36.0 * W[-3] - 16.0 * W[-4] + 3.0 * W[-5]) / (12.0 * dt)
-    return v
+    return np.moveaxis(v, 0, -2)
 
 
 def _potential_values(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
@@ -127,27 +129,82 @@ def _trial_values(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
         return np.concatenate([_trial_values(V, w[None]) for w in W])
 
 
+def _isotropic_factor(v0: float, g0: np.ndarray, N: int, dt: float,
+                      mu: float) -> np.ndarray:
+    """Banded Cholesky factor (2, N) of the action's Hessian on nodes 1..N
+    for the isotropic quadratic V = c ||x||^2 / 2, c = ||grad V(x0)||^2 /
+    (2 V(x0)), or 1 where V(x0) = 0: tridiagonal, shared by the n
+    components."""
+    c = float(np.dot(g0, g0)) / (2.0 * v0) if v0 > 0.0 else 1.0
+    band = np.full((2, N), -1.0 / dt)
+    band[1] = 2.0 / dt + c * dt
+    band[1, -1] = 1.0 / dt + c * (0.5 * dt + mu)
+    return cholesky_banded(band)
+
+
+def _action_hessian_bands(V: DifferentiableField, W: np.ndarray, dt: float,
+                          mu: float) -> np.ndarray:
+    """The discrete action's Hessian on nodes 1..N of each path of a
+    (B, N+1, n) stack, in the upper banded form of cholesky_banded, node-major
+    (unknown (k-1) n + i is component i of node k), shape (B, n+1, N n).
+    It is block-tridiagonal: diagonal blocks (2/dt) I + dt H_k, the last one
+    (1/dt) I + (dt/2 + mu) H_N, off-diagonal blocks -I/dt, so its upper
+    bandwidth is n; H_k = Hess V(w_k) comes from n calls of _hess_rows over
+    every node of the stack."""
+    B, N, n = W.shape[0], W.shape[1] - 1, W.shape[2]
+    X = W[:, 1:].reshape(-1, n)
+    H = np.empty((len(X), n, n))
+    for j in range(n):
+        E = np.zeros_like(X)
+        E[:, j] = 1.0
+        H[:, :, j] = _hess_rows(V, X, E)
+    H = H.reshape(B, N, n, n)
+    scale = np.full(N, dt)
+    scale[-1] = 0.5 * dt + mu
+    diag = np.full(N, 2.0 / dt)
+    diag[-1] = 1.0 / dt
+    blocks = scale[:, None, None] * H
+    blocks[..., range(n), range(n)] += diag[:, None]
+    band = np.zeros((B, n + 1, N, n))
+    for d in range(n):
+        # row n - d holds offset d: entry (i, i + d) of each block
+        band[:, n - d, :, d:] = np.diagonal(blocks, offset=d, axis1=2, axis2=3)
+    band[:, 0, 1:] = -1.0 / dt
+    return band.reshape(B, n + 1, N * n)
+
+
+def _newton_factor(band: np.ndarray) -> Optional[np.ndarray]:
+    """cholesky_banded of one member's band, or None where it is not finite
+    or not positive definite (V not convex along the path)."""
+    if not np.isfinite(band).all():
+        return None
+    try:
+        return cholesky_banded(band, check_finite=False)
+    except LinAlgError:
+        return None
+
+
 def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
              opts: ActionOptions):
-    """Monotone preconditioned descent on the discrete action of each path
-    of a (B, N+1, n) stack; node 0 of every path is fixed.
+    """Damped Newton descent on the discrete action of each path of a
+    (B, N+1, n) stack; node 0 of every path is fixed.
 
-    Member b steps along -P_b^{-1} g.  P_b is the action's Hessian on nodes
-    1..N for the isotropic quadratic V = c_b ||x||^2 / 2: tridiagonal with
-    off-diagonal -1/dt, diagonal 2/dt + c_b dt and last diagonal
-    1/dt + c_b (dt/2 + mu), where c_b = ||grad V(x0)||^2 / (2 V(x0)), or 1
-    where V(x0) = 0.  It removes the O(N^2) condition number of the kinetic
-    term, and is exact when V is such a quadratic; the first trial step, 1,
-    is then the Newton step.  Later trial steps are the preconditioned
-    Barzilai-Borwein step s.y / y.P_b^{-1} y, safeguarded by Armijo
-    backtracking on the term-wise decrease against t g.P_b^{-1} g, so the
+    Each iteration, member b steps along -P_b(W)^{-1} g, where P_b(W) is the
+    action's own Hessian at its current path (_action_hessian_bands),
+    factored by a banded Cholesky; the step is exact for every quadratic V,
+    so an SPD quadratic solves in one iteration.  Where that factor fails
+    (V not convex along the path, or a non-finite block), the member takes
+    the isotropic factor of _isotropic_factor for that iteration instead.
+    The trial step is 1, halved at most _HALVINGS times until the Armijo
+    test on the term-wise decrease against t g.P_b^{-1} g holds, so the
     action is nonincreasing; a trial where V is not finite is rejected like
-    one that fails the test.  A line search halves its step at most
-    _HALVINGS times.  A member stops when its gradient inf-norm falls below
-    opts.tol_opt, after opts.max_iters iterations, or when its line search
-    finds no step, and then leaves the working set; only rejected members
-    are tried again inside a line search.  Returns the
-    final (W, Vv, Vg, iterations, grad_inf) per member.
+    one that fails the test.  A member stops when its gradient inf-norm
+    falls below opts.tol_opt, after opts.max_iters iterations, or when its
+    line search finds no step, and then leaves the working set; only the
+    members still going are factored, and only rejected members are tried
+    again inside a line search.  Each member is factored and solved on its
+    own, so its result is the one it gets alone.  Returns the final
+    (W, Vv, Vg, iterations, grad_inf) per member.
     """
     W = np.array(W, float)
     Vv = _potential_values(V, W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
@@ -155,20 +212,19 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     out_W, out_Vv, out_Vg = np.empty_like(W), np.empty_like(Vv), np.empty_like(Vg)
     iters = np.zeros(len(W), int)
     ginf = np.zeros(len(W))
-    # P_b is factored once; each member takes its own banded solve, so its
-    # result is the one it gets alone
     N = W.shape[1] - 1
-    factors = np.empty((len(W), 2, N))
-    for b, (v, g0) in enumerate(zip(Vv[:, 0], Vg[:, 0])):
-        c = float(np.dot(g0, g0)) / (2.0 * v) if v > 0.0 else 1.0
-        band = np.full((2, N), -1.0 / dt)
-        band[1] = 2.0 / dt + c * dt
-        band[1, -1] = 1.0 / dt + c * (0.5 * dt + mu)
-        factors[b] = cholesky_banded(band)
 
-    def precondition(g):
-        return np.stack([cho_solve_banded((f, False), gb, check_finite=False)
-                         for f, gb in zip(factors, g)])
+    def newton_directions(W, Vv, Vg, g):
+        p = np.empty_like(g)
+        for b, band in enumerate(_action_hessian_bands(V, W, dt, mu)):
+            f = _newton_factor(band)
+            if f is not None:
+                p[b] = cho_solve_banded((f, False), g[b].ravel(),
+                                        check_finite=False).reshape(g[b].shape)
+            else:
+                f = _isotropic_factor(Vv[b, 0], Vg[b, 0], N, dt, mu)
+                p[b] = cho_solve_banded((f, False), g[b], check_finite=False)
+        return p
 
     def armijo(D, Vv, D_t, Vv_t, t, gp):
         # the decrease is summed from per-term differences, so the test
@@ -179,14 +235,11 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
         ok[ok] = armijo(D[ok], Vv[ok], D_t[ok], Vv_t[ok], t[ok], gp[ok])
         return ok
 
-    # the working set: original index and state of every member still going,
-    # with p = P^{-1} g and the next trial step
+    # the working set: original index and state of every member still going
     ids = np.arange(len(W))
     D = W[:, 1:] - W[:, :-1]
     g = kernels.action_gradient(W, Vg, dt, mu)
-    p = precondition(g)
     gi = np.maximum.reduce(np.abs(g), axis=(1, 2))
-    step = np.ones(len(W))
     stop = gi < opts.tol_opt
     k = 0
     while True:
@@ -199,13 +252,13 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
             if stop.all():
                 break
             go = ~stop
-            ids, W, Vv, Vg, D, g, p, step, factors = (
-                a[go] for a in (ids, W, Vv, Vg, D, g, p, step, factors))
+            ids, W, Vv, Vg, D, g = (a[go] for a in (ids, W, Vv, Vg, D, g))
         k += 1
+        p = newton_directions(W, Vv, Vg, g)
         gp = np.add.reduce(g * p, axis=(1, 2))
-        t = np.minimum(np.maximum(step, 1e-12), 1e6)
+        t = np.ones(len(W))
         W_t = W.copy()
-        W_t[:, 1:] -= t[:, None, None] * p
+        W_t[:, 1:] -= p
         Vv_t = _trial_values(V, W_t)
         D_t = W_t[:, 1:] - W_t[:, :-1]
         ok = armijo(D, Vv, D_t, Vv_t, t, gp)
@@ -227,15 +280,7 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
         W_t[failed], Vv_t[failed], D_t[failed] = W[failed], Vv[failed], D[failed]
         W, Vv, D = W_t, Vv_t, D_t
         Vg = _gradients(V, W)
-        g_new = kernels.action_gradient(W, Vg, dt, mu)
-        p_new = precondition(g_new)
-        # preconditioned Barzilai-Borwein step s.y / y.P^{-1}y, where s = -t p
-        # and P^{-1}y = p_new - p; twice the last step where it is undefined
-        s, y, py = -t[:, None, None] * p, g_new - g, p_new - p
-        sy = np.add.reduce(s * y, axis=(1, 2))
-        ypy = np.add.reduce(y * py, axis=(1, 2))
-        step = np.divide(sy, ypy, out=t * 2.0, where=(sy > 0) & (ypy > 0))
-        g, p = g_new, p_new
+        g = kernels.action_gradient(W, Vg, dt, mu)
         gi = np.maximum.reduce(np.abs(g), axis=(1, 2))
         stop = (gi < opts.tol_opt) | failed
     return out_W, out_Vv, out_Vg, iters, ginf
@@ -268,30 +313,30 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
     W, Vv, Vg, iters, ginf = _descend(V, W, dt, mu, opts)
     values, _ = kernels.action_assemble(W, Vv, Vg, dt, mu, want_grad=False)
     el_res = kernels.el_residual_max(W, Vg, dt)
+    vel = fd_velocities(W, dt)
     m_tail = max(2, (N + 1) // 10)
+    tail_vprime = np.min(np.linalg.norm(vel[:, -m_tail:], axis=-1), axis=-1)
+    tail_V = np.min(Vv[:, -m_tail:], axis=-1)
+    # a path whose grid cannot resolve the orbit still solves its own
+    # discrete problem, but breaks the first integral I = 0.5 ||v'||^2 - V
+    I = 0.5 * np.sum(vel ** 2, axis=-1) - Vv
+    fi_drift = np.max(np.abs(I - I[:, :1]), axis=-1)
     out = []
     for i in range(len(W)):
-        traj = Trajectory(dt * np.arange(N + 1), W[i], fd_velocities(W[i], dt),
-                          "second_order", TERM_HORIZON,
+        traj = Trajectory(dt * np.arange(N + 1), W[i], vel[i], "second_order", TERM_HORIZON,
                           {"method": "action", "dt": dt, "mu": mu})
-        tail_vprime = float(np.min(np.linalg.norm(traj.velocities[-m_tail:], axis=-1)))
-        tail_V = float(np.min(Vv[i, -m_tail:]))
-        # a path whose grid cannot resolve the orbit still solves its own
-        # discrete problem, but breaks the first integral I = 0.5 ||v'||^2 - V
-        I = 0.5 * np.sum(traj.velocities ** 2, axis=-1) - Vv[i]
-        fi_drift = float(np.max(np.abs(I - I[0])))
         converged = (
             ginf[i] < opts.tol_opt
             and el_res[i] < _TOL_EL
-            and tail_vprime < DEFAULT_EPS_TAIL
-            and tail_V < DEFAULT_EPS_TAIL
-            and fi_drift <= _first_integral_tol(traj)
+            and tail_vprime[i] < DEFAULT_EPS_TAIL
+            and tail_V[i] < DEFAULT_EPS_TAIL
+            and fi_drift[i] <= _first_integral_tol(traj)
         )
         out.append((traj, float(values[i]), bool(converged),
                     {"iterations": int(iters[i]), "grad_inf": float(ginf[i]),
-                     "tail_vprime": tail_vprime, "tail_V": tail_V,
+                     "tail_vprime": float(tail_vprime[i]), "tail_V": float(tail_V[i]),
                      "el_residual": float(el_res[i]),
-                     "first_integral_drift": fi_drift}))
+                     "first_integral_drift": float(fi_drift[i])}))
     return out
 
 
@@ -308,12 +353,14 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
                     opts: Optional[ActionOptions] = None,
                     psi: Optional[DifferentiableField] = None,
                     init_path: Optional[np.ndarray] = None) -> EvanescentSolveResult:
-    """Monotone descent on the discrete action from init_path, or from the
-    constant path W = x0, preconditioned by the action's Hessian P for the
-    isotropic quadratic V = c ||x||^2 / 2, c = ||grad V(x0)||^2 / (2 V(x0))
-    (1 where V(x0) = 0; see _descend).  Every accepted step satisfies the
-    Armijo condition, so the action is nonincreasing across iterations.  At
-    an equilibrium the constant path has zero gradient and stops at once.
+    """Damped Newton descent on the discrete action from init_path, or from
+    the constant path W = x0 (see _descend): each iteration solves with the
+    action's own Hessian at the current path, so a quadratic V is solved in
+    one iteration, and where V is not convex along the path it solves with
+    the Hessian for the isotropic quadratic c ||x||^2 / 2 instead.  Every
+    accepted step satisfies the Armijo condition, so the action is
+    nonincreasing across iterations.  At an equilibrium the constant path
+    has zero gradient and stops at once.
     """
     V = _v_of(V)
     opts = opts or ActionOptions()

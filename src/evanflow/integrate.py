@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from evanflow import kernels
-from evanflow.fields import NumericDomainError, _psi_of, _v_of, fd_step
+from evanflow.fields import NumericDomainError, _psi_of, _v_of
 
 TERM_HORIZON = "horizon_reached"
 TERM_CRIT = "critical_point_reached"
@@ -269,30 +269,35 @@ def _second_order_rhs(V):
     return rhs
 
 
+def _hess_rows(V, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Hess V(x_i) p_i for each row pair of the (m, n) arrays X and P.
+    Without a hessvec it is the central difference of grad V along p_i with
+    step fd_step(x_i) / ||p_i||; the norm of x_i is rounded as np.dot rounds
+    it, so a row's step is the one fd_step gives."""
+    if V.hessvec is not None:
+        return np.asarray(V.hessvec(X, P), float)
+    norms = np.linalg.norm(P, axis=1, keepdims=True)
+    steps = 1e-5 * (1.0 + np.sqrt(kernels.row_dots(X)))
+    t = steps[:, None] / np.where(norms > 0.0, norms, 1.0)
+    return (V.gradient(X + t * P) - V.gradient(X - t * P)) / (2.0 * t)
+
+
 def _variational_rhs(V):
     """(v, w, P, Q)' = (w, grad V(v), Q, Hess V(v) P): v'' = grad V(v) with
     its sensitivities P = dv/dv0, Q = dw/dv0.  After (v, w) the state holds
     P and Q transposed, row-major: row j of each block is column j, the
-    sensitivity to v0[j], so Hess V(v) acts on rows and nothing is
-    transposed.  Without a hessvec, Hess V(v) p is a central difference of
-    grad V along p.
+    sensitivity to v0[j], so Hess V(v) acts on rows (_hess_rows) and nothing
+    is transposed.
     """
     V = _v_of(V)
     n = V.dim
     m = 2 * n + n * n
     orbit_rhs = _second_order_rhs(V)
 
-    def hess_rows(v, Pt):
-        if V.hessvec is not None:
-            return np.asarray(V.hessvec(v[None].repeat(n, 0), Pt), float)
-        norms = np.linalg.norm(Pt, axis=1, keepdims=True)
-        t = fd_step(v) / np.where(norms > 0.0, norms, 1.0)
-        return (V.gradient(v + t * Pt) - V.gradient(v - t * Pt)) / (2.0 * t)
-
     def rhs(y):
         out = orbit_rhs(y)
         out[2 * n:m] = y[m:]
-        out[m:] = hess_rows(y[:n], y[2 * n:m].reshape(n, n)).ravel()
+        out[m:] = _hess_rows(V, y[:n][None].repeat(n, 0), y[2 * n:m].reshape(n, n)).ravel()
         return out
 
     return rhs

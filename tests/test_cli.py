@@ -164,9 +164,8 @@ def test_evanesce_solves_each_route_once(tmp_path, monkeypatch, solver):
 
 def test_evanesce_failure_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
-    # on quadratic:1 one preconditioned step converges, so the budget is cut
-    # on a quadratic with two rates
-    cfg.write_text(json.dumps({"potential": "quadratic:1,0;0,2", "x0": "1,1",
+    # one Newton step solves a quadratic, so the budget is cut on cubic
+    cfg.write_text(json.dumps({"potential": "cubic", "x0": "1",
                                "max_iters": 1, "cross_validate": False}))
     assert run(["evanesce", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 

@@ -78,9 +78,9 @@ def test_reconstruct_action_and_shoot_agree():
 
 
 def test_reconstruct_value_unconverged_is_flagged():
-    # on quadratic:1 one preconditioned step converges, so the budget is cut
-    # on a quadratic with two rates
-    out = reconstruct_value(f_of(QUAD_2D), [1.0, 1.0], ReconstructOptions(max_iters=1))
+    # one Newton step solves a quadratic, so the budget is cut on cubic
+    out = reconstruct_value(f_of(make_counterexample("cubic")), [1.0],
+                            ReconstructOptions(max_iters=1))
     assert not out["converged"]
 
 

@@ -27,7 +27,9 @@ from evanflow.fields import (
     induced_potential,
     make_counterexample,
     make_example_one,
+    make_pair,
     make_quadratic,
+    resolve_potential,
 )
 from evanflow.integrate import (
     IntegratorOptions,
@@ -128,12 +130,14 @@ def test_action_route_returns_its_nodes_as_a_trajectory():
 
 
 def test_minimize_action_value_monotone_in_iteration_budget():
+    # one Newton step solves a quadratic, so the budgets are cut on cubic,
+    # whose V = 4.5 x^4 is not: 11.68, 3.05, 1.08, 1.0089, 1.00888
+    V = make_counterexample("cubic").v
     vals = []
-    for budget in (3, 10, 40, 200, 2000):
-        res = minimize_action(QUAD_2D.v, [1.0, 1.0], T, N,
-                              ActionOptions(max_iters=budget))
+    for budget in (1, 2, 4, 8, 2000):
+        res = minimize_action(V, [1.0], T, N, ActionOptions(max_iters=budget))
         vals.append(res.final_action)
-    assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_minimize_action_equilibrium_start():
@@ -146,12 +150,65 @@ def test_minimize_action_equilibrium_start():
 
 
 def test_action_iterations_do_not_grow_with_N():
-    # the preconditioner removes the kinetic term's O(N^2) condition number;
-    # without it Barzilai-Borwein descent takes 144, 697 and 3,263 iterations
+    # on a quadratic V the discrete action is quadratic, so the Newton step
+    # from the constant path is exact at any N
     for n_steps in (60, 240, 960):
         res = minimize_action(QUAD_2D.v, [1.0, 1.0], T, n_steps)
         assert res.converged
-        assert res.detail["iterations"] <= 40, (n_steps, res.detail)
+        assert res.detail["iterations"] == 1, (n_steps, res.detail)
+
+
+@pytest.mark.parametrize("name, x0, bound", [
+    ("cubic", [1.0], 20), ("cubic", [-1.0], 20),
+    ("example_one", [0.0], 15), ("quartic_saddle", [0.5, 0.5], 15),
+])
+def test_action_newton_iterations_on_non_quadratics(name, x0, bound):
+    # the verdicts stay unconverged: an algebraic tail, an orbit that
+    # escapes, a V that is not convex
+    pp = resolve_potential(name)
+    res = minimize_action(pp.v, x0, T, N, psi=pp.psi)
+    assert res.detail["iterations"] <= bound
+    assert res.detail["grad_inf"] < ActionOptions().tol_opt
+    assert not res.converged
+
+
+def _double_well():
+    """psi = x^4/4 - x^2/2: V = 0.5 (x^3 - x)^2 is not convex between its
+    wells, so the Newton factor fails there."""
+    def value(x):
+        x = np.asarray(x, float)[..., 0]
+        return 0.25 * x ** 4 - 0.5 * x ** 2
+
+    def gradient(x):
+        x = np.asarray(x, float)
+        return x ** 3 - x
+
+    def hessvec(x, h):
+        return (3.0 * np.asarray(x, float) ** 2 - 1.0) * np.asarray(h, float)
+
+    return make_pair(DifferentiableField(dim=1, value=value, gradient=gradient,
+                                         hessvec=hessvec, name="double_well"))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """One entry per iteration in which a member took the isotropic factor."""
+    calls = []
+    isotropic = evanescent._isotropic_factor
+    monkeypatch.setattr(evanescent, "_isotropic_factor",
+                        lambda *a: calls.append(1) or isotropic(*a))
+    return calls
+
+
+def test_action_double_well_converges_through_the_fallback(fallbacks):
+    # from 0.5 the orbit runs to the local maximum 0 of psi, with action
+    # psi(0) - psi(0.5) = 7/64
+    pp = _double_well()
+    res = minimize_action(pp.v, [0.5], T, N, psi=pp.psi)
+    assert res.converged
+    assert res.detail["iterations"] < 50
+    assert fallbacks
+    assert res.final_action == pytest.approx(7.0 / 64.0, rel=1e-3)
 
 
 @pytest.mark.parametrize("T_, N_, mu", [
@@ -196,11 +253,12 @@ def test_minimized_action_beats_random_paths():
 
 
 def test_minimize_action_honest_failure_on_tiny_budget():
-    # on quadratic:1 the preconditioner is the exact Hessian and one step
-    # converges, so the budget is cut on a quadratic with two rates
-    res = minimize_action(QUAD_2D.v, [1.0, 1.0], T, N, ActionOptions(max_iters=1))
+    # one Newton step solves a quadratic, so the budget is cut on cubic
+    opts = ActionOptions(max_iters=1)
+    res = minimize_action(make_counterexample("cubic").v, [1.0], T, N, opts)
     assert not res.converged
     assert res.detail["iterations"] == 1
+    assert res.detail["grad_inf"] >= opts.tol_opt
 
 
 def test_minimize_action_first_integral_tolerance_accounts_for_dt():
@@ -210,13 +268,15 @@ def test_minimize_action_first_integral_tolerance_accounts_for_dt():
 
 
 def test_minimize_action_stops_when_its_line_search_runs_out_of_halvings():
-    # a stiff 2-D quadratic whose gradient stalls just above tol_opt: the
-    # line search gives up after its halvings, so the descent stops with
-    # converged=False long before max_iters
+    # on a stiff 2-D quadratic the gradient stalls at about 1e-13, just
+    # above this tol_opt: the line search gives up after its halvings, so
+    # the descent stops with converged=False long before max_iters
     V = make_quadratic([[23.8011, 16.858], [16.858, 44.8882]]).v
-    res = minimize_action(V, [0.2525, -1.4696], T, N, ActionOptions(max_iters=2000))
+    opts = ActionOptions(tol_opt=1e-15, max_iters=2000)
+    res = minimize_action(V, [0.2525, -1.4696], T, N, opts)
     assert not res.converged
     assert res.detail["iterations"] < 2000
+    assert res.detail["grad_inf"] >= opts.tol_opt
 
 
 def test_fd_velocities_fourth_order():
@@ -242,13 +302,13 @@ def spd_problems(draw, dims=(1, 3), eig_range=(0.5, 2.0)):
 def test_minimize_action_spd_quadratic_property(problem):
     # the evanescent orbit of V = 0.5||Ax||^2 is the gradient flow of
     # psi = 0.5 x'Ax, so its action is psi(x0) - inf psi = 0.5 x0'Ax0; the
-    # preconditioned descent needs no more than 100 iterations for it
+    # discrete action is quadratic, so one Newton step solves it
     A, x0 = problem
     exact = 0.5 * float(x0 @ A @ x0)
     assume(exact >= 1e-3)
     opts = ActionOptions()
     res = minimize_action(make_quadratic(A).v, x0, T, N, opts)
-    assert res.detail["iterations"] <= 100
+    assert res.detail["iterations"] == 1
     assert res.detail["grad_inf"] < opts.tol_opt
     assert res.final_action == pytest.approx(exact, rel=5e-3)
 
@@ -284,24 +344,40 @@ def spd_stacks(draw):
     return A, np.array(starts), draw(st.integers(1, 400))
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(spd_stacks())
-def test_descend_stack_matches_single_paths(problem):
+def _assert_stack_matches_single_paths(V, W, opts):
     # every member of a stack takes exactly the steps it takes alone
-    A, X0, max_iters = problem
-    V = make_quadratic(A).v
-    n_small = 40
-    dt = T / n_small
-    lam = np.linspace(0.0, 1.0, n_small + 1)[:, None]
-    W = (1.0 - lam) * X0[:, None, :]        # straight paths to the minimizer
-    opts = ActionOptions(max_iters=max_iters)
+    dt = T / (W.shape[1] - 1)
     W_s, Vv_s, Vg_s, iters_s, ginf_s = _descend(V, W, dt, 10.0 * dt, opts)
-    for b in range(len(X0)):
+    for b in range(len(W)):
         W_1, Vv_1, Vg_1, iters_1, ginf_1 = _descend(V, W[b:b + 1], dt, 10.0 * dt, opts)
         assert np.array_equal(W_s[b], W_1[0])
         assert np.array_equal(Vg_s[b], Vg_1[0])
         assert iters_s[b] == iters_1[0] and ginf_s[b] == ginf_1[0]
-        assert iters_1[0] <= max_iters
+        assert iters_1[0] <= opts.max_iters
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(spd_stacks())
+def test_descend_stack_matches_single_paths(problem):
+    # with V's hessvec, and without it, where the Newton blocks are central
+    # differences of grad V
+    A, X0, max_iters = problem
+    V = make_quadratic(A).v
+    n_small = 40
+    lam = np.linspace(0.0, 1.0, n_small + 1)[:, None]
+    W = (1.0 - lam) * X0[:, None, :]        # straight paths to the minimizer
+    for field in (V, dataclasses.replace(V, hessvec=None)):
+        _assert_stack_matches_single_paths(field, W, ActionOptions(max_iters=max_iters))
+
+
+def test_descend_stack_matches_single_paths_through_the_fallback(fallbacks):
+    # a double-well member whose Newton factor fails takes the isotropic one
+    # for that iteration, in a stack with members on convex ground (from 1.5
+    # and 2) and at the equilibrium 0; each still gets its solo result
+    X0 = np.array([[0.5], [1.5], [-0.4], [0.0], [2.0]])
+    W = np.repeat(X0[:, None, :], N + 1, axis=1)
+    _assert_stack_matches_single_paths(_double_well().v, W, ActionOptions())
+    assert fallbacks
 
 
 def _walled(V, wall):

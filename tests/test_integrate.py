@@ -11,6 +11,7 @@ from evanflow.fields import (
     NumericDomainError,
     make_counterexample,
     make_example_one,
+    fd_step,
     make_quadratic,
 )
 from evanflow.integrate import (
@@ -19,6 +20,7 @@ from evanflow.integrate import (
     TERM_HORIZON,
     TERM_STEP_COLLAPSE,
     IntegratorOptions,
+    _hess_rows,
     _variational_rhs,
     gradient_flow,
     path_integral,
@@ -124,6 +126,27 @@ def test_adaptive_nodes_equal_the_seven_stage_loop():
         assert np.array_equal(raw.times, times)
         assert np.array_equal(raw.ys, ys)
     assert raw.meta["n_rejected"] > 0
+
+
+def test_hess_rows_central_difference_takes_fd_step_per_point():
+    # the difference step of each row is the fd_step of its own point, as
+    # the per-point loop takes it, so the shooting sensitivities do not
+    # depend on how many points one call batches; a norm rounded another
+    # way changes a few dozen of these 1,000 rows
+    V = make_counterexample("quartic_saddle").v
+    assert V.hessvec is None
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-2.0, 2.0, size=(1000, 2))
+    P = rng.normal(size=(1000, 2))
+    P[7] = 0.0
+    rows = _hess_rows(V, X, P)
+    for x, p, row in zip(X, P, rows):
+        # the norm of p is a row reduction in both, as shooting takes it
+        t = fd_step(x) / (np.linalg.norm(p[None], axis=1)[0] or 1.0)
+        ref = (V.gradient(x + t * p) - V.gradient(x - t * p)) / (2.0 * t)
+        assert np.array_equal(row, ref)
+    quad = make_quadratic([[1.0, 0.3], [0.3, 2.0]]).v
+    assert np.array_equal(_hess_rows(quad, X, P), quad.hessvec(X, P))
 
 
 def test_adaptive_rtol_bounds():
