@@ -183,7 +183,6 @@ _DEFAULTS = {
     "evanesce": {
         "potential": (..., _str), "x0": (..., _vector),
         "T": (DEFAULT_T, _positive), "N": (DEFAULT_N, _nodes),
-        "mu": (_ACTION.mu, _nonnegative), "tol_opt": (_ACTION.tol_opt, _positive),
         "max_iters": (_ACTION.max_iters, _count), "solver": ("action", _str),
         "cross_validate": (True, _bool), "seed": (0, _seed), "out": (".", _str),
     },
@@ -202,15 +201,15 @@ _DEFAULTS = {
         "box": (2.0, _positive), "seed": (0, _seed), "out": (".", _str),
     },
 }
-_FLAGS = ("potential", "x0", "v0", "T", "h", "rtol", "N", "mu", "grid",
-          "seed", "out", "checks")
+_FLAGS = ("potential", "x0", "v0", "T", "h", "rtol", "N", "grid", "seed",
+          "out", "checks")
 _POSITIONAL = ("potential1", "potential2")
 
 
 def _load_config(cmd: str, path, flags: dict) -> dict:
     """The command's defaults, overlaid by the JSON object in the file at
     path, then by the flags given; every value is coerced to its declared
-    type, and only a key whose default is null may be null."""
+    type."""
     table = _DEFAULTS[cmd]
     cfg = {key: default for key, (default, _) in table.items()}
     if path:
@@ -228,11 +227,9 @@ def _load_config(cmd: str, path, flags: dict) -> dict:
             )
         cfg.update(file_cfg)
     cfg.update((key, val) for key, val in flags.items() if val is not None)
-    for key, (default, kind) in table.items():
+    for key, (_, kind) in table.items():
         if cfg[key] is ...:
             raise InputError(f"missing required {key}")
-        if cfg[key] is None and default is None:
-            continue
         try:
             cfg[key] = kind(cfg[key])
         except (TypeError, ValueError):
@@ -244,6 +241,15 @@ def _options(cls, cfg, **renamed):
     """cls built from the config keys named as its fields (or as renamed)."""
     keys = {f.name: renamed.get(f.name, f.name) for f in fields(cls)}
     return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg})
+
+
+def _point(cfg, key, dim):
+    """The vector cfg[key], which must have dim components."""
+    vec = _vector(cfg[key], parsed=True)
+    if len(vec) != dim:
+        raise InputError(f"{key} must have {dim} components, the dimension of "
+                         f"the potential, got {len(vec)}")
+    return vec
 
 
 def _requested(cfg, available):
@@ -312,7 +318,7 @@ def _orbit_run(stem, report: DiagnosticsReport, traj, cfg, **extra):
 
 def cmd_flow(cfg):
     pp = resolve_potential(cfg["potential"])
-    x0 = _vector(cfg["x0"], parsed=True)
+    x0 = _point(cfg, "x0", pp.dim)
     opts = _options(IntegratorOptions, cfg, method="integrator")
     available = {
         "lyapunov": lambda: check_lyapunov_psi(traj, pp),
@@ -330,8 +336,8 @@ def cmd_flow(cfg):
 
 def cmd_second_order(cfg):
     pp = resolve_potential(cfg["potential"])
-    x0 = _vector(cfg["x0"], parsed=True)
-    v0 = _vector(cfg["v0"], parsed=True)
+    x0 = _point(cfg, "x0", pp.dim)
+    v0 = _point(cfg, "v0", pp.dim)
     opts = _options(IntegratorOptions, cfg, method="integrator")
     available = {
         "first_integral": lambda: check_first_integral(traj, pp),
@@ -350,7 +356,7 @@ def cmd_second_order(cfg):
 
 def cmd_evanesce(cfg):
     pp = resolve_potential(cfg["potential"])
-    x0 = _vector(cfg["x0"], parsed=True)
+    x0 = _point(cfg, "x0", pp.dim)
     T, N, solver = cfg["T"], cfg["N"], cfg["solver"]
     if solver not in ("action", "shoot", "both"):
         raise InputError(f"unknown solver {solver!r}")

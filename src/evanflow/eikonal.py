@@ -43,7 +43,6 @@ class ReconstructOptions:
     T: float = DEFAULT_T
     N: int = DEFAULT_N
     workers: int = 1                  # accepted for compatibility; no effect
-    max_iters: int = 50_000
 
 
 @dataclass
@@ -63,16 +62,14 @@ class ReconstructionResult:
 
 
 def _orbits(f: DifferentiableField, V: DifferentiableField, X0: np.ndarray,
-            T: float, N: int, opts: ReconstructOptions, final: bool) -> list:
+            T: float, N: int, final: bool) -> list:
     """The reconstruction dict of each row of X0 from its evanescent orbit,
     sampled on the uniform grid with spacing T/N (see _value_on_orbit), or
     the ValueError or ArithmeticError its solve or value step raised.  The
     rows are solved as stacks of action paths."""
-    aopts = ActionOptions(max_iters=opts.max_iters)
-
     def solve(X):
         return [_value_on_orbit(f, traj, converged, T, final)
-                for traj, _, converged, _ in _minimize_actions(V, X, T, N, aopts)]
+                for traj, _, converged, _ in _minimize_actions(V, X, T, N, ActionOptions())]
 
     size = max(1, _STACK_BYTES // (8 * (N + 1) * V.dim))
     out = []
@@ -154,7 +151,7 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     todo = list(range(len(points)))
     T, N = opts.T, opts.N
     for final in (False, True):
-        for i, d in zip(todo, _orbits(f, V, points[todo], T, N, opts, final)):
+        for i, d in zip(todo, _orbits(f, V, points[todo], T, N, final)):
             out[i] = d
         # tails not yet decaying: push the horizon once
         todo = [i for i in todo if out[i] is None]

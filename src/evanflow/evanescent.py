@@ -44,15 +44,15 @@ DEFAULT_N = 240
 _ARMIJO_C = 1e-4      # Armijo constant of the action line search
 _SHRINK = 0.5         # its backtracking factor
 _HALVINGS = 20        # and its most halvings per iteration
+_TOL_OPT = 1e-8       # a path stops once its action gradient's inf-norm is below this
 _TOL_EL = 1e-5        # a converged path's Euler-Lagrange residual is below this
+_MU_PER_DT = 10.0     # the terminal penalty weight mu is this times dt = T/N
 _SHOOT_RTOL = 1e-10   # shooting orbits; atol and r_max as in IntegratorOptions
 TOL_XV = 5e-3         # the routes of cross_validate agree to this distance
 
 
 @dataclass
 class ActionOptions:
-    mu: Optional[float] = None        # terminal penalty weight; default 10*T/N
-    tol_opt: float = 1e-8             # inf-norm gradient stopping tolerance
     max_iters: int = 50_000
 
 
@@ -199,7 +199,7 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     test on the term-wise decrease against t g.P_b^{-1} g holds, so the
     action is nonincreasing; a trial where V is not finite is rejected like
     one that fails the test.  A member stops when its gradient inf-norm
-    falls below opts.tol_opt, after opts.max_iters iterations, or when its
+    falls below _TOL_OPT, after opts.max_iters iterations, or when its
     line search finds no step, and then leaves the working set; only the
     members still going are factored, and only rejected members are tried
     again inside a line search.  Each member is factored and solved on its
@@ -226,21 +226,12 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
                 p[b] = cho_solve_banded((f, False), g[b], check_finite=False)
         return p
 
-    def armijo(D, Vv, D_t, Vv_t, t, gp):
-        # the decrease is summed from per-term differences, so the test
-        # still resolves it near the double-precision floor
-        if np.isfinite(Vv_t).all():
-            return kernels._decrease(D, Vv, D_t, Vv_t, dt, mu) >= _ARMIJO_C * t * gp
-        ok = np.isfinite(Vv_t).all(axis=1)
-        ok[ok] = armijo(D[ok], Vv[ok], D_t[ok], Vv_t[ok], t[ok], gp[ok])
-        return ok
-
     # the working set: original index and state of every member still going
     ids = np.arange(len(W))
     D = W[:, 1:] - W[:, :-1]
     g = kernels.action_gradient(W, Vg, dt, mu)
     gi = np.maximum.reduce(np.abs(g), axis=(1, 2))
-    stop = gi < opts.tol_opt
+    stop = gi < _TOL_OPT
     k = 0
     while True:
         if k >= opts.max_iters:
@@ -256,14 +247,13 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
         k += 1
         p = newton_directions(W, Vv, Vg, g)
         gp = np.add.reduce(g * p, axis=(1, 2))
-        t = np.ones(len(W))
-        W_t = W.copy()
-        W_t[:, 1:] -= p
-        Vv_t = _trial_values(V, W_t)
-        D_t = W_t[:, 1:] - W_t[:, :-1]
-        ok = armijo(D, Vv, D_t, Vv_t, t, gp)
-        retry = (~ok).nonzero()[0]
-        for _ in range(_HALVINGS):
+        # the trial step 1 is halving 0; a member whose line search finds
+        # no step keeps its path and stops
+        t = np.full(len(W), 1.0 / _SHRINK)
+        W_t, Vv_t, D_t = W.copy(), Vv.copy(), D.copy()
+        ok = np.zeros(len(W), bool)
+        retry = np.arange(len(W))
+        for _ in range(_HALVINGS + 1):
             if not retry.size:
                 break
             t[retry] *= _SHRINK
@@ -271,18 +261,21 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
             W_r[:, 1:] -= t[retry, None, None] * p[retry]
             Vv_r = _trial_values(V, W_r)
             D_r = W_r[:, 1:] - W_r[:, :-1]
-            hit = armijo(D[retry], Vv[retry], D_r, Vv_r, t[retry], gp[retry])
+            # the decrease is summed from per-term differences, so the test
+            # still resolves it near the double-precision floor; a trial with
+            # a non-finite V fails it whatever its decrease reads
+            with np.errstate(invalid="ignore"):
+                hit = (kernels._decrease(D[retry], Vv[retry], D_r, Vv_r, dt, mu)
+                       >= _ARMIJO_C * t[retry] * gp[retry])
+            hit &= np.isfinite(Vv_r).all(axis=1)
             acc = retry[hit]
             W_t[acc], Vv_t[acc], D_t[acc], ok[acc] = W_r[hit], Vv_r[hit], D_r[hit], True
             retry = retry[~hit]
-        # a member whose line search finds no step keeps its path and stops
-        failed = ~ok
-        W_t[failed], Vv_t[failed], D_t[failed] = W[failed], Vv[failed], D[failed]
         W, Vv, D = W_t, Vv_t, D_t
         Vg = _gradients(V, W)
         g = kernels.action_gradient(W, Vg, dt, mu)
         gi = np.maximum.reduce(np.abs(g), axis=(1, 2))
-        stop = (gi < opts.tol_opt) | failed
+        stop = (gi < _TOL_OPT) | ~ok
     return out_W, out_Vv, out_Vg, iters, ginf
 
 
@@ -296,20 +289,17 @@ def _check_horizon(T: float, N: Optional[int] = None) -> None:
 
 
 def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
-                      opts: ActionOptions, W: Optional[np.ndarray] = None) -> list:
-    """The action solves from the rows of X0 (B, n) as one stack.  W holds the
-    initial paths; by default each is the constant path at its x0.  T, N and
-    a mu out of range raise ValueError before anything is solved.  Returns
-    (trajectory, action, converged, detail) per row: the trajectory holds
-    the nodes at times dt * k with their finite-difference velocities."""
+                      opts: ActionOptions) -> list:
+    """The action solves from the rows of X0 (B, n) as one stack, each from
+    the constant path at its x0, with the terminal penalty weight
+    mu = _MU_PER_DT * T/N.  T and N out of range raise ValueError before
+    anything is solved.  Returns (trajectory, action, converged, detail) per
+    row: the trajectory holds the nodes at times dt * k with their
+    finite-difference velocities."""
     _check_horizon(T, N)
     dt = T / N
-    mu = opts.mu if opts.mu is not None else 10.0 * dt
-    if not 0.0 <= mu < np.inf:
-        # a negative terminal penalty leaves the action unbounded below
-        raise ValueError(f"mu must be a finite number >= 0, got {mu!r}")
-    if W is None:
-        W = np.repeat(np.asarray(X0, float)[:, None, :], N + 1, axis=1)
+    mu = _MU_PER_DT * dt
+    W = np.repeat(np.asarray(X0, float)[:, None, :], N + 1, axis=1)
     W, Vv, Vg, iters, ginf = _descend(V, W, dt, mu, opts)
     values, _ = kernels.action_assemble(W, Vv, Vg, dt, mu, want_grad=False)
     el_res = kernels.el_residual_max(W, Vg, dt)
@@ -326,7 +316,7 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
         traj = Trajectory(dt * np.arange(N + 1), W[i], vel[i], "second_order", TERM_HORIZON,
                           {"method": "action", "dt": dt, "mu": mu})
         converged = (
-            ginf[i] < opts.tol_opt
+            ginf[i] < _TOL_OPT
             and el_res[i] < _TOL_EL
             and tail_vprime[i] < DEFAULT_EPS_TAIL
             and tail_V[i] < DEFAULT_EPS_TAIL
@@ -351,13 +341,12 @@ def _first_integral_tol(traj: Trajectory) -> float:
 
 def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
                     opts: Optional[ActionOptions] = None,
-                    psi: Optional[DifferentiableField] = None,
-                    init_path: Optional[np.ndarray] = None) -> EvanescentSolveResult:
-    """Damped Newton descent on the discrete action from init_path, or from
-    the constant path W = x0 (see _descend): each iteration solves with the
-    action's own Hessian at the current path, so a quadratic V is solved in
-    one iteration, and where V is not convex along the path it solves with
-    the Hessian for the isotropic quadratic c ||x||^2 / 2 instead.  Every
+                    psi: Optional[DifferentiableField] = None) -> EvanescentSolveResult:
+    """Damped Newton descent on the discrete action from the constant path
+    W = x0 (see _descend): each iteration solves with the action's own
+    Hessian at the current path, so a quadratic V is solved in one
+    iteration, and where V is not convex along the path it solves with the
+    Hessian for the isotropic quadratic c ||x||^2 / 2 instead.  Every
     accepted step satisfies the Armijo condition, so the action is
     nonincreasing across iterations.  At an equilibrium the constant path
     has zero gradient and stops at once.
@@ -368,14 +357,7 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
     v00 = float(V.value(x0))
     if v00 < -1e-12:
         raise ValueError(f"V(x0) = {v00:g} is negative")
-    W = None
-    if init_path is not None:
-        W = np.array(init_path, float)
-        if W.shape != (N + 1, V.dim):
-            raise ValueError("init_path has wrong shape")
-        W[0] = x0
-        W = W[None]
-    traj, action, converged, detail = _minimize_actions(V, x0[None], T, N, opts, W)[0]
+    traj, action, converged, detail = _minimize_actions(V, x0[None], T, N, opts)[0]
     report = _solve_diagnostics(traj, V, psi, _first_integral_tol(traj))
     return EvanescentSolveResult(traj, "action", converged, action, report, detail)
 

@@ -1,9 +1,12 @@
 """CLI surface: exit codes, artifacts, config handling, determinism."""
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from evanflow.cli import _DEFAULTS, main
+from evanflow.cli import _DEFAULTS, build_parser, main
 
 
 def run(argv):
@@ -210,6 +213,31 @@ def test_reconstruct_rejects_an_empty_axis(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("mu", 0.1), ("tol_opt", 1e-6)])
+def test_evanesce_removed_keys_are_unknown(tmp_path, key, value):
+    # the terminal penalty weight and the stopping tolerance are constants
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert run(["evanesce", "--config", str(cfg), "--potential", "quadratic:1",
+                "--x0", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["flow", "--x0", "1"], "x0"),
+    (["second-order", "--x0", "1", "--v0=-1,-2"], "x0"),
+    (["second-order", "--x0", "1,1", "--v0", "-1"], "v0"),
+    (["evanesce", "--x0", "1"], "x0"),
+], ids=["flow-x0", "second-order-x0", "second-order-v0", "evanesce-x0"])
+def test_wrong_length_vector_names_its_key(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert run(argv + ["--potential", "quadratic:1,0;0,2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {key} must have 2 components, the dimension of the potential, got 1\n")
+    assert not out.exists()
+
+
 def test_reconstruct_unknown_method(tmp_path):
     # reconstruction has one route, so a method key is an unknown key
     cfg = tmp_path / "cfg.json"
@@ -365,6 +393,7 @@ def test_check_convexity_cubic_consistent(tmp_path):
     ["reconstruct", "--potential", "quadratic:1", "--grid=-1:1:5",
      "--workers", "2"],
     ["flow", "--potential", "quadratic:1", "--x0", "1", "--seed", "3"],
+    ["evanesce", "--potential", "quadratic:1", "--x0", "1", "--mu", "0.1"],
 ])
 def test_parser_rejections_exit_1(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -401,12 +430,12 @@ MISTYPED = {
 @pytest.mark.parametrize("cmd,key", [(cmd, key) for cmd, table in _DEFAULTS.items()
                                      for key in table])
 def test_mistyped_config_value_exits_1(tmp_path, monkeypatch, capsys, cmd, key):
-    default, kind = _DEFAULTS[cmd][key]
+    kind = _DEFAULTS[cmd][key][1]
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     monkeypatch.chdir(run_dir)
     cfg = tmp_path / "cfg.json"
-    for value in MISTYPED[kind.__name__] + ([] if default is None else [None]):
+    for value in MISTYPED[kind.__name__] + [None]:
         cfg.write_text(json.dumps({**VALID[cmd], key: value}))
         assert run([cmd, "--config", str(cfg)]) == 1, value
         assert capsys.readouterr().err.startswith(f"error: {key} must be "), value
@@ -419,3 +448,22 @@ def test_numeric_strings_in_config(tmp_path):
                                "rtol": "1e-9"}))
     assert run(["flow", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert read_json(tmp_path / "flow_report.json")["config"]["rtol"] == 1e-9
+
+
+def test_readme_flag_table_matches_the_parser():
+    # the README's "exactly these flags" table lists, per subcommand, the
+    # flags its parser defines besides --config, in the parser's order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("exactly these flags:", 1)[1]
+    rows = re.findall(r"^\| `([\w-]+)` \| `([^`]*)`(.*) \|$", table, re.M)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert [cmd for cmd, _, _ in rows] == list(sub.choices)
+    for cmd, flags, rest in rows:
+        actions = sub.choices[cmd]._actions
+        options = [o for a in actions for o in a.option_strings
+                   if o not in ("-h", "--help", "--config")]
+        positional = [a.dest for a in actions if not a.option_strings]
+        assert flags.split() == options, cmd
+        # determine names its two positional potential ids in words
+        assert ("positional" in rest) == bool(positional), cmd

@@ -78,9 +78,10 @@ def test_reconstruct_action_and_shoot_agree():
 
 
 def test_reconstruct_value_unconverged_is_flagged():
-    # one Newton step solves a quadratic, so the budget is cut on cubic
-    out = reconstruct_value(f_of(make_counterexample("cubic")), [1.0],
-                            ReconstructOptions(max_iters=1))
+    # the orbit of cubic from 1 runs to the degenerate minimum 0 of
+    # V = 4.5 x^4 and decays only algebraically, so its action solve is
+    # unconverged at the default budget and horizon
+    out = reconstruct_value(f_of(make_counterexample("cubic")), [1.0])
     assert not out["converged"]
 
 

@@ -168,7 +168,7 @@ def test_action_newton_iterations_on_non_quadratics(name, x0, bound):
     pp = resolve_potential(name)
     res = minimize_action(pp.v, x0, T, N, psi=pp.psi)
     assert res.detail["iterations"] <= bound
-    assert res.detail["grad_inf"] < ActionOptions().tol_opt
+    assert res.detail["grad_inf"] < evanescent._TOL_OPT
     assert not res.converged
 
 
@@ -211,16 +211,14 @@ def test_action_double_well_converges_through_the_fallback(fallbacks):
     assert res.final_action == pytest.approx(7.0 / 64.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("T_, N_, mu", [
-    (0.0, N, None), (-1.0, N, None), (np.nan, N, None), (np.inf, N, None),
-    (T, 1, None), (T, 0, None), (T, N, -1.0), (T, N, np.nan), (T, N, np.inf),
-], ids=["T0", "Tneg", "Tnan", "Tinf", "N1", "N0", "mu_neg", "mu_nan", "mu_inf"])
-def test_action_solves_reject_out_of_range_inputs(T_, N_, mu):
-    # a negative mu leaves the action unbounded below; each is refused
-    # before the field is evaluated
+@pytest.mark.parametrize("T_, N_", [
+    (0.0, N), (-1.0, N), (np.nan, N), (np.inf, N), (T, 1), (T, 0),
+], ids=["T0", "Tneg", "Tnan", "Tinf", "N1", "N0"])
+def test_action_solves_reject_out_of_range_inputs(T_, N_):
+    # each is refused before the field is evaluated
     calls = []
     counted = _counted(QUAD_2D.v, calls)
-    opts = ActionOptions(mu=mu)
+    opts = ActionOptions()
     with pytest.raises(ValueError, match="must be"):
         _minimize_actions(counted, np.array([[1.0, 1.0]]), T_, N_, opts)
     assert calls == []
@@ -229,16 +227,20 @@ def test_action_solves_reject_out_of_range_inputs(T_, N_, mu):
 
 
 def test_minimize_action_unique_minimizer_across_inits():
+    # the descent from perturbed paths reaches the path it reaches from the
+    # constant one
     rng = np.random.default_rng(7)
     x0 = np.array([1.0, 1.0])
     base = minimize_action(QUAD_2D.v, x0, T, N)
     assert base.converged
-    for _ in range(5):
-        init = base.trajectory.states + 0.5 * rng.normal(size=(N + 1, 2))
-        init[0] = x0
-        res = minimize_action(QUAD_2D.v, x0, T, N, init_path=init)
-        assert res.converged
-        assert np.max(np.abs(res.trajectory.states - base.trajectory.states)) < 5e-3
+    inits = np.stack([base.trajectory.states + 0.5 * rng.normal(size=(N + 1, 2))
+                      for _ in range(5)])
+    inits[:, 0] = x0
+    W, _, Vg, _, ginf = _descend(QUAD_2D.v, inits, DT, evanescent._MU_PER_DT * DT,
+                                 ActionOptions())
+    assert np.all(ginf < evanescent._TOL_OPT)
+    assert np.all(kernels.el_residual_max(W, Vg, DT) < evanescent._TOL_EL)
+    assert np.max(np.abs(W - base.trajectory.states)) < 5e-3
 
 
 def test_minimized_action_beats_random_paths():
@@ -258,7 +260,7 @@ def test_minimize_action_honest_failure_on_tiny_budget():
     res = minimize_action(make_counterexample("cubic").v, [1.0], T, N, opts)
     assert not res.converged
     assert res.detail["iterations"] == 1
-    assert res.detail["grad_inf"] >= opts.tol_opt
+    assert res.detail["grad_inf"] >= evanescent._TOL_OPT
 
 
 def test_minimize_action_first_integral_tolerance_accounts_for_dt():
@@ -267,16 +269,17 @@ def test_minimize_action_first_integral_tolerance_accounts_for_dt():
     assert fi is not None and fi.passed, fi.notes
 
 
-def test_minimize_action_stops_when_its_line_search_runs_out_of_halvings():
-    # on a stiff 2-D quadratic the gradient stalls at about 1e-13, just
-    # above this tol_opt: the line search gives up after its halvings, so
-    # the descent stops with converged=False long before max_iters
+def test_minimize_action_stops_when_its_line_search_runs_out_of_halvings(monkeypatch):
+    # on a stiff 2-D quadratic the gradient stalls at about 1e-13, above a
+    # stopping tolerance lowered to 1e-15: the line search gives up after
+    # its halvings, so the descent stops with converged=False long before
+    # max_iters
+    monkeypatch.setattr(evanescent, "_TOL_OPT", 1e-15)
     V = make_quadratic([[23.8011, 16.858], [16.858, 44.8882]]).v
-    opts = ActionOptions(tol_opt=1e-15, max_iters=2000)
-    res = minimize_action(V, [0.2525, -1.4696], T, N, opts)
+    res = minimize_action(V, [0.2525, -1.4696], T, N, ActionOptions(max_iters=2000))
     assert not res.converged
     assert res.detail["iterations"] < 2000
-    assert res.detail["grad_inf"] >= opts.tol_opt
+    assert res.detail["grad_inf"] >= 1e-15
 
 
 def test_fd_velocities_fourth_order():
@@ -306,10 +309,9 @@ def test_minimize_action_spd_quadratic_property(problem):
     A, x0 = problem
     exact = 0.5 * float(x0 @ A @ x0)
     assume(exact >= 1e-3)
-    opts = ActionOptions()
-    res = minimize_action(make_quadratic(A).v, x0, T, N, opts)
+    res = minimize_action(make_quadratic(A).v, x0, T, N)
     assert res.detail["iterations"] == 1
-    assert res.detail["grad_inf"] < opts.tol_opt
+    assert res.detail["grad_inf"] < evanescent._TOL_OPT
     assert res.final_action == pytest.approx(exact, rel=5e-3)
 
 
@@ -649,8 +651,7 @@ def test_action_route_is_honest_about_unbounded_example():
     pp = make_example_one()
     res = minimize_action(pp.v, [0.0], T, N, psi=pp.psi)
     assert not res.converged
-    # the term-wise Armijo decrease lets the descent reach tol_opt instead of
-    # stalling just above it and using every iteration
-    opts = ActionOptions()
-    assert res.detail["iterations"] < opts.max_iters
-    assert res.detail["grad_inf"] < opts.tol_opt
+    # the term-wise Armijo decrease lets the descent reach its stopping
+    # tolerance instead of stalling just above it and using every iteration
+    assert res.detail["iterations"] < ActionOptions().max_iters
+    assert res.detail["grad_inf"] < evanescent._TOL_OPT
