@@ -68,10 +68,19 @@ class RawOrbit:
     meta: dict
 
 
+def _state_vector(y0) -> np.ndarray:
+    y = np.array(y0, float)
+    if y.ndim != 1:
+        raise ValueError(f"y0 must be a 1-D state vector, got shape {y.shape}")
+    return y
+
+
 def _check_state(y: np.ndarray, r_max: float) -> Optional[str]:
-    if not np.all(np.isfinite(y)):
+    # counting the finite entries gives isfinite(y).all()'s verdict, cheaper
+    if np.count_nonzero(np.isfinite(y)) != y.size:
         return "nan"
-    if np.linalg.norm(y) > r_max:
+    # the Euclidean norm as np.linalg.norm takes it on 1-D input
+    if sqrt(y.dot(y)) > r_max:
         return TERM_DIVERGED
     return None
 
@@ -81,10 +90,10 @@ def rk4_fixed(rhs: Callable, y0, T: float, h: float,
               eps_crit: Optional[float] = None) -> RawOrbit:
     """Classical 4th-order Runge-Kutta with node spacing h (last step partial);
     given eps_crit, the orbit ends (TERM_CRIT) at the first node where
-    ||k1|| < eps_crit."""
+    ||k1|| < eps_crit.  y0 must be 1-D (ValueError otherwise)."""
     if not (h > 0 and T > 0):
         raise ValueError("rk4_fixed requires h > 0 and T > 0")
-    y = np.asarray(y0, float).copy()
+    y = _state_vector(y0)
     t = 0.0
     times = [0.0]
     ys = [y.copy()]
@@ -145,17 +154,20 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
 
     First same as last (FSAL): the input of the seventh stage is the
     5th-order solution, so its slope is the next step's first stage, and
-    rhs is called once at y0 and then six times per attempted step,
-    rejected or not.  Given eps_crit, the orbit ends (TERM_CRIT) at the first
-    node where ||rhs(y)|| < eps_crit.  Only y[:n_ctrl] (default: all of y)
-    enters the error norm and the r_max test, so appended components ride
-    along on the steps of the rest.
+    rhs is called once at y0 and then six times per attempted step whose
+    stage inputs are all finite, rejected or not.  A step is rejected, and h
+    halved, at its first non-finite stage input, before rhs sees that input,
+    or when its last slope is non-finite.  Given eps_crit, the orbit ends
+    (TERM_CRIT) at the first node where ||rhs(y)|| < eps_crit.  Only
+    y[:n_ctrl] (default: all of y) enters the error norm and the r_max test,
+    so appended components ride along on the steps of the rest.  y0 must be
+    1-D (ValueError otherwise).
     """
     if not (1e-12 <= rtol <= 1e-2):
         raise ValueError(f"rtol must lie in [1e-12, 1e-2], got {rtol:g}")
     if not atol > 0:
         raise ValueError("atol must be positive")
-    y = np.asarray(y0, float).copy()
+    y = _state_vector(y0)
     ctrl = slice(n_ctrl)
     t = 0.0
     h = min(1e-3 * T, 0.1)
@@ -164,8 +176,12 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     termination = TERM_HORIZON
     n_steps = 0
     n_rejected = 0
-    K = np.empty((7, y.size))
+    n = y.size
+    K = np.empty((7, n))
     K[0] = rhs(y)
+    # stage i's weights and the slopes they combine, K[:i] (views of K)
+    stages = [(i, _DP_A[i], K[:i]) for i in range(1, 7)]
+    last = K[6]
     # Euclidean norms as np.linalg.norm takes them on 1-D input
     y_norm = sqrt(y[ctrl].dot(y[ctrl]))
     while t < T * (1.0 - 1e-15):
@@ -178,25 +194,29 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
             break
         h = min(h, T - t)
         bad = False
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ K[:i])
-            if not np.isfinite(yi).all():
+        for i, a, Ki in stages:
+            yi = y + h * a.dot(Ki)
+            # counting the finite entries gives isfinite(yi).all()'s verdict
+            if np.count_nonzero(np.isfinite(yi)) != n:
                 bad = True
                 break
             K[i] = rhs(yi)
-        if bad or not np.isfinite(K).all():
+        # K[0] is finite (or y1 is not), and K[i], i = 1..5, enters y_{i+1}
+        # with a nonzero last weight, so a finite y_{i+1} proves it finite;
+        # only K[6] is left to test
+        if bad or np.count_nonzero(np.isfinite(last)) != n:
             h *= 0.5
             n_rejected += 1
             continue
         y5 = yi                 # _DP_B5 is _DP_A[6] with a zero last weight
-        y4 = y + h * (_DP_B4 @ K)
+        y4 = y + h * _DP_B4.dot(K)
         d = (y5 - y4)[ctrl]
         err = sqrt(d.dot(d))
         tol = atol + rtol * y_norm
         if err <= tol:
             t += h
             y = y5
-            K[0] = K[6]
+            K[0] = last
             n_steps += 1
             times.append(t)
             ys.append(y)

@@ -1,6 +1,7 @@
 """Integrators: closed-form oracles, terminations, CSV contract."""
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,39 @@ def test_rk4_nan_raises():
         rk4_fixed(rhs, np.array([1.0]), 1.0, 0.1)
 
 
+@pytest.mark.parametrize("slope", [np.inf, -np.inf])
+def test_rk4_infinite_state_raises(slope):
+    def rhs(y):
+        return np.array([slope])
+
+    with pytest.raises(NumericDomainError):
+        rk4_fixed(rhs, np.array([1.0]), 1.0, 0.1)
+
+
+def test_rk4_divergence_is_the_euclidean_norm_above_r_max():
+    # a state whose norm is r_max exactly runs to the horizon; one ulp more
+    # in a component puts its norm above r_max, as np.linalg.norm decides it
+    def still(y):
+        return np.zeros_like(y)
+
+    at = np.array([6e5, 8e5])
+    above = np.array([6e5, np.nextafter(8e5, np.inf)])
+    assert np.linalg.norm(at) == 1e6 < np.linalg.norm(above)
+    assert rk4_fixed(still, at, 1.0, 0.5, r_max=1e6).termination == TERM_HORIZON
+    raw = rk4_fixed(still, above, 1.0, 0.5, r_max=1e6)
+    assert raw.termination == TERM_DIVERGED
+    assert raw.meta["n_steps"] == 1
+
+
+@pytest.mark.parametrize("y0", [np.ones((1, 2)), np.array(1.0)])
+def test_integrators_reject_a_state_that_is_not_1d(y0):
+    shape = re.escape(str(y0.shape))
+    with pytest.raises(ValueError, match=shape):
+        rk_adaptive(lambda y: -y, y0, 1.0)
+    with pytest.raises(ValueError, match=shape):
+        rk4_fixed(lambda y: -y, y0, 1.0, 0.1)
+
+
 def test_adaptive_decay_accuracy():
     raw = rk_adaptive(lambda y: -y, np.array([1.0]), 5.0, rtol=1e-10, atol=1e-13)
     assert raw.termination == TERM_HORIZON
@@ -90,42 +124,93 @@ def test_adaptive_first_same_as_last_work_count(rate, rtol):
 
 
 def _seven_stage_reference(rhs, y0, T, rtol, n_ctrl=None, atol=1e-12):
-    """The Dormand-Prince loop that evaluates all seven stages every step."""
+    """The Dormand-Prince loop that evaluates all seven stages every step.
+    Every stage input is tested before rhs sees it, and all slopes after
+    the stages; a non-finite one halves h and rejects the step."""
     y, t, h, ctrl = np.asarray(y0, float).copy(), 0.0, min(1e-3 * T, 0.1), slice(n_ctrl)
     times, ys = [0.0], [y.copy()]
+    termination, n_steps, n_rejected = TERM_HORIZON, 0, 0
     while t < T * (1.0 - 1e-15):
+        if h < 1e-14 * T:
+            termination = TERM_STEP_COLLAPSE
+            break
         h = min(h, T - t)
         K = np.empty((7, y.size))
         K[0] = rhs(y)
+        bad = False
         for i in range(1, 7):
-            K[i] = rhs(y + h * (integrate._DP_A[i] @ K[:i]))
+            yi = y + h * (integrate._DP_A[i] @ K[:i])
+            if not np.isfinite(yi).all():
+                bad = True
+                break
+            K[i] = rhs(yi)
+        if bad or not np.isfinite(K).all():
+            h *= 0.5
+            n_rejected += 1
+            continue
         y5 = y + h * (integrate._DP_B5 @ K)
         y4 = y + h * (integrate._DP_B4 @ K)
         err = float(np.linalg.norm((y5 - y4)[ctrl]))
         tol = atol + rtol * float(np.linalg.norm(y[ctrl]))
         if err <= tol:
             t, y = t + h, y5
+            n_steps += 1
             times.append(t)
             ys.append(y.copy())
+        else:
+            n_rejected += 1
         factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-    return np.asarray(times), np.asarray(ys)
+    return np.asarray(times), np.asarray(ys), termination, n_steps, n_rejected
 
 
 def test_adaptive_nodes_equal_the_seven_stage_loop():
-    # reusing the last stage (FSAL) changes no node, bit for bit: on the
-    # variational state of a nonlinear V, error-controlled on (v, w) or on
-    # all of it, and on a fast decay whose steps are rejected
+    # reusing the last stage (FSAL) and testing only the stage inputs and the
+    # last slope change no node, bit for bit: on the variational state of a
+    # nonlinear V, error-controlled on (v, w) or on all of it, on a fast
+    # decay whose steps are rejected, and on right-hand sides that return
+    # inf past a wall or nan past a threshold, whose steps are rejected on a
+    # non-finite stage until the step size collapses; in `jump` the last
+    # slope is the first non-finite one on some steps
     rhs = _variational_rhs(make_counterexample("quartic_saddle").v)
     y0 = np.concatenate([[0.3, -0.2], [-0.1, 0.1], np.zeros(4), np.eye(2).ravel()])
-    for f, y, T, rtol, n_ctrl in ((rhs, y0, 3.0, 1e-10, 4), (rhs, y0, 3.0, 1e-6, None),
-                                  (lambda y: -50.0 * y, [1.0], 1.0, 1e-12, None)):
+    calls = 0
+
+    def capped(value):
+        # a guard that lets a step through may loop forever; stop it
+        nonlocal calls
+        calls += 1
+        if calls > 100_000:
+            raise RuntimeError("rk_adaptive kept rejecting steps")
+        return np.array(value)
+
+    def wall(y):
+        return capped([np.inf if y[0] > 1.5 else 1.0, -y[1]])
+
+    def threshold(y):
+        return capped([np.nan if y[0] > 1.2 else y[0], -2.0 * y[1]])
+
+    def jump(y):
+        return capped([1.0, np.nan if y[1] > 1.0 else (1e6 if y[0] > 1.5 else 0.0)])
+
+    cases = (
+        (rhs, y0, 3.0, 1e-10, 4, TERM_HORIZON),
+        (rhs, y0, 3.0, 1e-6, None, TERM_HORIZON),
+        (lambda y: -50.0 * y, [1.0], 1.0, 1e-12, None, TERM_HORIZON),
+        (wall, [0.0, 1.0], 3.0, 1e-9, None, TERM_STEP_COLLAPSE),
+        (threshold, [1.0, 1.0], 2.0, 1e-9, None, TERM_STEP_COLLAPSE),
+        (jump, [0.0, 0.0], 3.0, 1e-9, None, TERM_STEP_COLLAPSE),
+    )
+    for f, y, T, rtol, n_ctrl, termination in cases:
+        calls = 0
         raw = rk_adaptive(f, y, T, rtol=rtol, n_ctrl=n_ctrl)
-        times, ys = _seven_stage_reference(f, y, T, rtol, n_ctrl)
-        assert raw.termination == TERM_HORIZON
+        times, ys, ref_termination, n_steps, n_rejected = _seven_stage_reference(
+            f, y, T, rtol, n_ctrl)
+        assert raw.termination == ref_termination == termination
         assert np.array_equal(raw.times, times)
         assert np.array_equal(raw.ys, ys)
-    assert raw.meta["n_rejected"] > 0
+        assert (raw.meta["n_steps"], raw.meta["n_rejected"]) == (n_steps, n_rejected)
+        assert n_rejected > 0 or f is rhs
 
 
 def test_hess_rows_central_difference_takes_fd_step_per_point():
