@@ -61,15 +61,15 @@ class ReconstructionResult:
         }
 
 
-def _orbits(f: DifferentiableField, V: DifferentiableField, X0: np.ndarray,
-            T: float, N: int, final: bool) -> list:
-    """The reconstruction dict of each row of X0 from its evanescent orbit,
-    sampled on the uniform grid with spacing T/N (see _value_on_orbit), or
-    the ValueError or ArithmeticError its solve or value step raised.  The
-    rows are solved as stacks of action paths."""
+def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
+            final: bool) -> list:
+    """The reconstruction dict of each row of X0 from its evanescent orbit
+    (see _values), or the ValueError or ArithmeticError its solve or value
+    step raised.  The rows are solved as stacks of action paths, and f = 2V
+    on their nodes is read from the solve."""
     def solve(X):
-        return [_value_on_orbit(f, traj, converged, T, final)
-                for traj, _, converged, _ in _minimize_actions(V, X, T, N, ActionOptions())]
+        _, Vv, _, _, converged, _ = _minimize_actions(V, X, T, N, ActionOptions())
+        return _values(2.0 * Vv, converged, T / N, T, final)
 
     size = max(1, _STACK_BYTES // (8 * (N + 1) * V.dim))
     out = []
@@ -85,20 +85,6 @@ def _orbits(f: DifferentiableField, V: DifferentiableField, X0: np.ndarray,
                 except (ValueError, ArithmeticError) as exc:
                     out.append(exc)
     return out
-
-
-def _tail_fit(times: np.ndarray, fvals: np.ndarray):
-    """Log-linear fit of f along the last 20% of nodes; returns (slope, f_end)."""
-    m = len(times)
-    k = max(3, m // 5)
-    t_tail = times[-k:]
-    f_tail = np.maximum(fvals[-k:], 0.0)
-    f_end = float(f_tail[-1])
-    pos = f_tail > 1e-300
-    if np.count_nonzero(pos) < 3:
-        return -np.inf, f_end
-    slope = float(np.polyfit(t_tail[pos], np.log(f_tail[pos]), 1)[0])
-    return slope, f_end
 
 
 def reconstruct_value(f: DifferentiableField, x0,
@@ -151,7 +137,7 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     todo = list(range(len(points)))
     T, N = opts.T, opts.N
     for final in (False, True):
-        for i, d in zip(todo, _orbits(f, V, points[todo], T, N, final)):
+        for i, d in zip(todo, _orbits(V, points[todo], T, N, final)):
             out[i] = d
         # tails not yet decaying: push the horizon once
         todo = [i for i in todo if out[i] is None]
@@ -159,38 +145,36 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     return out
 
 
-def _value_on_orbit(f, traj, solve_ok, T, final):
-    """The reconstruction dict from an action trajectory at the nominal
-    horizon T and its solve verdict, or None when its tail is not yet
-    decaying and a longer horizon remains to try.  A start where f vanishes
-    is an equilibrium, psi_hat = 0."""
-    dt = traj.meta["dt"]
-    times = traj.times
-    fvals = np.asarray(f.value(traj.states), float)
-    if fvals[0] <= EPS_EQUILIBRIUM:
-        return {"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
-                "converged": True, "T_used": T, "tail_slope": -np.inf}
-    slope, f_end = _tail_fit(times, fvals)
-    if slope > TAIL_DECAY_SLOPE and not final:
-        return None
-    ev_integral = float(simpson(fvals, dx=dt))
-    if f_end <= 0.0 or slope == -np.inf:
-        tail = 0.0
-        tail_ok = True
-    elif slope <= TAIL_DECAY_SLOPE:
-        tail = f_end / abs(slope)
-        tail_ok = True
-    else:
-        tail = f_end / abs(slope) if slope < 0 else f_end * T
-        tail_ok = False
-    return {
-        "psi_hat": ev_integral + tail,
-        "ev_integral": ev_integral,
-        "tail_estimate": float(tail),
-        "converged": bool(solve_ok and tail_ok),
-        "T_used": T,
-        "tail_slope": slope,
-    }
+def _values(F: np.ndarray, solve_ok: np.ndarray, dt: float, T: float,
+            final: bool) -> list:
+    """The reconstruction dict of each row of F (B, N+1), f on the nodes of
+    action paths with spacing dt, at the nominal horizon T and given its
+    solve verdict, or None while its tail is not yet decaying and a longer
+    horizon remains to try.  The tail past T is fitted log-linearly to f on
+    the last 20% of nodes.  A start where f vanishes is an equilibrium,
+    psi_hat = 0."""
+    k = max(3, F.shape[1] // 5)
+    t_tail = (dt * np.arange(F.shape[1]))[-k:]
+    out = []
+    for f0, ev, f_tail, ok in zip(F[:, 0], simpson(F, dx=dt, axis=-1).tolist(),
+                                  np.maximum(F[:, -k:], 0.0), solve_ok):
+        if f0 <= EPS_EQUILIBRIUM:
+            out.append({"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
+                        "converged": True, "T_used": T, "tail_slope": -np.inf})
+            continue
+        f_end = float(f_tail[-1])
+        pos = f_tail > 1e-300
+        slope = (float(np.polyfit(t_tail[pos], np.log(f_tail[pos]), 1)[0])
+                 if np.count_nonzero(pos) >= 3 else -np.inf)
+        if slope > TAIL_DECAY_SLOPE and not final:
+            out.append(None)
+            continue
+        tail = (0.0 if f_end <= 0.0 or slope == -np.inf else
+                f_end / abs(slope) if slope < 0 else f_end * T)
+        out.append({"psi_hat": ev + tail, "ev_integral": ev, "tail_estimate": float(tail),
+                    "converged": bool(ok and (f_end <= 0.0 or slope <= TAIL_DECAY_SLOPE)),
+                    "T_used": T, "tail_slope": slope})
+    return out
 
 
 # ---------------------------------------------------------------------------

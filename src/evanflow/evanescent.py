@@ -281,21 +281,22 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
 
 def _check_horizon(T: float, N: Optional[int] = None) -> None:
     """Raise ValueError unless T is a positive finite horizon and N, if
-    given, is >= 2."""
+    given, is an integer >= 2."""
     if not 0.0 < T < np.inf:
         raise ValueError(f"T must be a positive finite number, got {T!r}")
-    if N is not None and not N >= 2:
-        raise ValueError(f"N must be >= 2, got {N!r}")
+    if N is not None and not (isinstance(N, (int, np.integer)) and N >= 2):
+        raise ValueError(f"N must be an integer >= 2, got {N!r}")
 
 
 def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
-                      opts: ActionOptions) -> list:
+                      opts: ActionOptions) -> tuple:
     """The action solves from the rows of X0 (B, n) as one stack, each from
     the constant path at its x0, with the terminal penalty weight
     mu = _MU_PER_DT * T/N.  T and N out of range raise ValueError before
-    anything is solved.  Returns (trajectory, action, converged, detail) per
-    row: the trajectory holds the nodes at times dt * k with their
-    finite-difference velocities."""
+    anything is solved.  Returns the stack as arrays: the nodes W (B, N+1, n)
+    at times dt * k, V on them Vv (B, N+1), their finite-difference
+    velocities (B, N+1, n), the actions (B,), the verdicts (B,) and detail, a
+    dict of (B,) arrays."""
     _check_horizon(T, N)
     dt = T / N
     mu = _MU_PER_DT * dt
@@ -311,32 +312,22 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
     # discrete problem, but breaks the first integral I = 0.5 ||v'||^2 - V
     I = 0.5 * np.sum(vel ** 2, axis=-1) - Vv
     fi_drift = np.max(np.abs(I - I[:, :1]), axis=-1)
-    out = []
-    for i in range(len(W)):
-        traj = Trajectory(dt * np.arange(N + 1), W[i], vel[i], "second_order", TERM_HORIZON,
-                          {"method": "action", "dt": dt, "mu": mu})
-        converged = (
-            ginf[i] < _TOL_OPT
-            and el_res[i] < _TOL_EL
-            and tail_vprime[i] < DEFAULT_EPS_TAIL
-            and tail_V[i] < DEFAULT_EPS_TAIL
-            and fi_drift[i] <= _first_integral_tol(traj)
-        )
-        out.append((traj, float(values[i]), bool(converged),
-                    {"iterations": int(iters[i]), "grad_inf": float(ginf[i]),
-                     "tail_vprime": float(tail_vprime[i]), "tail_V": float(tail_V[i]),
-                     "el_residual": float(el_res[i]),
-                     "first_integral_drift": float(fi_drift[i])}))
-    return out
+    converged = ((ginf < _TOL_OPT) & (el_res < _TOL_EL)
+                 & (tail_vprime < DEFAULT_EPS_TAIL) & (tail_V < DEFAULT_EPS_TAIL)
+                 & (fi_drift <= _first_integral_tol(vel[:, 0], dt)))
+    detail = {"iterations": iters, "grad_inf": ginf, "tail_vprime": tail_vprime,
+              "tail_V": tail_V, "el_residual": el_res, "first_integral_drift": fi_drift}
+    return W, Vv, vel, values, converged, detail
 
 
-def _first_integral_tol(traj: Trajectory) -> float:
-    """The first-integral tolerance of an action path: an O(dt^2) share of
-    its kinetic scale ||v'(0)||^2, the discretization error of a path that
-    resolves its orbit.  It has no absolute floor, so an orbit of little
-    energy is held to the same relative drift as any other."""
-    speed0 = float(np.linalg.norm(traj.velocities[0]))
-    return max(1e-6, traj.meta["dt"] ** 2) * speed0 ** 2
+def _first_integral_tol(v0: np.ndarray, dt: float) -> np.ndarray:
+    """The first-integral tolerance of action paths with initial velocities
+    v0 (B, n): an O(dt^2) share of the kinetic scale ||v'(0)||^2, the
+    discretization error of a path that resolves its orbit.  It has no
+    absolute floor, so an orbit of little energy is held to the same
+    relative drift as any other."""
+    # root then square: rounded as np.linalg.norm(v) ** 2, not as v.v
+    return max(1e-6, dt ** 2) * np.sqrt(kernels.row_dots(v0)) ** 2
 
 
 def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
@@ -349,17 +340,23 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
     Hessian for the isotropic quadratic c ||x||^2 / 2 instead.  Every
     accepted step satisfies the Armijo condition, so the action is
     nonincreasing across iterations.  At an equilibrium the constant path
-    has zero gradient and stops at once.
+    has zero gradient and stops at once.  T and N out of range raise
+    ValueError before V is evaluated.
     """
+    _check_horizon(T, N)
     V = _v_of(V)
     opts = opts or ActionOptions()
     x0 = np.asarray(x0, float).reshape(V.dim)
     v00 = float(V.value(x0))
     if v00 < -1e-12:
         raise ValueError(f"V(x0) = {v00:g} is negative")
-    traj, action, converged, detail = _minimize_actions(V, x0[None], T, N, opts)[0]
-    report = _solve_diagnostics(traj, V, psi, _first_integral_tol(traj))
-    return EvanescentSolveResult(traj, "action", converged, action, report, detail)
+    W, _, vel, actions, converged, detail = _minimize_actions(V, x0[None], T, N, opts)
+    dt = T / N
+    traj = Trajectory(dt * np.arange(N + 1), W[0], vel[0], "second_order", TERM_HORIZON,
+                      {"method": "action", "dt": dt, "mu": _MU_PER_DT * dt})
+    report = _solve_diagnostics(traj, V, psi, float(_first_integral_tol(vel[:, 0], dt)[0]))
+    return EvanescentSolveResult(traj, "action", bool(converged[0]), float(actions[0]),
+                                 report, {k: v[0].item() for k, v in detail.items()})
 
 
 def _solve_diagnostics(traj, V, psi=None, fi_tol=None) -> DiagnosticsReport:

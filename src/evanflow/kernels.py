@@ -12,8 +12,8 @@ import numpy as np
 # there is no compiled backend; the flag stays for code that reads it
 USING_EXTENSION = False
 
-__all__ = ["USING_EXTENSION", "action_assemble", "action_decrease",
-           "action_gradient", "el_residual_max", "row_dots", "trapezoid"]
+__all__ = ["USING_EXTENSION", "action_assemble", "action_gradient",
+           "el_residual_max", "row_dots", "trapezoid"]
 
 
 def _scalar(x):
@@ -53,21 +53,11 @@ def action_gradient(W, Vg, dt, mu):
     return grad
 
 
-def action_decrease(W, Vv, W_t, Vv_t, dt, mu):
-    """Action of path W minus action of path W_t, summed term by term.
-
-    Each kinetic, potential and terminal term is differenced before the sum,
-    so a decrease near the double-precision floor is not cancelled away as
-    it is in the difference of two summed action values.
-    """
-    W = np.asarray(W, float)
-    W_t = np.asarray(W_t, float)
-    return _decrease(W[..., 1:, :] - W[..., :-1, :], Vv,
-                     W_t[..., 1:, :] - W_t[..., :-1, :], Vv_t, dt, mu)
-
-
 def _decrease(d, Vv, d_t, Vv_t, dt, mu):
-    """action_decrease from the node differences d, d_t of the two paths."""
+    """Action of a path minus that of a trial path, from their node
+    differences d, d_t and potential values, each term differenced before
+    the sum, so a decrease near the double-precision floor is not cancelled
+    away as in the difference of two summed action values."""
     dV = np.asarray(Vv, float) - np.asarray(Vv_t, float)
     kinetic = 0.5 * ((d - d_t) * (d + d_t)).sum(axis=(-2, -1)) / dt
     potential = 0.5 * dt * (dV[..., :-1] + dV[..., 1:]).sum(axis=-1)

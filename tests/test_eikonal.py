@@ -18,11 +18,12 @@ from evanflow.eikonal import (
     reconstruct_grid,
     reconstruct_value,
 )
-from evanflow.evanescent import shoot_evanescent
+from evanflow.evanescent import minimize_action, shoot_evanescent
 from evanflow.fields import (
     NonnegativityError,
     NumericDomainError,
     PotentialPair,
+    field_from_f,
     make_counterexample,
     make_quadratic,
     resolve_potential,
@@ -152,8 +153,8 @@ def test_reconstruct_grid_horizon_retry():
 
 
 @pytest.mark.parametrize("T, N", [(0.0, 240), (-1.0, 240), (np.nan, 240),
-                                  (np.inf, 240), (12.0, 1)],
-                         ids=["T0", "Tneg", "Tnan", "Tinf", "N1"])
+                                  (np.inf, 240), (12.0, 1), (12.0, 60.0), (12.0, 60.5)],
+                         ids=["T0", "Tneg", "Tnan", "Tinf", "N1", "Nfloat", "Nfrac"])
 def test_reconstruct_rejects_out_of_range_horizon_before_solving(T, N):
     f = f_of(QUAD_1D)
     calls = []
@@ -164,6 +165,20 @@ def test_reconstruct_rejects_out_of_range_horizon_before_solving(T, N):
     with pytest.raises(ValueError, match="must be"):
         reconstruct_value(counted, [1.0], opts)
     assert calls == []
+
+
+def test_reconstruct_grid_reads_f_on_the_nodes_from_the_solve():
+    # f = 2V on a finished path's nodes comes from the action solve, so f is
+    # not evaluated again on any of them
+    f = f_of(QUAD_1D)
+    args = []
+    counted = dataclasses.replace(f, value=lambda x: args.append(np.array(x)) or f.value(x))
+    pts = np.linspace(-1.0, 1.0, 5)[:, None]
+    rec = reconstruct_grid(counted, pts)
+    assert all(d["converged"] for d in rec.per_point)
+    paths = [minimize_action(field_from_f(f), p).trajectory.states for p in pts]
+    assert args
+    assert not any(np.array_equal(a, w) for a in args for w in paths)
 
 
 def test_reconstruct_grid_isolates_a_failing_point():

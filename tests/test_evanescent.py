@@ -212,8 +212,9 @@ def test_action_double_well_converges_through_the_fallback(fallbacks):
 
 
 @pytest.mark.parametrize("T_, N_", [
-    (0.0, N), (-1.0, N), (np.nan, N), (np.inf, N), (T, 1), (T, 0),
-], ids=["T0", "Tneg", "Tnan", "Tinf", "N1", "N0"])
+    (0.0, N), (-1.0, N), (np.nan, N), (np.inf, N), (T, 1), (T, 0), (T, 60.0), (T, 60.5),
+    (T, True),
+], ids=["T0", "Tneg", "Tnan", "Tinf", "N1", "N0", "Nfloat", "Nfrac", "Nbool"])
 def test_action_solves_reject_out_of_range_inputs(T_, N_):
     # each is refused before the field is evaluated
     calls = []
@@ -221,9 +222,15 @@ def test_action_solves_reject_out_of_range_inputs(T_, N_):
     opts = ActionOptions()
     with pytest.raises(ValueError, match="must be"):
         _minimize_actions(counted, np.array([[1.0, 1.0]]), T_, N_, opts)
-    assert calls == []
     with pytest.raises(ValueError, match="must be"):
-        minimize_action(QUAD_2D.v, [1.0, 1.0], T_, N_, opts)
+        minimize_action(counted, [1.0, 1.0], T_, N_, opts)
+    assert calls == []
+
+
+def test_action_solves_take_a_numpy_integer_n():
+    ref = minimize_action(QUAD_2D.v, [1.0, 1.0], T, 60)
+    res = minimize_action(QUAD_2D.v, [1.0, 1.0], T, np.int64(60))
+    assert np.array_equal(res.trajectory.states, ref.trajectory.states)
 
 
 def test_minimize_action_unique_minimizer_across_inits():
@@ -401,15 +408,37 @@ def test_descend_rejects_trials_outside_the_domain(wall):
     V = _walled(QUAD_2D.v, wall)
     X0 = np.array([[1.0, 1.0], [0.5, -0.5]])
     opts = ActionOptions(max_iters=50)
-    out = _minimize_actions(V, X0, T, N, opts)
-    ref = _minimize_actions(_walled(QUAD_2D.v, "inf"), X0, T, N, opts)
-    assert all(detail["iterations"] < 50 for *_, detail in out)
-    for b, (traj, action, converged, _) in enumerate(out):
-        alone = _minimize_actions(V, X0[b:b + 1], T, N, opts)[0][0]
-        assert np.array_equal(traj.states, alone.states)
-        assert np.array_equal(traj.states, ref[b][0].states)
-        assert np.isfinite(action)
-        assert not converged
+    W, _, _, actions, converged, detail = _minimize_actions(V, X0, T, N, opts)
+    ref = _minimize_actions(_walled(QUAD_2D.v, "inf"), X0, T, N, opts)[0]
+    assert np.all(detail["iterations"] < 50)
+    for b in range(len(X0)):
+        assert np.array_equal(W[b], _minimize_actions(V, X0[b:b + 1], T, N, opts)[0][0])
+    assert np.array_equal(W, ref)
+    assert np.all(np.isfinite(actions))
+    assert not converged.any()
+
+
+def test_minimize_actions_returns_the_stack_as_arrays():
+    # V on the returned nodes is V.value of each member's path, bit for bit;
+    # every other array holds one entry per member, and minimize_action
+    # reports the stack's first member
+    X0 = np.array([[1.0, 1.0], [0.5, -0.5], [0.0, 0.0]])
+    B = len(X0)
+    W, Vv, vel, actions, converged, detail = _minimize_actions(
+        QUAD_2D.v, X0, T, N, ActionOptions())
+    assert W.shape == vel.shape == (B, N + 1, 2)
+    assert Vv.shape == (B, N + 1)
+    for b in range(B):
+        assert np.array_equal(Vv[b], QUAD_2D.v.value(W[b]))
+    assert actions.shape == converged.shape == (B,)
+    assert all(a.shape == (B,) for a in detail.values())
+    res = minimize_action(QUAD_2D.v, X0[0], T, N)
+    assert np.array_equal(res.trajectory.states, W[0])
+    assert np.array_equal(res.trajectory.velocities, vel[0])
+    assert res.final_action == actions[0] and res.converged == converged[0]
+    assert res.detail == {k: a[0] for k, a in detail.items()}
+    assert res.trajectory.meta == {"method": "action", "dt": DT,
+                                   "mu": evanescent._MU_PER_DT * DT}
 
 
 # --- shooting -------------------------------------------------------------
