@@ -30,7 +30,6 @@ from evanflow.diagnostics import (
     evanescence_measures,
 )
 from evanflow.evanescent import (
-    ActionOptions,
     EvanescentSolveResult,
     cross_validate,
     discrete_action,
@@ -53,7 +52,7 @@ from evanflow.kernels import USING_EXTENSION
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionOptions", "CatalogError", "CheckResult", "DiagnosticsReport",
+    "CatalogError", "CheckResult", "DiagnosticsReport",
     "DifferentiableField", "EvanescentSolveResult",
     "IntegratorOptions", "NonnegativityError", "NumericDomainError",
     "PotentialPair", "ReconstructOptions", "ReconstructionResult",

@@ -39,9 +39,9 @@ from evanflow.eikonal import (
     reconstruct_grid,
 )
 from evanflow.evanescent import (
+    DEFAULT_MAX_ITERS,
     DEFAULT_N,
     DEFAULT_T,
-    ActionOptions,
     cross_validate,
     minimize_action,
     shoot_evanescent,
@@ -162,7 +162,6 @@ def _grid(value, parsed=False):
 # marks a required key.  A key in _FLAGS also has a flag --<key>, a key in
 # _POSITIONAL a positional argument; the others are set from a file only.
 _INTEG = IntegratorOptions()
-_ACTION = ActionOptions()
 _INTEG_KEYS = {
     # the CLI calls IntegratorOptions.method "integrator"
     "integrator": (_INTEG.method, _str), "h": (_INTEG.h, _positive),
@@ -183,7 +182,7 @@ _DEFAULTS = {
     "evanesce": {
         "potential": (..., _str), "x0": (..., _vector),
         "T": (DEFAULT_T, _positive), "N": (DEFAULT_N, _nodes),
-        "max_iters": (_ACTION.max_iters, _count), "solver": ("action", _str),
+        "max_iters": (DEFAULT_MAX_ITERS, _count), "solver": ("action", _str),
         "cross_validate": (True, _bool), "seed": (0, _seed), "out": (".", _str),
     },
     "reconstruct": {
@@ -357,13 +356,12 @@ def cmd_second_order(cfg):
 def cmd_evanesce(cfg):
     pp = resolve_potential(cfg["potential"])
     x0 = _point(cfg, "x0", pp.dim)
-    T, N, solver = cfg["T"], cfg["N"], cfg["solver"]
+    T, N, max_iters, solver = cfg["T"], cfg["N"], cfg["max_iters"], cfg["solver"]
     if solver not in ("action", "shoot", "both"):
         raise InputError(f"unknown solver {solver!r}")
-    aopts = _options(ActionOptions, cfg)
     results = {}
     if solver in ("action", "both"):
-        results["action"] = minimize_action(pp.v, x0, T, N, aopts, psi=pp.psi)
+        results["action"] = minimize_action(pp.v, x0, T, N, max_iters, psi=pp.psi)
     if solver in ("shoot", "both"):
         results["shoot"] = shoot_evanescent(pp.v, x0, T, psi=pp.psi)
     payload = {"config": cfg, "results": {}}
@@ -378,7 +376,7 @@ def cmd_evanesce(cfg):
         all_converged = all_converged and res.converged
     if cfg["cross_validate"]:
         xv = cross_validate(pp, x0, T, N, seed=cfg["seed"],
-                            action_opts=aopts, action=results.get("action"),
+                            max_iters=max_iters, action=results.get("action"),
                             shot=results.get("shoot"))
         payload["cross_validation"] = xv.to_dict()
         all_converged = all_converged and xv.all_passed

@@ -17,7 +17,6 @@ from evanflow.diagnostics import CheckResult, DiagnosticsReport, check_monotone_
 from evanflow.evanescent import (
     DEFAULT_N,
     DEFAULT_T,
-    ActionOptions,
     _check_horizon,
     _minimize_actions,
 )
@@ -68,7 +67,7 @@ def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
     step raised.  The rows are solved as stacks of action paths, and f = 2V
     on their nodes is read from the solve."""
     def solve(X):
-        _, Vv, _, _, converged, _ = _minimize_actions(V, X, T, N, ActionOptions())
+        _, Vv, _, _, converged, _ = _minimize_actions(V, X, T, N)
         return _values(2.0 * Vv, converged, T / N, T, final)
 
     size = max(1, _STACK_BYTES // (8 * (N + 1) * V.dim))
@@ -128,7 +127,8 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     """The reconstruction dict of each point, or the ValueError or
     ArithmeticError its solve or value step raised.  V = f/2 is built once,
     so an f that is negative at a probe point raises NonnegativityError
-    here.  Every point is solved at (T, N), and those whose tail is not yet
+    here, and a point where f < -2e-12 carries the ValueError of its
+    solve's start check.  Every point is solved at (T, N), and those whose tail is not yet
     decaying again at (2T, 2N).  A T that is not a positive finite number
     and an N below 2 raise ValueError before anything is solved."""
     _check_horizon(opts.T, opts.N)

@@ -49,11 +49,7 @@ _TOL_EL = 1e-5        # a converged path's Euler-Lagrange residual is below this
 _MU_PER_DT = 10.0     # the terminal penalty weight mu is this times dt = T/N
 _SHOOT_RTOL = 1e-10   # shooting orbits; atol and r_max as in IntegratorOptions
 TOL_XV = 5e-3         # the routes of cross_validate agree to this distance
-
-
-@dataclass
-class ActionOptions:
-    max_iters: int = 50_000
+DEFAULT_MAX_ITERS = 50_000
 
 
 @dataclass
@@ -129,28 +125,20 @@ def _trial_values(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
         return np.concatenate([_trial_values(V, w[None]) for w in W])
 
 
-def _isotropic_factor(v0: float, g0: np.ndarray, N: int, dt: float,
-                      mu: float) -> np.ndarray:
-    """Banded Cholesky factor (2, N) of the action's Hessian on nodes 1..N
-    for the isotropic quadratic V = c ||x||^2 / 2, c = ||grad V(x0)||^2 /
-    (2 V(x0)), or 1 where V(x0) = 0: tridiagonal, shared by the n
-    components."""
-    c = float(np.dot(g0, g0)) / (2.0 * v0) if v0 > 0.0 else 1.0
-    band = np.full((2, N), -1.0 / dt)
-    band[1] = 2.0 / dt + c * dt
-    band[1, -1] = 1.0 / dt + c * (0.5 * dt + mu)
-    return cholesky_banded(band)
+def _check_start(X0, V0) -> None:
+    """Raise ValueError unless V(x0) >= -1e-12 at every start x0, the rows
+    of X0 (..., n), given their values V0 (...): the evanescent orbit lives
+    where V >= 0, so a negative start is no rounding of a valid one."""
+    V0 = np.reshape(V0, -1)
+    bad = np.flatnonzero(V0 < -1e-12)
+    if bad.size:
+        x0 = np.reshape(X0, (len(V0), -1))[bad[0]]
+        raise ValueError(f"V(x0) = {V0[bad[0]]:g} is negative at x0 = {x0.tolist()}")
 
 
-def _action_hessian_bands(V: DifferentiableField, W: np.ndarray, dt: float,
-                          mu: float) -> np.ndarray:
-    """The discrete action's Hessian on nodes 1..N of each path of a
-    (B, N+1, n) stack, in the upper banded form of cholesky_banded, node-major
-    (unknown (k-1) n + i is component i of node k), shape (B, n+1, N n).
-    It is block-tridiagonal: diagonal blocks (2/dt) I + dt H_k, the last one
-    (1/dt) I + (dt/2 + mu) H_N, off-diagonal blocks -I/dt, so its upper
-    bandwidth is n; H_k = Hess V(w_k) comes from n calls of _hess_rows over
-    every node of the stack."""
+def _node_hessians(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
+    """Hess V at nodes 1..N of each path of a (B, N+1, n) stack, as
+    (B, N, n, n), from n calls of _hess_rows over every node of the stack."""
     B, N, n = W.shape[0], W.shape[1] - 1, W.shape[2]
     X = W[:, 1:].reshape(-1, n)
     H = np.empty((len(X), n, n))
@@ -158,7 +146,17 @@ def _action_hessian_bands(V: DifferentiableField, W: np.ndarray, dt: float,
         E = np.zeros_like(X)
         E[:, j] = 1.0
         H[:, :, j] = _hess_rows(V, X, E)
-    H = H.reshape(B, N, n, n)
+    return H.reshape(B, N, n, n)
+
+
+def _action_hessian_bands(H: np.ndarray, dt: float, mu: float) -> np.ndarray:
+    """The discrete action's Hessian on nodes 1..N of each path of a stack
+    whose node Hessian blocks are H (B, N, n, n), in the upper banded form
+    of cholesky_banded, node-major (unknown (k-1) n + i is component i of
+    node k), shape (B, n+1, N n).  It is block-tridiagonal: diagonal blocks
+    (2/dt) I + dt H_k, the last one (1/dt) I + (dt/2 + mu) H_N, off-diagonal
+    blocks -I/dt, so its upper bandwidth is n."""
+    B, N, n = H.shape[:3]
     scale = np.full(N, dt)
     scale[-1] = 0.5 * dt + mu
     diag = np.full(N, 2.0 / dt)
@@ -185,45 +183,49 @@ def _newton_factor(band: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
-             opts: ActionOptions):
+             max_iters: int = DEFAULT_MAX_ITERS):
     """Damped Newton descent on the discrete action of each path of a
-    (B, N+1, n) stack; node 0 of every path is fixed.
+    (B, N+1, n) stack; node 0 of every path is fixed, and V(x0) < -1e-12 at
+    any node 0 raises ValueError before any step.
 
     Each iteration, member b steps along -P_b(W)^{-1} g, where P_b(W) is the
     action's own Hessian at its current path (_action_hessian_bands),
     factored by a banded Cholesky; the step is exact for every quadratic V,
     so an SPD quadratic solves in one iteration.  Where that factor fails
     (V not convex along the path, or a non-finite block), the member takes
-    the isotropic factor of _isotropic_factor for that iteration instead.
-    The trial step is 1, halved at most _HALVINGS times until the Armijo
-    test on the term-wise decrease against t g.P_b^{-1} g holds, so the
-    action is nonincreasing; a trial where V is not finite is rejected like
-    one that fails the test.  A member stops when its gradient inf-norm
-    falls below _TOL_OPT, after opts.max_iters iterations, or when its
-    line search finds no step, and then leaves the working set; only the
-    members still going are factored, and only rejected members are tried
-    again inside a line search.  Each member is factored and solved on its
-    own, so its result is the one it gets alone.  Returns the final
+    for that iteration the node blocks c_b I instead, the action's Hessian
+    for V = c_b ||x||^2 / 2, c_b = ||grad V(x0)||^2 / (2 V(x0)) or 1 where
+    V(x0) = 0.  The trial step is 1, halved at most _HALVINGS times until the
+    Armijo test on the term-wise decrease against t g.P_b^{-1} g holds, so
+    the action is nonincreasing; a trial where V is not finite is rejected
+    like one that fails the test.  A member stops when its gradient inf-norm
+    falls below _TOL_OPT, after max_iters iterations, or when its line
+    search finds no step, and then leaves the working set; only the members
+    still going are factored, and only rejected members are tried again
+    inside a line search.  Each member is factored and solved on its own, so
+    its result is the one it gets alone.  Returns the final
     (W, Vv, Vg, iterations, grad_inf) per member.
     """
     W = np.array(W, float)
     Vv = _potential_values(V, W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
+    _check_start(W[:, 0], Vv[:, 0])
     Vg = _gradients(V, W)
     out_W, out_Vv, out_Vg = np.empty_like(W), np.empty_like(Vv), np.empty_like(Vg)
     iters = np.zeros(len(W), int)
     ginf = np.zeros(len(W))
-    N = W.shape[1] - 1
+    N, n = W.shape[1] - 1, W.shape[2]
 
     def newton_directions(W, Vv, Vg, g):
         p = np.empty_like(g)
-        for b, band in enumerate(_action_hessian_bands(V, W, dt, mu)):
+        for b, band in enumerate(_action_hessian_bands(_node_hessians(V, W), dt, mu)):
             f = _newton_factor(band)
-            if f is not None:
-                p[b] = cho_solve_banded((f, False), g[b].ravel(),
-                                        check_finite=False).reshape(g[b].shape)
-            else:
-                f = _isotropic_factor(Vv[b, 0], Vg[b, 0], N, dt, mu)
-                p[b] = cho_solve_banded((f, False), g[b], check_finite=False)
+            if f is None:
+                v0, g0 = Vv[b, 0], Vg[b, 0]
+                c = float(np.dot(g0, g0)) / (2.0 * v0) if v0 > 0.0 else 1.0
+                H = np.broadcast_to(np.diag(np.full(n, c)), (1, N, n, n))
+                f = cholesky_banded(_action_hessian_bands(H, dt, mu)[0])
+            p[b] = cho_solve_banded((f, False), g[b].ravel(),
+                                    check_finite=False).reshape(g[b].shape)
         return p
 
     # the working set: original index and state of every member still going
@@ -234,7 +236,7 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     stop = gi < _TOL_OPT
     k = 0
     while True:
-        if k >= opts.max_iters:
+        if k >= max_iters:
             stop[:] = True
         if stop.any():
             done = ids[stop]
@@ -289,19 +291,19 @@ def _check_horizon(T: float, N: Optional[int] = None) -> None:
 
 
 def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
-                      opts: ActionOptions) -> tuple:
+                      max_iters: int = DEFAULT_MAX_ITERS) -> tuple:
     """The action solves from the rows of X0 (B, n) as one stack, each from
     the constant path at its x0, with the terminal penalty weight
     mu = _MU_PER_DT * T/N.  T and N out of range raise ValueError before
-    anything is solved.  Returns the stack as arrays: the nodes W (B, N+1, n)
-    at times dt * k, V on them Vv (B, N+1), their finite-difference
-    velocities (B, N+1, n), the actions (B,), the verdicts (B,) and detail, a
-    dict of (B,) arrays."""
+    anything is solved, and a start where V < -1e-12 before any step.
+    Returns the stack as arrays: the nodes W (B, N+1, n) at times dt * k, V
+    on them Vv (B, N+1), their finite-difference velocities (B, N+1, n), the
+    actions (B,), the verdicts (B,) and detail, a dict of (B,) arrays."""
     _check_horizon(T, N)
     dt = T / N
     mu = _MU_PER_DT * dt
     W = np.repeat(np.asarray(X0, float)[:, None, :], N + 1, axis=1)
-    W, Vv, Vg, iters, ginf = _descend(V, W, dt, mu, opts)
+    W, Vv, Vg, iters, ginf = _descend(V, W, dt, mu, max_iters)
     values, _ = kernels.action_assemble(W, Vv, Vg, dt, mu, want_grad=False)
     el_res = kernels.el_residual_max(W, Vg, dt)
     vel = fd_velocities(W, dt)
@@ -331,26 +333,23 @@ def _first_integral_tol(v0: np.ndarray, dt: float) -> np.ndarray:
 
 
 def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
-                    opts: Optional[ActionOptions] = None,
+                    max_iters: int = DEFAULT_MAX_ITERS,
                     psi: Optional[DifferentiableField] = None) -> EvanescentSolveResult:
     """Damped Newton descent on the discrete action from the constant path
-    W = x0 (see _descend): each iteration solves with the action's own
-    Hessian at the current path, so a quadratic V is solved in one
-    iteration, and where V is not convex along the path it solves with the
-    Hessian for the isotropic quadratic c ||x||^2 / 2 instead.  Every
-    accepted step satisfies the Armijo condition, so the action is
-    nonincreasing across iterations.  At an equilibrium the constant path
-    has zero gradient and stops at once.  T and N out of range raise
-    ValueError before V is evaluated.
+    W = x0 (see _descend), for at most max_iters iterations: each iteration
+    solves with the action's own Hessian at the current path, so a quadratic
+    V is solved in one iteration, and where V is not convex along the path
+    it solves with the Hessian for the isotropic quadratic c ||x||^2 / 2
+    instead.  Every accepted step satisfies the Armijo condition, so the
+    action is nonincreasing across iterations.  At an equilibrium the
+    constant path has zero gradient and stops at once.  T and N out of
+    range raise ValueError before V is evaluated, and V(x0) < -1e-12 before
+    any step.
     """
     _check_horizon(T, N)
     V = _v_of(V)
-    opts = opts or ActionOptions()
     x0 = np.asarray(x0, float).reshape(V.dim)
-    v00 = float(V.value(x0))
-    if v00 < -1e-12:
-        raise ValueError(f"V(x0) = {v00:g} is negative")
-    W, _, vel, actions, converged, detail = _minimize_actions(V, x0[None], T, N, opts)
+    W, _, vel, actions, converged, detail = _minimize_actions(V, x0[None], T, N, max_iters)
     dt = T / N
     traj = Trajectory(dt * np.arange(N + 1), W[0], vel[0], "second_order", TERM_HORIZON,
                       {"method": "action", "dt": dt, "mu": _MU_PER_DT * dt})
@@ -391,15 +390,15 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     ||w(T)||^2 = 2 V(v(T)), so w(T) is the whole terminal penalty.  In 1-D
     the sphere is the two points +-r and the better one is kept; at r = 0 it
     is the one point v0 = 0.  A T that is not a positive finite number
-    raises ValueError before V is evaluated."""
+    raises ValueError before V is evaluated, and V(x0) < -1e-12 before any
+    orbit."""
     _check_horizon(T)
     V = _v_of(V)
     n = V.dim
     x0 = np.asarray(x0, float).reshape(n)
-    v0_sq = 2.0 * float(V.value(x0))
-    if v0_sq < -1e-12:
-        raise ValueError(f"V(x0) = {0.5 * v0_sq:g} is negative")
-    r = float(np.sqrt(max(v0_sq, 0.0)))
+    v00 = float(V.value(x0))
+    _check_start(x0, v00)
+    r = float(np.sqrt(max(2.0 * v00, 0.0)))
 
     # downhill seed
     gV = np.asarray(V.gradient(x0), float)
@@ -493,13 +492,13 @@ def _gauss_newton(V, x0, v0, T):
 
 def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
                    N: int = DEFAULT_N, seed: int = 0,
-                   action_opts: Optional[ActionOptions] = None,
+                   max_iters: int = DEFAULT_MAX_ITERS,
                    action: Optional[EvanescentSolveResult] = None,
                    shot: Optional[EvanescentSolveResult] = None) -> DiagnosticsReport:
     """Run gradient flow, action minimization and shooting from the same x0
     and assert the three orbits agree on the shared uniform grid with
     spacing T/N, then check the phi residual along each route's orbit.  A
-    route already solved from x0 at (T, N) with these options is passed in
+    route already solved from x0 at (T, N) with this max_iters is passed in
     as ``action`` or ``shot`` and not solved again.  T and N out of range
     raise ValueError before anything is evaluated."""
     _check_horizon(T, N)
@@ -514,7 +513,7 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
 
     grid = T / N * np.arange(N + 1)
     flow = gradient_flow(pp, x0, T, IntegratorOptions(method="rk4", h=T / N))
-    act = action or minimize_action(V, x0, T, N, action_opts, psi=psi)
+    act = action or minimize_action(V, x0, T, N, max_iters, psi=psi)
     shot = shot or shoot_evanescent(V, x0, T, psi=psi)
     flow_states = _on_grid(flow, grid)
     act_states = act.trajectory.states

@@ -145,7 +145,6 @@ def induced_potential(psi: DifferentiableField) -> DifferentiableField:
         value=v_value,
         gradient=v_gradient,
         name=f"half-sq-grad({psi.name})",
-        claims_bounded_below=True,
     )
 
 
@@ -194,7 +193,6 @@ def make_quadratic(A) -> PotentialPair:
         gradient=lambda x: np.asarray(x, float) @ A2,
         hessvec=lambda x, h: np.asarray(h, float) @ A2,
         name=f"half-sq-grad({psi.name})",
-        claims_bounded_below=True,
     )
     return PotentialPair(psi=psi, v=v)
 
@@ -311,7 +309,7 @@ def field_from_f(f: DifferentiableField) -> DifferentiableField:
         i = int(np.argmin(vals))
         raise NonnegativityError(probes[i], vals[i])
 
-    return replace(f.scaled(0.5), name=f"half({f.name})", claims_bounded_below=True)
+    return replace(f.scaled(0.5), name=f"half({f.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from evanflow.eikonal import (
 )
 from evanflow.evanescent import minimize_action, shoot_evanescent
 from evanflow.fields import (
+    DifferentiableField,
     NonnegativityError,
     NumericDomainError,
     PotentialPair,
@@ -205,6 +206,24 @@ def test_reconstruct_grid_raises_on_negative_f():
     f = QUAD_1D.v.scaled(-2.0)
     with pytest.raises(NonnegativityError):
         reconstruct_grid(f, grid_points([(-1.0, 1.0, 3)]))
+
+
+def test_reconstruct_grid_refuses_a_point_where_f_is_negative():
+    # f = 4 - x^2 passes the probes in [-2, 2] but is -5 at x = +-3: those
+    # points carry NaN and the start check's error, as minimize_action
+    # refuses them; the orbit from 1 runs off to where V = f/2 overflows
+    def value(x):
+        return 4.0 - np.asarray(x, float)[..., 0] ** 2
+
+    f = DifferentiableField(dim=1, value=value, gradient=lambda x: -2.0 * np.asarray(x),
+                            hessvec=lambda x, h: -2.0 * np.asarray(h), name="4-x^2")
+    with np.errstate(over="ignore"):
+        rec = reconstruct_grid(f, [[-3.0], [1.0], [3.0]], ReconstructOptions(N=60))
+    for i in (0, 2):
+        d = rec.per_point[i]
+        assert np.isnan(d["psi_hat_raw"]) and not d["converged"]
+        assert "V(x0) = -2.5 is negative" in d["error"]
+    assert "error" not in rec.per_point[1]
 
 
 # --- eikonal residual -----------------------------------------------------

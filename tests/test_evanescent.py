@@ -4,12 +4,12 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.linalg import cholesky_banded
 
 import evanflow.evanescent as evanescent
 from evanflow import kernels
 import evanflow.integrate as integrate
 from evanflow.evanescent import (
-    ActionOptions,
     cross_validate,
     discrete_action,
     fd_velocities,
@@ -135,7 +135,7 @@ def test_minimize_action_value_monotone_in_iteration_budget():
     V = make_counterexample("cubic").v
     vals = []
     for budget in (1, 2, 4, 8, 2000):
-        res = minimize_action(V, [1.0], T, N, ActionOptions(max_iters=budget))
+        res = minimize_action(V, [1.0], T, N, budget)
         vals.append(res.final_action)
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -147,6 +147,31 @@ def test_minimize_action_equilibrium_start():
     assert np.allclose(res.trajectory.states, 0.0)
     # the constant path has zero action gradient, so the descent stops at once
     assert res.detail["iterations"] == 0
+
+
+def test_minimize_action_evaluates_v_on_whole_paths_only():
+    # the start check reads V(x0) from the solve's first evaluation, so
+    # every V.value call is on the N+1 nodes of the path: the start, one
+    # line-search trial and the two diagnostics
+    shapes = []
+    V = dataclasses.replace(QUAD_2D.v, value=lambda x: shapes.append(np.shape(x))
+                            or QUAD_2D.v.value(x))
+    minimize_action(V, [1.0, 1.0], T, N)
+    assert shapes == [(N + 1, 2)] * 4
+
+
+@pytest.mark.parametrize("shift", [-8e-13, -2e-12])
+def test_action_and_shooting_share_the_start_check(shift):
+    # both routes accept V(x0) >= -1e-12, within rounding of 0, and refuse
+    # a start below it before any step
+    V = QUAD_2D.v.shifted(shift)
+    for solve in (minimize_action, shoot_evanescent):
+        if shift >= -1e-12:
+            assert solve(V, [0.0, 0.0], T).trajectory.states[0].tolist() == [0.0, 0.0]
+        else:
+            with pytest.raises(ValueError, match=r"V\(x0\) = -2e-12 is negative "
+                                                 r"at x0 = \[0.0, 0.0\]"):
+                solve(V, [0.0, 0.0], T)
 
 
 def test_action_iterations_do_not_grow_with_N():
@@ -192,11 +217,18 @@ def _double_well():
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """One entry per iteration in which a member took the isotropic factor."""
+    """One entry per iteration in which a member's Newton factor failed, so
+    that it took the isotropic factor."""
     calls = []
-    isotropic = evanescent._isotropic_factor
-    monkeypatch.setattr(evanescent, "_isotropic_factor",
-                        lambda *a: calls.append(1) or isotropic(*a))
+    newton = evanescent._newton_factor
+
+    def counted(band):
+        factor = newton(band)
+        if factor is None:
+            calls.append(1)
+        return factor
+
+    monkeypatch.setattr(evanescent, "_newton_factor", counted)
     return calls
 
 
@@ -219,11 +251,10 @@ def test_action_solves_reject_out_of_range_inputs(T_, N_):
     # each is refused before the field is evaluated
     calls = []
     counted = _counted(QUAD_2D.v, calls)
-    opts = ActionOptions()
     with pytest.raises(ValueError, match="must be"):
-        _minimize_actions(counted, np.array([[1.0, 1.0]]), T_, N_, opts)
+        _minimize_actions(counted, np.array([[1.0, 1.0]]), T_, N_)
     with pytest.raises(ValueError, match="must be"):
-        minimize_action(counted, [1.0, 1.0], T_, N_, opts)
+        minimize_action(counted, [1.0, 1.0], T_, N_)
     assert calls == []
 
 
@@ -243,8 +274,7 @@ def test_minimize_action_unique_minimizer_across_inits():
     inits = np.stack([base.trajectory.states + 0.5 * rng.normal(size=(N + 1, 2))
                       for _ in range(5)])
     inits[:, 0] = x0
-    W, _, Vg, _, ginf = _descend(QUAD_2D.v, inits, DT, evanescent._MU_PER_DT * DT,
-                                 ActionOptions())
+    W, _, Vg, _, ginf = _descend(QUAD_2D.v, inits, DT, evanescent._MU_PER_DT * DT)
     assert np.all(ginf < evanescent._TOL_OPT)
     assert np.all(kernels.el_residual_max(W, Vg, DT) < evanescent._TOL_EL)
     assert np.max(np.abs(W - base.trajectory.states)) < 5e-3
@@ -263,8 +293,7 @@ def test_minimized_action_beats_random_paths():
 
 def test_minimize_action_honest_failure_on_tiny_budget():
     # one Newton step solves a quadratic, so the budget is cut on cubic
-    opts = ActionOptions(max_iters=1)
-    res = minimize_action(make_counterexample("cubic").v, [1.0], T, N, opts)
+    res = minimize_action(make_counterexample("cubic").v, [1.0], T, N, max_iters=1)
     assert not res.converged
     assert res.detail["iterations"] == 1
     assert res.detail["grad_inf"] >= evanescent._TOL_OPT
@@ -283,7 +312,7 @@ def test_minimize_action_stops_when_its_line_search_runs_out_of_halvings(monkeyp
     # max_iters
     monkeypatch.setattr(evanescent, "_TOL_OPT", 1e-15)
     V = make_quadratic([[23.8011, 16.858], [16.858, 44.8882]]).v
-    res = minimize_action(V, [0.2525, -1.4696], T, N, ActionOptions(max_iters=2000))
+    res = minimize_action(V, [0.2525, -1.4696], T, N, max_iters=2000)
     assert not res.converged
     assert res.detail["iterations"] < 2000
     assert res.detail["grad_inf"] >= 1e-15
@@ -334,7 +363,7 @@ def test_minimize_action_converged_only_on_resolved_orbits(problem):
     A, x0 = problem
     exact = 0.5 * float(x0 @ A @ x0)
     assume(exact >= 1e-3)
-    res = minimize_action(make_quadratic(A).v, x0, T, N, ActionOptions(max_iters=300))
+    res = minimize_action(make_quadratic(A).v, x0, T, N, max_iters=300)
     if res.converged:
         assert abs(res.final_action - exact) <= 1e-2 * exact
 
@@ -353,16 +382,17 @@ def spd_stacks(draw):
     return A, np.array(starts), draw(st.integers(1, 400))
 
 
-def _assert_stack_matches_single_paths(V, W, opts):
+def _assert_stack_matches_single_paths(V, W, max_iters):
     # every member of a stack takes exactly the steps it takes alone
     dt = T / (W.shape[1] - 1)
-    W_s, Vv_s, Vg_s, iters_s, ginf_s = _descend(V, W, dt, 10.0 * dt, opts)
+    W_s, Vv_s, Vg_s, iters_s, ginf_s = _descend(V, W, dt, 10.0 * dt, max_iters)
     for b in range(len(W)):
-        W_1, Vv_1, Vg_1, iters_1, ginf_1 = _descend(V, W[b:b + 1], dt, 10.0 * dt, opts)
+        W_1, Vv_1, Vg_1, iters_1, ginf_1 = _descend(V, W[b:b + 1], dt, 10.0 * dt,
+                                                    max_iters)
         assert np.array_equal(W_s[b], W_1[0])
         assert np.array_equal(Vg_s[b], Vg_1[0])
         assert iters_s[b] == iters_1[0] and ginf_s[b] == ginf_1[0]
-        assert iters_1[0] <= opts.max_iters
+        assert iters_1[0] <= max_iters
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -376,7 +406,7 @@ def test_descend_stack_matches_single_paths(problem):
     lam = np.linspace(0.0, 1.0, n_small + 1)[:, None]
     W = (1.0 - lam) * X0[:, None, :]        # straight paths to the minimizer
     for field in (V, dataclasses.replace(V, hessvec=None)):
-        _assert_stack_matches_single_paths(field, W, ActionOptions(max_iters=max_iters))
+        _assert_stack_matches_single_paths(field, W, max_iters)
 
 
 def test_descend_stack_matches_single_paths_through_the_fallback(fallbacks):
@@ -385,8 +415,84 @@ def test_descend_stack_matches_single_paths_through_the_fallback(fallbacks):
     # and 2) and at the equilibrium 0; each still gets its solo result
     X0 = np.array([[0.5], [1.5], [-0.4], [0.0], [2.0]])
     W = np.repeat(X0[:, None, :], N + 1, axis=1)
-    _assert_stack_matches_single_paths(_double_well().v, W, ActionOptions())
+    _assert_stack_matches_single_paths(_double_well().v, W, evanescent.DEFAULT_MAX_ITERS)
     assert fallbacks
+
+
+def _isotropic_factor(v0, g0, N, dt, mu):
+    """The fallback factor as a tridiagonal (2, N) band shared by the n
+    components: the banded Cholesky factor of the action's Hessian for the
+    isotropic quadratic c ||x||^2 / 2, c = ||grad V(x0)||^2 / (2 V(x0)), or 1
+    where V(x0) = 0."""
+    c = float(np.dot(g0, g0)) / (2.0 * v0) if v0 > 0.0 else 1.0
+    band = np.full((2, N), -1.0 / dt)
+    band[1] = 2.0 / dt + c * dt
+    band[1, -1] = 1.0 / dt + c * (0.5 * dt + mu)
+    return cholesky_banded(band)
+
+
+def _double_wells(n):
+    """psi = sum_i x_i^4/4 - x_i^2/2, a double well in each coordinate."""
+    return make_pair(DifferentiableField(
+        dim=n, value=lambda x: np.sum(0.25 * x ** 4 - 0.5 * x ** 2, axis=-1),
+        gradient=lambda x: x ** 3 - x,
+        hessvec=lambda x, h: (3.0 * x ** 2 - 1.0) * h, name=f"double_wells{n}"))
+
+
+def _mexican_hat(n):
+    """psi = ||x||^4/4 - ||x||^2/2."""
+    def hessvec(x, h):
+        r2 = np.sum(x * x, axis=-1, keepdims=True)
+        return (r2 - 1.0) * h + 2.0 * np.sum(x * h, axis=-1, keepdims=True) * x
+
+    return make_pair(DifferentiableField(
+        dim=n, value=lambda x: (0.25 * np.sum(x * x, axis=-1) - 0.5) * np.sum(x * x, axis=-1),
+        gradient=lambda x: (np.sum(x * x, axis=-1, keepdims=True) - 1.0) * x,
+        hessvec=hessvec, name=f"mexican_hat{n}"))
+
+
+@pytest.mark.parametrize("pp, X0", [
+    (_double_wells(2), [[0.5, -0.4], [0.2, 1.5], [-0.3, 0.6], [1.0, 0.0]]),
+    (_mexican_hat(3), [[0.3, 0.2, -0.1], [0.5, -0.5, 0.4], [0.6, 0.1, 0.2],
+                       [0.7, -0.3, 0.3], [-0.2, 0.5, 0.6], [1.2, 0.3, 0.0]]),
+], ids=["double_wells_2d", "mexican_hat_3d"])
+def test_fallback_direction_matches_the_isotropic_tridiagonal_factor(pp, X0, monkeypatch):
+    # a member whose Newton factor fails solves with c_b I node blocks in
+    # the one block band; its direction equals, bit for bit, the solve with
+    # the tridiagonal factor that the n components share
+    X0 = np.array(X0)
+    n_nodes, dt = 60, T / 60
+    mu = evanescent._MU_PER_DT * dt
+    stack, failed, solves = [], [], []
+    node_hessians, newton, solve = (evanescent._node_hessians, evanescent._newton_factor,
+                                    evanescent.cho_solve_banded)
+
+    def spy_hessians(V, W):
+        stack.append(W)
+        failed.clear()
+        return node_hessians(V, W)
+
+    def spy_newton(band):
+        factor = newton(band)
+        failed.append(factor is None)
+        return factor
+
+    def spy_solve(cb, rhs, **kw):
+        p = solve(cb, rhs, **kw)
+        if failed[-1]:
+            solves.append((stack[-1][len(failed) - 1, 0], rhs, p))
+        return p
+
+    monkeypatch.setattr(evanescent, "_node_hessians", spy_hessians)
+    monkeypatch.setattr(evanescent, "_newton_factor", spy_newton)
+    monkeypatch.setattr(evanescent, "cho_solve_banded", spy_solve)
+    W = np.repeat(X0[:, None, :], n_nodes + 1, axis=1)
+    _descend(pp.v, W, dt, mu)
+    assert solves
+    for x0, rhs, p in solves:
+        ref = _isotropic_factor(float(pp.v.value(x0)), pp.v.gradient(x0), n_nodes, dt, mu)
+        p_ref = solve((ref, False), rhs.reshape(n_nodes, -1), check_finite=False)
+        assert np.array_equal(p.reshape(p_ref.shape), p_ref)
 
 
 def _walled(V, wall):
@@ -407,12 +513,11 @@ def test_descend_rejects_trials_outside_the_domain(wall):
     # search runs out of halvings before max_iters
     V = _walled(QUAD_2D.v, wall)
     X0 = np.array([[1.0, 1.0], [0.5, -0.5]])
-    opts = ActionOptions(max_iters=50)
-    W, _, _, actions, converged, detail = _minimize_actions(V, X0, T, N, opts)
-    ref = _minimize_actions(_walled(QUAD_2D.v, "inf"), X0, T, N, opts)[0]
+    W, _, _, actions, converged, detail = _minimize_actions(V, X0, T, N, 50)
+    ref = _minimize_actions(_walled(QUAD_2D.v, "inf"), X0, T, N, 50)[0]
     assert np.all(detail["iterations"] < 50)
     for b in range(len(X0)):
-        assert np.array_equal(W[b], _minimize_actions(V, X0[b:b + 1], T, N, opts)[0][0])
+        assert np.array_equal(W[b], _minimize_actions(V, X0[b:b + 1], T, N, 50)[0][0])
     assert np.array_equal(W, ref)
     assert np.all(np.isfinite(actions))
     assert not converged.any()
@@ -424,8 +529,7 @@ def test_minimize_actions_returns_the_stack_as_arrays():
     # reports the stack's first member
     X0 = np.array([[1.0, 1.0], [0.5, -0.5], [0.0, 0.0]])
     B = len(X0)
-    W, Vv, vel, actions, converged, detail = _minimize_actions(
-        QUAD_2D.v, X0, T, N, ActionOptions())
+    W, Vv, vel, actions, converged, detail = _minimize_actions(QUAD_2D.v, X0, T, N)
     assert W.shape == vel.shape == (B, N + 1, 2)
     assert Vv.shape == (B, N + 1)
     for b in range(B):
@@ -682,5 +786,5 @@ def test_action_route_is_honest_about_unbounded_example():
     assert not res.converged
     # the term-wise Armijo decrease lets the descent reach its stopping
     # tolerance instead of stalling just above it and using every iteration
-    assert res.detail["iterations"] < ActionOptions().max_iters
+    assert res.detail["iterations"] < evanescent.DEFAULT_MAX_ITERS
     assert res.detail["grad_inf"] < evanescent._TOL_OPT
