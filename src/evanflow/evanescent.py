@@ -49,6 +49,7 @@ _TOL_EL = 1e-5        # a converged path's Euler-Lagrange residual is below this
 _MU_PER_DT = 10.0     # the terminal penalty weight mu is this times dt = T/N
 _SHOOT_RTOL = 1e-10   # shooting orbits; atol and r_max as in IntegratorOptions
 TOL_XV = 5e-3         # the routes of cross_validate agree to this distance
+_V_FLOOR = -1e-12     # V below this is no rounding of V >= 0
 DEFAULT_MAX_ITERS = 50_000
 
 
@@ -126,11 +127,11 @@ def _trial_values(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
 
 
 def _check_start(X0, V0) -> None:
-    """Raise ValueError unless V(x0) >= -1e-12 at every start x0, the rows
+    """Raise ValueError unless V(x0) >= _V_FLOOR at every start x0, the rows
     of X0 (..., n), given their values V0 (...): the evanescent orbit lives
     where V >= 0, so a negative start is no rounding of a valid one."""
     V0 = np.reshape(V0, -1)
-    bad = np.flatnonzero(V0 < -1e-12)
+    bad = np.flatnonzero(V0 < _V_FLOOR)
     if bad.size:
         x0 = np.reshape(X0, (len(V0), -1))[bad[0]]
         raise ValueError(f"V(x0) = {V0[bad[0]]:g} is negative at x0 = {x0.tolist()}")
@@ -197,9 +198,10 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     for V = c_b ||x||^2 / 2, c_b = ||grad V(x0)||^2 / (2 V(x0)) or 1 where
     V(x0) = 0.  The trial step is 1, halved at most _HALVINGS times until the
     Armijo test on the term-wise decrease against t g.P_b^{-1} g holds, so
-    the action is nonincreasing; a trial where V is not finite is rejected
-    like one that fails the test.  A member stops when its gradient inf-norm
-    falls below _TOL_OPT, after max_iters iterations, or when its line
+    the action is nonincreasing; a trial where V is not finite, or below
+    _V_FLOOR at any node, is rejected like one that fails the test.  A
+    member stops when its gradient inf-norm falls below _TOL_OPT, after
+    max_iters iterations, or when its line
     search finds no step, and then leaves the working set; only the members
     still going are factored, and only rejected members are tried again
     inside a line search.  Each member is factored and solved on its own, so
@@ -265,11 +267,11 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
             D_r = W_r[:, 1:] - W_r[:, :-1]
             # the decrease is summed from per-term differences, so the test
             # still resolves it near the double-precision floor; a trial with
-            # a non-finite V fails it whatever its decrease reads
+            # a non-finite or negative V fails it whatever its decrease reads
             with np.errstate(invalid="ignore"):
                 hit = (kernels._decrease(D[retry], Vv[retry], D_r, Vv_r, dt, mu)
                        >= _ARMIJO_C * t[retry] * gp[retry])
-            hit &= np.isfinite(Vv_r).all(axis=1)
+            hit &= (np.isfinite(Vv_r) & (Vv_r >= _V_FLOOR)).all(axis=1)
             acc = retry[hit]
             W_t[acc], Vv_t[acc], D_t[acc], ok[acc] = W_r[hit], Vv_r[hit], D_r[hit], True
             retry = retry[~hit]
@@ -377,21 +379,26 @@ def _solve_diagnostics(traj, V, psi=None, fi_tol=None) -> DiagnosticsReport:
 
 # horizons T/2^k, ..., T/2, T from the first one <= _FIRST_HORIZON; each
 # ends after _NEWTON_ITERS steps, when a step falls below _STEP_TOL * r, or
-# when the residual stops decreasing
+# when the residual stops decreasing; a horizon before the last also ends on
+# a step that cuts ||w(T_k)|| by less than a factor _STALL
 _FIRST_HORIZON = 1.5
 _NEWTON_ITERS = 8
 _STEP_TOL = 1e-13
+_STALL = 0.7
 
 
 def shoot_evanescent(V, x0, T: float = DEFAULT_T,
                      psi: Optional[DifferentiableField] = None) -> EvanescentSolveResult:
     """Find the v0 on the sphere ||v0|| = sqrt(2 V(x0)) whose orbit is
     evanescent, by Gauss-Newton on the terminal velocity w(T): on the sphere
-    ||w(T)||^2 = 2 V(v(T)), so w(T) is the whole terminal penalty.  In 1-D
-    the sphere is the two points +-r and the better one is kept; at r = 0 it
-    is the one point v0 = 0.  A T that is not a positive finite number
-    raises ValueError before V is evaluated, and V(x0) < -1e-12 before any
-    orbit."""
+    ||w(T)||^2 = 2 V(v(T)), so w(T) is the whole terminal penalty.  The
+    orbit returned is the last Newton orbit moved by the last step (see
+    _gauss_newton), or, in 1-D, at r = 0 and where no Newton orbit reached
+    T, the plain orbit of v0.  In 1-D the sphere is the two points +-r and
+    the better one is kept; at r = 0 it is the one point v0 = 0.  A T that
+    is not a positive finite number raises ValueError before V is
+    evaluated, and V(x0) < -1e-12 before any orbit.  detail counts the
+    orbits integrated (evaluations) and their RK steps."""
     _check_horizon(T)
     V = _v_of(V)
     n = V.dim
@@ -404,20 +411,23 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     gV = np.asarray(V.gradient(x0), float)
     gn = float(np.linalg.norm(gV))
     seed = -r * gV / gn if gn > 0 else r * np.eye(n)[0]
+    counts = {"evaluations": 0, "steps_accepted": 0, "steps_rejected": 0}
+    traj = None
     if r == 0.0:
-        candidates, evaluations = [np.zeros(n)], 0
+        candidates = [np.zeros(n)]
     elif n == 1:
-        candidates, evaluations = [seed, -seed], 0
+        candidates = [seed, -seed]
     else:
-        v0, evaluations = _gauss_newton(V, x0, seed, T)
+        v0, traj = _gauss_newton(V, x0, seed, T, counts)
         candidates = [v0]
 
-    final_opts = IntegratorOptions(rtol=_SHOOT_RTOL)
-    p, traj, v0 = min((_scored_orbit(V, x0, c, T, final_opts) + (c,)
-                       for c in candidates), key=lambda s: s[0])
-    evaluations += len(candidates)
     if traj is None:
-        raise NumericDomainError("every shooting orbit left the domain of V")
+        p, traj, v0 = min((_scored_orbit(V, x0, c, T, counts) + (c,)
+                           for c in candidates), key=lambda s: s[0])
+        if traj is None:
+            raise NumericDomainError("every shooting orbit left the domain of V")
+    else:
+        p = _penalty(V, traj, T)
     act = path_integral(
         traj, 0.5 * kernels.row_dots(traj.velocities)
         + np.asarray(V.value(traj.states), float)
@@ -428,62 +438,100 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     report = _solve_diagnostics(traj, V, psi)
     return EvanescentSolveResult(
         traj, "shooting", bool(converged), float(act), report,
-        {"v0": np.asarray(v0).tolist(), "penalty": float(p),
-         "evaluations": evaluations},
+        {"v0": np.asarray(v0).tolist(), "penalty": float(p), **counts},
     )
 
 
-def _scored_orbit(V, x0, v0, T, iopts):
-    """(penalty, trajectory) of the plain orbit from (x0, v0).  The penalty is
-    ||w(T)||^2 + 2 V(v(T)); an orbit that stops early scores by how early, and
-    one that leaves the domain of V has no trajectory."""
+def _scored_orbit(V, x0, v0, T, counts):
+    """(penalty, trajectory) of the plain orbit from (x0, v0); one that
+    leaves the domain of V has no trajectory.  Adds the integration and its
+    RK steps to counts."""
+    counts["evaluations"] += 1
     try:
-        traj = second_order_flow(V, x0, v0, T, iopts)
+        traj = second_order_flow(V, x0, v0, T, IntegratorOptions(rtol=_SHOOT_RTOL))
     except ArithmeticError:
         return 1e12 * (1.0 + T), None
+    counts["steps_accepted"] += traj.meta["n_steps"]
+    counts["steps_rejected"] += traj.meta["n_rejected"]
+    return _penalty(V, traj, T), traj
+
+
+def _penalty(V, traj, T):
+    """||w(T)||^2 + 2 V(v(T)) of an orbit over [0, T]; an orbit that stops
+    early scores by how early."""
     if traj.termination != TERM_HORIZON:
-        return 1e12 * (1.0 + T - traj.t_end), traj
+        return 1e12 * (1.0 + T - traj.t_end)
     wT = traj.velocities[-1]
-    return float(np.dot(wT, wT) + 2.0 * float(V.value(traj.states[-1]))), traj
+    return float(np.dot(wT, wT) + 2.0 * float(V.value(traj.states[-1])))
 
 
-def _gauss_newton(V, x0, v0, T):
-    """Sphere-constrained Gauss-Newton on w(T) from v0; returns (v0, orbits)."""
+def _gauss_newton(V, x0, v0, T, counts):
+    """Sphere-constrained Gauss-Newton on w(T_k) from v0 over the doubling
+    horizons T_k up to T.  Returns v0 and, where an orbit of v0 reached T,
+    the last Newton orbit moved by the last step delta along its own
+    sensitivities, (v + P delta, w + Q delta), or None; delta is the tangent
+    step before projection onto the sphere, 0 unless the last step fell
+    below _STEP_TOL * r.  The first orbit of each horizon extends the last
+    orbit of the one before, so a step that small on a horizon before the
+    last is not taken and that orbit still starts at v0.  Adds every
+    integration and its RK steps to counts."""
+    n = len(x0)
     r = float(np.linalg.norm(v0))
-    orbits = 0
 
-    def terminal(v0, Tk):
-        """(w(Tk), dw(Tk)/dv0), or None if the orbit diverges or fails."""
-        nonlocal orbits
-        orbits += 1
-        return _variational_orbit(V, x0, v0, Tk, _SHOOT_RTOL)
+    def orbit(v0, Tk, prev=None):
+        """The variational orbit of v0 up to Tk, or None if it fails."""
+        counts["evaluations"] += 1
+        raw = _variational_orbit(V, x0, v0, Tk, _SHOOT_RTOL, prev)
+        if raw is None:
+            return None
+        counts["steps_accepted"] += raw.meta["n_steps"]
+        counts["steps_rejected"] += raw.meta["n_rejected"]
+        return raw if raw.termination == TERM_HORIZON else None
 
     k = max(0, int(np.ceil(np.log2(T / _FIRST_HORIZON))))
-    for Tk in T / 2.0 ** np.arange(k, -1, -1):
-        cur = terminal(v0, Tk)
+    cur = None
+    delta = np.zeros(n)
+    for i, Tk in enumerate(T / 2.0 ** np.arange(k, -1, -1)):
+        last = i == k
+        cur = orbit(v0, Tk, cur)
         if cur is None:
             break
         for _ in range(_NEWTON_ITERS):
-            w, Q = cur
+            y = cur.ys[-1]
+            w = y[n:2 * n]
+            # Q is stored transposed; it is taken contiguous because products
+            # with a transposed view of it round differently
+            Q = np.ascontiguousarray(y[2 * n + n * n:].reshape(n, n).T)
             B = np.linalg.svd(v0[None, :])[2][1:].T     # tangent basis at v0
             step = B @ np.linalg.lstsq(Q @ B, -w, rcond=None)[0]
             while True:
                 cand = v0 + step
                 cand *= r / float(np.linalg.norm(cand))
                 if float(np.linalg.norm(step)) < _STEP_TOL * r:
-                    new = None          # converged: take the step unchecked
+                    new = None          # converged
                     break
-                new = terminal(cand, Tk)
+                new = orbit(cand, Tk)
                 if new is not None:
                     break
                 step = 0.5 * step       # a diverging or failing orbit halves it
             if new is None:
-                v0 = cand
+                if last:                # take the step unchecked
+                    v0, delta = cand, step
                 break
-            if not np.linalg.norm(new[0]) < np.linalg.norm(w):
+            w_new, w_old = np.linalg.norm(new.ys[-1, n:2 * n]), np.linalg.norm(w)
+            if not w_new < w_old:
                 break
             v0, cur = cand, new
-    return v0, orbits
+            if not last and w_new > _STALL * w_old:
+                break
+    if cur is None:
+        return v0, None
+    # P and Q are stored transposed, so delta @ P^T is P delta at each node
+    PT = cur.ys[:, 2 * n:2 * n + n * n].reshape(-1, n, n)
+    QT = cur.ys[:, 2 * n + n * n:].reshape(-1, n, n)
+    return v0, Trajectory(cur.times, cur.ys[:, :n] + delta @ PT,
+                          cur.ys[:, n:2 * n] + delta @ QT, "second_order", TERM_HORIZON,
+                          {"method": "rk45", "rtol": _SHOOT_RTOL})
 
 
 # ---------------------------------------------------------------------------

@@ -323,23 +323,29 @@ def _variational_rhs(V):
     return rhs
 
 
-def _variational_orbit(V, x0, v0, T: float, rtol: float):
-    """(w(T), Q(T) = dw(T)/dv0) of the orbit of v'' = grad V(v) from
-    (x0, v0), or None if the orbit diverges or leaves the domain of V.  Only
-    (v, w) enters the error norm and the divergence test, so it takes the
-    steps of the plain orbit at rtol; (P, Q) grow like e^{lambda t}."""
+def _variational_orbit(V, x0, v0, T: float, rtol: float,
+                       prev: Optional[RawOrbit] = None) -> Optional[RawOrbit]:
+    """The orbit of v'' = grad V(v) from (x0, v0) over [0, T] with its
+    sensitivities, rows (v, w, P, Q) laid out as _variational_rhs lays them
+    out, or None if it leaves the domain of V.  Given prev, such an orbit
+    over [0, t1], it integrates only [t1, T] from prev's last row and returns
+    prev joined to it without repeating the join; meta counts the steps of
+    this integration only.  Only (v, w) enters the error norm and the
+    divergence test, so it takes the steps of the plain orbit at rtol;
+    (P, Q) grow like e^{lambda t}."""
     n = len(x0)
-    y0 = np.concatenate([x0, v0, np.zeros(n * n), np.eye(n).ravel()])
+    if prev is None:
+        t1, y0 = 0.0, np.concatenate([x0, v0, np.zeros(n * n), np.eye(n).ravel()])
+    else:
+        t1, y0 = prev.times[-1], prev.ys[-1]
     try:
-        raw = rk_adaptive(_variational_rhs(V), y0, T, rtol=rtol, n_ctrl=2 * n)
+        raw = rk_adaptive(_variational_rhs(V), y0, T - t1, rtol=rtol, n_ctrl=2 * n)
     except ArithmeticError:
         return None
-    if raw.termination != TERM_HORIZON:
-        return None
-    y = raw.ys[-1]
-    # Q is stored transposed; it is returned contiguous because products
-    # with a transposed view of it round differently
-    return y[n:2 * n], np.ascontiguousarray(y[2 * n + n * n:].reshape(n, n).T)
+    if prev is not None:
+        raw.times = np.concatenate([prev.times, t1 + raw.times[1:]])
+        raw.ys = np.concatenate([prev.ys, raw.ys[1:]])
+    return raw
 
 
 def second_order_flow(V, x0, v0, T: float,

@@ -165,6 +165,18 @@ def test_evanesce_solves_each_route_once(tmp_path, monkeypatch, solver):
     assert calls == {"action": 1, "shoot": 1}
 
 
+def test_evanesce_reports_the_shooting_work(tmp_path):
+    # the shooting detail counts its orbits and their RK steps
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": "shoot", "cross_validate": False}))
+    rc = run(["evanesce", "--config", str(cfg), "--potential", "quadratic:1,0;0,2",
+              "--x0", "1,1", "--out", str(tmp_path)])
+    assert rc == 0
+    detail = read_json(tmp_path / "evanesce_report.json")["results"]["shoot"]["detail"]
+    assert 0 < detail["evaluations"] <= 12
+    assert detail["steps_accepted"] > 0 and detail["steps_rejected"] >= 0
+
+
 def test_evanesce_failure_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     # one Newton step solves a quadratic, so the budget is cut on cubic
@@ -304,6 +316,7 @@ README_RUNS = [
     ["second-order", "--potential", "quadratic:1,0;0,2", "--x0", "1,1",
      "--v0=-1,-2", "--T", "12"],
     ["evanesce", "--potential", "quadratic:1", "--x0", "1"],
+    ["evanesce", "--potential", "quadratic:1,0;0,2", "--x0", "1,1"],
     ["reconstruct", "--potential", "quadratic:1,0;0,2", "--grid=-1:1:5,-1:1:5"],
     ["determine", "quadratic:1", "quadratic:1+5"],
     ["check-convexity", "--potential", "cubic"],

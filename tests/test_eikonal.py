@@ -211,19 +211,32 @@ def test_reconstruct_grid_raises_on_negative_f():
 def test_reconstruct_grid_refuses_a_point_where_f_is_negative():
     # f = 4 - x^2 passes the probes in [-2, 2] but is -5 at x = +-3: those
     # points carry NaN and the start check's error, as minimize_action
-    # refuses them; the orbit from 1 runs off to where V = f/2 overflows
-    def value(x):
-        return 4.0 - np.asarray(x, float)[..., 0] ** 2
-
-    f = DifferentiableField(dim=1, value=value, gradient=lambda x: -2.0 * np.asarray(x),
-                            hessvec=lambda x, h: -2.0 * np.asarray(h), name="4-x^2")
-    with np.errstate(over="ignore"):
-        rec = reconstruct_grid(f, [[-3.0], [1.0], [3.0]], ReconstructOptions(N=60))
+    # refuses them
+    rec = reconstruct_grid(_four_minus_x2(), [[-3.0], [1.0], [3.0]], ReconstructOptions(N=60))
     for i in (0, 2):
         d = rec.per_point[i]
         assert np.isnan(d["psi_hat_raw"]) and not d["converged"]
         assert "V(x0) = -2.5 is negative" in d["error"]
     assert "error" not in rec.per_point[1]
+
+
+def test_reconstruct_grid_rejects_trials_where_f_is_negative():
+    # from x = 1 the descent's trials run past |x| = 2, where f < 0; the line
+    # search rejects them as it rejects a non-finite V, so no overflow warning
+    # escapes (pytest makes it an error) and the point stays finite, honestly
+    # unconverged, with no error
+    rec = reconstruct_grid(_four_minus_x2(), [[1.0]], ReconstructOptions(N=60))
+    d = rec.per_point[0]
+    assert np.isfinite(d["psi_hat_raw"]) and np.isfinite(rec.psi_hat[0])
+    assert not d["converged"] and "error" not in d
+
+
+def _four_minus_x2():
+    def value(x):
+        return 4.0 - np.asarray(x, float)[..., 0] ** 2
+
+    return DifferentiableField(dim=1, value=value, gradient=lambda x: -2.0 * np.asarray(x),
+                               hessvec=lambda x, h: -2.0 * np.asarray(h), name="4-x^2")
 
 
 # --- eikonal residual -----------------------------------------------------

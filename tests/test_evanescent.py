@@ -572,10 +572,10 @@ def test_shoot_2d_sphere_search():
     assert res.converged
     v0 = np.asarray(res.detail["v0"])
     assert np.allclose(v0, [-1.0, 0.0], atol=1e-6)
-    # from (1, 1) both modes are excited; the solve integrates a few dozen
-    # orbits at most
+    # from (1, 1) both modes are excited; each horizon's first orbit extends
+    # the last one, so the solve integrates about ten orbits
     res = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T, psi=QUAD_2D.psi)
-    assert res.converged and res.detail["evaluations"] <= 50
+    assert res.converged and res.detail["evaluations"] <= 12
     assert np.allclose(res.detail["v0"], [-1.0, -2.0], rtol=0.0, atol=1e-8)
     # the action integrand, evaluated on all nodes at once, is the per-node
     # 0.5 ||w||^2 + V(x) bit for bit
@@ -587,23 +587,69 @@ def test_shoot_2d_sphere_search():
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(spd_problems(dims=(2, 4), eig_range=(0.8, 2.0)))
+# a plain orbit from this v0 grows its last-bit rounding by e^{3T} and ends
+# far off; the Newton orbit moved by the last step stays on e^{-tA} x0
+@example((1.5 * np.diag([1.0, 2.0]), np.array([1.0, 1.0])))
 def test_shoot_spd_quadratic_property(problem):
     # the evanescent orbit of V = 0.5||Ax||^2 is x(t) = e^{-tA} x0, so it
-    # leaves x0 with v0 = -A x0
+    # leaves x0 with v0 = -A x0, and every node of the returned orbit lies
+    # on it
     A, x0 = problem
     res = shoot_evanescent(make_quadratic(A).v, x0, T)
     assert np.max(np.abs(np.asarray(res.detail["v0"]) + A @ x0)) < 1e-8
+    traj = res.trajectory
+    assert traj.t_end == pytest.approx(T, rel=1e-12)
+    lam, Q = np.linalg.eigh(A)
+    exact = (Q * np.exp(-np.outer(traj.times, lam))[:, None, :]) @ (Q.T @ x0)
+    assert np.max(np.abs(traj.states - exact)) < 1e-6
     # converged says the terminal penalty ||w(T)||^2 + 2V(v(T)) fell below
     # 2 eps_tail^2; on the exact orbit it is 2||A e^{-TA} x0||^2, which a
     # slow mode with a large x0 keeps above the limit at this horizon.  The
     # verdict must match the exact orbit's outside a factor-2 band.
-    lam, Q = np.linalg.eigh(A)
     exact_penalty = 2.0 * float(np.sum((lam * np.exp(-T * lam) * (Q.T @ x0)) ** 2))
     limit = 2.0 * DEFAULT_EPS_TAIL ** 2
     if exact_penalty < 0.5 * limit:
         assert res.converged, res.detail
     elif exact_penalty > 2.0 * limit:
         assert not res.converged, res.detail
+
+
+def test_shoot_scores_the_plain_orbit_when_the_last_horizon_fails():
+    # Hess V fails near the minimizer, which the orbit from (1, 1) reaches
+    # only after t = 6, so every horizon but the last solves and the plain
+    # orbit of v0, which needs no Hess V, is the one returned
+    V = QUAD_2D.v
+
+    def hessvec(x, p):
+        if np.any(np.linalg.norm(np.asarray(x, float), axis=-1) < 1e-3):
+            raise NumericDomainError("outside the domain of Hess V")
+        return V.hessvec(x, p)
+
+    walled = dataclasses.replace(V, hessvec=hessvec)
+    res = shoot_evanescent(walled, [1.0, 1.0], T)
+    plain = second_order_flow(V, [1.0, 1.0], res.detail["v0"], T,
+                              IntegratorOptions(rtol=evanescent._SHOOT_RTOL))
+    assert np.array_equal(res.trajectory.states, plain.states)
+    assert np.array_equal(res.trajectory.velocities, plain.velocities)
+    assert res.detail["steps_accepted"] > plain.meta["n_steps"]
+    assert np.allclose(res.detail["v0"], [-1.0, -2.0], rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("pp, x0", [(QUAD_1D, [1.0]), (QUAD_2D, [1.0, 1.0]),
+                                    (QUAD_2D, [0.0, 0.0])], ids=["1d", "2d", "r0"])
+def test_shoot_counts_every_integration_and_its_steps(monkeypatch, pp, x0):
+    metas = []
+
+    def counted(*a, fn=integrate.rk_adaptive, **k):
+        raw = fn(*a, **k)
+        metas.append(raw.meta)
+        return raw
+
+    monkeypatch.setattr(integrate, "rk_adaptive", counted)
+    d = shoot_evanescent(pp.v, x0, T).detail
+    assert d["evaluations"] == len(metas)
+    assert d["steps_accepted"] == sum(m["n_steps"] for m in metas)
+    assert d["steps_rejected"] == sum(m["n_rejected"] for m in metas)
 
 
 def test_shoot_without_hessvec():
@@ -639,7 +685,9 @@ def test_variational_orbit_sensitivity_layout(with_hessvec):
     V = DifferentiableField(dim=2, value=value, gradient=gradient,
                             hessvec=hessvec if with_hessvec else None)
     x0, v0, T_ = np.array([0.6, -0.2]), np.array([-0.5, 0.3]), 1.5
-    w, Q = _variational_orbit(V, x0, v0, T_, evanescent._SHOOT_RTOL)
+    # rows of the orbit are (v, w, P, Q) with P and Q transposed
+    y = _variational_orbit(V, x0, v0, T_, evanescent._SHOOT_RTOL).ys[-1]
+    w, Q = y[2:4], y[8:].reshape(2, 2).T
 
     def w_at(v):
         return second_order_flow(V, x0, v, T_, IntegratorOptions(rtol=1e-12)).velocities[-1]
@@ -650,6 +698,22 @@ def test_variational_orbit_sensitivity_layout(with_hessvec):
     assert np.max(np.abs(Q - Q.T)) > 1e-2
     assert np.max(np.abs(Q - fd)) < 1e-6
     assert np.max(np.abs(w - w_at(v0))) < 1e-8
+
+
+def test_variational_orbit_extends_an_orbit_from_its_end():
+    # the orbit up to 1.5 continued to 3 is joined to it without repeating
+    # the join, and ends where the orbit integrated over [0, 3] at once ends
+    V, x0, v0 = QUAD_2D.v, np.array([1.0, 1.0]), np.array([-1.2, -1.8])
+    head = _variational_orbit(V, x0, v0, 1.5, evanescent._SHOOT_RTOL)
+    whole = _variational_orbit(V, x0, v0, 3.0, evanescent._SHOOT_RTOL)
+    joined = _variational_orbit(V, x0, v0, 3.0, evanescent._SHOOT_RTOL, prev=head)
+    m = len(head.times)
+    assert np.array_equal(joined.times[:m], head.times)
+    assert np.array_equal(joined.ys[:m], head.ys)
+    assert np.all(np.diff(joined.times) > 0.0)
+    assert joined.times[-1] == pytest.approx(3.0, rel=1e-14)
+    assert joined.meta["n_steps"] == len(joined.times) - m
+    assert np.max(np.abs(joined.ys[-1] - whole.ys[-1])) < 1e-8
 
 
 def test_shoot_equilibrium_start():
@@ -663,14 +727,14 @@ def test_shoot_equilibrium_start():
 
 
 def test_shoot_raises_when_every_orbit_leaves_the_domain():
-    # grad V fails where x[0] < 0.5, which the orbit from (1, 1) must cross:
-    # Newton's trial orbits fail until their step is halved to nothing, the
-    # orbit at the next horizon fails, and so does the final orbit, so no
-    # orbit is left to score
+    # grad V fails outside the ball of radius 0.2 about (1, 1), which every
+    # orbit from there leaves, since its speed sqrt(2 V) exceeds 1.7 in the
+    # ball and grad V pushes it out: the first Newton orbit fails, and so
+    # does the plain orbit of v0, so no orbit is left to score
     V = QUAD_2D.v
 
     def gradient(x):
-        if np.any(np.asarray(x, float)[..., 0] < 0.5):
+        if np.any(np.linalg.norm(np.asarray(x, float) - 1.0, axis=-1) > 0.2):
             raise NumericDomainError("outside the domain of grad V")
         return V.gradient(x)
 
