@@ -5,8 +5,12 @@ discrete action minimization over a node path with a terminal penalty, and
 shooting on the initial velocity.  The first integral pins
 ||v'(0)|| = sqrt(2 V(x0)) for evanescent orbits, so shooting is a root-find
 on that sphere: Gauss-Newton on the terminal velocity w(T), with its
-Jacobian from the variational equations along each orbit, continued over
-doubling horizons up to T.
+Jacobian from the variational equations along each DOP853 orbit, damped
+where a step does not lower the residual, continued over doubling horizons
+up to T.  The shooting action integrates 0.5 ||w||^2 + V(v) over the orbit's
+nodes by the endpoint-corrected trapezoid, and cross validation samples an
+orbit between its nodes by the quintic Hermite interpolant of its states,
+velocities and accelerations grad V.
 """
 from __future__ import annotations
 
@@ -34,8 +38,8 @@ from evanflow.integrate import (
     gradient_flow,
     path_integral,
     _hess_rows,
+    _shooting_orbit,
     _variational_orbit,
-    second_order_flow,
 )
 
 DEFAULT_T = 12.0
@@ -43,11 +47,11 @@ DEFAULT_N = 240
 
 _ARMIJO_C = 1e-4      # Armijo constant of the action line search
 _SHRINK = 0.5         # its backtracking factor
-_HALVINGS = 20        # and its most halvings per iteration
+_HALVINGS = 20        # and its most halvings per iteration, as of a Gauss-Newton step
 _TOL_OPT = 1e-8       # a path stops once its action gradient's inf-norm is below this
 _TOL_EL = 1e-5        # a converged path's Euler-Lagrange residual is below this
 _MU_PER_DT = 10.0     # the terminal penalty weight mu is this times dt = T/N
-_SHOOT_RTOL = 1e-10   # shooting orbits; atol and r_max as in IntegratorOptions
+_SHOOT_RTOL = 1e-10   # DOP853 shooting orbits; atol and r_max as in IntegratorOptions
 TOL_XV = 5e-3         # the routes of cross_validate agree to this distance
 _V_FLOOR = -1e-12     # V below this is no rounding of V >= 0
 DEFAULT_MAX_ITERS = 50_000
@@ -379,8 +383,9 @@ def _solve_diagnostics(traj, V, psi=None, fi_tol=None) -> DiagnosticsReport:
 
 # horizons T/2^k, ..., T/2, T from the first one <= _FIRST_HORIZON; each
 # ends after _NEWTON_ITERS steps, when a step falls below _STEP_TOL * r, or
-# when the residual stops decreasing; a horizon before the last also ends on
-# a step that cuts ||w(T_k)|| by less than a factor _STALL
+# when a step halved _HALVINGS times still does not lower the residual; a
+# horizon before the last also ends on a step that cuts ||w(T_k)|| by less
+# than a factor _STALL
 _FIRST_HORIZON = 1.5
 _NEWTON_ITERS = 8
 _STEP_TOL = 1e-13
@@ -394,10 +399,12 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     ||w(T)||^2 = 2 V(v(T)), so w(T) is the whole terminal penalty.  The
     orbit returned is the last Newton orbit moved by the last step (see
     _gauss_newton), or, in 1-D, at r = 0 and where no Newton orbit reached
-    T, the plain orbit of v0.  In 1-D the sphere is the two points +-r and
-    the better one is kept; at r = 0 it is the one point v0 = 0.  A T that
-    is not a positive finite number raises ValueError before V is
-    evaluated, and V(x0) < -1e-12 before any orbit.  detail counts the
+    T, the plain DOP853 orbit of v0.  The action is the endpoint-corrected
+    trapezoid of g = 0.5 ||w||^2 + V(v) over the orbit's nodes, with
+    g' = 2 w.grad V(v) from one gradient call.  In 1-D the sphere is the
+    two points +-r and the better one is kept; at r = 0 it is the one point
+    v0 = 0.  A T that is not a positive finite number raises ValueError
+    before V is evaluated, and V(x0) < -1e-12 before any orbit.  detail counts the
     orbits integrated (evaluations) and their RK steps."""
     _check_horizon(T)
     V = _v_of(V)
@@ -430,7 +437,8 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
         p = _penalty(V, traj, T)
     act = path_integral(
         traj, 0.5 * kernels.row_dots(traj.velocities)
-        + np.asarray(V.value(traj.states), float)
+        + np.asarray(V.value(traj.states), float),
+        2.0 * np.sum(traj.velocities * np.asarray(V.gradient(traj.states), float), axis=1),
     ) if len(traj) >= 2 else np.inf
     converged = (
         traj.termination == TERM_HORIZON and p < 2.0 * DEFAULT_EPS_TAIL ** 2
@@ -443,12 +451,12 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
 
 
 def _scored_orbit(V, x0, v0, T, counts):
-    """(penalty, trajectory) of the plain orbit from (x0, v0); one that
-    leaves the domain of V has no trajectory.  Adds the integration and its
-    RK steps to counts."""
+    """(penalty, trajectory) of the plain DOP853 orbit from (x0, v0); one
+    that leaves the domain of V has no trajectory.  Adds the integration and
+    its RK steps to counts."""
     counts["evaluations"] += 1
     try:
-        traj = second_order_flow(V, x0, v0, T, IntegratorOptions(rtol=_SHOOT_RTOL))
+        traj = _shooting_orbit(V, x0, v0, T, _SHOOT_RTOL)
     except ArithmeticError:
         return 1e12 * (1.0 + T), None
     counts["steps_accepted"] += traj.meta["n_steps"]
@@ -465,16 +473,30 @@ def _penalty(V, traj, T):
     return float(np.dot(wT, wT) + 2.0 * float(V.value(traj.states[-1])))
 
 
+def _residual(w, QB, last):
+    """The size of a terminal velocity w = w(T_k) for the Newton tests:
+    ||w|| on a horizon before the last, and on the last one the norm of the
+    Newton correction (Q B)^+ w it implies, with the current Jacobian Q B
+    on the tangent space (Deuflhard's natural monotonicity test).  Where
+    lambda_max T is large, ||w(T)|| is mostly step error grown by
+    e^{lambda_max T}; that lies along the large sensitivities, so it moves
+    v0 little and does not decide which v0 is better."""
+    return float(np.linalg.norm(np.linalg.lstsq(QB, w, rcond=None)[0] if last else w))
+
+
 def _gauss_newton(V, x0, v0, T, counts):
     """Sphere-constrained Gauss-Newton on w(T_k) from v0 over the doubling
-    horizons T_k up to T.  Returns v0 and, where an orbit of v0 reached T,
-    the last Newton orbit moved by the last step delta along its own
-    sensitivities, (v + P delta, w + Q delta), or None; delta is the tangent
-    step before projection onto the sphere, 0 unless the last step fell
-    below _STEP_TOL * r.  The first orbit of each horizon extends the last
-    orbit of the one before, so a step that small on a horizon before the
-    last is not taken and that orbit still starts at v0.  Adds every
-    integration and its RK steps to counts."""
+    horizons T_k up to T.  A step whose orbit fails is halved until one
+    does not; a step whose orbit does not lower the residual (_residual) is
+    halved too, at most _HALVINGS times, and then the horizon ends.  Returns
+    v0 and, where an orbit of v0 reached T, the last Newton orbit moved by
+    the last step delta along its own sensitivities, (v + P delta,
+    w + Q delta), or None; delta is the tangent step before projection onto
+    the sphere, 0 unless the last step fell below _STEP_TOL * r.  The first
+    orbit of each horizon extends the last orbit of the one before, so a
+    step that small on a horizon before the last is not taken and that
+    orbit still starts at v0.  Adds every integration and its RK steps to
+    counts."""
     n = len(x0)
     r = float(np.linalg.norm(v0))
 
@@ -503,7 +525,10 @@ def _gauss_newton(V, x0, v0, T, counts):
             # with a transposed view of it round differently
             Q = np.ascontiguousarray(y[2 * n + n * n:].reshape(n, n).T)
             B = np.linalg.svd(v0[None, :])[2][1:].T     # tangent basis at v0
-            step = B @ np.linalg.lstsq(Q @ B, -w, rcond=None)[0]
+            QB = Q @ B
+            step = B @ np.linalg.lstsq(QB, -w, rcond=None)[0]
+            w_old = _residual(w, QB, last)
+            halvings = 0
             while True:
                 cand = v0 + step
                 cand *= r / float(np.linalg.norm(cand))
@@ -512,13 +537,15 @@ def _gauss_newton(V, x0, v0, T, counts):
                     break
                 new = orbit(cand, Tk)
                 if new is not None:
-                    break
-                step = 0.5 * step       # a diverging or failing orbit halves it
+                    w_new = _residual(new.ys[-1, n:2 * n], QB, last)
+                    if w_new < w_old or halvings == _HALVINGS:
+                        break
+                    halvings += 1
+                step = 0.5 * step       # a failing orbit, or a higher residual, halves it
             if new is None:
                 if last:                # take the step unchecked
                     v0, delta = cand, step
                 break
-            w_new, w_old = np.linalg.norm(new.ys[-1, n:2 * n]), np.linalg.norm(w)
             if not w_new < w_old:
                 break
             v0, cur = cand, new
@@ -531,7 +558,7 @@ def _gauss_newton(V, x0, v0, T, counts):
     QT = cur.ys[:, 2 * n + n * n:].reshape(-1, n, n)
     return v0, Trajectory(cur.times, cur.ys[:, :n] + delta @ PT,
                           cur.ys[:, n:2 * n] + delta @ QT, "second_order", TERM_HORIZON,
-                          {"method": "rk45", "rtol": _SHOOT_RTOL})
+                          {"method": "dop853", "rtol": _SHOOT_RTOL})
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +590,9 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
     flow = gradient_flow(pp, x0, T, IntegratorOptions(method="rk4", h=T / N))
     act = action or minimize_action(V, x0, T, N, max_iters, psi=psi)
     shot = shot or shoot_evanescent(V, x0, T, psi=psi)
-    flow_states = _on_grid(flow, grid)
+    flow_states = _on_grid(V, flow, grid)
     act_states = act.trajectory.states
-    shot_states = _on_grid(shot.trajectory, grid)
+    shot_states = _on_grid(V, shot.trajectory, grid)
 
     def dist(a, b):
         return float(np.max(np.linalg.norm(a - b, axis=-1)))
@@ -584,16 +611,24 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
     return report
 
 
-def _on_grid(traj: Trajectory, times: np.ndarray) -> np.ndarray:
-    """The states of traj at the given times by the cubic Hermite interpolant
-    of its node states and velocities: a node's own state at its time, and
-    the last state past the end of the orbit."""
+def _on_grid(V, traj: Trajectory, times: np.ndarray) -> np.ndarray:
+    """The states of traj at the given times by the quintic Hermite
+    interpolant of its node states, velocities and accelerations grad V(x):
+    a node's own state at its time, and the last state past the end of the
+    orbit.  The accelerations are those of a shooting orbit, v'' = grad V(v),
+    and of a gradient flow, u'' = Hess psi grad psi = grad V(u)."""
     t, x, w = traj.times, traj.states, traj.velocities
     if len(t) < 2:
         return np.repeat(x[-1:], len(times), axis=0)
+    a = np.asarray(V.gradient(x), float)
     s = np.minimum(times, t[-1])
     i = np.clip(np.searchsorted(t, s, side="right") - 1, 0, len(t) - 2)
     h = (t[i + 1] - t[i])[:, None]
     u = (s - t[i])[:, None] / h
-    return ((1.0 + 2.0 * u) * (1.0 - u) ** 2 * x[i] + u * (1.0 - u) ** 2 * h * w[i]
-            + u * u * (3.0 - 2.0 * u) * x[i + 1] + u * u * (u - 1.0) * h * w[i + 1])
+    # the basis in factored form: exactly 1 and 0 at u = 0 and u = 1
+    v = 1.0 - u
+    v3, u3 = v ** 3, u ** 3
+    return (v3 * (1.0 + u * (3.0 + 6.0 * u)) * x[i] + v3 * u * (1.0 + 3.0 * u) * h * w[i]
+            + 0.5 * v3 * u * u * h * h * a[i]
+            + u3 * (10.0 - u * (15.0 - 6.0 * u)) * x[i + 1]
+            - u3 * v * (4.0 - 3.0 * u) * h * w[i + 1] + 0.5 * u3 * v * v * h * h * a[i + 1])

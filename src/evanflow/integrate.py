@@ -1,19 +1,23 @@
 """ODE integration for the two gradient systems and trajectory functionals.
 
-Two integrators are provided: classical fixed-step RK4 and an embedded
-Dormand-Prince 5(4) pair with step-size control that reuses each accepted
-step's last stage as the next step's first (FSAL).  The right-hand side is
-their only callback: an orbit stops where its first stage rhs(y) is shorter
-than eps_crit.  Orbit generators wrap them for u' = -grad psi(u) and for the
-phase-space form of v'' = grad V(v); the variational form used by shooting
-carries the sensitivities P = dv/dv0 and Q = dw/dv0 transposed, one row per
-component of v0.  Orbit integrals take one value per node.
+Two integrators are provided: classical fixed-step RK4 and one adaptive
+loop over an embedded Runge-Kutta pair given as data (stage rows, error
+norm, step-control exponent), which reuses each accepted step's last stage
+as the next step's first (FSAL).  Flows and --method rk45 take the
+Dormand-Prince 5(4) pair (DP45); shooting orbits take the 8th-order DOP853.
+The right-hand side is the integrators' only callback: an orbit stops where
+its first stage rhs(y) is shorter than eps_crit.  Orbit generators wrap
+them for u' = -grad psi(u) and for the phase-space form of
+v'' = grad V(v); the variational form used by shooting carries the
+sensitivities P = dv/dv0 and Q = dw/dv0 transposed, one row per component
+of v0.  Orbit integrals take one value per node, and optionally its time
+derivative for the endpoint-corrected trapezoid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import sqrt
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -131,6 +135,15 @@ def rk4_fixed(rhs: Callable, y0, T: float, h: float,
     )
 
 
+class EmbeddedPair(NamedTuple):
+    """An explicit Runge-Kutta pair whose last stage input is its solution,
+    so that stage's slope is the next step's first (FSAL)."""
+    name: str            # meta["method"] of its orbits
+    rows: tuple          # rows[i - 1] weights the slopes K[:i] into stage i's input
+    error: Callable      # (y, y_new, h, K, ctrl) -> the error norm of the step
+    exponent: float      # a step is rescaled by 0.9 (tol / err) ** exponent
+
+
 # Dormand-Prince 5(4) coefficients (autonomous right-hand sides: no nodes c_i)
 _DP_A = [
     np.array([]),
@@ -146,22 +159,104 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
 
+def _dp45_error(y, y5, h, K, ctrl):
+    """||y5 - y4|| over y[ctrl], y4 the embedded 4th-order solution."""
+    d = (y5 - (y + h * _DP_B4.dot(K)))[ctrl]
+    return sqrt(d.dot(d))
+
+
+DP45 = EmbeddedPair("rk45", tuple(_DP_A[1:]), _dp45_error, 1 / 5)
+
+# DOP853, the 8th-order pair of Prince & Dormand (1981) as Hairer, Norsett &
+# Wanner give it (Solving ODEs I, section II.10): twelve stages, whose last
+# input is the 8th-order solution with weights _DOP_B; the error estimate
+# combines a 5th-order (_DOP_E5) and a 3rd-order (_DOP_E3) one
+_DOP_A = [
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2],
+    [2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1],
+    [3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1],
+    [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2],
+    [3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3],
+    [6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1],
+    [4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2],
+    [-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022],
+    [2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1],
+]
+_DOP_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2])
+# the 3rd-order estimate is _DOP_B less the weights bhh of stages 1, 9, 12
+_DOP_E3 = _DOP_B.copy()
+_DOP_E3[[0, 8, 11]] -= [0.244094488188976377952755905512,
+                        0.733846688281611857341361741547,
+                        0.220588235294117647058823529412e-1]
+_DOP_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1])
+
+
+def _dop853_error(y, y8, h, K, ctrl):
+    """Hairer's combined error h ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2)
+    over y[ctrl], with e5 and e3 the 5th- and 3rd-order estimates from the
+    first twelve slopes: never above the 5th-order estimate h ||e5||, and
+    far below it where ||e5|| << ||e3||, as it is on small steps."""
+    Kc = K[:12, ctrl]
+    e5, e3 = _DOP_E5.dot(Kc), _DOP_E3.dot(Kc)
+    s5 = e5.dot(e5)
+    d = s5 + 0.01 * e3.dot(e3)
+    return h * s5 / sqrt(d) if d > 0.0 else 0.0
+
+
+DOP853 = EmbeddedPair("dop853", tuple(np.array(a) for a in _DOP_A) + (_DOP_B,),
+                      _dop853_error, 1 / 8)
+
+
 def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
                 atol: float = 1e-12, r_max: float = DEFAULT_R_MAX,
                 eps_crit: Optional[float] = None,
-                n_ctrl: Optional[int] = None) -> RawOrbit:
-    """Embedded Dormand-Prince 5(4) pair; nodes at accepted steps.
+                n_ctrl: Optional[int] = None,
+                pair: EmbeddedPair = DP45) -> RawOrbit:
+    """An embedded Runge-Kutta pair with step-size control, by default
+    Dormand-Prince 5(4) (DP45), or DOP853; nodes at accepted steps.
 
-    First same as last (FSAL): the input of the seventh stage is the
-    5th-order solution, so its slope is the next step's first stage, and
-    rhs is called once at y0 and then six times per attempted step whose
-    stage inputs are all finite, rejected or not.  A step is rejected, and h
-    halved, at its first non-finite stage input, before rhs sees that input,
-    or when its last slope is non-finite.  Given eps_crit, the orbit ends
-    (TERM_CRIT) at the first node where ||rhs(y)|| < eps_crit.  Only
-    y[:n_ctrl] (default: all of y) enters the error norm and the r_max test,
-    so appended components ride along on the steps of the rest.  y0 must be
-    1-D (ValueError otherwise).
+    First same as last (FSAL): the input of the pair's last stage is its
+    solution, so its slope is the next step's first stage, and rhs is called
+    once at y0 and then once per stage (six for DP45, twelve for DOP853) per
+    attempted step whose stage inputs are all finite, rejected or not.  A
+    step is rejected, and h halved, at its first non-finite stage input,
+    before rhs sees that input, or when its last slope is non-finite.  A
+    step is accepted where the pair's error norm is at most
+    atol + rtol ||y||, and h is rescaled by 0.9 (tol / err) ** exponent,
+    within [0.2, 5].  Given eps_crit, the orbit ends (TERM_CRIT) at the
+    first node where ||rhs(y)|| < eps_crit.  Only y[:n_ctrl] (default: all
+    of y) enters the error norm and the r_max test, so appended components
+    ride along on the steps of the rest.  y0 must be 1-D (ValueError
+    otherwise).
     """
     if not (1e-12 <= rtol <= 1e-2):
         raise ValueError(f"rtol must lie in [1e-12, 1e-2], got {rtol:g}")
@@ -177,11 +272,13 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     n_steps = 0
     n_rejected = 0
     n = y.size
-    K = np.empty((7, n))
+    s = len(pair.rows)
+    K = np.empty((s + 1, n))
     K[0] = rhs(y)
     # stage i's weights and the slopes they combine, K[:i] (views of K)
-    stages = [(i, _DP_A[i], K[:i]) for i in range(1, 7)]
-    last = K[6]
+    stages = [(i, a, K[:i]) for i, a in enumerate(pair.rows, 1)]
+    last = K[s]
+    error, exponent = pair.error, pair.exponent
     # Euclidean norms as np.linalg.norm takes them on 1-D input
     y_norm = sqrt(y[ctrl].dot(y[ctrl]))
     while t < T * (1.0 - 1e-15):
@@ -201,21 +298,19 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
                 bad = True
                 break
             K[i] = rhs(yi)
-        # K[0] is finite (or y1 is not), and K[i], i = 1..5, enters y_{i+1}
-        # with a nonzero last weight, so a finite y_{i+1} proves it finite;
-        # only K[6] is left to test
+        # in both pairs K[0] is finite (or y1 is not), and K[i], 0 < i < s,
+        # enters y_{i+1} with a nonzero last weight, so a finite y_{i+1}
+        # proves it finite; only K[s] is left to test
         if bad or np.count_nonzero(np.isfinite(last)) != n:
             h *= 0.5
             n_rejected += 1
             continue
-        y5 = yi                 # _DP_B5 is _DP_A[6] with a zero last weight
-        y4 = y + h * _DP_B4.dot(K)
-        d = (y5 - y4)[ctrl]
-        err = sqrt(d.dot(d))
+        y_new = yi              # the last stage input is the solution
+        err = error(y, y_new, h, K, ctrl)
         tol = atol + rtol * y_norm
         if err <= tol:
             t += h
-            y = y5
+            y = y_new
             K[0] = last
             n_steps += 1
             times.append(t)
@@ -226,11 +321,11 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
                 break
         else:
             n_rejected += 1
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
+        factor = 0.9 * (tol / err) ** exponent if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
     return RawOrbit(
         np.asarray(times), np.asarray(ys), termination,
-        {"method": "rk45", "rtol": rtol, "atol": atol,
+        {"method": pair.name, "rtol": rtol, "atol": atol,
          "n_steps": n_steps, "n_rejected": n_rejected},
     )
 
@@ -325,13 +420,13 @@ def _variational_rhs(V):
 
 def _variational_orbit(V, x0, v0, T: float, rtol: float,
                        prev: Optional[RawOrbit] = None) -> Optional[RawOrbit]:
-    """The orbit of v'' = grad V(v) from (x0, v0) over [0, T] with its
-    sensitivities, rows (v, w, P, Q) laid out as _variational_rhs lays them
-    out, or None if it leaves the domain of V.  Given prev, such an orbit
-    over [0, t1], it integrates only [t1, T] from prev's last row and returns
-    prev joined to it without repeating the join; meta counts the steps of
-    this integration only.  Only (v, w) enters the error norm and the
-    divergence test, so it takes the steps of the plain orbit at rtol;
+    """The DOP853 orbit of v'' = grad V(v) from (x0, v0) over [0, T] with
+    its sensitivities, rows (v, w, P, Q) laid out as _variational_rhs lays
+    them out, or None if it leaves the domain of V.  Given prev, such an
+    orbit over [0, t1], it integrates only [t1, T] from prev's last row and
+    returns prev joined to it without repeating the join; meta counts the
+    steps of this integration only.  Only (v, w) enters the error norm and
+    the divergence test, so it takes the steps of the plain orbit at rtol;
     (P, Q) grow like e^{lambda t}."""
     n = len(x0)
     if prev is None:
@@ -339,7 +434,8 @@ def _variational_orbit(V, x0, v0, T: float, rtol: float,
     else:
         t1, y0 = prev.times[-1], prev.ys[-1]
     try:
-        raw = rk_adaptive(_variational_rhs(V), y0, T - t1, rtol=rtol, n_ctrl=2 * n)
+        raw = rk_adaptive(_variational_rhs(V), y0, T - t1, rtol=rtol, n_ctrl=2 * n,
+                          pair=DOP853)
     except ArithmeticError:
         return None
     if prev is not None:
@@ -357,17 +453,37 @@ def second_order_flow(V, x0, v0, T: float,
     x0 = np.asarray(x0, float).reshape(n)
     v0 = np.asarray(v0, float).reshape(n)
     raw = _integrate(_second_order_rhs(V), np.concatenate([x0, v0]), T, opts)
+    return _phase_trajectory(raw, n)
+
+
+def _shooting_orbit(V, x0, v0, T: float, rtol: float) -> Trajectory:
+    """The DOP853 orbit of v'' = grad V(v) from (x0, v0) over [0, T] at rtol,
+    without sensitivities; atol and r_max as in IntegratorOptions."""
+    raw = rk_adaptive(_second_order_rhs(V), np.concatenate([x0, v0]), T, rtol=rtol,
+                      pair=DOP853)
+    return _phase_trajectory(raw, len(x0))
+
+
+def _phase_trajectory(raw: RawOrbit, n: int) -> Trajectory:
     return Trajectory(raw.times, raw.ys[:, :n], raw.ys[:, n:],
                       "second_order", raw.termination, dict(raw.meta))
 
 
-def path_integral(traj: Trajectory, values) -> float:
-    """Composite trapezoid of an integrand's values, one per trajectory node."""
+def path_integral(traj: Trajectory, values, slopes=None) -> float:
+    """Composite trapezoid of an integrand g's values, one per trajectory
+    node.  Given its time derivatives g' at the nodes too, it adds the
+    endpoint correction sum h^2/12 (g'_i - g'_{i+1}), which makes the rule
+    exact on cubics (error O(h^4) in place of O(h^2))."""
     if len(traj) < 2:
         raise ValueError("path_integral needs a trajectory with >= 2 nodes")
-    vals = np.asarray(values, float)
-    if vals.shape != traj.times.shape:
-        raise ValueError(f"path_integral needs one value per node, got {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise NumericDomainError("non-finite integrand value along trajectory")
-    return kernels.trapezoid(traj.times, vals)
+    arrays = [np.asarray(a, float) for a in (values, slopes) if a is not None]
+    for a in arrays:
+        if a.shape != traj.times.shape:
+            raise ValueError(f"path_integral needs one value per node, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise NumericDomainError("non-finite integrand value along trajectory")
+    total = kernels.trapezoid(traj.times, arrays[0])
+    if slopes is None:
+        return total
+    h = np.diff(traj.times)
+    return total + float(np.sum(h * h * (arrays[1][:-1] - arrays[1][1:]))) / 12.0

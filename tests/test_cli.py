@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evanflow.cli import _DEFAULTS, build_parser, main
@@ -175,6 +176,20 @@ def test_evanesce_reports_the_shooting_work(tmp_path):
     detail = read_json(tmp_path / "evanesce_report.json")["results"]["shoot"]["detail"]
     assert 0 < detail["evaluations"] <= 12
     assert detail["steps_accepted"] > 0 and detail["steps_rejected"] >= 0
+
+
+@pytest.mark.parametrize("lam", ["3", "4"])
+def test_evanesce_shoots_a_step_that_raises_the_residual_shorter(tmp_path, lam):
+    # from (1, 1) the downhill seed turns away from -A x0 as the condition
+    # number grows; on diag(1, 3) and diag(1, 4) the first full Gauss-Newton
+    # step raises ||w(T)||, so it is halved until the residual falls
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": "shoot", "cross_validate": False}))
+    rc = run(["evanesce", "--config", str(cfg), "--potential", f"quadratic:1,0;0,{lam}",
+              "--x0", "1,1", "--out", str(tmp_path)])
+    shot = read_json(tmp_path / "evanesce_report.json")["results"]["shoot"]
+    assert rc == 0 and shot["converged"]
+    assert np.allclose(shot["detail"]["v0"], [-1.0, -float(lam)], rtol=0.0, atol=1e-12)
 
 
 def test_evanesce_failure_exit_code(tmp_path):

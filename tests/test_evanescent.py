@@ -33,8 +33,10 @@ from evanflow.fields import (
 )
 from evanflow.integrate import (
     IntegratorOptions,
+    _shooting_orbit,
     _variational_orbit,
     gradient_flow,
+    path_integral,
     second_order_flow,
 )
 
@@ -326,11 +328,11 @@ def test_fd_velocities_fourth_order():
 
 
 @st.composite
-def spd_problems(draw, dims=(1, 3), eig_range=(0.5, 2.0)):
+def spd_problems(draw, dims=(1, 3), eig_range=(0.5, 2.0), x0_range=(-1.5, 1.5)):
     n = draw(st.integers(*dims))
     eigs = draw(st.lists(st.floats(*eig_range), min_size=n, max_size=n))
     rotation_seed = draw(st.integers(0, 2**32 - 1))
-    x0 = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+    x0 = np.array(draw(st.lists(st.floats(*x0_range), min_size=n, max_size=n)))
     Q, _ = np.linalg.qr(np.random.default_rng(rotation_seed).normal(size=(n, n)))
     A = Q @ np.diag(eigs) @ Q.T
     return 0.5 * (A + A.T), x0
@@ -577,12 +579,18 @@ def test_shoot_2d_sphere_search():
     res = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T, psi=QUAD_2D.psi)
     assert res.converged and res.detail["evaluations"] <= 12
     assert np.allclose(res.detail["v0"], [-1.0, -2.0], rtol=0.0, atol=1e-8)
-    # the action integrand, evaluated on all nodes at once, is the per-node
-    # 0.5 ||w||^2 + V(x) bit for bit
+    # the action integrand g and its slope g', evaluated on all nodes at
+    # once, are the per-node 0.5 ||w||^2 + V(x) and 2 w.grad V(x) bit for
+    # bit, and the endpoint-corrected trapezoid of them is within 3e-4 of
+    # 0.5 x0'A x0 = 1.5 on DOP853's few nodes
     traj = res.trajectory
     per_node = [0.5 * w.dot(w) + float(QUAD_2D.v.value(x))
                 for x, w in zip(traj.states, traj.velocities)]
-    assert res.final_action == kernels.trapezoid(traj.times, per_node)
+    slopes = [2.0 * float(np.sum(w * QUAD_2D.v.gradient(x)))
+              for x, w in zip(traj.states, traj.velocities)]
+    assert res.final_action == path_integral(traj, per_node, slopes)
+    assert len(traj) < 60
+    assert res.final_action == pytest.approx(1.5, rel=3e-4)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -614,6 +622,22 @@ def test_shoot_spd_quadratic_property(problem):
         assert not res.converged, res.detail
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spd_problems(dims=(1, 3), eig_range=(0.5, 3.0), x0_range=(-1.0, 1.0)))
+def test_shoot_action_spd_quadratic_property(problem):
+    # the action of the evanescent orbit is psi(x0) - inf psi = 0.5 x0'Ax0;
+    # the endpoint-corrected trapezoid over the DOP853 nodes of a converged
+    # shot recovers it to 3e-4 relative (the plain trapezoid reads 2e-2)
+    A, x0 = problem
+    exact = 0.5 * float(x0 @ A @ x0)
+    # the orbits' atol of 1e-12 bounds the relative accuracy of a start
+    # near the minimizer (||x0|| ~ 1e-7 reads 1e-2), as in the action route
+    assume(exact >= 1e-3)
+    res = shoot_evanescent(make_quadratic(A).v, x0, T)
+    if res.converged:
+        assert abs(res.final_action - exact) <= 3e-4 * exact, res.detail
+
+
 def test_shoot_scores_the_plain_orbit_when_the_last_horizon_fails():
     # Hess V fails near the minimizer, which the orbit from (1, 1) reaches
     # only after t = 6, so every horizon but the last solves and the plain
@@ -627,8 +651,8 @@ def test_shoot_scores_the_plain_orbit_when_the_last_horizon_fails():
 
     walled = dataclasses.replace(V, hessvec=hessvec)
     res = shoot_evanescent(walled, [1.0, 1.0], T)
-    plain = second_order_flow(V, [1.0, 1.0], res.detail["v0"], T,
-                              IntegratorOptions(rtol=evanescent._SHOOT_RTOL))
+    plain = _shooting_orbit(V, np.array([1.0, 1.0]), np.asarray(res.detail["v0"]), T,
+                            evanescent._SHOOT_RTOL)
     assert np.array_equal(res.trajectory.states, plain.states)
     assert np.array_equal(res.trajectory.velocities, plain.velocities)
     assert res.detail["steps_accepted"] > plain.meta["n_steps"]
@@ -762,13 +786,13 @@ def test_shoot_and_cross_validate_reject_out_of_range_horizon(T_, N_):
 
 def test_on_grid_keeps_node_states_and_holds_the_last():
     traj = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T).trajectory
-    assert np.array_equal(_on_grid(traj, traj.times), traj.states)
-    past = _on_grid(traj, np.array([traj.t_end, traj.t_end + 1.0, 1e9]))
+    assert np.array_equal(_on_grid(QUAD_2D.v, traj, traj.times), traj.states)
+    past = _on_grid(QUAD_2D.v, traj, np.array([traj.t_end, traj.t_end + 1.0, 1e9]))
     assert np.array_equal(past, np.repeat(traj.states[-1:], 3, axis=0))
     # an orbit stopped at its first node is that node at every time
     one = dataclasses.replace(traj, times=traj.times[:1], states=traj.states[:1],
                               velocities=traj.velocities[:1])
-    assert np.array_equal(_on_grid(one, np.array([0.0, 1.0])),
+    assert np.array_equal(_on_grid(QUAD_2D.v, one, np.array([0.0, 1.0])),
                           np.repeat(traj.states[:1], 2, axis=0))
 
 
@@ -776,7 +800,7 @@ def test_on_grid_samples_the_shooting_orbit():
     traj = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T).trajectory
     grid = DT * np.arange(N + 1)
     exact = np.stack([np.exp(-grid), np.exp(-2.0 * grid)], axis=1)
-    assert np.max(np.abs(_on_grid(traj, grid) - exact)) < 1e-6
+    assert np.max(np.abs(_on_grid(QUAD_2D.v, traj, grid) - exact)) < 1e-6
 
 
 def test_cross_validate_compares_the_returned_shooting_orbit():

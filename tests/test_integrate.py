@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings, strategies as st
 
 from evanflow import integrate
 from evanflow.cli import main
@@ -20,8 +22,11 @@ from evanflow.integrate import (
     TERM_DIVERGED,
     TERM_HORIZON,
     TERM_STEP_COLLAPSE,
+    DOP853,
+    DP45,
     IntegratorOptions,
     _hess_rows,
+    _second_order_rhs,
     _variational_rhs,
     gradient_flow,
     path_integral,
@@ -213,6 +218,70 @@ def test_adaptive_nodes_equal_the_seven_stage_loop():
         assert n_rejected > 0 or f is rhs
 
 
+def test_dop853_tableau_matches_scipys_coefficients():
+    # the tableau is written as literals; scipy's private coefficient module
+    # (read here only) holds the same published DOP853 numbers, so a typo in
+    # a digit shows as a mismatch; a failure names the scipy version
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    where = f"scipy {scipy.__version__}"
+    rows = DOP853.rows
+    assert len(rows) == ref.N_STAGES == 12, where
+    for i, row in enumerate(rows, 1):
+        assert np.array_equal(row, ref.A[i, :i]), (i, where)
+    # the last stage input is the solution (FSAL), with weights B
+    assert np.array_equal(rows[-1], ref.B) and np.array_equal(integrate._DOP_B, ref.B), where
+    # both estimates ignore the FSAL slope, scipy's 13th entry
+    for ours, theirs in ((integrate._DOP_E3, ref.E3), (integrate._DOP_E5, ref.E5)):
+        assert theirs[12] == 0.0, where
+        assert np.array_equal(ours, theirs[:12]), where
+    assert DOP853.exponent == 1 / 8 and DP45.exponent == 1 / 5
+    # the loop tests only the last slope for finiteness: every other slope
+    # K[i], i >= 1, enters stage i + 1 with a nonzero weight, in both pairs
+    for pair in (DP45, DOP853):
+        assert all(row[-1] != 0.0 for row in pair.rows[1:]), pair.name
+
+
+@pytest.mark.parametrize("rate, rtol", [(1.0, 1e-9), (50.0, 1e-12)])
+def test_dop853_first_same_as_last_work_count(rate, rtol):
+    # twelve rhs calls per attempted step, and one at y0
+    calls = 0
+
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        return -rate * y
+
+    raw = rk_adaptive(rhs, np.array([1.0]), 1.0, rtol=rtol, pair=DOP853)
+    assert raw.termination == TERM_HORIZON and raw.meta["method"] == "dop853"
+    assert calls == 1 + 12 * (raw.meta["n_steps"] + raw.meta["n_rejected"])
+    assert abs(raw.ys[-1, 0] - np.exp(-rate)) < 10.0 * rtol
+
+
+@pytest.mark.parametrize("A, x0, v0, T_", [
+    ([[1.3, 0.4], [0.4, 1.8]], [1.0, -0.5], [0.3, 0.2], 4.0),
+    ([[1.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 0.6]], [1.0, -1.0, 0.5],
+     [0.0, 0.4, -0.1], 6.0),
+    ([[1.0, 0.0], [0.0, 2.0]], [1.0, 1.0], [-1.0, -2.0], 6.0),
+], ids=["offdiag-T4", "3d-T6", "diag12-evanescent-T6"])
+def test_dop853_matches_the_closed_form_in_a_fifth_of_the_steps(A, x0, v0, T_):
+    # v'' = A^2 v has v(t) = Q (cosh(t L) c + sinh(t L) L^{-1} d), with
+    # A = Q L Q', c = Q' x0, d = Q' v0
+    A, x0, v0 = np.array(A), np.array(x0), np.array(v0)
+    rhs = _second_order_rhs(make_quadratic(A).v)
+    lam, Q = np.linalg.eigh(A)
+    steps = {}
+    for pair in (DP45, DOP853):
+        raw = rk_adaptive(rhs, np.r_[x0, v0], T_, rtol=1e-10, pair=pair)
+        assert raw.termination == TERM_HORIZON
+        tl = np.outer(raw.times, lam)
+        exact = (np.cosh(tl) * (Q.T @ x0) + np.sinh(tl) * (Q.T @ v0 / lam)) @ Q.T
+        rel = (np.linalg.norm(raw.ys[:, :len(x0)] - exact, axis=1)
+               / np.linalg.norm(exact, axis=1))
+        assert np.max(rel) < 1e-8, pair.name
+        steps[pair.name] = raw.meta["n_steps"] + raw.meta["n_rejected"]
+    assert 5 * steps["dop853"] <= steps["rk45"], steps
+
+
 def test_hess_rows_central_difference_takes_fd_step_per_point():
     # the difference step of each row is the fd_step of its own point, as
     # the per-point loop takes it, so the shooting sensitivities do not
@@ -375,6 +444,37 @@ def test_path_integral_rejects_bad_values():
                                    velocities=traj.velocities[:1])
     with pytest.raises(ValueError):
         path_integral(one_node, np.ones(1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12))
+def test_path_integral_with_slopes_is_exact_on_cubics(coef, gaps):
+    # g(t) = c0 + c1 t + c2 t^2 + c3 t^3 on any node spacing: the endpoint
+    # correction sum h^2/12 (g'_i - g'_{i+1}) removes the trapezoid's error
+    c0, c1, c2, c3 = coef
+    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    g = c0 + t * (c1 + t * (c2 + t * c3))
+    dg = c1 + t * (2.0 * c2 + 3.0 * t * c3)
+    traj = integrate.Trajectory(t, t[:, None], np.ones((len(t), 1)), "first_order",
+                                TERM_HORIZON)
+    T_ = t[-1]
+    exact = T_ * (c0 + T_ * (c1 / 2.0 + T_ * (c2 / 3.0 + T_ * c3 / 4.0)))
+    scale = 1.0 + sum(abs(c) for c in coef) * max(1.0, T_) ** 4
+    assert path_integral(traj, g, dg) == pytest.approx(exact, abs=1e-12 * scale)
+    # without slopes it is the plain trapezoid
+    assert path_integral(traj, g) == integrate.kernels.trapezoid(t, g)
+
+
+def test_path_integral_rejects_bad_slopes():
+    pp = make_quadratic([[1.0]])
+    traj = gradient_flow(pp, [1.0], 1.0, IntegratorOptions(method="rk4", h=0.25))
+    ones = np.ones(len(traj))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericDomainError):
+            path_integral(traj, ones, np.r_[ones[1:], bad])
+    with pytest.raises(ValueError):
+        path_integral(traj, ones, ones[1:])
 
 
 def test_trajectory_csv_contract(tmp_path):
