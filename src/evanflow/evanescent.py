@@ -51,7 +51,10 @@ _HALVINGS = 20        # and its most halvings per iteration, as of a Gauss-Newto
 _TOL_OPT = 1e-8       # a path stops once its action gradient's inf-norm is below this
 _TOL_EL = 1e-5        # a converged path's Euler-Lagrange residual is below this
 _MU_PER_DT = 10.0     # the terminal penalty weight mu is this times dt = T/N
-_SHOOT_RTOL = 1e-10   # DOP853 shooting orbits; atol and r_max as in IntegratorOptions
+# DOP853 shooting orbits; atol and r_max as in IntegratorOptions.  Step errors
+# grow by up to e^{lambda_max T} along an orbit: at 1e-10 a node of the fast
+# 2-D quadratic in test_shoot_spd_quadratic_property ends 1.5e-6 off
+_SHOOT_RTOL = 3e-11
 TOL_XV = 5e-3         # the routes of cross_validate agree to this distance
 _V_FLOOR = -1e-12     # V below this is no rounding of V >= 0
 DEFAULT_MAX_ITERS = 50_000

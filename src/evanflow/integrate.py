@@ -4,7 +4,8 @@ Two integrators are provided: classical fixed-step RK4 and one adaptive
 loop over an embedded Runge-Kutta pair given as data (stage rows, error
 norm, step-control exponent), which reuses each accepted step's last stage
 as the next step's first (FSAL).  Flows and --method rk45 take the
-Dormand-Prince 5(4) pair (DP45); shooting orbits take the 8th-order DOP853.
+Dormand-Prince 5(4) pair (DP45); shooting orbits take the 8th-order DOP853,
+from Hairer's estimate of the first step.
 The right-hand side is the integrators' only callback: an orbit stops where
 its first stage rhs(y) is shorter than eps_crit.  Orbit generators wrap
 them for u' = -grad psi(u) and for the phase-space form of
@@ -236,11 +237,36 @@ DOP853 = EmbeddedPair("dop853", tuple(np.array(a) for a in _DOP_A) + (_DOP_B,),
                       _dop853_error, 1 / 8)
 
 
+def _first_step(rhs, y, f0, T, tol, exponent, ctrl) -> Optional[float]:
+    """Hairer's starting step (Solving ODEs I, section II.4, routine HINIT)
+    in rk_adaptive's norm over y[ctrl]: an explicit Euler step
+    h0 = 0.01 ||y|| / ||f0|| probes the change of slope, and the step is
+    min(100 h0, h1, T) with h1 = (0.01 tol / max(||f0||, ||f1 - f0|| / h0))
+    ** exponent, f1 the slope at the probe.  None where a slope is not
+    finite or the probe leaves the domain of rhs."""
+    d0 = sqrt(y[ctrl].dot(y[ctrl])) / tol
+    d1 = sqrt(f0[ctrl].dot(f0[ctrl])) / tol
+    if not np.isfinite(d1):
+        return None
+    h0 = min(1e-6 if d0 <= 1e-5 or d1 <= 1e-5 else 0.01 * d0 / d1, T)
+    try:
+        df = (rhs(y + h0 * f0) - f0)[ctrl]
+    except ArithmeticError:
+        return None
+    d2 = sqrt(df.dot(df)) / (tol * h0)
+    if not np.isfinite(d2):
+        return None
+    d12 = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if d12 <= 1e-15 else (0.01 / d12) ** exponent
+    return min(100.0 * h0, h1, T)
+
+
 def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
                 atol: float = 1e-12, r_max: float = DEFAULT_R_MAX,
                 eps_crit: Optional[float] = None,
                 n_ctrl: Optional[int] = None,
-                pair: EmbeddedPair = DP45) -> RawOrbit:
+                pair: EmbeddedPair = DP45,
+                estimate_h0: bool = False) -> RawOrbit:
     """An embedded Runge-Kutta pair with step-size control, by default
     Dormand-Prince 5(4) (DP45), or DOP853; nodes at accepted steps.
 
@@ -252,11 +278,12 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     before rhs sees that input, or when its last slope is non-finite.  A
     step is accepted where the pair's error norm is at most
     atol + rtol ||y||, and h is rescaled by 0.9 (tol / err) ** exponent,
-    within [0.2, 5].  Given eps_crit, the orbit ends (TERM_CRIT) at the
-    first node where ||rhs(y)|| < eps_crit.  Only y[:n_ctrl] (default: all
-    of y) enters the error norm and the r_max test, so appended components
-    ride along on the steps of the rest.  y0 must be 1-D (ValueError
-    otherwise).
+    within [0.2, 5].  The first trial step is min(1e-3 T, 0.1), or, given
+    estimate_h0, Hairer's estimate (_first_step, one more rhs call).  Given
+    eps_crit, the orbit ends (TERM_CRIT) at the first node where
+    ||rhs(y)|| < eps_crit.  Only y[:n_ctrl] (default: all of y) enters the
+    error norm and the r_max test, so appended components ride along on the
+    steps of the rest.  y0 must be 1-D (ValueError otherwise).
     """
     if not (1e-12 <= rtol <= 1e-2):
         raise ValueError(f"rtol must lie in [1e-12, 1e-2], got {rtol:g}")
@@ -265,7 +292,6 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     y = _state_vector(y0)
     ctrl = slice(n_ctrl)
     t = 0.0
-    h = min(1e-3 * T, 0.1)
     times = [0.0]
     ys = [y]
     termination = TERM_HORIZON
@@ -281,6 +307,9 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     error, exponent = pair.error, pair.exponent
     # Euclidean norms as np.linalg.norm takes them on 1-D input
     y_norm = sqrt(y[ctrl].dot(y[ctrl]))
+    h = min(1e-3 * T, 0.1)
+    if estimate_h0:
+        h = _first_step(rhs, y, K[0], T, atol + rtol * y_norm, exponent, ctrl) or h
     while t < T * (1.0 - 1e-15):
         # K[0] is rhs(y): set at y0, carried over by FSAL, kept on rejection
         if eps_crit is not None and sqrt(K[0].dot(K[0])) < eps_crit:
@@ -435,7 +464,7 @@ def _variational_orbit(V, x0, v0, T: float, rtol: float,
         t1, y0 = prev.times[-1], prev.ys[-1]
     try:
         raw = rk_adaptive(_variational_rhs(V), y0, T - t1, rtol=rtol, n_ctrl=2 * n,
-                          pair=DOP853)
+                          pair=DOP853, estimate_h0=True)
     except ArithmeticError:
         return None
     if prev is not None:
@@ -460,7 +489,7 @@ def _shooting_orbit(V, x0, v0, T: float, rtol: float) -> Trajectory:
     """The DOP853 orbit of v'' = grad V(v) from (x0, v0) over [0, T] at rtol,
     without sensitivities; atol and r_max as in IntegratorOptions."""
     raw = rk_adaptive(_second_order_rhs(V), np.concatenate([x0, v0]), T, rtol=rtol,
-                      pair=DOP853)
+                      pair=DOP853, estimate_h0=True)
     return _phase_trajectory(raw, len(x0))
 
 

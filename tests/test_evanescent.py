@@ -598,6 +598,11 @@ def test_shoot_2d_sphere_search():
 # a plain orbit from this v0 grows its last-bit rounding by e^{3T} and ends
 # far off; the Newton orbit moved by the last step stays on e^{-tA} x0
 @example((1.5 * np.diag([1.0, 2.0]), np.array([1.0, 1.0])))
+# two fast modes (lambda 1.94, 1.85): every node's step error grows by about
+# e^{lambda (T - t)}, so the orbit's own tolerance decides the 1e-6 below
+@example((np.array([[1.9394777512802355, -0.015015202127230409],
+                    [-0.015015202127230409, 1.8509579089473784]]),
+          np.array([-1.1615929741570072, -0.5961009826649021])))
 def test_shoot_spd_quadratic_property(problem):
     # the evanescent orbit of V = 0.5||Ax||^2 is x(t) = e^{-tA} x0, so it
     # leaves x0 with v0 = -A x0, and every node of the returned orbit lies

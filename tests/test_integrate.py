@@ -282,6 +282,51 @@ def test_dop853_matches_the_closed_form_in_a_fifth_of_the_steps(A, x0, v0, T_):
     assert 5 * steps["dop853"] <= steps["rk45"], steps
 
 
+
+def test_estimated_first_step_skips_the_ramp_up():
+    # Hairer's starting step costs one rhs call, at its Euler probe, and
+    # starts near the settled step where min(1e-3 T, 0.1) ramps up by at
+    # most 5x a step; the orbit stays on its closed form
+    A, x0 = np.diag([1.0, 2.0]), np.array([1.0, 1.0])
+    field_rhs = _second_order_rhs(make_quadratic(A).v)
+    calls = 0
+
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        return field_rhs(y)
+
+    y0 = np.r_[x0, -A @ x0]
+    fixed = rk_adaptive(rhs, y0, 1.5, rtol=3e-11, pair=DOP853)
+    calls = 0
+    est = rk_adaptive(rhs, y0, 1.5, rtol=3e-11, pair=DOP853, estimate_h0=True)
+    assert calls == 2 + 12 * (est.meta["n_steps"] + est.meta["n_rejected"])
+    assert fixed.times[1] == 1.5e-3 and est.times[1] > 10.0 * fixed.times[1]
+    assert est.meta["n_steps"] + est.meta["n_rejected"] + 2 <= fixed.meta["n_steps"]
+    exact = np.exp(-np.outer(est.times, [1.0, 2.0]))
+    assert np.max(np.abs(est.ys[:, :2] - exact)) < 1e-8
+
+
+@pytest.mark.parametrize("probe", ["raises", "nan"])
+def test_estimated_first_step_falls_back_where_the_probe_fails(probe):
+    # where the slope at the Euler probe is not there, the first trial step
+    # is min(1e-3 T, 0.1), as without the estimate
+    calls = 0
+
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        if calls == 2:
+            if probe == "raises":
+                raise NumericDomainError("the probe left the domain")
+            return np.full_like(y, np.nan)
+        return -y
+
+    raw = rk_adaptive(rhs, np.array([1.0]), 1.0, rtol=1e-9, pair=DOP853,
+                      estimate_h0=True)
+    assert raw.times[1] == 1e-3
+    assert abs(raw.ys[-1, 0] - np.exp(-1.0)) < 1e-8
+
 def test_hess_rows_central_difference_takes_fd_step_per_point():
     # the difference step of each row is the fd_step of its own point, as
     # the per-point loop takes it, so the shooting sensitivities do not
