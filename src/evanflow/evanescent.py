@@ -38,7 +38,6 @@ from evanflow.integrate import (
     gradient_flow,
     path_integral,
     _hess_rows,
-    _shooting_orbit,
     _variational_orbit,
 )
 
@@ -398,17 +397,14 @@ _STALL = 0.7
 def shoot_evanescent(V, x0, T: float = DEFAULT_T,
                      psi: Optional[DifferentiableField] = None) -> EvanescentSolveResult:
     """Find the v0 on the sphere ||v0|| = sqrt(2 V(x0)) whose orbit is
-    evanescent, by Gauss-Newton on the terminal velocity w(T): on the sphere
-    ||w(T)||^2 = 2 V(v(T)), so w(T) is the whole terminal penalty.  The
-    orbit returned is the last Newton orbit moved by the last step (see
-    _gauss_newton), or, in 1-D, at r = 0 and where no Newton orbit reached
-    T, the plain DOP853 orbit of v0.  The action is the endpoint-corrected
-    trapezoid of g = 0.5 ||w||^2 + V(v) over the orbit's nodes, with
-    g' = 2 w.grad V(v) from one gradient call.  In 1-D the sphere is the
-    two points +-r and the better one is kept; at r = 0 it is the one point
-    v0 = 0.  A T that is not a positive finite number raises ValueError
-    before V is evaluated, and V(x0) < -1e-12 before any orbit.  detail counts the
-    orbits integrated (evaluations) and their RK steps."""
+    evanescent, by _gauss_newton from the downhill point of the sphere: on
+    the sphere ||w(T)||^2 = 2 V(v(T)), so w(T) is the whole terminal
+    penalty.  The action is the endpoint-corrected trapezoid of
+    g = 0.5 ||w||^2 + V(v) over the returned orbit's nodes, with
+    g' = 2 w.grad V(v) from one gradient call.  A T that is not a positive
+    finite number raises ValueError before V is evaluated, and
+    V(x0) < -1e-12 before any orbit.  detail counts the orbits integrated
+    (evaluations) and their RK steps."""
     _check_horizon(T)
     V = _v_of(V)
     n = V.dim
@@ -422,22 +418,7 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     gn = float(np.linalg.norm(gV))
     seed = -r * gV / gn if gn > 0 else r * np.eye(n)[0]
     counts = {"evaluations": 0, "steps_accepted": 0, "steps_rejected": 0}
-    traj = None
-    if r == 0.0:
-        candidates = [np.zeros(n)]
-    elif n == 1:
-        candidates = [seed, -seed]
-    else:
-        v0, traj = _gauss_newton(V, x0, seed, T, counts)
-        candidates = [v0]
-
-    if traj is None:
-        p, traj, v0 = min((_scored_orbit(V, x0, c, T, counts) + (c,)
-                           for c in candidates), key=lambda s: s[0])
-        if traj is None:
-            raise NumericDomainError("every shooting orbit left the domain of V")
-    else:
-        p = _penalty(V, traj, T)
+    v0, traj, p = _gauss_newton(V, x0, seed, T, counts)
     act = path_integral(
         traj, 0.5 * kernels.row_dots(traj.velocities)
         + np.asarray(V.value(traj.states), float),
@@ -451,20 +432,6 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
         traj, "shooting", bool(converged), float(act), report,
         {"v0": np.asarray(v0).tolist(), "penalty": float(p), **counts},
     )
-
-
-def _scored_orbit(V, x0, v0, T, counts):
-    """(penalty, trajectory) of the plain DOP853 orbit from (x0, v0); one
-    that leaves the domain of V has no trajectory.  Adds the integration and
-    its RK steps to counts."""
-    counts["evaluations"] += 1
-    try:
-        traj = _shooting_orbit(V, x0, v0, T, _SHOOT_RTOL)
-    except ArithmeticError:
-        return 1e12 * (1.0 + T), None
-    counts["steps_accepted"] += traj.meta["n_steps"]
-    counts["steps_rejected"] += traj.meta["n_rejected"]
-    return _penalty(V, traj, T), traj
 
 
 def _penalty(V, traj, T):
@@ -487,81 +454,109 @@ def _residual(w, QB, last):
     return float(np.linalg.norm(np.linalg.lstsq(QB, w, rcond=None)[0] if last else w))
 
 
-def _gauss_newton(V, x0, v0, T, counts):
-    """Sphere-constrained Gauss-Newton on w(T_k) from v0 over the doubling
-    horizons T_k up to T.  A step whose orbit fails is halved until one
-    does not; a step whose orbit does not lower the residual (_residual) is
-    halved too, at most _HALVINGS times, and then the horizon ends.  Returns
-    v0 and, where an orbit of v0 reached T, the last Newton orbit moved by
-    the last step delta along its own sensitivities, (v + P delta,
-    w + Q delta), or None; delta is the tangent step before projection onto
-    the sphere, 0 unless the last step fell below _STEP_TOL * r.  The first
-    orbit of each horizon extends the last orbit of the one before, so a
-    step that small on a horizon before the last is not taken and that
-    orbit still starts at v0.  Adds every integration and its RK steps to
-    counts."""
+def _gauss_newton(V, x0, seed, T, counts):
+    """Search the sphere ||v0|| = r = ||seed|| for the evanescent v0 from
+    its point seed; returns (v0, trajectory, penalty), the penalty by
+    _penalty.
+
+    Where the sphere has a tangent space (n >= 2, r > 0): sphere-constrained
+    Gauss-Newton on w(T_k) from seed over the doubling horizons T_k up to T.
+    A step whose orbit fails is halved until one does not; a step whose
+    orbit does not lower the residual (_residual) is halved too, at most
+    _HALVINGS times, and then the horizon ends.  Where an orbit of v0
+    reached T, the trajectory is the last Newton orbit moved by the last
+    step delta along its own sensitivities, (v + P delta, w + Q delta);
+    delta is the tangent step before projection onto the sphere, 0 unless
+    the last step fell below _STEP_TOL * r.  The first orbit of each horizon
+    extends the last orbit of the one before, so a step that small on a
+    horizon before the last is not taken and that orbit still starts at v0.
+
+    Where the sphere has none, it is the two points +-seed in 1-D and the
+    one point 0 at r = 0; where no Newton orbit reached T, v0 is taken
+    alone.  Each of these points' plain orbit, without sensitivities, is
+    integrated to T, and the one of least penalty is kept, the first on a
+    tie; an orbit that leaves the domain of V scores as one stopped at t = 0,
+    and NumericDomainError is raised if every one does.
+
+    Adds every integration and its RK steps to counts."""
     n = len(x0)
-    r = float(np.linalg.norm(v0))
+    r = float(np.linalg.norm(seed))
 
-    def orbit(v0, Tk, prev=None):
-        """The variational orbit of v0 up to Tk, or None if it fails."""
+    def orbit(v0, Tk, prev=None, sensitivities=True):
+        """The orbit of v0 up to Tk, or None if it leaves the domain of V."""
         counts["evaluations"] += 1
-        raw = _variational_orbit(V, x0, v0, Tk, _SHOOT_RTOL, prev)
-        if raw is None:
-            return None
-        counts["steps_accepted"] += raw.meta["n_steps"]
-        counts["steps_rejected"] += raw.meta["n_rejected"]
-        return raw if raw.termination == TERM_HORIZON else None
+        raw = _variational_orbit(V, x0, v0, Tk, _SHOOT_RTOL, prev, sensitivities)
+        if raw is not None:
+            counts["steps_accepted"] += raw.meta["n_steps"]
+            counts["steps_rejected"] += raw.meta["n_rejected"]
+        return raw
 
-    k = max(0, int(np.ceil(np.log2(T / _FIRST_HORIZON))))
-    cur = None
-    delta = np.zeros(n)
-    for i, Tk in enumerate(T / 2.0 ** np.arange(k, -1, -1)):
-        last = i == k
-        cur = orbit(v0, Tk, cur)
-        if cur is None:
-            break
-        for _ in range(_NEWTON_ITERS):
-            y = cur.ys[-1]
-            w = y[n:2 * n]
-            # Q is stored transposed; it is taken contiguous because products
-            # with a transposed view of it round differently
-            Q = np.ascontiguousarray(y[2 * n + n * n:].reshape(n, n).T)
-            B = np.linalg.svd(v0[None, :])[2][1:].T     # tangent basis at v0
-            QB = Q @ B
-            step = B @ np.linalg.lstsq(QB, -w, rcond=None)[0]
-            w_old = _residual(w, QB, last)
-            halvings = 0
-            while True:
-                cand = v0 + step
-                cand *= r / float(np.linalg.norm(cand))
-                if float(np.linalg.norm(step)) < _STEP_TOL * r:
-                    new = None          # converged
-                    break
-                new = orbit(cand, Tk)
-                if new is not None:
-                    w_new = _residual(new.ys[-1, n:2 * n], QB, last)
-                    if w_new < w_old or halvings == _HALVINGS:
+    v0, cur = seed, None
+    if n > 1 and r > 0.0:
+        k = max(0, int(np.ceil(np.log2(T / _FIRST_HORIZON))))
+        delta = np.zeros(n)
+        for i, Tk in enumerate(T / 2.0 ** np.arange(k, -1, -1)):
+            last = i == k
+            cur = orbit(v0, Tk, cur)
+            if cur is None or cur.termination != TERM_HORIZON:
+                cur = None
+                break
+            for _ in range(_NEWTON_ITERS):
+                y = cur.ys[-1]
+                w = y[n:2 * n]
+                # Q is stored transposed; it is taken contiguous because products
+                # with a transposed view of it round differently
+                Q = np.ascontiguousarray(y[2 * n + n * n:].reshape(n, n).T)
+                B = np.linalg.svd(v0[None, :])[2][1:].T     # tangent basis at v0
+                QB = Q @ B
+                step = B @ np.linalg.lstsq(QB, -w, rcond=None)[0]
+                w_old = _residual(w, QB, last)
+                halvings = 0
+                while True:
+                    cand = v0 + step
+                    cand *= r / float(np.linalg.norm(cand))
+                    if float(np.linalg.norm(step)) < _STEP_TOL * r:
+                        new = None          # converged
                         break
-                    halvings += 1
-                step = 0.5 * step       # a failing orbit, or a higher residual, halves it
-            if new is None:
-                if last:                # take the step unchecked
-                    v0, delta = cand, step
-                break
-            if not w_new < w_old:
-                break
-            v0, cur = cand, new
-            if not last and w_new > _STALL * w_old:
-                break
-    if cur is None:
-        return v0, None
-    # P and Q are stored transposed, so delta @ P^T is P delta at each node
-    PT = cur.ys[:, 2 * n:2 * n + n * n].reshape(-1, n, n)
-    QT = cur.ys[:, 2 * n + n * n:].reshape(-1, n, n)
-    return v0, Trajectory(cur.times, cur.ys[:, :n] + delta @ PT,
-                          cur.ys[:, n:2 * n] + delta @ QT, "second_order", TERM_HORIZON,
-                          {"method": "dop853", "rtol": _SHOOT_RTOL})
+                    new = orbit(cand, Tk)
+                    if new is not None and new.termination == TERM_HORIZON:
+                        w_new = _residual(new.ys[-1, n:2 * n], QB, last)
+                        if w_new < w_old or halvings == _HALVINGS:
+                            break
+                        halvings += 1
+                    step = 0.5 * step       # a failing orbit, or a higher residual, halves it
+                if new is None:
+                    if last:                # take the step unchecked
+                        v0, delta = cand, step
+                    break
+                if not w_new < w_old:
+                    break
+                v0, cur = cand, new
+                if not last and w_new > _STALL * w_old:
+                    break
+        if cur is not None:
+            # P and Q are stored transposed, so delta @ P^T is P delta at each node
+            PT = cur.ys[:, 2 * n:2 * n + n * n].reshape(-1, n, n)
+            QT = cur.ys[:, 2 * n + n * n:].reshape(-1, n, n)
+            traj = Trajectory(cur.times, cur.ys[:, :n] + delta @ PT,
+                              cur.ys[:, n:2 * n] + delta @ QT, "second_order",
+                              TERM_HORIZON, {"method": "dop853", "rtol": _SHOOT_RTOL})
+            return v0, traj, _penalty(V, traj, T)
+        points = [v0]
+    else:
+        points = [seed, -seed] if r > 0.0 else [np.zeros(n)]
+
+    scored = []
+    for v in points:
+        raw = orbit(v, T, sensitivities=False)
+        traj = None if raw is None else Trajectory(
+            raw.times, raw.ys[:, :n], raw.ys[:, n:], "second_order", raw.termination,
+            {"method": "dop853", "rtol": _SHOOT_RTOL})
+        scored.append((1e12 * (1.0 + T) if traj is None else _penalty(V, traj, T), traj, v))
+    p, traj, v0 = min(scored, key=lambda s: s[0])
+    if traj is None:
+        raise NumericDomainError("every shooting orbit left the domain of V")
+    return v0, traj, p
 
 
 # ---------------------------------------------------------------------------

@@ -448,22 +448,28 @@ def _variational_rhs(V):
 
 
 def _variational_orbit(V, x0, v0, T: float, rtol: float,
-                       prev: Optional[RawOrbit] = None) -> Optional[RawOrbit]:
-    """The DOP853 orbit of v'' = grad V(v) from (x0, v0) over [0, T] with
-    its sensitivities, rows (v, w, P, Q) laid out as _variational_rhs lays
-    them out, or None if it leaves the domain of V.  Given prev, such an
-    orbit over [0, t1], it integrates only [t1, T] from prev's last row and
-    returns prev joined to it without repeating the join; meta counts the
-    steps of this integration only.  Only (v, w) enters the error norm and
-    the divergence test, so it takes the steps of the plain orbit at rtol;
-    (P, Q) grow like e^{lambda t}."""
+                       prev: Optional[RawOrbit] = None,
+                       sensitivities: bool = True) -> Optional[RawOrbit]:
+    """The DOP853 orbit of v'' = grad V(v) from (x0, v0) over [0, T] at
+    rtol, with its sensitivities, rows (v, w, P, Q) laid out as
+    _variational_rhs lays them out, or without them, rows (v, w), where
+    sensitivities is false; None if it leaves the domain of V.  Given prev,
+    such an orbit over [0, t1], it integrates only [t1, T] from prev's last
+    row and returns prev joined to it without repeating the join; meta
+    counts the steps of this integration only.  Only (v, w) enters the
+    error norm and the divergence test, so it takes the steps of the plain
+    orbit at rtol; (P, Q) grow like e^{lambda t}.  atol and r_max are as in
+    IntegratorOptions."""
     n = len(x0)
-    if prev is None:
+    if prev is not None:
+        t1, y0 = prev.times[-1], prev.ys[-1]
+    elif sensitivities:
         t1, y0 = 0.0, np.concatenate([x0, v0, np.zeros(n * n), np.eye(n).ravel()])
     else:
-        t1, y0 = prev.times[-1], prev.ys[-1]
+        t1, y0 = 0.0, np.concatenate([x0, v0])
+    rhs = _variational_rhs(V) if len(y0) > 2 * n else _second_order_rhs(V)
     try:
-        raw = rk_adaptive(_variational_rhs(V), y0, T - t1, rtol=rtol, n_ctrl=2 * n,
+        raw = rk_adaptive(rhs, y0, T - t1, rtol=rtol, n_ctrl=2 * n,
                           pair=DOP853, estimate_h0=True)
     except ArithmeticError:
         return None
@@ -483,14 +489,6 @@ def second_order_flow(V, x0, v0, T: float,
     v0 = np.asarray(v0, float).reshape(n)
     raw = _integrate(_second_order_rhs(V), np.concatenate([x0, v0]), T, opts)
     return _phase_trajectory(raw, n)
-
-
-def _shooting_orbit(V, x0, v0, T: float, rtol: float) -> Trajectory:
-    """The DOP853 orbit of v'' = grad V(v) from (x0, v0) over [0, T] at rtol,
-    without sensitivities; atol and r_max as in IntegratorOptions."""
-    raw = rk_adaptive(_second_order_rhs(V), np.concatenate([x0, v0]), T, rtol=rtol,
-                      pair=DOP853, estimate_h0=True)
-    return _phase_trajectory(raw, len(x0))
 
 
 def _phase_trajectory(raw: RawOrbit, n: int) -> Trajectory:
