@@ -458,9 +458,12 @@ def _variational_orbit(V, x0, v0, T: float, rtol: float,
     row and returns prev joined to it without repeating the join; meta
     counts the steps of this integration only.  Only (v, w) enters the
     error norm and the divergence test, so it takes the steps of the plain
-    orbit at rtol; (P, Q) grow like e^{lambda t}.  atol and r_max are as in
-    IntegratorOptions."""
+    orbit at rtol; (P, Q) grow like e^{lambda t}.  atol is
+    1e-12 min(1, ||(x0, v0)||), 1e-12 at the origin, so an orbit near it is
+    resolved relative to its own size; r_max is as in IntegratorOptions."""
     n = len(x0)
+    size = float(np.linalg.norm(np.concatenate([x0, v0])))
+    atol = 1e-12 * (min(1.0, size) if size > 0.0 else 1.0)
     if prev is not None:
         t1, y0 = prev.times[-1], prev.ys[-1]
     elif sensitivities:
@@ -469,7 +472,7 @@ def _variational_orbit(V, x0, v0, T: float, rtol: float,
         t1, y0 = 0.0, np.concatenate([x0, v0])
     rhs = _variational_rhs(V) if len(y0) > 2 * n else _second_order_rhs(V)
     try:
-        raw = rk_adaptive(rhs, y0, T - t1, rtol=rtol, n_ctrl=2 * n,
+        raw = rk_adaptive(rhs, y0, T - t1, rtol=rtol, atol=atol, n_ctrl=2 * n,
                           pair=DOP853, estimate_h0=True)
     except ArithmeticError:
         return None
