@@ -7,7 +7,8 @@ shooting on the initial velocity.  The first integral pins
 on that sphere: Gauss-Newton on the terminal velocity w(T), with its
 Jacobian from the variational equations along each DOP853 orbit, damped
 where a step does not lower the residual, continued over doubling horizons
-up to T.  The shooting action integrates 0.5 ||w||^2 + V(v) over the orbit's
+up to T; where the sphere has no tangent space (1-D, r = 0), the same loop
+compares its points' orbits at T.  The shooting action integrates 0.5 ||w||^2 + V(v) over the orbit's
 nodes by the endpoint-corrected trapezoid, and cross validation samples an
 orbit between its nodes by the quintic Hermite interpolant of its states,
 velocities and accelerations grad V.
@@ -50,9 +51,9 @@ _HALVINGS = 20        # and its most halvings per iteration, as of a Gauss-Newto
 _TOL_OPT = 1e-8       # a path stops once its action gradient's inf-norm is below this
 _TOL_EL = 1e-5        # a converged path's Euler-Lagrange residual is below this
 _MU_PER_DT = 10.0     # the terminal penalty weight mu is this times dt = T/N
-# DOP853 shooting orbits; atol and r_max as in IntegratorOptions.  Step errors
-# grow by up to e^{lambda_max T} along an orbit: at 1e-10 a node of the fast
-# 2-D quadratic in test_shoot_spd_quadratic_property ends 1.5e-6 off
+# DOP853 shooting orbits, with atol scaled by their start (_variational_orbit).
+# Step errors grow by up to e^{lambda_max T} along an orbit: at 1e-10 a node
+# of the fast 2-D quadratic in test_shoot_spd_quadratic_property ends 1.5e-6 off
 _SHOOT_RTOL = 3e-11
 TOL_XV = 5e-3         # the routes of cross_validate agree to this distance
 _V_FLOOR = -1e-12     # V below this is no rounding of V >= 0
@@ -359,7 +360,7 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
     x0 = np.asarray(x0, float).reshape(V.dim)
     W, _, vel, actions, converged, detail = _minimize_actions(V, x0[None], T, N, max_iters)
     dt = T / N
-    traj = Trajectory(dt * np.arange(N + 1), W[0], vel[0], "second_order", TERM_HORIZON,
+    traj = Trajectory(dt * np.arange(N + 1), W[0], vel[0], TERM_HORIZON,
                       {"method": "action", "dt": dt, "mu": _MU_PER_DT * dt})
     report = _solve_diagnostics(traj, V, psi, float(_first_integral_tol(vel[:, 0], dt)[0]))
     return EvanescentSolveResult(traj, "action", bool(converged[0]), float(actions[0]),
@@ -539,8 +540,8 @@ def _gauss_newton(V, x0, seed, T, counts):
             PT = cur.ys[:, 2 * n:2 * n + n * n].reshape(-1, n, n)
             QT = cur.ys[:, 2 * n + n * n:].reshape(-1, n, n)
             traj = Trajectory(cur.times, cur.ys[:, :n] + delta @ PT,
-                              cur.ys[:, n:2 * n] + delta @ QT, "second_order",
-                              TERM_HORIZON, {"method": "dop853", "rtol": _SHOOT_RTOL})
+                              cur.ys[:, n:2 * n] + delta @ QT, TERM_HORIZON,
+                              {"method": "dop853", "rtol": _SHOOT_RTOL})
             return v0, traj, _penalty(V, traj, T)
         points = [v0]
     else:
@@ -550,7 +551,7 @@ def _gauss_newton(V, x0, seed, T, counts):
     for v in points:
         raw = orbit(v, T, sensitivities=False)
         traj = None if raw is None else Trajectory(
-            raw.times, raw.ys[:, :n], raw.ys[:, n:], "second_order", raw.termination,
+            raw.times, raw.ys[:, :n], raw.ys[:, n:], raw.termination,
             {"method": "dop853", "rtol": _SHOOT_RTOL})
         scored.append((1e12 * (1.0 + T) if traj is None else _penalty(V, traj, T), traj, v))
     p, traj, v0 = min(scored, key=lambda s: s[0])

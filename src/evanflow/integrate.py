@@ -5,14 +5,14 @@ loop over an embedded Runge-Kutta pair given as data (stage rows, error
 norm, step-control exponent), which reuses each accepted step's last stage
 as the next step's first (FSAL).  Flows and --method rk45 take the
 Dormand-Prince 5(4) pair (DP45); shooting orbits take the 8th-order DOP853,
-from Hairer's estimate of the first step.
+from Hairer's estimate of the first step, at an atol scaled by their start.
 The right-hand side is the integrators' only callback: an orbit stops where
 its first stage rhs(y) is shorter than eps_crit.  Orbit generators wrap
 them for u' = -grad psi(u) and for the phase-space form of
-v'' = grad V(v); the variational form used by shooting carries the
-sensitivities P = dv/dv0 and Q = dw/dv0 transposed, one row per component
-of v0.  Orbit integrals take one value per node, and optionally its time
-derivative for the endpoint-corrected trapezoid.
+v'' = grad V(v); every shooting orbit comes from one of them, which on
+request carries the sensitivities P = dv/dv0 and Q = dw/dv0 transposed,
+one row per component of v0.  Orbit integrals take one value per node,
+and optionally its time derivative for the endpoint-corrected trapezoid.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ class Trajectory:
     times: np.ndarray             # (m,), strictly increasing, t0 = 0
     states: np.ndarray            # (m, n)
     velocities: np.ndarray        # (m, n)
-    system_tag: str               # "first_order" | "second_order"
     termination: str
     meta: dict = dc_field(default_factory=dict)
 
@@ -384,7 +383,7 @@ def gradient_flow(pp, x0, T: float,
         times = np.array([0.0, T])
         states = np.vstack([x0, x0])
         vel = -psi.gradient(states)
-        return Trajectory(times, states, vel, "first_order", TERM_CRIT,
+        return Trajectory(times, states, vel, TERM_CRIT,
                           {"method": opts.method, "n_steps": 0, "n_rejected": 0,
                            "stopped_at": 0.0})
     raw = _integrate(rhs, x0, T, opts, eps_crit=opts.eps_crit)
@@ -393,8 +392,7 @@ def gradient_flow(pp, x0, T: float,
     meta = dict(raw.meta)
     if raw.termination == TERM_CRIT:
         meta["stopped_at"] = float(raw.times[-1])
-    return Trajectory(raw.times, states, velocities, "first_order",
-                      raw.termination, meta)
+    return Trajectory(raw.times, states, velocities, raw.termination, meta)
 
 
 def _second_order_rhs(V):
@@ -491,12 +489,7 @@ def second_order_flow(V, x0, v0, T: float,
     x0 = np.asarray(x0, float).reshape(n)
     v0 = np.asarray(v0, float).reshape(n)
     raw = _integrate(_second_order_rhs(V), np.concatenate([x0, v0]), T, opts)
-    return _phase_trajectory(raw, n)
-
-
-def _phase_trajectory(raw: RawOrbit, n: int) -> Trajectory:
-    return Trajectory(raw.times, raw.ys[:, :n], raw.ys[:, n:],
-                      "second_order", raw.termination, dict(raw.meta))
+    return Trajectory(raw.times, raw.ys[:, :n], raw.ys[:, n:], raw.termination, raw.meta)
 
 
 def path_integral(traj: Trajectory, values, slopes=None) -> float:

@@ -110,8 +110,7 @@ def test_limit_point_settled_and_escaping():
 def test_limit_point_fails_on_oscillating_tail():
     ts = np.linspace(0.0, 10.0, 101)
     states = np.cos(ts)[:, None]
-    traj = Trajectory(ts, states, -np.sin(ts)[:, None], "first_order",
-                      "horizon_reached", {})
+    traj = Trajectory(ts, states, -np.sin(ts)[:, None], "horizon_reached", {})
     c = check_limit_point(traj, QUAD_1D)
     assert not c.passed
 
@@ -129,7 +128,7 @@ def test_first_integral_detects_drift():
     ts = np.linspace(0.0, 1.0, 11)
     states = np.exp(-ts)[:, None]
     vel = -np.exp(-0.5 * ts)[:, None]  # wrong decay rate: I drifts
-    traj = Trajectory(ts, states, vel, "second_order", "horizon_reached", {})
+    traj = Trajectory(ts, states, vel, "horizon_reached", {})
     c = check_first_integral(traj, QUAD_1D.v)
     assert not c.passed
 

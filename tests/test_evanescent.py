@@ -198,19 +198,19 @@ def test_action_newton_iterations_on_non_quadratics(name, x0, bound):
     assert not res.converged
 
 
-def _double_well():
-    """psi = x^4/4 - x^2/2: V = 0.5 (x^3 - x)^2 is not convex between its
-    wells, so the Newton factor fails there."""
+def _double_well(a=1.0):
+    """psi = x^4/4 - a x^2/2: V = 0.5 (x^3 - a x)^2 is not convex between
+    its wells, so the Newton factor fails there."""
     def value(x):
         x = np.asarray(x, float)[..., 0]
-        return 0.25 * x ** 4 - 0.5 * x ** 2
+        return 0.25 * x ** 4 - 0.5 * a * x ** 2
 
     def gradient(x):
         x = np.asarray(x, float)
-        return x ** 3 - x
+        return x ** 3 - a * x
 
     def hessvec(x, h):
-        return (3.0 * np.asarray(x, float) ** 2 - 1.0) * np.asarray(h, float)
+        return (3.0 * np.asarray(x, float) ** 2 - a) * np.asarray(h, float)
 
     return make_pair(DifferentiableField(dim=1, value=value, gradient=gradient,
                                          hessvec=hessvec, name="double_well"))
@@ -646,19 +646,59 @@ def test_shoot_action_spd_quadratic_property(problem):
         assert abs(res.final_action - exact) <= 3e-4 * exact, res.detail
 
 
-def test_shoot_scores_the_plain_orbit_when_the_last_horizon_fails():
-    # Hess V fails near the minimizer, which the orbit from (1, 1) reaches
-    # only after t = 6, so every horizon but the last solves and the plain
-    # orbit of v0, which needs no Hess V, is the one returned
-    V = QUAD_2D.v
+@pytest.mark.parametrize("a, x0, v0", [(0.5, 0.2, 0.092), (1.0, -0.9, 0.171)])
+def test_shoot_1d_keeps_the_sign_whose_orbit_ends_best_at_T(a, x0, v0):
+    # in 1-D the sphere is the two points +-r, and each one's orbit is
+    # integrated to T: on these double wells the sign whose orbit ends
+    # better at the first horizon T/8 is the other one, whose orbit ends
+    # unconverged at T
+    V = _double_well(a).v
+    res = shoot_evanescent(V, [x0], T)
+    assert res.converged
+    assert res.detail["v0"] == [pytest.approx(v0, rel=1e-12)]
 
+    def penalty(v, T_):
+        y = _variational_orbit(V, np.array([x0]), np.array([v]), T_, evanescent._SHOOT_RTOL,
+                               sensitivities=False).ys[-1]
+        return y[1] ** 2 + 2.0 * float(V.value(y[:1]))
+
+    assert penalty(-v0, T / 8) < penalty(v0, T / 8)
+    assert penalty(-v0, T) > 2.0 * DEFAULT_EPS_TAIL ** 2
+
+
+def _hess_walled(V):
+    """V whose Hess V raises near the minimizer, where ||x|| < 1e-3."""
     def hessvec(x, p):
         if np.any(np.linalg.norm(np.asarray(x, float), axis=-1) < 1e-3):
             raise NumericDomainError("outside the domain of Hess V")
         return V.hessvec(x, p)
 
-    walled = dataclasses.replace(V, hessvec=hessvec)
-    res = shoot_evanescent(walled, [1.0, 1.0], T)
+    return dataclasses.replace(V, hessvec=hessvec)
+
+
+def _no_minimum():
+    """psi = x + x^3/3, with no critical point: from 0 both orbits, v0 = +-1,
+    diverge."""
+    def value(x):
+        x = np.asarray(x, float)[..., 0]
+        return x + x ** 3 / 3.0
+
+    def gradient(x):
+        return 1.0 + np.asarray(x, float) ** 2
+
+    def hessvec(x, h):
+        return 2.0 * np.asarray(x, float) * np.asarray(h, float)
+
+    return make_pair(DifferentiableField(dim=1, value=value, gradient=gradient,
+                                         hessvec=hessvec, name="x + x^3/3"))
+
+
+def test_shoot_scores_the_plain_orbit_when_the_last_horizon_fails():
+    # Hess V fails near the minimizer, which the orbit from (1, 1) reaches
+    # only after t = 6, so every horizon but the last solves and the plain
+    # orbit of v0, which needs no Hess V, is the one returned
+    V = QUAD_2D.v
+    res = shoot_evanescent(_hess_walled(V), [1.0, 1.0], T)
     plain = _variational_orbit(V, np.array([1.0, 1.0]), np.asarray(res.detail["v0"]), T,
                                evanescent._SHOOT_RTOL, sensitivities=False)
     assert np.array_equal(res.trajectory.states, plain.ys[:, :2])
@@ -667,19 +707,23 @@ def test_shoot_scores_the_plain_orbit_when_the_last_horizon_fails():
     assert np.allclose(res.detail["v0"], [-1.0, -2.0], rtol=0.0, atol=1e-8)
 
 
-@pytest.mark.parametrize("pp, x0", [(QUAD_1D, [1.0]), (QUAD_2D, [1.0, 1.0]),
-                                    (QUAD_2D, [0.0, 0.0])], ids=["1d", "2d", "r0"])
-def test_shoot_counts_every_integration_and_its_steps(monkeypatch, pp, x0):
-    metas = []
+@pytest.mark.parametrize("V, x0", [(QUAD_1D.v, [1.0]), (QUAD_2D.v, [1.0, 1.0]),
+                                   (QUAD_2D.v, [0.0, 0.0]), (_hess_walled(QUAD_2D.v), [1.0, 1.0]),
+                                   (_no_minimum().v, [0.0])],
+                         ids=["1d", "2d", "r0", "fallback", "1d-diverged"])
+def test_shoot_counts_every_integration_and_its_steps(monkeypatch, V, x0):
+    # an integration that raises counts as an orbit but adds no steps
+    calls, metas = [], []
 
     def counted(*a, fn=integrate.rk_adaptive, **k):
+        calls.append(1)
         raw = fn(*a, **k)
         metas.append(raw.meta)
         return raw
 
     monkeypatch.setattr(integrate, "rk_adaptive", counted)
-    d = shoot_evanescent(pp.v, x0, T).detail
-    assert d["evaluations"] == len(metas)
+    d = shoot_evanescent(V, x0, T).detail
+    assert d["evaluations"] == len(calls)
     assert d["steps_accepted"] == sum(m["n_steps"] for m in metas)
     assert d["steps_rejected"] == sum(m["n_rejected"] for m in metas)
 

@@ -392,7 +392,6 @@ def test_gradient_flow_quadratic_closed_form():
     traj = gradient_flow(pp, [1.0], 5.0, IntegratorOptions(rtol=1e-10))
     exact = np.exp(-traj.times)
     assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-8
-    assert traj.system_tag == "first_order"
     # velocities are recomputed as -grad psi(u) exactly
     assert np.allclose(traj.velocities, -traj.states, atol=1e-15)
 
@@ -501,8 +500,7 @@ def test_path_integral_with_slopes_is_exact_on_cubics(coef, gaps):
     t = np.concatenate([[0.0], np.cumsum(gaps)])
     g = c0 + t * (c1 + t * (c2 + t * c3))
     dg = c1 + t * (2.0 * c2 + 3.0 * t * c3)
-    traj = integrate.Trajectory(t, t[:, None], np.ones((len(t), 1)), "first_order",
-                                TERM_HORIZON)
+    traj = integrate.Trajectory(t, t[:, None], np.ones((len(t), 1)), TERM_HORIZON)
     T_ = t[-1]
     exact = T_ * (c0 + T_ * (c1 / 2.0 + T_ * (c2 / 3.0 + T_ * c3 / 4.0)))
     scale = 1.0 + sum(abs(c) for c in coef) * max(1.0, T_) ** 4
