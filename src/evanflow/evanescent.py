@@ -8,10 +8,11 @@ on that sphere: Gauss-Newton on the terminal velocity w(T), with its
 Jacobian from the variational equations along each DOP853 orbit, damped
 where a step does not lower the residual, continued over doubling horizons
 up to T; where the sphere has no tangent space (1-D, r = 0), the same loop
-compares its points' orbits at T.  The shooting action integrates 0.5 ||w||^2 + V(v) over the orbit's
-nodes by the endpoint-corrected trapezoid, and cross validation samples an
-orbit between its nodes by the quintic Hermite interpolant of its states,
-velocities and accelerations grad V.
+compares its points' orbits at T.  The shooting action integrates
+0.5 ||w||^2 + V(v) over the orbit's nodes by the endpoint-corrected
+trapezoid, and cross validation samples an orbit between its nodes by the
+quintic Hermite interpolant of its states, velocities and accelerations
+grad V.
 """
 from __future__ import annotations
 

@@ -107,7 +107,9 @@ def run(scan: str, problems) -> None:
             node_err = f"{np.max(np.abs(t.states - exact)):.3g}"
             stiff = f"{lam[-1] * T:.1f}"
         n_steps = d["steps_accepted"] + d["steps_rejected"]
-        steps, orbits, converged = steps + n_steps, orbits + d["evaluations"], converged + res.converged
+        steps += n_steps
+        orbits += d["evaluations"]
+        converged += res.converged
         print("\t".join([scan, name, str(len(x0)), stiff, str(res.converged),
                          str(d["evaluations"]), str(n_steps), f"{v0_err:.3g}", node_err]))
     print(f"{scan}\ttotal\t{len(problems)} problems\tRK steps {steps}\t"
