@@ -281,7 +281,7 @@ def convexity_criterion_check(pp: PotentialPair, sample_pairs,
     # the reported location is the least finite psi sampled
     vals, states = [np.asarray(pp.psi.value(probes), float)], [probes]
     unbounded = False
-    flow_opts = IntegratorOptions(method="rk45", rtol=1e-8, r_max=1e6)
+    flow_opts = IntegratorOptions(rtol=1e-8)
     for x0 in probes[:5]:
         try:
             traj = gradient_flow(pp, x0, CONVEXITY_FLOW_T, flow_opts)

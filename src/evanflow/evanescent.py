@@ -39,6 +39,7 @@ from evanflow.integrate import (
     Trajectory,
     gradient_flow,
     path_integral,
+    _SHOOT_RTOL,
     _hess_rows,
     _variational_orbit,
 )
@@ -52,10 +53,6 @@ _HALVINGS = 20        # and its most halvings per iteration, as of a Gauss-Newto
 _TOL_OPT = 1e-8       # a path stops once its action gradient's inf-norm is below this
 _TOL_EL = 1e-5        # a converged path's Euler-Lagrange residual is below this
 _MU_PER_DT = 10.0     # the terminal penalty weight mu is this times dt = T/N
-# DOP853 shooting orbits, with atol scaled by their start (_variational_orbit).
-# Step errors grow by up to e^{lambda_max T} along an orbit: at 1e-10 a node
-# of the fast 2-D quadratic in test_shoot_spd_quadratic_property ends 1.5e-6 off
-_SHOOT_RTOL = 3e-11
 TOL_XV = 5e-3         # the routes of cross_validate agree to this distance
 _V_FLOOR = -1e-12     # V below this is no rounding of V >= 0
 DEFAULT_MAX_ITERS = 50_000
@@ -72,13 +69,11 @@ class EvanescentSolveResult:
 
 
 def fd_velocities(W: np.ndarray, dt: float) -> np.ndarray:
-    """4th-order finite-difference velocities on a uniform node grid, for
-    one path (N+1, n) or a stack of them (..., N+1, n)."""
+    """4th-order finite-difference velocities on a uniform grid of N+1 >= 5
+    nodes (np.gradient's on 2 to 4), for one path (N+1, n) or a stack of
+    them (..., N+1, n)."""
     W = np.asarray(W, float)
-    m = W.shape[-2]
-    if m < 5:
-        if m < 2:
-            return np.zeros_like(W)
+    if W.shape[-2] < 5:
         return np.gradient(W, dt, axis=-2)
     W = np.moveaxis(W, -2, 0)
     v = np.empty_like(W)
@@ -483,11 +478,12 @@ def _gauss_newton(V, x0, seed, T, counts):
     Adds every integration and its RK steps to counts."""
     n = len(x0)
     r = float(np.linalg.norm(seed))
+    meta = {"method": "dop853", "rtol": _SHOOT_RTOL}     # of the shot trajectory
 
     def orbit(v0, Tk, prev=None, sensitivities=True):
         """The orbit of v0 up to Tk, or None if it leaves the domain of V."""
         counts["evaluations"] += 1
-        raw = _variational_orbit(V, x0, v0, Tk, _SHOOT_RTOL, prev, sensitivities)
+        raw = _variational_orbit(V, x0, v0, Tk, prev, sensitivities)
         if raw is not None:
             counts["steps_accepted"] += raw.meta["n_steps"]
             counts["steps_rejected"] += raw.meta["n_rejected"]
@@ -541,8 +537,7 @@ def _gauss_newton(V, x0, seed, T, counts):
             PT = cur.ys[:, 2 * n:2 * n + n * n].reshape(-1, n, n)
             QT = cur.ys[:, 2 * n + n * n:].reshape(-1, n, n)
             traj = Trajectory(cur.times, cur.ys[:, :n] + delta @ PT,
-                              cur.ys[:, n:2 * n] + delta @ QT, TERM_HORIZON,
-                              {"method": "dop853", "rtol": _SHOOT_RTOL})
+                              cur.ys[:, n:2 * n] + delta @ QT, TERM_HORIZON, meta)
             return v0, traj, _penalty(V, traj, T)
         points = [v0]
     else:
@@ -552,8 +547,7 @@ def _gauss_newton(V, x0, seed, T, counts):
     for v in points:
         raw = orbit(v, T, sensitivities=False)
         traj = None if raw is None else Trajectory(
-            raw.times, raw.ys[:, :n], raw.ys[:, n:], raw.termination,
-            {"method": "dop853", "rtol": _SHOOT_RTOL})
+            raw.times, raw.ys[:, :n], raw.ys[:, n:], raw.termination, meta)
         scored.append((1e12 * (1.0 + T) if traj is None else _penalty(V, traj, T), traj, v))
     p, traj, v0 = min(scored, key=lambda s: s[0])
     if traj is None:

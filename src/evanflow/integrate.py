@@ -2,13 +2,13 @@
 
 Two integrators are provided: classical fixed-step RK4 and one adaptive
 loop over an embedded Runge-Kutta pair given as data (stage rows, error
-norm, step-control exponent), which reuses each accepted step's last stage
-as the next step's first (FSAL).  Flows and --method rk45 take the
-Dormand-Prince 5(4) pair (DP45); shooting orbits take the 8th-order DOP853,
-from Hairer's estimate of the first step, at an atol scaled by their start.
-The right-hand side is the integrators' only callback: an orbit stops where
-its first stage rhs(y) is shorter than eps_crit.  Orbit generators wrap
-them for u' = -grad psi(u) and for the phase-space form of
+norm, step-control exponent, first step), which reuses each accepted step's
+last stage as the next step's first (FSAL).  Flows, and the config key
+integrator "rk45", take the Dormand-Prince 5(4) pair (DP45); shooting
+orbits take the 8th-order DOP853 at _SHOOT_RTOL and an atol scaled by
+their start.  The right-hand side is the integrators' only callback: an
+orbit stops where its first stage rhs(y) is shorter than eps_crit.  Orbit
+generators wrap them for u' = -grad psi(u) and for the phase-space form of
 v'' = grad V(v); every shooting orbit comes from one of them, which on
 request carries the sensitivities P = dv/dv0 and Q = dw/dv0 transposed,
 one row per component of v0.  Orbit integrals take one value per node,
@@ -17,7 +17,7 @@ and optionally its time derivative for the endpoint-corrected trapezoid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import sqrt
+from math import inf, isfinite, nan, sqrt
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -32,6 +32,10 @@ TERM_STEP_COLLAPSE = "step_collapse"
 
 DEFAULT_R_MAX = 1e6
 DEFAULT_EPS_CRIT = 1e-10
+# rtol of the DOP853 shooting orbits (_variational_orbit).  Step errors grow
+# by up to e^{lambda_max T} along an orbit: at 1e-10 a node of the fast 2-D
+# quadratic in test_shoot_spd_quadratic_property ends 1.5e-6 off
+_SHOOT_RTOL = 3e-11
 
 
 @dataclass
@@ -142,6 +146,7 @@ class EmbeddedPair(NamedTuple):
     rows: tuple          # rows[i - 1] weights the slopes K[:i] into stage i's input
     error: Callable      # (y, y_new, h, K, ctrl) -> the error norm of the step
     exponent: float      # a step is rescaled by 0.9 (tol / err) ** exponent
+    first_step: Callable  # (rhs, y0, rhs(y0), T, tol, exponent, ctrl) -> the first trial h
 
 
 # Dormand-Prince 5(4) coefficients (autonomous right-hand sides: no nodes c_i)
@@ -165,7 +170,13 @@ def _dp45_error(y, y5, h, K, ctrl):
     return sqrt(d.dot(d))
 
 
-DP45 = EmbeddedPair("rk45", tuple(_DP_A[1:]), _dp45_error, 1 / 5)
+def _fixed_first_step(rhs, y, f0, T, tol, exponent, ctrl) -> float:
+    """min(1e-3 T, 0.1), whatever the start."""
+    return min(1e-3 * T, 0.1)
+
+
+# flows keep the fixed first step: from Hairer's estimate they fail criterion 06
+DP45 = EmbeddedPair("rk45", tuple(_DP_A[1:]), _dp45_error, 1 / 5, _fixed_first_step)
 
 # DOP853, the 8th-order pair of Prince & Dormand (1981) as Hairer, Norsett &
 # Wanner give it (Solving ODEs I, section II.10): twelve stages, whose last
@@ -224,65 +235,67 @@ def _dop853_error(y, y8, h, K, ctrl):
     """Hairer's combined error h ||e5||^2 / sqrt(||e5||^2 + 0.01 ||e3||^2)
     over y[ctrl], with e5 and e3 the 5th- and 3rd-order estimates from the
     first twelve slopes: never above the 5th-order estimate h ||e5||, and
-    far below it where ||e5|| << ||e3||, as it is on small steps."""
+    far below it where ||e5|| << ||e3||, as it is on small steps; NaN, which
+    rejects the step, where the squared denominator d is not finite."""
     Kc = K[:12, ctrl]
     e5, e3 = _DOP_E5.dot(Kc), _DOP_E3.dot(Kc)
     s5 = e5.dot(e5)
     d = s5 + 0.01 * e3.dot(e3)
-    return h * s5 / sqrt(d) if d > 0.0 else 0.0
+    return h * s5 / sqrt(d) if 0.0 < d < inf else 0.0 if d == 0.0 else nan
 
 
-DOP853 = EmbeddedPair("dop853", tuple(np.array(a) for a in _DOP_A) + (_DOP_B,),
-                      _dop853_error, 1 / 8)
-
-
-def _first_step(rhs, y, f0, T, tol, exponent, ctrl) -> Optional[float]:
+def _first_step(rhs, y, f0, T, tol, exponent, ctrl) -> float:
     """Hairer's starting step (Solving ODEs I, section II.4, routine HINIT)
     in rk_adaptive's norm over y[ctrl]: an explicit Euler step
     h0 = 0.01 ||y|| / ||f0|| probes the change of slope, and the step is
     min(100 h0, h1, T) with h1 = (0.01 tol / max(||f0||, ||f1 - f0|| / h0))
-    ** exponent, f1 the slope at the probe.  None where a slope is not
-    finite or the probe leaves the domain of rhs."""
+    ** exponent, f1 the slope at the probe.  The fixed first step where a
+    slope is not finite or the probe leaves the domain of rhs."""
+    fixed = _fixed_first_step(rhs, y, f0, T, tol, exponent, ctrl)
     d0 = sqrt(y[ctrl].dot(y[ctrl])) / tol
     d1 = sqrt(f0[ctrl].dot(f0[ctrl])) / tol
     if not np.isfinite(d1):
-        return None
+        return fixed
     h0 = min(1e-6 if d0 <= 1e-5 or d1 <= 1e-5 else 0.01 * d0 / d1, T)
     try:
         df = (rhs(y + h0 * f0) - f0)[ctrl]
     except ArithmeticError:
-        return None
+        return fixed
     d2 = sqrt(df.dot(df)) / (tol * h0)
     if not np.isfinite(d2):
-        return None
+        return fixed
     d12 = max(d1, d2)
     h1 = max(1e-6, 1e-3 * h0) if d12 <= 1e-15 else (0.01 / d12) ** exponent
     return min(100.0 * h0, h1, T)
+
+
+DOP853 = EmbeddedPair("dop853", tuple(np.array(a) for a in _DOP_A) + (_DOP_B,),
+                      _dop853_error, 1 / 8, _first_step)
 
 
 def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
                 atol: float = 1e-12, r_max: float = DEFAULT_R_MAX,
                 eps_crit: Optional[float] = None,
                 n_ctrl: Optional[int] = None,
-                pair: EmbeddedPair = DP45,
-                estimate_h0: bool = False) -> RawOrbit:
+                pair: EmbeddedPair = DP45) -> RawOrbit:
     """An embedded Runge-Kutta pair with step-size control, by default
     Dormand-Prince 5(4) (DP45), or DOP853; nodes at accepted steps.
 
     First same as last (FSAL): the input of the pair's last stage is its
     solution, so its slope is the next step's first stage, and rhs is called
-    once at y0 and then once per stage (six for DP45, twelve for DOP853) per
-    attempted step whose stage inputs are all finite, rejected or not.  A
-    step is rejected, and h halved, at its first non-finite stage input,
-    before rhs sees that input, or when its last slope is non-finite.  A
-    step is accepted where the pair's error norm is at most
-    atol + rtol ||y||, and h is rescaled by 0.9 (tol / err) ** exponent,
-    within [0.2, 5].  The first trial step is min(1e-3 T, 0.1), or, given
-    estimate_h0, Hairer's estimate (_first_step, one more rhs call).  Given
-    eps_crit, the orbit ends (TERM_CRIT) at the first node where
-    ||rhs(y)|| < eps_crit.  Only y[:n_ctrl] (default: all of y) enters the
-    error norm and the r_max test, so appended components ride along on the
-    steps of the rest.  y0 must be 1-D (ValueError otherwise).
+    once at y0, as often as the pair's first-step rule calls it (DP45: never,
+    DOP853: once, at its Euler probe), and then once per stage (six for
+    DP45, twelve for DOP853) per attempted step whose stage inputs are all
+    finite, rejected or not.  One test decides every step: it is accepted
+    where its error norm is at most atol + rtol ||y||, and h is rescaled by
+    0.9 (tol / err) ** exponent, within [0.2, 5].  A step fails the test, and
+    halves h, where its error norm is not finite: NaN where a stage input is
+    not finite (rhs sees neither it nor any later stage) or the last slope
+    is not finite, and the pair's own norm otherwise.  Given eps_crit, the
+    orbit ends (TERM_CRIT) at the first node where ||rhs(y)|| < eps_crit.
+    Only y[:n_ctrl] (default: all of y) enters the error norm and the r_max
+    test, so appended components ride along on the steps of the rest.  y0
+    must be 1-D (ValueError otherwise).
     """
     if not (1e-12 <= rtol <= 1e-2):
         raise ValueError(f"rtol must lie in [1e-12, 1e-2], got {rtol:g}")
@@ -306,9 +319,7 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     error, exponent = pair.error, pair.exponent
     # Euclidean norms as np.linalg.norm takes them on 1-D input
     y_norm = sqrt(y[ctrl].dot(y[ctrl]))
-    h = min(1e-3 * T, 0.1)
-    if estimate_h0:
-        h = _first_step(rhs, y, K[0], T, atol + rtol * y_norm, exponent, ctrl) or h
+    h = pair.first_step(rhs, y, K[0], T, atol + rtol * y_norm, exponent, ctrl)
     while t < T * (1.0 - 1e-15):
         # K[0] is rhs(y): set at y0, carried over by FSAL, kept on rejection
         if eps_crit is not None and sqrt(K[0].dot(K[0])) < eps_crit:
@@ -318,27 +329,23 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
             termination = TERM_STEP_COLLAPSE
             break
         h = min(h, T - t)
-        bad = False
+        err = nan
         for i, a, Ki in stages:
             yi = y + h * a.dot(Ki)
             # counting the finite entries gives isfinite(yi).all()'s verdict
             if np.count_nonzero(np.isfinite(yi)) != n:
-                bad = True
                 break
             K[i] = rhs(yi)
-        # in both pairs K[0] is finite (or y1 is not), and K[i], 0 < i < s,
-        # enters y_{i+1} with a nonzero last weight, so a finite y_{i+1}
-        # proves it finite; only K[s] is left to test
-        if bad or np.count_nonzero(np.isfinite(last)) != n:
-            h *= 0.5
-            n_rejected += 1
-            continue
-        y_new = yi              # the last stage input is the solution
-        err = error(y, y_new, h, K, ctrl)
+        else:
+            # in both pairs K[0] is finite (or y1 is not), and K[i], 0 < i < s,
+            # enters y_{i+1} with a nonzero last weight, so a finite y_{i+1}
+            # proves it finite; only K[s] is left to test
+            if np.count_nonzero(np.isfinite(last)) == n:
+                err = error(y, yi, h, K, ctrl)   # the last stage input is the solution
         tol = atol + rtol * y_norm
         if err <= tol:
             t += h
-            y = y_new
+            y = yi
             K[0] = last
             n_steps += 1
             times.append(t)
@@ -349,7 +356,8 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
                 break
         else:
             n_rejected += 1
-        factor = 0.9 * (tol / err) ** exponent if err > 0 else 5.0
+        # a step without a finite error norm halves h
+        factor = 0.5 if not isfinite(err) else 0.9 * (tol / err) ** exponent if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
     return RawOrbit(
         np.asarray(times), np.asarray(ys), termination,
@@ -369,8 +377,9 @@ def _integrate(rhs, y0, T, opts: IntegratorOptions, eps_crit=None) -> RawOrbit:
 
 def gradient_flow(pp, x0, T: float,
                   opts: Optional[IntegratorOptions] = None) -> Trajectory:
-    """Integrate u' = -grad psi(u) from x0 until ||grad psi|| < opts.eps_crit;
-    velocities are recomputed exactly."""
+    """Integrate u' = -grad psi(u) from x0 until ||grad psi|| < opts.eps_crit,
+    the integrator's test on its first stage; velocities are recomputed
+    exactly.  An orbit that stops at x0 is the constant orbit over [0, T]."""
     psi = _psi_of(pp)
     opts = opts or IntegratorOptions()
     x0 = np.asarray(x0, float).reshape(psi.dim)
@@ -378,21 +387,14 @@ def gradient_flow(pp, x0, T: float,
     def rhs(y):
         return -psi.gradient(y)
 
-    if float(np.linalg.norm(psi.gradient(x0))) < opts.eps_crit:
-        # equilibrium: constant orbit, flagged immediately
-        times = np.array([0.0, T])
-        states = np.vstack([x0, x0])
-        vel = -psi.gradient(states)
-        return Trajectory(times, states, vel, TERM_CRIT,
-                          {"method": opts.method, "n_steps": 0, "n_rejected": 0,
-                           "stopped_at": 0.0})
     raw = _integrate(rhs, x0, T, opts, eps_crit=opts.eps_crit)
-    states = raw.ys
-    velocities = -psi.gradient(states)
     meta = dict(raw.meta)
     if raw.termination == TERM_CRIT:
         meta["stopped_at"] = float(raw.times[-1])
-    return Trajectory(raw.times, states, velocities, raw.termination, meta)
+    times, states = raw.times, raw.ys
+    if len(times) == 1:
+        times, states = np.array([0.0, T]), np.vstack([states, states])
+    return Trajectory(times, states, -psi.gradient(states), raw.termination, meta)
 
 
 def _second_order_rhs(V):
@@ -445,20 +447,21 @@ def _variational_rhs(V):
     return rhs
 
 
-def _variational_orbit(V, x0, v0, T: float, rtol: float,
+def _variational_orbit(V, x0, v0, T: float,
                        prev: Optional[RawOrbit] = None,
                        sensitivities: bool = True) -> Optional[RawOrbit]:
-    """The DOP853 orbit of v'' = grad V(v) from (x0, v0) over [0, T] at
-    rtol, with its sensitivities, rows (v, w, P, Q) laid out as
-    _variational_rhs lays them out, or without them, rows (v, w), where
-    sensitivities is false; None if it leaves the domain of V.  Given prev,
-    such an orbit over [0, t1], it integrates only [t1, T] from prev's last
-    row and returns prev joined to it without repeating the join; meta
-    counts the steps of this integration only.  Only (v, w) enters the
-    error norm and the divergence test, so it takes the steps of the plain
-    orbit at rtol; (P, Q) grow like e^{lambda t}.  atol is
-    1e-12 min(1, ||(x0, v0)||), 1e-12 at the origin, so an orbit near it is
-    resolved relative to its own size; r_max is as in IntegratorOptions."""
+    """The DOP853 orbit of v'' = grad V(v) from (x0, v0) over [0, T], with
+    its sensitivities, rows (v, w, P, Q) laid out as _variational_rhs lays
+    them out, or without them, rows (v, w), where sensitivities is false;
+    None if it leaves the domain of V.  Given prev, such an orbit over
+    [0, t1], it integrates only [t1, T] from prev's last row and returns
+    prev joined to it without repeating the join; meta counts the steps of
+    this integration only.  Only (v, w) enters the error norm and the
+    divergence test, so it takes the steps of the plain orbit; (P, Q) grow
+    like e^{lambda t}.  This is the shooting step policy: rtol _SHOOT_RTOL,
+    DOP853's estimated first step, and atol 1e-12 min(1, ||(x0, v0)||),
+    1e-12 at the origin, so an orbit near it is resolved relative to its
+    own size; r_max is as in IntegratorOptions."""
     n = len(x0)
     size = float(np.linalg.norm(np.concatenate([x0, v0])))
     atol = 1e-12 * (min(1.0, size) if size > 0.0 else 1.0)
@@ -470,8 +473,8 @@ def _variational_orbit(V, x0, v0, T: float, rtol: float,
         t1, y0 = 0.0, np.concatenate([x0, v0])
     rhs = _variational_rhs(V) if len(y0) > 2 * n else _second_order_rhs(V)
     try:
-        raw = rk_adaptive(rhs, y0, T - t1, rtol=rtol, atol=atol, n_ctrl=2 * n,
-                          pair=DOP853, estimate_h0=True)
+        raw = rk_adaptive(rhs, y0, T - t1, rtol=_SHOOT_RTOL, atol=atol, n_ctrl=2 * n,
+                          pair=DOP853)
     except ArithmeticError:
         return None
     if prev is not None:

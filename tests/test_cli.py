@@ -356,14 +356,20 @@ def test_json_artifacts_and_summaries_are_strict(tmp_path, capsys, argv):
         strict_json(line)
 
 
-# the fields overflow on these starts
+# the fields overflow on the first three starts
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv,config", [
     # the orbit leaves r_max at once, so the Hardy check has too few nodes
     (["second-order", "--potential", "neg_square", "--x0", "1e200", "--v0", "1"], {}),
     # the first RK4 step overflows
     (["flow", "--potential", "neg_square", "--x0", "1e308"], {"integrator": "rk4"}),
-], ids=["second-order-hardy", "flow-rk4-overflow"])
+    # the DOP853 error estimate overflows to NaN, which rejects the step and
+    # halves h, and the action of the orbit overflows
+    (["evanesce", "--potential", "quadratic:1e10", "--x0", "1e140"],
+     {"solver": "shoot", "cross_validate": False}),
+    # an unknown integrator, from an equilibrium start as from any other
+    (["flow", "--potential", "quadratic:1", "--x0", "0"], {"integrator": "rk5"}),
+], ids=["second-order-hardy", "flow-rk4-overflow", "evanesce-nan-error", "flow-rk5-equilibrium"])
 def test_failed_run_writes_no_artifact(tmp_path, capsys, argv, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

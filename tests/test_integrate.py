@@ -243,7 +243,8 @@ def test_dop853_tableau_matches_scipys_coefficients():
 
 @pytest.mark.parametrize("rate, rtol", [(1.0, 1e-9), (50.0, 1e-12)])
 def test_dop853_first_same_as_last_work_count(rate, rtol):
-    # twelve rhs calls per attempted step, and one at y0
+    # twelve rhs calls per attempted step, one at y0 and one at the Euler
+    # probe of the pair's estimated first step
     calls = 0
 
     def rhs(y):
@@ -253,7 +254,7 @@ def test_dop853_first_same_as_last_work_count(rate, rtol):
 
     raw = rk_adaptive(rhs, np.array([1.0]), 1.0, rtol=rtol, pair=DOP853)
     assert raw.termination == TERM_HORIZON and raw.meta["method"] == "dop853"
-    assert calls == 1 + 12 * (raw.meta["n_steps"] + raw.meta["n_rejected"])
+    assert calls == 2 + 12 * (raw.meta["n_steps"] + raw.meta["n_rejected"])
     assert abs(raw.ys[-1, 0] - np.exp(-rate)) < 10.0 * rtol
 
 
@@ -284,9 +285,10 @@ def test_dop853_matches_the_closed_form_in_a_fifth_of_the_steps(A, x0, v0, T_):
 
 
 def test_estimated_first_step_skips_the_ramp_up():
-    # Hairer's starting step costs one rhs call, at its Euler probe, and
-    # starts near the settled step where min(1e-3 T, 0.1) ramps up by at
-    # most 5x a step; the orbit stays on its closed form
+    # DOP853's first step, Hairer's estimate, costs one rhs call, at its
+    # Euler probe, and starts near the settled step where DP45's fixed
+    # min(1e-3 T, 0.1) ramps up by at most 5x a step; the orbit stays on
+    # its closed form
     A, x0 = np.diag([1.0, 2.0]), np.array([1.0, 1.0])
     field_rhs = _second_order_rhs(make_quadratic(A).v)
     calls = 0
@@ -297,9 +299,10 @@ def test_estimated_first_step_skips_the_ramp_up():
         return field_rhs(y)
 
     y0 = np.r_[x0, -A @ x0]
-    fixed = rk_adaptive(rhs, y0, 1.5, rtol=3e-11, pair=DOP853)
+    fixed = rk_adaptive(rhs, y0, 1.5, rtol=3e-11,
+                        pair=DOP853._replace(first_step=DP45.first_step))
     calls = 0
-    est = rk_adaptive(rhs, y0, 1.5, rtol=3e-11, pair=DOP853, estimate_h0=True)
+    est = rk_adaptive(rhs, y0, 1.5, rtol=3e-11, pair=DOP853)
     assert calls == 2 + 12 * (est.meta["n_steps"] + est.meta["n_rejected"])
     assert fixed.times[1] == 1.5e-3 and est.times[1] > 10.0 * fixed.times[1]
     assert est.meta["n_steps"] + est.meta["n_rejected"] + 2 <= fixed.meta["n_steps"]
@@ -322,10 +325,39 @@ def test_estimated_first_step_falls_back_where_the_probe_fails(probe):
             return np.full_like(y, np.nan)
         return -y
 
-    raw = rk_adaptive(rhs, np.array([1.0]), 1.0, rtol=1e-9, pair=DOP853,
-                      estimate_h0=True)
+    raw = rk_adaptive(rhs, np.array([1.0]), 1.0, rtol=1e-9, pair=DOP853)
     assert raw.times[1] == 1e-3
     assert abs(raw.ys[-1, 0] - np.exp(-1.0)) < 1e-8
+
+
+def test_adaptive_halves_h_on_a_nan_error_norm():
+    # a step whose error norm is NaN fails the one accept test and halves
+    # h, like a step with a non-finite stage
+    hs = []
+
+    def error(y, y_new, h, K, ctrl):
+        hs.append(h)
+        return np.nan if len(hs) <= 3 else integrate._dop853_error(y, y_new, h, K, ctrl)
+
+    raw = rk_adaptive(lambda y: -y, np.array([1.0]), 1.0, rtol=1e-9,
+                      pair=DOP853._replace(error=error))
+    assert raw.termination == TERM_HORIZON
+    assert raw.meta["n_rejected"] == 3
+    assert hs[1:4] == [hs[0] / 2, hs[0] / 4, hs[0] / 8]
+    assert raw.times[1] == hs[3]
+
+
+def test_dop853_error_is_nan_where_its_denominator_overflows():
+    # d = ||e5||^2 + 0.01 ||e3||^2 overflows: NaN both where ||e5||^2 does
+    # too and where only ||e3||^2 does, which would read 0 and pass
+    K = np.zeros((13, 1))
+    K[0] = 1e160
+    K11 = 1e160 * integrate._DOP_E5[0] / -integrate._DOP_E5[11]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(integrate._dop853_error(None, None, 1.0, K, slice(None)))
+        K[11] = K11
+        assert np.isnan(integrate._dop853_error(None, None, 1.0, K, slice(None)))
+
 
 def test_hess_rows_central_difference_takes_fd_step_per_point():
     # the difference step of each row is the fd_step of its own point, as
@@ -403,11 +435,20 @@ def test_gradient_flow_example_one_closed_form():
     assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-6
 
 
-def test_gradient_flow_equilibrium_start():
+@pytest.mark.parametrize("opts", [IntegratorOptions(),
+                                  IntegratorOptions(method="rk4", h=0.05)],
+                         ids=["rk45", "rk4"])
+def test_gradient_flow_equilibrium_start(opts):
+    # the integrator's first-stage test stops the flow at x0, and the one
+    # node is padded to the constant orbit over [0, T]
     pp = make_quadratic([[1.0, 0.0], [0.0, 2.0]])
-    traj = gradient_flow(pp, [0.0, 0.0], 3.0)
+    traj = gradient_flow(pp, [0.0, 0.0], 3.0, opts)
     assert traj.termination == TERM_CRIT
-    assert len(traj) == 2
+    assert traj.times.tolist() == [0.0, 3.0]
+    assert traj.meta["stopped_at"] == 0.0
+    assert traj.meta["n_steps"] == traj.meta["n_rejected"] == 0
+    # the meta is the integrator's own
+    assert {"rtol", "atol"} <= set(traj.meta) if opts.method == "rk45" else "h" in traj.meta
     assert np.allclose(traj.states, 0.0)
     assert np.allclose(traj.velocities, 0.0)
 
@@ -426,8 +467,7 @@ def test_gradient_flow_stops_at_critical_point():
 @pytest.mark.parametrize("T,termination", [(3.0, TERM_HORIZON), (60.0, TERM_CRIT)])
 def test_gradient_flow_calls_grad_psi_once_per_stage(opts, T, termination):
     # the stop test reads the first stage, so grad psi is called once per
-    # right-hand-side evaluation, plus the equilibrium test at x0 and the
-    # batched velocities
+    # right-hand-side evaluation, plus the batched velocities
     pp = make_quadratic([[1.0, 0.0], [0.0, 2.0]])
     calls = []
 
@@ -443,7 +483,7 @@ def test_gradient_flow_calls_grad_psi_once_per_stage(opts, T, termination):
         stages = 1 + 6 * attempted
     else:
         stages = 4 * attempted + (termination == TERM_CRIT)
-    assert len(calls) == stages + 2
+    assert len(calls) == stages + 1
     assert calls[-1] == traj.states.shape
 
 
