@@ -388,13 +388,12 @@ def gradient_flow(pp, x0, T: float,
         return -psi.gradient(y)
 
     raw = _integrate(rhs, x0, T, opts, eps_crit=opts.eps_crit)
-    meta = dict(raw.meta)
     if raw.termination == TERM_CRIT:
-        meta["stopped_at"] = float(raw.times[-1])
+        raw.meta["stopped_at"] = float(raw.times[-1])
     times, states = raw.times, raw.ys
     if len(times) == 1:
         times, states = np.array([0.0, T]), np.vstack([states, states])
-    return Trajectory(times, states, -psi.gradient(states), raw.termination, meta)
+    return Trajectory(times, states, -psi.gradient(states), raw.termination, raw.meta)
 
 
 def _second_order_rhs(V):
