@@ -80,14 +80,6 @@ def _positive(value) -> float:
     return x
 
 
-def _nonnegative(value) -> float:
-    """a finite number >= 0"""
-    x = _float(value)
-    if not 0.0 <= x < np.inf:
-        raise ValueError(value)
-    return x
-
-
 def _int(value) -> int:
     """an integer"""
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
@@ -165,9 +157,7 @@ _INTEG = IntegratorOptions()
 _INTEG_KEYS = {
     # the CLI calls IntegratorOptions.method "integrator"
     "integrator": (_INTEG.method, _str), "h": (_INTEG.h, _positive),
-    "rtol": (_INTEG.rtol, _float), "atol": (_INTEG.atol, _positive),
-    "r_max": (_INTEG.r_max, _positive),
-    "eps_crit": (_INTEG.eps_crit, _nonnegative),
+    "rtol": (_INTEG.rtol, _float),
 }
 _DEFAULTS = {
     "flow": {

@@ -94,12 +94,23 @@ def _max_consecutive_increase(times, series):
 # first-order checks
 # ---------------------------------------------------------------------------
 
-def check_lyapunov_psi(traj: Trajectory, psi, tol=None) -> CheckResult:
+def _critical(psi, point, name) -> np.ndarray:
+    """point as a vector of psi.dim components; ValueError unless it is a
+    critical point of psi, ||grad psi(point)|| < DEFAULT_EPS_CRIT."""
+    point = np.asarray(point, float).reshape(psi.dim)
+    gn = float(np.linalg.norm(psi.gradient(point)))
+    if gn >= DEFAULT_EPS_CRIT:
+        raise ValueError(
+            f"{name} is not critical: ||grad psi({name})|| = {gn:g} >= {DEFAULT_EPS_CRIT:g}"
+        )
+    return point
+
+
+def check_lyapunov_psi(traj: Trajectory, psi) -> CheckResult:
     """psi(u(t)) must be nonincreasing along a gradient-flow orbit."""
     psi = _psi_of(psi)
     rho = np.asarray(psi.value(traj.states), float)
-    if tol is None:
-        tol = 1e-8 * (1.0 + abs(float(rho[0])))
+    tol = 1e-8 * (1.0 + abs(float(rho[0])))
     viol, where = _max_consecutive_increase(traj.times, rho)
     return _result("lyapunov_psi", viol, where, tol)
 
@@ -133,47 +144,40 @@ def kinetic_integral(traj: Trajectory) -> float:
     return float(np.sum(per_interval))
 
 
-def check_energy_identity(traj: Trajectory, psi, tol=None) -> CheckResult:
+def check_energy_identity(traj: Trajectory, psi) -> CheckResult:
     """Dissipated kinetic energy equals the drop of psi along the orbit."""
     psi = _psi_of(psi)
     rho0 = float(psi.value(traj.states[0]))
     rhoT = float(psi.value(traj.states[-1]))
     integral = kinetic_integral(traj)
-    if tol is None:
-        tol = 1e-5 * (1.0 + abs(rho0))
+    tol = 1e-5 * (1.0 + abs(rho0))
     viol = abs(integral - (rho0 - rhoT))
     return _result("energy_identity", viol, traj.t_end, tol,
                    notes=f"integral={integral:.12g} drop={rho0 - rhoT:.12g}")
 
 
-def check_grad_norm_monotone(traj: Trajectory, psi, tol=None) -> CheckResult:
+def check_grad_norm_monotone(traj: Trajectory, psi) -> CheckResult:
     """For convex psi the speed ||grad psi(u(t))|| is nonincreasing."""
     psi = _psi_of(psi)
     norms = np.linalg.norm(np.asarray(psi.gradient(traj.states), float), axis=-1)
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(norms[0]))
+    tol = 1e-8 * (1.0 + float(norms[0]))
     viol, where = _max_consecutive_increase(traj.times, norms)
     return _result("grad_norm_monotone", viol, where, tol)
 
 
-def check_distance_monotone(traj: Trajectory, xhat, psi, tol=None) -> CheckResult:
+def check_distance_monotone(traj: Trajectory, xhat, psi) -> CheckResult:
     """||u(t) - xhat|| is nonincreasing for any critical point xhat."""
     psi = _psi_of(psi)
-    xhat = np.asarray(xhat, float).reshape(psi.dim)
-    gn = float(np.linalg.norm(psi.gradient(xhat)))
-    if gn >= DEFAULT_EPS_CRIT:
-        raise ValueError(
-            f"xhat is not critical: ||grad psi(xhat)|| = {gn:g} >= {DEFAULT_EPS_CRIT:g}"
-        )
+    xhat = _critical(psi, xhat, "xhat")
     dist = np.linalg.norm(traj.states - xhat, axis=-1)
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(dist[0]))
+    tol = 1e-8 * (1.0 + float(dist[0]))
     viol, where = _max_consecutive_increase(traj.times, dist)
     return _result("distance_monotone", viol, where, tol)
 
 
-def check_velocity_bound(traj: Trajectory, psi, y, tol=1e-8) -> CheckResult:
+def check_velocity_bound(traj: Trajectory, psi, y) -> CheckResult:
     """||u'(t)|| <= ||grad psi(y)|| + ||u(0) - y|| / t, convex psi, t > 0."""
+    tol = 1e-8
     psi = _psi_of(psi)
     y = np.asarray(y, float).reshape(psi.dim)
     gy = float(np.linalg.norm(psi.gradient(y)))
@@ -189,31 +193,25 @@ def check_velocity_bound(traj: Trajectory, psi, y, tol=1e-8) -> CheckResult:
                    float(traj.times[mask][i]), tol)
 
 
-def check_level_integral_bound(traj: Trajectory, psi, crit_point,
-                               tol=None) -> CheckResult:
+def check_level_integral_bound(traj: Trajectory, psi, crit_point) -> CheckResult:
     """Integral of (psi(u) - min psi) is at most half the squared distance
     from u(0) to the supplied critical point."""
     psi = _psi_of(psi)
-    crit_point = np.asarray(crit_point, float).reshape(psi.dim)
-    gn = float(np.linalg.norm(psi.gradient(crit_point)))
-    if gn >= DEFAULT_EPS_CRIT:
-        raise ValueError(
-            f"crit_point is not critical: ||grad psi|| = {gn:g} >= {DEFAULT_EPS_CRIT:g}"
-        )
+    crit_point = _critical(psi, crit_point, "crit_point")
     psi_min = float(psi.value(crit_point))
     lhs = path_integral(traj, np.asarray(psi.value(traj.states), float) - psi_min)
     rhs = 0.5 * float(np.sum((traj.states[0] - crit_point) ** 2))
     x0 = traj.states[0]
-    if tol is None:
-        tol = 1e-6 * (1.0 + float(np.dot(x0, x0)))
+    tol = 1e-6 * (1.0 + float(np.dot(x0, x0)))
     return _result("level_integral_bound", lhs - rhs, traj.t_end, tol,
                    notes=f"lhs={lhs:.12g} rhs={rhs:.12g}")
 
 
-def check_limit_point(traj: Trajectory, psi, tol=DEFAULT_EPS_CONV) -> CheckResult:
+def check_limit_point(traj: Trajectory, psi) -> CheckResult:
     """Convex flows either diverge (empty critical set) or settle at a
     critical point with a shrinking tail."""
     psi = _psi_of(psi)
+    tol = DEFAULT_EPS_CONV
     if traj.termination == TERM_DIVERGED:
         return _result("limit_point", 0.0, traj.t_end, tol,
                        notes="diverged: consistent with empty critical set")
@@ -293,7 +291,7 @@ def check_phi_residual(traj: Trajectory, psi, sigma: int = 1,
                    float(traj.times[i]), tol)
 
 
-def check_hardy(traj: Trajectory, tol=None) -> CheckResult:
+def check_hardy(traj: Trajectory) -> CheckResult:
     """Hardy-type bound: int ||v - v(0)||^2 / t^2 <= 4 int ||v'||^2."""
     if len(traj) < 3:
         raise ValueError("check_hardy needs >= 3 nodes")
@@ -304,8 +302,7 @@ def check_hardy(traj: Trajectory, tol=None) -> CheckResult:
         kernels.row_dots(traj.states - traj.states[0]), t * t,
         out=np.full_like(t, wsq[0]), where=t > 0))
     rhs = path_integral(traj, wsq)
-    if tol is None:
-        tol = 1e-6 * (1.0 + rhs)
+    tol = 1e-6 * (1.0 + rhs)
     return _result("hardy", lhs - 4.0 * rhs, traj.t_end, tol,
                    notes=f"lhs={lhs:.12g} rhs4={4.0 * rhs:.12g}")
 
@@ -341,7 +338,7 @@ def check_contraction(traj1: Trajectory, traj2: Trajectory, tol=None) -> CheckRe
 # field-level and evanescence checks
 # ---------------------------------------------------------------------------
 
-def check_monotone_gradient(field, point_pairs, tol=None) -> CheckResult:
+def check_monotone_gradient(field, point_pairs) -> CheckResult:
     """Sampled monotone-gradient (operational convexity) test:
     <grad f(x) - grad f(y), x - y> >= 0 for all supplied pairs."""
     field = _psi_of(field)
@@ -355,10 +352,7 @@ def check_monotone_gradient(field, point_pairs, tol=None) -> CheckResult:
     gy = np.asarray(field.gradient(y), float)
     inner = np.sum((gx - gy) * (x - y), axis=-1)
     sep = np.sum((x - y) ** 2, axis=-1)
-    if tol is None:
-        tols = 1e-10 * (1.0 + sep)
-    else:
-        tols = np.full(len(inner), float(tol))
+    tols = 1e-10 * (1.0 + sep)
     excess = -inner - tols
     i = int(np.argmax(excess))
     return CheckResult(

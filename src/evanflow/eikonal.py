@@ -32,6 +32,7 @@ EPS_INF = 1e-3
 TOL_NORMS = 1e-8
 TOL_CONCLUSION = 1e-6
 CONVEXITY_FLOW_T = 10.0       # horizon of the flows probing psi's lower bound
+TOL_EIKONAL = 5e-2            # eikonal_residual: largest |  ||grad psi_hat||^2 - f |
 # the action route solves the points of a grid as stacks of paths; a stack
 # holds as many paths as fit this many bytes of (B, N+1, n) float64 nodes
 _STACK_BYTES = 4 * 2**20
@@ -332,10 +333,10 @@ def grid_points(grid_spec) -> np.ndarray:
 
 
 def eikonal_residual(recon: ReconstructionResult, f: DifferentiableField,
-                     grid_spec, tol: float = 5e-2) -> CheckResult:
+                     grid_spec) -> CheckResult:
     """Compare the squared finite-difference gradient of psi_hat against f on
-    interior grid points.  Every axis needs >= 2 distinct points, since the
-    gradient across it is measured."""
+    interior grid points, within TOL_EIKONAL.  Every axis needs >= 2
+    distinct points, since the gradient across it is measured."""
     counts = [int(c) for _, _, c in grid_spec]
     if any(c < 2 or lo == hi for lo, hi, c in grid_spec):
         raise ValueError("eikonal_residual needs >= 2 distinct points per axis")
@@ -354,5 +355,5 @@ def eikonal_residual(recon: ReconstructionResult, f: DifferentiableField,
     resid = np.abs(sq - fvals)[interior]
     worst = float(np.max(resid))
     idx = np.unravel_index(int(np.argmax(resid)), resid.shape)
-    return CheckResult("eikonal_residual", worst <= tol, worst, list(idx),
-                       float(tol), notes=f"interior points: {resid.size}")
+    return CheckResult("eikonal_residual", worst <= TOL_EIKONAL, worst, list(idx),
+                       TOL_EIKONAL, notes=f"interior points: {resid.size}")

@@ -400,8 +400,9 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     g = 0.5 ||w||^2 + V(v) over the returned orbit's nodes, with
     g' = 2 w.grad V(v) from one gradient call.  A T that is not a positive
     finite number raises ValueError before V is evaluated, and
-    V(x0) < -1e-12 before any orbit.  detail counts the orbits integrated
-    (evaluations) and their RK steps."""
+    V(x0) < -1e-12 before any orbit; a start where sqrt(2 V(x0)) or
+    ||grad V(x0)|| is not finite raises NumericDomainError before any orbit.
+    detail counts the orbits integrated (evaluations) and their RK steps."""
     _check_horizon(T)
     V = _v_of(V)
     n = V.dim
@@ -412,7 +413,12 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
 
     # downhill seed
     gV = np.asarray(V.gradient(x0), float)
-    gn = float(np.linalg.norm(gV))
+    with np.errstate(over="ignore"):    # an overflowing norm is refused below
+        gn = float(np.linalg.norm(gV))
+    if not (np.isfinite(r) and np.isfinite(gn)):
+        raise NumericDomainError(
+            f"shooting needs a finite sqrt(2 V(x0)) and ||grad V(x0)||, got "
+            f"{r:g} and {gn:g} at x0 = {x0.tolist()}")
     seed = -r * gV / gn if gn > 0 else r * np.eye(n)[0]
     counts = {"evaluations": 0, "steps_accepted": 0, "steps_rejected": 0}
     v0, traj, p = _gauss_newton(V, x0, seed, T, counts)

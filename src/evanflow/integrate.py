@@ -43,9 +43,6 @@ class IntegratorOptions:
     method: str = "rk45"          # "rk45" (adaptive) or "rk4" (fixed step)
     h: float = 1e-2               # fixed step for rk4
     rtol: float = 1e-9
-    atol: float = 1e-12
-    r_max: float = DEFAULT_R_MAX
-    eps_crit: float = DEFAULT_EPS_CRIT
 
 
 @dataclass
@@ -83,22 +80,22 @@ def _state_vector(y0) -> np.ndarray:
     return y
 
 
-def _check_state(y: np.ndarray, r_max: float) -> Optional[str]:
+def _check_state(y: np.ndarray) -> Optional[str]:
     # counting the finite entries gives isfinite(y).all()'s verdict, cheaper
     if np.count_nonzero(np.isfinite(y)) != y.size:
         return "nan"
     # the Euclidean norm as np.linalg.norm takes it on 1-D input
-    if sqrt(y.dot(y)) > r_max:
+    if sqrt(y.dot(y)) > DEFAULT_R_MAX:
         return TERM_DIVERGED
     return None
 
 
 def rk4_fixed(rhs: Callable, y0, T: float, h: float,
-              r_max: float = DEFAULT_R_MAX,
               eps_crit: Optional[float] = None) -> RawOrbit:
     """Classical 4th-order Runge-Kutta with node spacing h (last step partial);
     given eps_crit, the orbit ends (TERM_CRIT) at the first node where
-    ||k1|| < eps_crit.  y0 must be 1-D (ValueError otherwise)."""
+    ||k1|| < eps_crit, and it ends (TERM_DIVERGED) at the first node whose
+    norm exceeds DEFAULT_R_MAX.  y0 must be 1-D (ValueError otherwise)."""
     if not (h > 0 and T > 0):
         raise ValueError("rk4_fixed requires h > 0 and T > 0")
     y = _state_vector(y0)
@@ -120,7 +117,7 @@ def rk4_fixed(rhs: Callable, y0, T: float, h: float,
         k3 = rhs(y + 0.5 * hs * k2)
         k4 = rhs(y + hs * k3)
         y_new = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        flag = _check_state(y_new, r_max)
+        flag = _check_state(y_new)
         if flag == "nan":
             raise NumericDomainError(
                 f"non-finite state at t = {t + hs:g} (last valid t = {t:g})"
@@ -274,8 +271,7 @@ DOP853 = EmbeddedPair("dop853", tuple(np.array(a) for a in _DOP_A) + (_DOP_B,),
 
 
 def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
-                atol: float = 1e-12, r_max: float = DEFAULT_R_MAX,
-                eps_crit: Optional[float] = None,
+                atol: float = 1e-12, eps_crit: Optional[float] = None,
                 n_ctrl: Optional[int] = None,
                 pair: EmbeddedPair = DP45) -> RawOrbit:
     """An embedded Runge-Kutta pair with step-size control, by default
@@ -293,9 +289,10 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     not finite (rhs sees neither it nor any later stage) or the last slope
     is not finite, and the pair's own norm otherwise.  Given eps_crit, the
     orbit ends (TERM_CRIT) at the first node where ||rhs(y)|| < eps_crit.
-    Only y[:n_ctrl] (default: all of y) enters the error norm and the r_max
-    test, so appended components ride along on the steps of the rest.  y0
-    must be 1-D (ValueError otherwise).
+    The orbit ends (TERM_DIVERGED) at the first node whose norm exceeds
+    DEFAULT_R_MAX.  Only y[:n_ctrl] (default: all of y) enters the error norm
+    and that test, so appended components ride along on the steps of the
+    rest.  y0 must be 1-D (ValueError otherwise).
     """
     if not (1e-12 <= rtol <= 1e-2):
         raise ValueError(f"rtol must lie in [1e-12, 1e-2], got {rtol:g}")
@@ -351,7 +348,7 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
             times.append(t)
             ys.append(y)
             y_norm = sqrt(y[ctrl].dot(y[ctrl]))
-            if y_norm > r_max:
+            if y_norm > DEFAULT_R_MAX:
                 termination = TERM_DIVERGED
                 break
         else:
@@ -368,16 +365,15 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
 
 def _integrate(rhs, y0, T, opts: IntegratorOptions, eps_crit=None) -> RawOrbit:
     if opts.method == "rk4":
-        return rk4_fixed(rhs, y0, T, opts.h, r_max=opts.r_max, eps_crit=eps_crit)
+        return rk4_fixed(rhs, y0, T, opts.h, eps_crit=eps_crit)
     if opts.method == "rk45":
-        return rk_adaptive(rhs, y0, T, rtol=opts.rtol, atol=opts.atol,
-                           r_max=opts.r_max, eps_crit=eps_crit)
+        return rk_adaptive(rhs, y0, T, rtol=opts.rtol, eps_crit=eps_crit)
     raise ValueError(f"unknown integrator method {opts.method!r}")
 
 
 def gradient_flow(pp, x0, T: float,
                   opts: Optional[IntegratorOptions] = None) -> Trajectory:
-    """Integrate u' = -grad psi(u) from x0 until ||grad psi|| < opts.eps_crit,
+    """Integrate u' = -grad psi(u) from x0 until ||grad psi|| < DEFAULT_EPS_CRIT,
     the integrator's test on its first stage; velocities are recomputed
     exactly.  An orbit that stops at x0 is the constant orbit over [0, T]."""
     psi = _psi_of(pp)
@@ -387,7 +383,7 @@ def gradient_flow(pp, x0, T: float,
     def rhs(y):
         return -psi.gradient(y)
 
-    raw = _integrate(rhs, x0, T, opts, eps_crit=opts.eps_crit)
+    raw = _integrate(rhs, x0, T, opts, eps_crit=DEFAULT_EPS_CRIT)
     if raw.termination == TERM_CRIT:
         raw.meta["stopped_at"] = float(raw.times[-1])
     times, states = raw.times, raw.ys
@@ -460,7 +456,7 @@ def _variational_orbit(V, x0, v0, T: float,
     like e^{lambda t}.  This is the shooting step policy: rtol _SHOOT_RTOL,
     DOP853's estimated first step, and atol 1e-12 min(1, ||(x0, v0)||),
     1e-12 at the origin, so an orbit near it is resolved relative to its
-    own size; r_max is as in IntegratorOptions."""
+    own size; the divergence bound is DEFAULT_R_MAX."""
     n = len(x0)
     size = float(np.linalg.norm(np.concatenate([x0, v0])))
     atol = 1e-12 * (min(1.0, size) if size > 0.0 else 1.0)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evanflow.cli import _DEFAULTS, build_parser, main
+from evanflow.cli import _DEFAULTS, _FLAGS, _INTEG_KEYS, _POSITIONAL, build_parser, main
 
 
 def run(argv):
@@ -126,6 +126,51 @@ def test_second_order_non_evanescent_fails_checks(tmp_path):
               "--v0", "1", "--T", "4", "--checks", "modula,phi_residual",
               "--out", str(tmp_path)])
     assert rc == 2
+
+
+# --- integrator keys ------------------------------------------------------
+
+# a value other than the default of each integrator config key, and the keys
+# it needs beside it to take effect
+INTEG_RUNS = {
+    "integrator": ("rk4", {}),
+    "h": (0.05, {"integrator": "rk4"}),
+    "rtol": (1e-6, {"integrator": "rk45"}),
+}
+ORBIT_RUNS = {
+    "flow": ["--potential", "quadratic:1", "--x0", "1", "--T", "4"],
+    "second-order": ["--potential", "quadratic:1", "--x0", "1", "--v0", "-1", "--T", "4"],
+}
+
+
+@pytest.mark.parametrize("key", INTEG_RUNS)
+@pytest.mark.parametrize("cmd", ORBIT_RUNS)
+def test_every_integrator_key_reaches_the_run(tmp_path, cmd, key):
+    assert set(INTEG_RUNS) == set(_INTEG_KEYS)
+    value, context = INTEG_RUNS[key]
+    assert value != _INTEG_KEYS[key][0]
+    trajectories = []
+    for name, cfg in (("default", context), ("set", {**context, key: value})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert run([cmd, *ORBIT_RUNS[cmd], "--config", str(path),
+                    "--out", str(out)]) in (0, 2)
+        trajectories.append((out / f"{cmd.replace('-', '_')}_trajectory.csv").read_bytes())
+    assert trajectories[0] != trajectories[1]
+
+
+@pytest.mark.parametrize("key", ["atol", "r_max", "eps_crit"])
+@pytest.mark.parametrize("cmd", ORBIT_RUNS)
+def test_removed_integrator_keys_are_unknown(tmp_path, capsys, cmd, key):
+    # the absolute tolerance, the divergence bound and the critical-point
+    # threshold of the flows are constants
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1.0}))
+    out = tmp_path / "out"
+    assert run([cmd, *ORBIT_RUNS[cmd], "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unknown config keys for {cmd}: ['{key}']\n"
+    assert not out.exists()
 
 
 # --- evanesce -------------------------------------------------------------
@@ -363,8 +408,7 @@ def test_json_artifacts_and_summaries_are_strict(tmp_path, capsys, argv):
     (["second-order", "--potential", "neg_square", "--x0", "1e200", "--v0", "1"], {}),
     # the first RK4 step overflows
     (["flow", "--potential", "neg_square", "--x0", "1e308"], {"integrator": "rk4"}),
-    # the DOP853 error estimate overflows to NaN, which rejects the step and
-    # halves h, and the action of the orbit overflows
+    # ||grad V(x0)|| overflows, so shooting refuses the start
     (["evanesce", "--potential", "quadratic:1e10", "--x0", "1e140"],
      {"solver": "shoot", "cross_validate": False}),
     # an unknown integrator, from an equilibrium start as from any other
@@ -448,7 +492,6 @@ VALID = {
 MISTYPED = {
     "_float": [[1], {"a": 1}, "abc", True],
     "_positive": [[1], {"a": 1}, "abc", True, 0, -1.5, "nan", "inf", "-inf"],
-    "_nonnegative": [[1], {"a": 1}, "abc", True, -1, -1e-300, "nan", "inf"],
     "_seed": [[3], {"a": 1}, "abc", 2.5, True, -1],
     "_count": [[3], {"a": 1}, "abc", 2.5, True, 0, -1],
     "_nodes": [[3], {"a": 1}, "abc", 2.5, True, 1, 0, -240],
@@ -501,3 +544,18 @@ def test_readme_flag_table_matches_the_parser():
         assert flags.split() == options, cmd
         # determine names its two positional potential ids in words
         assert ("positional" in rest) == bool(positional), cmd
+
+
+def test_readme_file_only_keys_match_the_config_tables():
+    # the README's "set from a file only" sentence lists, per subcommand, the
+    # config keys that are neither a flag nor positional, in table order
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    sentence = readme.split("set from a file only:", 1)[1].split(". ", 1)[0]
+    listed = {}
+    for group in sentence.split(";"):
+        keys, cmds = re.fullmatch(r"(.*)\((.*)\)", group.strip()).groups()
+        for cmd in re.findall(r"`([\w-]+)`", cmds):
+            listed[cmd] = re.findall(r"`(\w+)`", keys)
+    file_only = {cmd: [key for key in table if key not in _FLAGS + _POSITIONAL]
+                 for cmd, table in _DEFAULTS.items()}
+    assert listed == {cmd: keys for cmd, keys in file_only.items() if keys}

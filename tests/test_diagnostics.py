@@ -1,5 +1,6 @@
 """Diagnostics checks against closed-form orbits and known counterexamples."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -78,7 +79,8 @@ def test_grad_norm_monotone_fails_on_cubic():
 def test_distance_monotone():
     c = check_distance_monotone(quad_flow(QUAD_2D, (1.0, 1.0)), [0.0, 0.0], QUAD_2D)
     assert c.passed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "xhat is not critical: ||grad psi(xhat)|| = 0.5 >= 1e-10")):
         check_distance_monotone(quad_flow(), [0.5], QUAD_1D)
 
 
@@ -92,7 +94,8 @@ def test_level_integral_bound_quadratic():
     traj = quad_flow(T=20.0)
     c = check_level_integral_bound(traj, QUAD_1D, [0.0])
     assert c.passed, c.notes
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "crit_point is not critical: ||grad psi(crit_point)|| = 0.7 >= 1e-10")):
         check_level_integral_bound(traj, QUAD_1D, [0.7])
 
 

@@ -1,5 +1,6 @@
 """Action minimization and shooting against closed-form evanescent orbits."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -800,12 +801,17 @@ def test_variational_orbit_extends_an_orbit_from_its_end():
 
 
 def test_shoot_from_a_far_start_raises_instead_of_hanging():
-    # from 1e140 on A = 1e10 the DOP853 error estimate overflows to NaN,
-    # which fails the accept test and halves h until a step passes; the
-    # action of that orbit overflows.  The overflowing products warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericDomainError, match="non-finite integrand"):
-            shoot_evanescent(resolve_potential("quadratic:1e10").v, [1e140])
+    # on A = 1e10, grad V(x0) = 1e20 x0 is finite but its norm overflows, so
+    # the downhill seed would be NaN: from 1e138 the r = 0 branch would shoot
+    # v0 = 0, off the sphere of radius sqrt(2 V(x0)) = 1e10 x0, and from
+    # 1e140 the orbits' DOP853 error estimates overflow.  The start is
+    # refused before any orbit, with no RuntimeWarning (tier-1 makes them
+    # errors)
+    for x0 in (1e138, 1e140):
+        with pytest.raises(NumericDomainError, match=re.escape(
+                f"shooting needs a finite sqrt(2 V(x0)) and ||grad V(x0)||, got "
+                f"{1e10 * x0:g} and inf at x0 = [{x0}]")):
+            shoot_evanescent(resolve_potential("quadratic:1e10").v, [x0])
 
 
 def test_shoot_equilibrium_start():

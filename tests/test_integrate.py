@@ -18,6 +18,7 @@ from evanflow.fields import (
     make_quadratic,
 )
 from evanflow.integrate import (
+    DEFAULT_R_MAX,
     TERM_CRIT,
     TERM_DIVERGED,
     TERM_HORIZON,
@@ -80,16 +81,18 @@ def test_rk4_infinite_state_raises(slope):
 
 
 def test_rk4_divergence_is_the_euclidean_norm_above_r_max():
-    # a state whose norm is r_max exactly runs to the horizon; one ulp more
-    # in a component puts its norm above r_max, as np.linalg.norm decides it
+    # a state whose norm is DEFAULT_R_MAX = 1e6 exactly runs to the horizon;
+    # one ulp more in a component puts its norm above it, as np.linalg.norm
+    # decides it
     def still(y):
         return np.zeros_like(y)
 
     at = np.array([6e5, 8e5])
     above = np.array([6e5, np.nextafter(8e5, np.inf)])
     assert np.linalg.norm(at) == 1e6 < np.linalg.norm(above)
-    assert rk4_fixed(still, at, 1.0, 0.5, r_max=1e6).termination == TERM_HORIZON
-    raw = rk4_fixed(still, above, 1.0, 0.5, r_max=1e6)
+    assert DEFAULT_R_MAX == 1e6
+    assert rk4_fixed(still, at, 1.0, 0.5).termination == TERM_HORIZON
+    raw = rk4_fixed(still, above, 1.0, 0.5)
     assert raw.termination == TERM_DIVERGED
     assert raw.meta["n_steps"] == 1
 
@@ -403,18 +406,16 @@ def test_adaptive_rejects_nan_atol():
 
 
 def test_adaptive_divergence_guard():
-    raw = rk_adaptive(lambda y: 2.0 * y, np.array([1.0]), 30.0, rtol=1e-8,
-                      r_max=1e6)
+    raw = rk_adaptive(lambda y: 2.0 * y, np.array([1.0]), 30.0, rtol=1e-8)
     assert raw.termination == TERM_DIVERGED
     assert raw.times[-1] < 30.0
-    assert np.linalg.norm(raw.ys[-1]) > 1e6
+    assert np.linalg.norm(raw.ys[-1]) > DEFAULT_R_MAX
 
 
 def test_adaptive_step_collapse_on_finite_time_blowup():
-    # y' = y^2 from y(0) = 1 blows up at t = 1; with a huge r_max the step
-    # size collapses instead
-    raw = rk_adaptive(lambda y: y * y, np.array([1.0]), 2.0, rtol=1e-9,
-                      r_max=1e300)
+    # y' = y^2 from y(0) = 1 blows up at t = 1: the orbit ends there, past
+    # DEFAULT_R_MAX or on a collapsed step size, never at the horizon
+    raw = rk_adaptive(lambda y: y * y, np.array([1.0]), 2.0, rtol=1e-9)
     assert raw.termination in (TERM_STEP_COLLAPSE, TERM_DIVERGED)
     assert raw.times[-1] < 1.05
 
@@ -455,10 +456,11 @@ def test_gradient_flow_equilibrium_start(opts):
 
 def test_gradient_flow_stops_at_critical_point():
     pp = make_quadratic([[1.0]])
-    traj = gradient_flow(pp, [1.0], 60.0, IntegratorOptions(eps_crit=1e-6))
+    # ||grad psi(u(t))|| = e^{-t} falls below DEFAULT_EPS_CRIT = 1e-10 near t = 23
+    traj = gradient_flow(pp, [1.0], 60.0)
     assert traj.termination == TERM_CRIT
     assert traj.meta["stopped_at"] < 60.0
-    assert np.linalg.norm(pp.psi.gradient(traj.states[-1])) < 1e-5
+    assert np.linalg.norm(pp.psi.gradient(traj.states[-1])) < 1e-9
 
 
 @pytest.mark.parametrize("opts", [IntegratorOptions(),
