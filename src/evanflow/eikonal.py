@@ -32,7 +32,7 @@ EPS_INF = 1e-3
 TOL_NORMS = 1e-8
 TOL_CONCLUSION = 1e-6
 CONVEXITY_FLOW_T = 10.0       # horizon of the flows probing psi's lower bound
-TOL_EIKONAL = 5e-2            # eikonal_residual: largest |  ||grad psi_hat||^2 - f |
+TOL_EIKONAL = 5e-2            # eikonal_residual: bound on | ||grad psi_hat||^2 - f |
 # the action route solves the points of a grid as stacks of paths; a stack
 # holds as many paths as fit this many bytes of (B, N+1, n) float64 nodes
 _STACK_BYTES = 4 * 2**20
