@@ -10,6 +10,7 @@ failed, 3 theorem hypotheses not met (determination).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -448,7 +449,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="evanflow",
         description="Gradient-flow simulation, evanescent-orbit solving and "

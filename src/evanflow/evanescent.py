@@ -207,8 +207,10 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     max_iters iterations, or when its line
     search finds no step, and then leaves the working set; only the members
     still going are factored, and only rejected members are tried again
-    inside a line search.  Each member is factored and solved on its own, so
-    its result is the one it gets alone.  Returns the final
+    inside a line search.  Each distinct band of the working set is factored
+    once and solves the members that share it together, one column each,
+    so every member gets the direction, and the result, it gets alone.
+    Returns the final
     (W, Vv, Vg, iterations, grad_inf) per member.
     """
     W = np.array(W, float)
@@ -221,16 +223,27 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     N, n = W.shape[1] - 1, W.shape[2]
 
     def newton_directions(W, Vv, Vg, g):
-        p = np.empty_like(g)
+        # members whose bands are equal byte for byte share one factor and
+        # one solve, a column each: pbtrs solves column by column, so every
+        # direction is bit for bit the one its member gets alone
+        factors, members = {}, {}
         for b, band in enumerate(_action_hessian_bands(_node_hessians(V, W), dt, mu)):
-            f = _newton_factor(band)
-            if f is None:
+            key = ("newton", band.tobytes())
+            if key not in factors:
+                factors[key] = _newton_factor(band)
+            if factors[key] is None:
                 v0, g0 = Vv[b, 0], Vg[b, 0]
                 c = float(np.dot(g0, g0)) / (2.0 * v0) if v0 > 0.0 else 1.0
                 H = np.broadcast_to(np.diag(np.full(n, c)), (1, N, n, n))
-                f = cholesky_banded(_action_hessian_bands(H, dt, mu)[0])
-            p[b] = cho_solve_banded((f, False), g[b].ravel(),
-                                    check_finite=False).reshape(g[b].shape)
+                band = _action_hessian_bands(H, dt, mu)[0]
+                key = ("isotropic", band.tobytes())
+                if key not in factors:
+                    factors[key] = cholesky_banded(band)
+            members.setdefault(key, []).append(b)
+        p = np.empty_like(g)
+        for key, bs in members.items():
+            p[bs] = cho_solve_banded((factors[key], False), g[bs].reshape(len(bs), -1).T,
+                                     check_finite=False).T.reshape(len(bs), N, n)
         return p
 
     # the working set: original index and state of every member still going

@@ -101,7 +101,7 @@ def rk4_fixed(rhs: Callable, y0, T: float, h: float,
     y = _state_vector(y0)
     t = 0.0
     times = [0.0]
-    ys = [y.copy()]
+    ys = [y]
     termination = TERM_HORIZON
     n_steps = 0
     while t < T - 1e-14 * T:
@@ -126,7 +126,7 @@ def rk4_fixed(rhs: Callable, y0, T: float, h: float,
         t = t_next
         n_steps += 1
         times.append(t)
-        ys.append(y.copy())
+        ys.append(y)
         if flag == TERM_DIVERGED:
             termination = TERM_DIVERGED
             break

@@ -21,6 +21,7 @@ from evanflow.evanescent import (
     _on_grid,
 )
 from evanflow.diagnostics import DEFAULT_EPS_TAIL
+from evanflow.eikonal import grid_points
 from evanflow.fields import (
     DifferentiableField,
     NumericDomainError,
@@ -428,6 +429,62 @@ def test_descend_stack_matches_single_paths_through_the_fallback(fallbacks):
     assert fallbacks
 
 
+def _count_factors(monkeypatch):
+    """One [working-set size, Newton factorizations] entry per iteration of
+    each descent."""
+    counts = []
+    node_hessians, newton = evanescent._node_hessians, evanescent._newton_factor
+
+    def spy_hessians(V, W):
+        counts.append([len(W), 0])
+        return node_hessians(V, W)
+
+    def spy_newton(band):
+        counts[-1][1] += 1
+        return newton(band)
+
+    monkeypatch.setattr(evanescent, "_node_hessians", spy_hessians)
+    monkeypatch.setattr(evanescent, "_newton_factor", spy_newton)
+    return counts
+
+
+def test_a_quadratic_stack_factors_once_per_iteration(monkeypatch):
+    # on a quadratic V the action's Hessian does not depend on the path, so
+    # the members of a 5x5 grid share one band and one factor; the member
+    # at the equilibrium stops before the first iteration
+    counts = _count_factors(monkeypatch)
+    X0 = grid_points([(-1.0, 1.0, 5), (-1.0, 1.0, 5)])
+    _minimize_actions(make_quadratic([[1.0, 0.3], [0.3, 2.0]]).v, X0, T, N)
+    assert counts == [[24, 1]]
+
+
+@pytest.mark.parametrize("V, X0", [
+    (make_counterexample("cubic").v, [[1.0], [0.5], [-0.7], [1.3]]),
+    (_double_well().v, [[0.5], [1.5], [-0.4], [2.0], [0.9]]),
+], ids=["quartic", "double_well"])
+def test_a_stack_of_distinct_bands_factors_once_per_member(V, X0, monkeypatch):
+    # where V is not quadratic, members from starts of distinct |x0| never
+    # share a band, so sharing saves nothing and costs no factorization
+    counts = _count_factors(monkeypatch)
+    _minimize_actions(V, np.array(X0), T, N)
+    assert counts and all(m == f for m, f in counts)
+
+
+def test_descend_stack_with_repeated_starts_matches_single_paths(fallbacks, monkeypatch):
+    # members from equal starts keep equal bands, so each pair or triple
+    # shares every factor and solve, the Newton one and, from 0.5 and -0.4,
+    # the isotropic one; each member still gets its solo result
+    X0 = np.array([[0.5], [1.5], [0.5], [-0.4], [2.0], [-0.4], [1.5], [0.5], [2.0], [0.0]])
+    W = np.repeat(X0[:, None, :], N + 1, axis=1)
+    V = _double_well().v
+    counts = _count_factors(monkeypatch)
+    _descend(V, W, DT, evanescent._MU_PER_DT * DT)
+    assert counts[0] == [9, 4]
+    assert all(f < m for m, f in counts)
+    assert fallbacks
+    _assert_stack_matches_single_paths(V, W, evanescent.DEFAULT_MAX_ITERS)
+
+
 def _isotropic_factor(v0, g0, N, dt, mu):
     """The fallback factor as a tridiagonal (2, N) band shared by the n
     components: the banded Cholesky factor of the action's Hessian for the
@@ -468,28 +525,35 @@ def _mexican_hat(n):
 def test_fallback_direction_matches_the_isotropic_tridiagonal_factor(pp, X0, monkeypatch):
     # a member whose Newton factor fails solves with c_b I node blocks in
     # the one block band; its direction equals, bit for bit, the solve with
-    # the tridiagonal factor that the n components share
+    # the tridiagonal factor that the n components share.  Members that
+    # share a band share a solve, so each column of a solve is mapped to
+    # its member by its right-hand side, the member's action gradient
     X0 = np.array(X0)
     n_nodes, dt = 60, T / 60
     mu = evanescent._MU_PER_DT * dt
-    stack, failed, solves = [], [], []
+    stack, failed, solves = {}, set(), []
     node_hessians, newton, solve = (evanescent._node_hessians, evanescent._newton_factor,
                                     evanescent.cho_solve_banded)
 
     def spy_hessians(V, W):
-        stack.append(W)
-        failed.clear()
-        return node_hessians(V, W)
+        H = node_hessians(V, W)
+        g = kernels.action_gradient(W, evanescent._gradients(V, W), dt, mu)
+        stack.update(W=W, g=g.reshape(len(W), -1),
+                     bands=evanescent._action_hessian_bands(H, dt, mu))
+        return H
 
     def spy_newton(band):
         factor = newton(band)
-        failed.append(factor is None)
+        if factor is None:
+            failed.add(band.tobytes())
         return factor
 
     def spy_solve(cb, rhs, **kw):
         p = solve(cb, rhs, **kw)
-        if failed[-1]:
-            solves.append((stack[-1][len(failed) - 1, 0], rhs, p))
+        for j in range(rhs.shape[1]):
+            b = np.flatnonzero((stack["g"] == rhs[:, j]).all(axis=1))[0]
+            if stack["bands"][b].tobytes() in failed:
+                solves.append((stack["W"][b, 0], rhs[:, j], p[:, j]))
         return p
 
     monkeypatch.setattr(evanescent, "_node_hessians", spy_hessians)
