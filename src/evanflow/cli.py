@@ -47,7 +47,7 @@ from evanflow.evanescent import (
     minimize_action,
     shoot_evanescent,
 )
-from evanflow.fields import NumericDomainError, resolve_potential
+from evanflow.fields import resolve_potential
 from evanflow.integrate import IntegratorOptions, gradient_flow, second_order_flow
 
 EXIT_OK = 0
@@ -480,8 +480,9 @@ def main(argv=None) -> int:
         for name, text in files.items():
             (out / name).write_text(text, newline="\n")
     # InputError, CatalogError, NonnegativityError, ..., a field that
-    # leaves its domain, and an --out that cannot be created or written
-    except (ValueError, NumericDomainError, OSError) as exc:
+    # leaves its domain (NumericDomainError) or a horizon that overflows
+    # (OverflowError), and an --out that cannot be created or written
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(_dumps(summary))

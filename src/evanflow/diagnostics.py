@@ -90,6 +90,13 @@ def _max_consecutive_increase(times, series):
     return float(max(diffs[i], 0.0)), float(times[i + 1])
 
 
+def _nonincreasing(check_id, times, series) -> CheckResult:
+    """series must not increase between nodes by more than 1e-8 (1 + |s_0|)."""
+    tol = 1e-8 * (1.0 + abs(float(series[0])))
+    viol, where = _max_consecutive_increase(times, series)
+    return _result(check_id, viol, where, tol)
+
+
 # ---------------------------------------------------------------------------
 # first-order checks
 # ---------------------------------------------------------------------------
@@ -109,10 +116,8 @@ def _critical(psi, point, name) -> np.ndarray:
 def check_lyapunov_psi(traj: Trajectory, psi) -> CheckResult:
     """psi(u(t)) must be nonincreasing along a gradient-flow orbit."""
     psi = _psi_of(psi)
-    rho = np.asarray(psi.value(traj.states), float)
-    tol = 1e-8 * (1.0 + abs(float(rho[0])))
-    viol, where = _max_consecutive_increase(traj.times, rho)
-    return _result("lyapunov_psi", viol, where, tol)
+    return _nonincreasing("lyapunov_psi", traj.times,
+                          np.asarray(psi.value(traj.states), float))
 
 
 _GAUSS3_NODES = np.array([0.5 - np.sqrt(3.0 / 20.0), 0.5,
@@ -160,9 +165,7 @@ def check_grad_norm_monotone(traj: Trajectory, psi) -> CheckResult:
     """For convex psi the speed ||grad psi(u(t))|| is nonincreasing."""
     psi = _psi_of(psi)
     norms = np.linalg.norm(np.asarray(psi.gradient(traj.states), float), axis=-1)
-    tol = 1e-8 * (1.0 + float(norms[0]))
-    viol, where = _max_consecutive_increase(traj.times, norms)
-    return _result("grad_norm_monotone", viol, where, tol)
+    return _nonincreasing("grad_norm_monotone", traj.times, norms)
 
 
 def check_distance_monotone(traj: Trajectory, xhat, psi) -> CheckResult:
@@ -170,9 +173,7 @@ def check_distance_monotone(traj: Trajectory, xhat, psi) -> CheckResult:
     psi = _psi_of(psi)
     xhat = _critical(psi, xhat, "xhat")
     dist = np.linalg.norm(traj.states - xhat, axis=-1)
-    tol = 1e-8 * (1.0 + float(dist[0]))
-    viol, where = _max_consecutive_increase(traj.times, dist)
-    return _result("distance_monotone", viol, where, tol)
+    return _nonincreasing("distance_monotone", traj.times, dist)
 
 
 def check_velocity_bound(traj: Trajectory, psi, y) -> CheckResult:

@@ -1,8 +1,9 @@
 """Differentiable scalar fields on R^n and the catalog of study potentials.
 
-A field bundles a value map, its gradient and (optionally) a Hessian-vector
-product.  All maps are vectorized over leading axes: points have shape
-``(..., n)``, values ``(...)``, gradients ``(..., n)``.
+A field bundles a value map, its gradient and a Hessian-vector product,
+exact where given, else the central difference of the gradient.  All maps
+are vectorized over leading axes: points have shape ``(..., n)``, values
+``(...)``, gradients ``(..., n)``.
 
 Every potential ``psi`` comes paired with the induced potential
 ``V(x) = 0.5 * ||grad psi(x)||^2`` of the second-order system.  A named
@@ -16,6 +17,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+
+from evanflow.kernels import row_dots
 
 
 class CatalogError(ValueError):
@@ -39,6 +42,11 @@ class NonnegativityError(ValueError):
 
 @dataclass(frozen=True)
 class DifferentiableField:
+    """A field built without a hessvec takes _central_hessvec of its gradient.
+    replace(field, gradient=g) keeps the old hessvec.  scaled(a) of a field
+    without an exact hessvec gives a times the difference of grad f, which
+    is bit-equal to the difference of a grad f only where a is a power of
+    two (the library scales by 2 and 1/2 alone)."""
     dim: int
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -49,6 +57,8 @@ class DifferentiableField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
+        object.__setattr__(self, "hessvec",
+                           self.hessvec or _central_hessvec(self.gradient))
 
     def shifted(self, c: float) -> "DifferentiableField":
         """Same field plus an additive constant (gradient unchanged)."""
@@ -66,7 +76,7 @@ class DifferentiableField:
             self,
             value=lambda x: a * v(x),
             gradient=lambda x: a * g(x),
-            hessvec=(None if hv is None else (lambda x, h: a * hv(x, h))),
+            hessvec=lambda x, h: a * hv(x, h),
             name=f"scale({a:g})*{self.name}",
             claims_bounded_below=self.claims_bounded_below if a >= 0 else False,
         )
@@ -90,15 +100,31 @@ def _v_of(pp) -> DifferentiableField:
     return pp.v if isinstance(pp, PotentialPair) else pp
 
 
-def fd_step(x: np.ndarray) -> float:
-    """Central-difference step, balanced for double precision."""
-    return 1e-5 * (1.0 + float(np.linalg.norm(x)))
+def fd_step(x) -> np.ndarray:
+    """Central-difference step of each point of x (..., n), balanced for
+    double precision; the norm is rounded as np.dot rounds it, so a point's
+    step does not depend on how many points share the call."""
+    return 1e-5 * (1.0 + np.sqrt(row_dots(np.asarray(x, float))))
+
+
+def _central_hessvec(gradient):
+    """Hess f(x) p as the central difference of grad f along p, row by row:
+    (grad f(x + t p) - grad f(x - t p)) / 2t with t = fd_step(x) / ||p||
+    (t = fd_step(x) where p = 0), for x and p of shape (..., n)."""
+
+    def hessvec(x, p):
+        x, p = np.asarray(x, float), np.asarray(p, float)
+        norms = np.linalg.norm(p, axis=-1, keepdims=True)
+        t = fd_step(x)[..., None] / np.where(norms > 0.0, norms, 1.0)
+        return (gradient(x + t * p) - gradient(x - t * p)) / (2.0 * t)
+
+    return hessvec
 
 
 def fd_gradient(field: DifferentiableField, x) -> np.ndarray:
     """Independent central-difference derivative oracle at a single point."""
     x = np.asarray(x, float).reshape(field.dim)
-    h = fd_step(x)
+    h = float(fd_step(x))
     g = np.empty(field.dim)
     for i in range(field.dim):
         xp, xm = x.copy(), x.copy()
@@ -111,34 +137,16 @@ def fd_gradient(field: DifferentiableField, x) -> np.ndarray:
     return g
 
 
-def _fd_gradient_batch(value, x: np.ndarray) -> np.ndarray:
-    """Vectorized central differences; x has shape (..., n)."""
-    x = np.asarray(x, float)
-    n = x.shape[-1]
-    h = 1e-5 * (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
-    g = np.empty_like(x)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        step = h * e
-        g[..., i] = (value(x + step) - value(x - step)) / (2.0 * h[..., 0])
-    return g
-
-
 def induced_potential(psi: DifferentiableField) -> DifferentiableField:
-    """V = 0.5 * ||grad psi||^2, with gradient via hessvec when available."""
+    """V = 0.5 * ||grad psi||^2, with grad V = Hess psi . grad psi."""
 
     def v_value(x):
         g = psi.gradient(np.asarray(x, float))
         return 0.5 * np.sum(g * g, axis=-1)
 
-    if psi.hessvec is not None:
-        def v_gradient(x):
-            x = np.asarray(x, float)
-            return psi.hessvec(x, psi.gradient(x))
-    else:
-        def v_gradient(x):
-            return _fd_gradient_batch(v_value, x)
+    def v_gradient(x):
+        x = np.asarray(x, float)
+        return psi.hessvec(x, psi.gradient(x))
 
     return DifferentiableField(
         dim=psi.dim,

@@ -408,24 +408,11 @@ def _second_order_rhs(V):
     return rhs
 
 
-def _hess_rows(V, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Hess V(x_i) p_i for each row pair of the (m, n) arrays X and P.
-    Without a hessvec it is the central difference of grad V along p_i with
-    step fd_step(x_i) / ||p_i||; the norm of x_i is rounded as np.dot rounds
-    it, so a row's step is the one fd_step gives."""
-    if V.hessvec is not None:
-        return np.asarray(V.hessvec(X, P), float)
-    norms = np.linalg.norm(P, axis=1, keepdims=True)
-    steps = 1e-5 * (1.0 + np.sqrt(kernels.row_dots(X)))
-    t = steps[:, None] / np.where(norms > 0.0, norms, 1.0)
-    return (V.gradient(X + t * P) - V.gradient(X - t * P)) / (2.0 * t)
-
-
 def _variational_rhs(V):
     """(v, w, P, Q)' = (w, grad V(v), Q, Hess V(v) P): v'' = grad V(v) with
     its sensitivities P = dv/dv0, Q = dw/dv0.  After (v, w) the state holds
     P and Q transposed, row-major: row j of each block is column j, the
-    sensitivity to v0[j], so Hess V(v) acts on rows (_hess_rows) and nothing
+    sensitivity to v0[j], so Hess V(v) acts on rows (V.hessvec) and nothing
     is transposed.
     """
     V = _v_of(V)
@@ -436,7 +423,7 @@ def _variational_rhs(V):
     def rhs(y):
         out = orbit_rhs(y)
         out[2 * n:m] = y[m:]
-        out[m:] = _hess_rows(V, y[:n][None].repeat(n, 0), y[2 * n:m].reshape(n, n)).ravel()
+        out[m:] = V.hessvec(y[:n][None].repeat(n, 0), y[2 * n:m].reshape(n, n)).ravel()
         return out
 
     return rhs

@@ -75,9 +75,9 @@ def el_residual_max(W, Vg, dt):
 
 
 def row_dots(X):
-    """x.dot(x) for each row x of X, rounded as np.dot rounds it (a sum of
-    squares can differ in the last bit)."""
-    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+    """x.dot(x) for each row x of X (..., n), rounded as np.dot rounds it (a
+    sum of squares can differ in the last bit)."""
+    return np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0]
 
 
 def trapezoid(ts, vals):

@@ -296,6 +296,19 @@ def test_evanesce_removed_keys_are_unknown(tmp_path, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["T", "N"])
+def test_evanesce_overflowing_horizon_is_an_input_error(tmp_path, capsys, key):
+    # T = 1e300 passes as a positive finite number and N = 1e300 as an
+    # integral one; the tolerance dt^2 or the node count then overflows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1e300}))
+    out = tmp_path / "out"
+    assert run(["evanesce", "--config", str(cfg), "--potential", "quadratic:1",
+                "--x0", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,key", [
     (["flow", "--x0", "1"], "x0"),
     (["second-order", "--x0", "1", "--v0=-1,-2"], "x0"),

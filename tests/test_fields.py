@@ -7,9 +7,11 @@ import pytest
 from evanflow.diagnostics import check_monotone_gradient
 from evanflow.fields import (
     CatalogError,
+    DifferentiableField,
     NonnegativityError,
     catalog_ids,
     fd_gradient,
+    fd_step,
     field_from_f,
     induced_potential,
     make_counterexample,
@@ -174,10 +176,53 @@ def test_induced_potential_matches_analytic():
     pts = sample_points(2, seed=9)
     assert np.allclose(v2.value(pts), pp.v.value(pts), atol=1e-12)
     assert np.allclose(v2.gradient(pts), pp.v.gradient(pts), atol=1e-12)
-    # without a hessvec, grad V is a central difference of V
+    # without an exact hessvec of psi, grad V is a central difference of grad psi
     v_fd = induced_potential(dataclasses.replace(pp.psi, hessvec=None))
     assert np.allclose(v_fd.value(pts), pp.v.value(pts), atol=1e-12)
     assert np.allclose(v_fd.gradient(pts), pp.v.gradient(pts), rtol=0.0, atol=1e-8)
+
+
+def test_field_without_hessvec_takes_fd_step_per_point():
+    # a field built without a hessvec takes the central difference of its
+    # gradient along each row p with the fd_step of the row's own point, as
+    # the per-point loop takes it, so the shooting sensitivities do not
+    # depend on how many points one call batches; a norm rounded another
+    # way changes a few dozen of these 1,000 rows
+    V = make_counterexample("quartic_saddle").v
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-2.0, 2.0, size=(1000, 2))
+    P = rng.normal(size=(1000, 2))
+    P[7] = 0.0
+    rows = V.hessvec(X, P)
+    for x, p, row in zip(X, P, rows):
+        assert fd_step(x) == 1e-5 * (1.0 + np.linalg.norm(x))
+        # the norm of p is a row reduction in both, as shooting takes it
+        t = fd_step(x) / (np.linalg.norm(p[None], axis=1)[0] or 1.0)
+        ref = (V.gradient(x + t * p) - V.gradient(x - t * p)) / (2.0 * t)
+        assert np.array_equal(row, ref)
+    # a given hessvec is kept
+    quad = make_quadratic([[1.0, 0.3], [0.3, 2.0]]).v
+    assert DifferentiableField(dim=2, value=quad.value, gradient=quad.gradient,
+                               hessvec=quad.hessvec).hessvec is quad.hessvec
+
+
+def test_induced_gradient_without_hessvec_is_accurate():
+    # psi = 0.5 x'Ax + 0.25 sum x_i^4, given by value and gradient only:
+    # grad V = Hess psi . grad psi is one central difference of grad psi,
+    # accurate over points from 2e-6 to 20 in size
+    A = np.array([[1.0, 0.3], [0.3, 0.5]])
+    psi = DifferentiableField(
+        dim=2,
+        value=lambda x: (0.5 * np.einsum("...i,ij,...j->...", x, A, x)
+                         + 0.25 * np.sum(x ** 4, axis=-1)),
+        gradient=lambda x: x @ A + x ** 3)
+    X = (np.random.default_rng(0).uniform(-2.0, 2.0, (2000, 2))
+         * np.logspace(-6, 1, 2000)[:, None])
+    g = X @ A + X ** 3
+    exact = g @ A + 3.0 * X ** 2 * g
+    got = induced_potential(psi).gradient(X)
+    rel = np.linalg.norm(got - exact, axis=1) / np.linalg.norm(exact, axis=1)
+    assert np.max(rel) < 1e-9
 
 
 def test_field_from_f_builds_half_f():

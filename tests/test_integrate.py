@@ -14,7 +14,6 @@ from evanflow.fields import (
     NumericDomainError,
     make_counterexample,
     make_example_one,
-    fd_step,
     make_quadratic,
 )
 from evanflow.integrate import (
@@ -26,7 +25,6 @@ from evanflow.integrate import (
     DOP853,
     DP45,
     IntegratorOptions,
-    _hess_rows,
     _second_order_rhs,
     _variational_rhs,
     gradient_flow,
@@ -360,27 +358,6 @@ def test_dop853_error_is_nan_where_its_denominator_overflows():
         assert np.isnan(integrate._dop853_error(None, None, 1.0, K, slice(None)))
         K[11] = K11
         assert np.isnan(integrate._dop853_error(None, None, 1.0, K, slice(None)))
-
-
-def test_hess_rows_central_difference_takes_fd_step_per_point():
-    # the difference step of each row is the fd_step of its own point, as
-    # the per-point loop takes it, so the shooting sensitivities do not
-    # depend on how many points one call batches; a norm rounded another
-    # way changes a few dozen of these 1,000 rows
-    V = make_counterexample("quartic_saddle").v
-    assert V.hessvec is None
-    rng = np.random.default_rng(3)
-    X = rng.uniform(-2.0, 2.0, size=(1000, 2))
-    P = rng.normal(size=(1000, 2))
-    P[7] = 0.0
-    rows = _hess_rows(V, X, P)
-    for x, p, row in zip(X, P, rows):
-        # the norm of p is a row reduction in both, as shooting takes it
-        t = fd_step(x) / (np.linalg.norm(p[None], axis=1)[0] or 1.0)
-        ref = (V.gradient(x + t * p) - V.gradient(x - t * p)) / (2.0 * t)
-        assert np.array_equal(row, ref)
-    quad = make_quadratic([[1.0, 0.3], [0.3, 2.0]]).v
-    assert np.array_equal(_hess_rows(quad, X, P), quad.hessvec(X, P))
 
 
 def test_adaptive_rtol_bounds():

@@ -19,10 +19,12 @@ x0 ~ U[-1.5, 1.5]^n, with A = Q diag(lambda) Q':
             40 draws of default_rng(11) (n in 2-4, lambda in [0.3, 3], x0
             drawn); the quartic psi = 0.5 x'Ax + 0.25 sum x_i^4 for
             A = diag(2, 3) and [[1, .3], [.3, .5]] from (1, 1) and
-            (-1, 0.5), psi without a hessvec, so V = induced_potential(psi)
-            takes grad V by finite differences and has no hessvec; and
+            (-1, 0.5), psi given without a hessvec, so grad V of
+            V = induced_potential(psi) is the central difference of grad psi
+            along grad psi, and V's hessvec that of grad V; and
             V = induced_potential of the quadratic psi for
-            A = [[2, .5], [.5, 1]] from (1, -1), exact grad V, no hessvec
+            A = [[2, .5], [.5, 1]] from (1, -1), exact grad V, and a hessvec
+            that is the central difference of grad V
   held-out  40 draws each of default_rng(23) and default_rng(29), drawn as
             the default_rng(11) ones
   spd60     60 draws of default_rng(4) (n in 2-4, lambda in [0.8, 2], x0
