@@ -151,22 +151,30 @@ def _values(F: np.ndarray, solve_ok: np.ndarray, dt: float, T: float,
     """The reconstruction dict of each row of F (B, N+1), f on the nodes of
     action paths with spacing dt, at the nominal horizon T and given its
     solve verdict, or None while its tail is not yet decaying and a longer
-    horizon remains to try.  The tail past T is fitted log-linearly to f on
-    the last 20% of nodes.  A start where f vanishes is an equilibrium,
+    horizon remains to try.  The tail past T decays at the least-squares
+    slope of log f over the values above 1e-300 among the last 20% of
+    nodes, fitted for every row at once (-inf with fewer than 3 such
+    values).  log f is taken relative to its last node, so a constant tail
+    has slope 0.0 exactly.  A start where f vanishes is an equilibrium,
     psi_hat = 0."""
     k = max(3, F.shape[1] // 5)
-    t_tail = (dt * np.arange(F.shape[1]))[-k:]
+    f_tail = np.maximum(F[:, -k:], 0.0)
+    m = f_tail > 1e-300
+    cnt = np.count_nonzero(m, axis=1)
+    y = np.log(np.where(m, f_tail, 1.0))
+    y = np.where(m, y - y[:, -1:], 0.0)
+    t = np.where(m, (dt * np.arange(F.shape[1]))[-k:], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(m, t - (t.sum(axis=1) / cnt)[:, None], 0.0)
+        fit = (t * (y - (y.sum(axis=1) / cnt)[:, None])).sum(axis=1) / (t * t).sum(axis=1)
     out = []
-    for f0, ev, f_tail, ok in zip(F[:, 0], simpson(F, dx=dt, axis=-1).tolist(),
-                                  np.maximum(F[:, -k:], 0.0), solve_ok):
+    for f0, ev, f_end, slope, ok in zip(
+            F[:, 0], simpson(F, dx=dt, axis=-1).tolist(), f_tail[:, -1].tolist(),
+            np.where(cnt >= 3, fit, -np.inf).tolist(), solve_ok):
         if f0 <= EPS_EQUILIBRIUM:
             out.append({"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
                         "converged": True, "T_used": T, "tail_slope": -np.inf})
             continue
-        f_end = float(f_tail[-1])
-        pos = f_tail > 1e-300
-        slope = (float(np.polyfit(t_tail[pos], np.log(f_tail[pos]), 1)[0])
-                 if np.count_nonzero(pos) >= 3 else -np.inf)
         if slope > TAIL_DECAY_SLOPE and not final:
             out.append(None)
             continue
@@ -335,11 +343,13 @@ def grid_points(grid_spec) -> np.ndarray:
 def eikonal_residual(recon: ReconstructionResult, f: DifferentiableField,
                      grid_spec) -> CheckResult:
     """Compare the squared finite-difference gradient of psi_hat against f on
-    interior grid points, within TOL_EIKONAL.  Every axis needs >= 2
-    distinct points, since the gradient across it is measured."""
+    interior grid points, within TOL_EIKONAL.  Every axis needs >= 3
+    distinct points: the gradient across it is measured, and on two points
+    both ends get the secant slope, which is 0 on a symmetric pair whatever
+    f is there."""
     counts = [int(c) for _, _, c in grid_spec]
-    if any(c < 2 or lo == hi for lo, hi, c in grid_spec):
-        raise ValueError("eikonal_residual needs >= 2 distinct points per axis")
+    if any(c < 3 or lo == hi for lo, hi, c in grid_spec):
+        raise ValueError("eikonal_residual needs >= 3 distinct points per axis")
     if len(recon.psi_hat) != int(np.prod(counts)):
         raise ValueError("grid_spec does not match the reconstruction size")
     psi_grid = np.asarray(recon.psi_hat, float).reshape(counts)
@@ -351,8 +361,7 @@ def eikonal_residual(recon: ReconstructionResult, f: DifferentiableField,
     for g in grads:
         sq = sq + g * g
     fvals = np.asarray(f.value(recon.points), float).reshape(counts)
-    interior = tuple(slice(1, -1) if c >= 3 else slice(None) for c in counts)
-    resid = np.abs(sq - fvals)[interior]
+    resid = np.abs(sq - fvals)[(slice(1, -1),) * len(counts)]
     worst = float(np.max(resid))
     idx = np.unravel_index(int(np.argmax(resid)), resid.shape)
     return CheckResult("eikonal_residual", worst <= TOL_EIKONAL, worst, list(idx),

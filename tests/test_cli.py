@@ -1,11 +1,16 @@
 """CLI surface: exit codes, artifacts, config handling, determinism."""
 import argparse
+import contextlib
+import io
 import json
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evanflow.cli import _DEFAULTS, _FLAGS, _INTEG_KEYS, _POSITIONAL, build_parser, main
 
@@ -262,6 +267,17 @@ def test_reconstruct_skips_the_residual_across_a_zero_width_axis(tmp_path):
     # every point converges and the run passes
     rc = run(["reconstruct", "--potential", "quadratic:1,0;0,2",
               "--grid=1:1:3,-1:1:3", "--out", str(tmp_path)])
+    assert rc == 0
+    rep = read_json(tmp_path / "reconstruction.json")
+    assert "eikonal_residual" not in rep
+    assert all(d["converged"] for d in rep["per_point"])
+
+
+def test_reconstruct_skips_the_residual_on_a_two_point_axis(tmp_path):
+    # on -1, 1 the finite-difference gradient is the secant slope 0 at both
+    # points while f = 1 there, so a residual would fail a correct run
+    rc = run(["reconstruct", "--potential", "quadratic:1", "--grid=-1:1:2",
+              "--out", str(tmp_path)])
     assert rc == 0
     rep = read_json(tmp_path / "reconstruction.json")
     assert "eikonal_residual" not in rep
@@ -530,6 +546,80 @@ def test_mistyped_config_value_exits_1(tmp_path, monkeypatch, capsys, cmd, key):
         assert run([cmd, "--config", str(cfg)]) == 1, value
         assert capsys.readouterr().err.startswith(f"error: {key} must be "), value
         assert not any(run_dir.iterdir()), value
+
+
+# the CLI contract over edge values: each draw sets one key of a small valid
+# config to a value from its declared type's edge set (or of a wrong JSON
+# type); whatever the value, no exception escapes main, the exit code is a
+# documented one, and a run that exits 1 writes nothing
+SMALL = {
+    "flow": {**VALID["flow"], "T": 1.0},
+    "second-order": {**VALID["second-order"], "T": 1.0},
+    "evanesce": {**VALID["evanesce"], "T": 3.0, "N": 30},
+    "reconstruct": {**VALID["reconstruct"], "T": 3.0, "N": 30},
+    "determine": {**VALID["determine"], "samples": 4},
+    "check-convexity": {**VALID["check-convexity"], "samples": 4},
+}
+NUMBERS = [0, -1, 1, 2.0, 2.5, np.nan, np.inf, -np.inf, 1e300, -1e300, "2", "1e300", ""]
+EDGES = {
+    **dict.fromkeys(["_float", "_positive", "_seed", "_count", "_nodes"], NUMBERS),
+    "_str": ["", "abc", "quadratic:", "quadratic:nan", "quadratic:1e300", "rk4",
+             "shoot", "both", "a/b", 5, 1.5],
+    "_bool": [False, "true", "", 0, 1],
+    "_names": ["", "all", "nope", "lyapunov,hardy", ["lyapunov"], [5]],
+    "_vector": ["1", "1,1", "", "1,,2", "a", "nan", "1e300", "-1e300", "-inf", 1,
+                1e300, [[1]], ["a"]],
+    "_grid": ["-1:1:2", "-1:1:1", "1:1:3", "-1:1", "-1:1:0", "-1:1:2.5", "-1:nan:3",
+              "-inf:1:3", "-1e300:1e300:3", "", "a:b:c", "-1:1:3,-1:1:3",
+              [[-1, 1, 3]], [[-1, 1]]],
+}
+WRONG_JSON = [None, True, [], {}, [1], {"a": 1}]
+
+
+def _edge_configs(cmd):
+    """{key: value}: one key of cmd's config table and an edge value of it."""
+    return st.sampled_from(list(_DEFAULTS[cmd])).flatmap(
+        lambda key: st.sampled_from(EDGES[_DEFAULTS[cmd][key][1].__name__] + WRONG_JSON)
+        .map(lambda value: {key: value}))
+
+
+def _contract_test(cmd, *examples):
+    """The contract test of cmd, with explicit edge configs run first."""
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing inputs warn
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_edge_configs(cmd))
+    def test(edge):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({**SMALL[cmd], "out": "run", **edge}))
+            run_dir = Path(tmp) / "cwd"
+            run_dir.mkdir()
+            cwd = os.getcwd()
+            os.chdir(run_dir)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main([cmd, "--config", str(cfg)])
+            finally:
+                os.chdir(cwd)
+            assert code in (0, 1, 2, 3), edge
+            if code == 1:
+                assert err.getvalue().startswith("error: "), edge
+                assert not any(run_dir.iterdir()), edge
+
+    for edge in examples:
+        test = example(edge)(test)
+    return test
+
+
+test_flow_contract = _contract_test("flow")
+test_second_order_contract = _contract_test("second-order")
+# T = 1e300 overflowed dt ** 2 into a traceback before main caught ArithmeticError
+test_evanesce_contract = _contract_test("evanesce", {"T": 1e300}, {"N": 1e300})
+# two points on an axis: the eikonal residual is skipped, not failed
+test_reconstruct_contract = _contract_test("reconstruct", {"grid": "-1:1:2"})
+test_determine_contract = _contract_test("determine")
+test_check_convexity_contract = _contract_test("check-convexity")
 
 
 def test_numeric_strings_in_config(tmp_path):

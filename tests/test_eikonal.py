@@ -5,10 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evanflow.cli import main
 from evanflow.eikonal import (
     CONVEXITY_FLOW_T,
+    EPS_EQUILIBRIUM,
+    TAIL_DECAY_SLOPE,
+    _values,
     ReconstructOptions,
     convexity_criterion_check,
     determination_check,
@@ -153,6 +157,95 @@ def test_reconstruct_grid_horizon_retry():
         assert d["psi_hat_raw"] == reconstruct_value(f, p, opts)["psi_hat"]
 
 
+# --- tail fit ---------------------------------------------------------------
+
+@st.composite
+def tail_stacks(draw):
+    """(F, T, N, kinds): a stack F (B, N+1) of f on the nodes of paths over
+    [0, T], one kind per row.  A "rate" row is c e^{rt} with noise, decaying
+    or growing, with zeros and values <= 1e-300 at drawn nodes; a "sparse"
+    row has fewer than 3 positive values among its tail nodes; a "constant"
+    row is c throughout; an "equilibrium" row starts at f <= EPS_EQUILIBRIUM."""
+    N = draw(st.integers(10, 300))
+    T = draw(st.floats(2.0, 30.0))
+    t = T / N * np.arange(N + 1)
+    k = max(3, (N + 1) // 5)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, kinds = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["rate", "sparse", "constant", "equilibrium"]))
+        log_c = draw(st.floats(-30.0, 5.0))
+        rate = draw(st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 1.0)))
+        noise = draw(st.sampled_from([0.0, 1e-3, 0.1]))
+        row = np.exp(log_c + rate * t + noise * rng.standard_normal(N + 1))
+        if kind == "rate":
+            for i in draw(st.lists(st.integers(0, N), max_size=5)):
+                row[i] = draw(st.sampled_from([0.0, -1.0, 1e-300, 5e-324]))
+        elif kind == "sparse":
+            tail = np.zeros(k)
+            tail[draw(st.lists(st.integers(0, k - 1), max_size=2))] = 1.0
+            row[-k:] *= tail
+        elif kind == "constant":
+            row[:] = np.exp(log_c)
+        else:
+            row[0] = draw(st.sampled_from([0.0, 1e-15, EPS_EQUILIBRIUM]))
+        rows.append(row)
+        kinds.append(kind)
+    return np.array(rows), T, N, kinds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tail_stacks(), st.booleans())
+def test_tail_slope_matches_a_per_row_polyfit(stack, final):
+    # the stack-wide masked least-squares slope is polyfit's degree-1 fit of
+    # log f on each row's tail nodes above 1e-300, up to rounding, and the
+    # verdict and tail follow from it as for a single path
+    F, T, N, kinds = stack
+    k = max(3, (N + 1) // 5)
+    t = (T / N * np.arange(N + 1))[-k:]
+    out = _values(F, np.ones(len(F), bool), T / N, T, final)
+    for row, kind, d in zip(F, kinds, out):
+        if row[0] <= EPS_EQUILIBRIUM:
+            assert d == {"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
+                         "converged": True, "T_used": T, "tail_slope": -np.inf}
+            continue
+        f_tail = np.maximum(row[-k:], 0.0)
+        pos = f_tail > 1e-300
+        if np.count_nonzero(pos) < 3:
+            expected = -np.inf
+        elif kind == "constant":
+            expected = 0.0
+        else:
+            expected = np.polyfit(t[pos], np.log(f_tail[pos]), 1)[0]
+        # a tail not yet decaying is retried at (2T, 2N) unless this is the final try
+        assert (d is None) == (not final and expected > TAIL_DECAY_SLOPE)
+        if d is None:
+            continue
+        slope, f_end = d["tail_slope"], f_tail[-1]
+        if kind == "constant":
+            assert slope == 0.0
+        else:
+            assert slope == expected or abs(slope - expected) <= 1e-12 * abs(expected)
+        if f_end <= 0.0 or expected == -np.inf:
+            assert d["tail_estimate"] == 0.0
+        elif expected < 0.0:
+            assert d["tail_estimate"] == pytest.approx(f_end / -expected, rel=1e-12)
+        else:
+            # a constant or growing tail
+            assert d["tail_estimate"] == f_end * T
+        assert d["converged"] == (f_end <= 0.0 or expected <= TAIL_DECAY_SLOPE)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(tail_stacks(), st.booleans())
+def test_each_row_of_a_stack_gets_its_solo_tail(stack, final):
+    F, T, N, _ = stack
+    ok = np.arange(len(F)) % 2 == 0
+    together = _values(F, ok, T / N, T, final)
+    alone = [_values(F[i:i + 1], ok[i:i + 1], T / N, T, final)[0] for i in range(len(F))]
+    assert repr(together) == repr(alone)
+
+
 @pytest.mark.parametrize("T, N", [(0.0, 240), (-1.0, 240), (np.nan, 240),
                                   (np.inf, 240), (12.0, 1), (12.0, 60.0), (12.0, 60.5)],
                          ids=["T0", "Tneg", "Tnan", "Tinf", "N1", "Nfloat", "Nfrac"])
@@ -282,6 +375,14 @@ def test_eikonal_residual_rejects_a_zero_width_axis():
     rec = reconstruct_grid(f_of(QUAD_2D), grid_points(spec),
                            ReconstructOptions(N=60))
     with pytest.raises(ValueError):
+        eikonal_residual(rec, f_of(QUAD_2D), spec)
+
+
+def test_eikonal_residual_rejects_a_two_point_axis():
+    # np.gradient takes the secant slope at both ends of a two-point axis
+    spec = [(-1.0, 1.0, 2), (-1.0, 1.0, 3)]
+    rec = reconstruct_grid(f_of(QUAD_2D), grid_points(spec), ReconstructOptions(N=60))
+    with pytest.raises(ValueError, match=">= 3 distinct points"):
         eikonal_residual(rec, f_of(QUAD_2D), spec)
 
 

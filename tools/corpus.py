@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python tools/corpus.py hash
 
-Prints one line per case, ``name sha256[:16]``.  A case hashes its result
-(arrays as dtype, shape and bytes; floats by their hex form) or, where it
-raises, the error's type and message.  The cases:
+Prints one line per case, ``name sha256[:16]``, or two for a
+reconstruction case (see below).  A case hashes its result (arrays as
+dtype, shape and bytes; floats by their hex form) or, where it raises, the
+error's type and message.  The cases:
   cli ...       24 in-process CLI runs: the README's commands, evanesce with
                 solver both on every catalog entry and on the 1-D and 2-D
                 quadratics, check-convexity on every catalog entry, and a
@@ -13,10 +14,21 @@ raises, the error's type and message.  The cases:
                 and artifacts, with the run's directory written as TMP
   recon-action  reconstruct_grid on the 5x5 grid of each of the three
                 seed-1 quadratics of the benchmark's recon-action workload
+  recon ...     reconstruct_grid on the 41x41 grid of [-1, 1]^2 for the
+                quadratic [[1.3, .4], [.4, 1.8]], and on the 5 points of
+                -1:1:5 for quadratic:0.05, whose points take the (2T, 2N)
+                horizon retry
   quartic ...   minimize_action and shoot_evanescent at T = 12 on
                 psi = 0.5 x'Ax + 0.25 sum x_i^4, given without a hessvec,
                 for A = diag(2, 3) and [[1, .3], [.3, .5]] from (1, 1) and
                 (-1, 0.5)
+
+Each reconstruction case, in-process or through the CLI, prints two lines:
+``... values`` hashes everything but the tail fit (psi_hat, ev_integral,
+converged, T_used, error, the residual check and the rest of the run), and
+``... tail`` hashes each point's tail_slope and tail_estimate.  A change to
+the tail fit that moves the slopes by rounding only then leaves the values
+lines as they were.
 
 The bytes depend on the machine's BLAS, so two trees are compared on one
 machine; the output is not a reference to check in.
@@ -156,40 +168,91 @@ def _quartic(A) -> DifferentiableField:
         name="quartic")
 
 
+TAIL_KEYS = ("tail_slope", "tail_estimate")
+
+
+def _split_points(per_point) -> tuple:
+    """(per-point dicts without the tail keys, [tail_slope, tail_estimate]
+    of each point)."""
+    return ([{k: v for k, v in d.items() if k not in TAIL_KEYS} for d in per_point],
+            [[d[k] for k in TAIL_KEYS] for d in per_point])
+
+
+def _split_recon(result) -> tuple:
+    """(values, tail) of a ReconstructionResult."""
+    per_point, tail = _split_points(result.per_point)
+    return (result.points, result.psi_hat, per_point, result.config), tail
+
+
+def _split_cli_recon(result) -> tuple:
+    """(values, tail) of a reconstruct CLI run: the tail keys come out of
+    reconstruction.json and the tail_estimate column out of
+    reconstruction.csv.  A run that wrote no artifact is all values."""
+    code, stdout, stderr, files = result
+    if "reconstruction.json" not in files:
+        return result, None
+    report = json.loads(files["reconstruction.json"])
+    report["per_point"], tail = _split_points(report["per_point"])
+    rows = [line.split(",") for line in files["reconstruction.csv"].decode().splitlines()]
+    col = rows[0].index("tail_estimate")
+    csv = [row[:col] + row[col + 1:] for row in rows]
+    return (code, stdout, stderr, report, csv), tail
+
+
 def cases() -> list:
-    """(name, thunk) of every case, in print order."""
-    out = [(name, lambda argv=argv, config=config: _cli_case(argv, config))
+    """(name, thunk, split) of every case, in print order; split is None
+    for a case printed as one line, and otherwise turns the case's result
+    into its (values, tail) pair."""
+    out = [(name, lambda argv=argv, config=config: _cli_case(argv, config),
+            _split_cli_recon if argv[0] == "reconstruct" else None)
            for name, argv, config in _cli_runs()]
     points = grid_points([(-1.0, 1.0, 5), (-1.0, 1.0, 5)])
-    out += [(f"recon-action seed 1 grid {k}",
-             lambda A=A: reconstruct_grid(make_quadratic(A).v.scaled(2.0), points,
-                                          ReconstructOptions(workers=1)))
-            for k, A in enumerate(_recon_action_quadratics())]
+    recon = [(f"recon-action seed 1 grid {k}", make_quadratic(A), points)
+             for k, A in enumerate(_recon_action_quadratics())]
+    recon += [
+        ("recon 41x41 [[1.3,.4],[.4,1.8]]", make_quadratic([[1.3, 0.4], [0.4, 1.8]]),
+         grid_points([(-1.0, 1.0, 41), (-1.0, 1.0, 41)])),
+        ("recon quadratic:0.05 -1:1:5", make_quadratic([[0.05]]),
+         grid_points([(-1.0, 1.0, 5)])),
+    ]
+    out += [(name, lambda pp=pp, points=points: reconstruct_grid(
+                pp.v.scaled(2.0), points, ReconstructOptions(workers=1)), _split_recon)
+            for name, pp, points in recon]
     for a, A in (("diag(2,3)", np.diag([2.0, 3.0])), ("A4", [[1.0, 0.3], [0.3, 0.5]])):
         psi = _quartic(A)
         V = induced_potential(psi)
         for x0 in ([1.0, 1.0], [-1.0, 0.5]):
             out += [(f"quartic {a}@{x0} {solve.__name__}",
-                     lambda solve=solve, V=V, x0=x0, psi=psi: solve(V, x0, psi=psi))
+                     lambda solve=solve, V=V, x0=x0, psi=psi: solve(V, x0, psi=psi), None)
                     for solve in (minimize_action, shoot_evanescent)]
     return out
 
 
-def fingerprint(thunk) -> str:
+def fingerprint(obj) -> str:
     h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()[:16]
+
+
+def lines(name, thunk, split) -> list:
+    """The printed lines of one case: `name hash`, or for a split case
+    `name values hash` and `name tail hash` (both of the error it raised,
+    if it raised one)."""
     try:
         result = thunk()
     except (ValueError, ArithmeticError) as exc:
         result = exc
-    _feed(h, result)
-    return h.hexdigest()[:16]
+    if split is None:
+        return [f"{name} {fingerprint(result)}"]
+    values, tail = (result, result) if isinstance(result, Exception) else split(result)
+    return [f"{name} values {fingerprint(values)}", f"{name} tail {fingerprint(tail)}"]
 
 
 def main(argv) -> None:
     if argv != ["hash"]:
         sys.exit("usage: tools/corpus.py hash")
-    for name, thunk in cases():
-        print(name, fingerprint(thunk), flush=True)
+    for case in cases():
+        print("\n".join(lines(*case)), flush=True)
 
 
 if __name__ == "__main__":
