@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -104,10 +105,24 @@ def _count(value) -> int:
     return k
 
 
+# The largest count that sizes an array: N, samples, and a grid's points
+# (the product of its axis counts).  A larger one fails with an input error
+# before anything is allocated; the types' docstrings state it.
+MAX_COUNT = 1_000_000
+
+
 def _nodes(value) -> int:
-    """an integer >= 2"""
+    """an integer from 2 to 1000000"""
     k = _int(value)
-    if k < 2:
+    if not 2 <= k <= MAX_COUNT:
+        raise ValueError(value)
+    return k
+
+
+def _samples(value) -> int:
+    """an integer from 1 to 1000000"""
+    k = _int(value)
+    if not 1 <= k <= MAX_COUNT:
         raise ValueError(value)
     return k
 
@@ -142,11 +157,12 @@ def _vector(value, parsed=False):
 
 
 def _grid(value, parsed=False):
-    """a grid: "min:max:count[,...]" or a list of [min, max, count], finite, count >= 1"""
+    """a grid: "min:max:count[,...]" or [[min, max, count], ...], finite, 1 to 1000000 points"""
     axes = value if isinstance(value, list) else [
         axis.split(":") for axis in _str(value).split(",")]
     spec = [(_float(lo), _float(hi), _int(count)) for lo, hi, count in axes]
-    if any(count < 1 or not np.isfinite([lo, hi]).all() for lo, hi, count in spec):
+    if (any(count < 1 or not np.isfinite([lo, hi]).all() for lo, hi, count in spec)
+            or math.prod(count for _, _, count in spec) > MAX_COUNT):
         raise ValueError(value)
     return spec if parsed else value
 
@@ -187,7 +203,7 @@ _DEFAULTS = {
         "out": (".", _str),
     },
     "check-convexity": {
-        "potential": (..., _str), "samples": (20, _count),
+        "potential": (..., _str), "samples": (20, _samples),
         "box": (2.0, _positive), "seed": (0, _seed), "out": (".", _str),
     },
 }

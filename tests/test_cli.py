@@ -314,8 +314,8 @@ def test_evanesce_removed_keys_are_unknown(tmp_path, key, value):
 
 @pytest.mark.parametrize("key", ["T", "N"])
 def test_evanesce_overflowing_horizon_is_an_input_error(tmp_path, capsys, key):
-    # T = 1e300 passes as a positive finite number and N = 1e300 as an
-    # integral one; the tolerance dt^2 or the node count then overflows
+    # T = 1e300 passes as a positive finite number, and the tolerance dt^2
+    # then overflows; N = 1e300 is above the CLI's bound on counts
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: 1e300}))
     out = tmp_path / "out"
@@ -518,18 +518,24 @@ VALID = {
     "determine": {"potential1": "quadratic:1", "potential2": "quadratic:1+5"},
     "check-convexity": {"potential": "cubic"},
 }
+# a count that sizes an impossible array: before the CLI bounded N, samples
+# and grid points, numpy's MemoryError escaped main with a traceback
+OVERSIZE = 1e15
+OVERSIZED = [{"N": OVERSIZE}, {"samples": OVERSIZE}, {"grid": f"-1:1:{OVERSIZE:.0f}"}]
 MISTYPED = {
     "_float": [[1], {"a": 1}, "abc", True],
     "_positive": [[1], {"a": 1}, "abc", True, 0, -1.5, "nan", "inf", "-inf"],
     "_seed": [[3], {"a": 1}, "abc", 2.5, True, -1],
     "_count": [[3], {"a": 1}, "abc", 2.5, True, 0, -1],
-    "_nodes": [[3], {"a": 1}, "abc", 2.5, True, 1, 0, -240],
+    "_nodes": [[3], {"a": 1}, "abc", 2.5, True, 1, 0, -240, 1_000_001, OVERSIZE],
+    "_samples": [[3], {"a": 1}, "abc", 2.5, True, 0, -1, 1_000_001, OVERSIZE],
     "_str": [5, [1], {"a": 1}, True],
     "_bool": ["yes", 1, [True], {"a": 1}],
     "_names": [5, [1], {"a": 1}],
     "_vector": [{"a": 1}, ["a"], [[1]], "1,,2", True, "inf", "1,nan", ["-inf"]],
     "_grid": [[1], {"a": 1}, "-1:1", [[-1, 1]], [[-1, 1, 2.5]], "-1:1:0",
-              "-1:nan:3", "-inf:1:3", [[-1, "inf", 3]]],
+              "-1:nan:3", "-inf:1:3", [[-1, "inf", 3]], f"-1:1:{OVERSIZE:.0f}",
+              "-1:1:1000,-1:1:1001"],
 }
 
 
@@ -562,7 +568,8 @@ SMALL = {
 }
 NUMBERS = [0, -1, 1, 2.0, 2.5, np.nan, np.inf, -np.inf, 1e300, -1e300, "2", "1e300", ""]
 EDGES = {
-    **dict.fromkeys(["_float", "_positive", "_seed", "_count", "_nodes"], NUMBERS),
+    **dict.fromkeys(["_float", "_positive"], NUMBERS),
+    **dict.fromkeys(["_seed", "_count", "_nodes", "_samples"], NUMBERS + [OVERSIZE]),
     "_str": ["", "abc", "quadratic:", "quadratic:nan", "quadratic:1e300", "rk4",
              "shoot", "both", "a/b", 5, 1.5],
     "_bool": [False, "true", "", 0, 1],
@@ -603,9 +610,13 @@ def _contract_test(cmd, *examples):
             finally:
                 os.chdir(cwd)
             assert code in (0, 1, 2, 3), edge
+            assert "Traceback" not in err.getvalue(), edge
             if code == 1:
                 assert err.getvalue().startswith("error: "), edge
                 assert not any(run_dir.iterdir()), edge
+            if edge in OVERSIZED:
+                assert code == 1, edge
+                assert err.getvalue().startswith(f"error: {next(iter(edge))} must be "), edge
 
     for edge in examples:
         test = example(edge)(test)
@@ -615,11 +626,13 @@ def _contract_test(cmd, *examples):
 test_flow_contract = _contract_test("flow")
 test_second_order_contract = _contract_test("second-order")
 # T = 1e300 overflowed dt ** 2 into a traceback before main caught ArithmeticError
-test_evanesce_contract = _contract_test("evanesce", {"T": 1e300}, {"N": 1e300})
+test_evanesce_contract = _contract_test("evanesce", {"T": 1e300}, {"N": 1e300},
+                                        {"N": OVERSIZE})
 # two points on an axis: the eikonal residual is skipped, not failed
-test_reconstruct_contract = _contract_test("reconstruct", {"grid": "-1:1:2"})
-test_determine_contract = _contract_test("determine")
-test_check_convexity_contract = _contract_test("check-convexity")
+test_reconstruct_contract = _contract_test("reconstruct", {"grid": "-1:1:2"},
+                                           {"grid": f"-1:1:{OVERSIZE:.0f}"}, {"N": OVERSIZE})
+test_determine_contract = _contract_test("determine", {"samples": OVERSIZE})
+test_check_convexity_contract = _contract_test("check-convexity", {"samples": OVERSIZE})
 
 
 def test_numeric_strings_in_config(tmp_path):

@@ -3,9 +3,10 @@
     PYTHONPATH=src python tools/corpus.py hash
 
 Prints one line per case, ``name sha256[:16]``, or two for a
-reconstruction case (see below).  A case hashes its result (arrays as
-dtype, shape and bytes; floats by their hex form) or, where it raises, the
-error's type and message.  The cases:
+reconstruction case, then the lines of the shooting scans (see below).
+A case hashes its result (arrays as dtype, shape and bytes; floats by
+their hex form) or, where it raises, the error's type and message.  The
+cases:
   cli ...       24 in-process CLI runs: the README's commands, evanesce with
                 solver both on every catalog entry and on the 1-D and 2-D
                 quadratics, check-convexity on every catalog entry, and a
@@ -22,6 +23,30 @@ error's type and message.  The cases:
                 psi = 0.5 x'Ax + 0.25 sum x_i^4, given without a hessvec,
                 for A = diag(2, 3) and [[1, .3], [.3, .5]] from (1, 1) and
                 (-1, 0.5)
+  scan ...      shoot_evanescent(V, x0, T = 12) over three problem sets
+
+Each scan problem prints ``scan <set> <problem> hash`` of its whole result,
+then, tab-separated: dimension, lambda_max T, converged, orbits integrated,
+RK steps (accepted + rejected), the v0 error ||v0 + grad psi(x0)|| and, where
+the orbit has a closed form, the node error max |v(t) - e^{-tA} x0| over the
+returned orbit's nodes ("-" otherwise).  A line of totals (RK steps, orbits,
+converged) ends each set.  The sets, all quadratics psi = 0.5 x'Ax (A
+symmetrized) unless stated; a draw takes, in order, n = rng.integers(lo, hi),
+Q from the QR of an n x n standard normal sample, lambda ~ U[l0, l1]^n and,
+where stated, x0 ~ U[-1.5, 1.5]^n, with A = Q diag(lambda) Q':
+  main      diag(1,2), 1.5 diag(1,2), diag(0.3,1), diag(1.5,3),
+            [[1.3,.4],[.4,1.8]], diag(1,1.5,2) and 8 draws of
+            default_rng(7) (n in 2-3, lambda in [0.2, 3]), all from x0 = 1;
+            40 draws of default_rng(11) (n in 2-4, lambda in [0.3, 3], x0
+            drawn); V = induced_potential(psi) of the four quartics above,
+            so grad V is the central difference of grad psi along grad psi,
+            and V's hessvec that of grad V; and V = induced_potential of the
+            quadratic psi for A = [[2, .5], [.5, 1]] from (1, -1), exact
+            grad V, and a hessvec that is the central difference of grad V
+  held-out  40 draws each of default_rng(23) and default_rng(29), drawn as
+            the default_rng(11) ones
+  spd60     60 draws of default_rng(4) (n in 2-4, lambda in [0.8, 2], x0
+            drawn)
 
 Each reconstruction case, in-process or through the CLI, prints two lines:
 ``... values`` hashes everything but the tail fit (psi_hat, ev_integral,
@@ -48,10 +73,11 @@ from pathlib import Path
 import numpy as np
 
 from evanflow import cli
-from evanflow.eikonal import ReconstructOptions, grid_points, reconstruct_grid
+from evanflow.eikonal import grid_points, reconstruct_grid
 from evanflow.evanescent import minimize_action, shoot_evanescent
 from evanflow.fields import DifferentiableField, induced_potential, make_quadratic
 
+T = 12.0  # the scans' horizon
 QUAD_2D = "quadratic:1,0;0,2"
 CATALOG = ["example_one", "neg_square", "cubic", "quartic_saddle", "linear", "neg_linear"]
 # (potential, x0) of each evanesce run with solver both
@@ -159,13 +185,64 @@ def _recon_action_quadratics(seed: int = 1) -> list:
 
 
 def _quartic(A) -> DifferentiableField:
-    A = np.asarray(A, float)
-    return DifferentiableField(
-        dim=len(A),
-        value=lambda x: (0.5 * np.einsum("...i,ij,...j->...", x, A, x)
-                         + 0.25 * np.sum(np.asarray(x, float) ** 4, axis=-1)),
-        gradient=lambda x: np.asarray(x, float) @ A + np.asarray(x, float) ** 3,
-        name="quartic")
+    """psi = 0.5 x'Ax + 0.25 sum x_i^4, given without a hessvec."""
+    def value(x):
+        x = np.asarray(x, float)
+        return 0.5 * np.einsum("...i,ij,...j->...", x, A, x) + 0.25 * np.sum(x ** 4, axis=-1)
+
+    def gradient(x):
+        x = np.asarray(x, float)
+        return x @ A + x ** 3
+
+    return DifferentiableField(dim=len(A), value=value, gradient=gradient, name="quartic")
+
+
+# (name, A, x0) of each quartic start
+QUARTICS = [(f"{a}@{x0}", A, x0)
+            for a, A in (("diag(2,3)", np.diag([2.0, 3.0])),
+                         ("A4", np.array([[1.0, 0.3], [0.3, 0.5]])))
+            for x0 in ([1.0, 1.0], [-1.0, 0.5])]
+
+
+def _draw(rng, lo, hi, lam, with_x0):
+    n = int(rng.integers(lo, hi))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = Q @ np.diag(rng.uniform(*lam, size=n)) @ Q.T
+    x0 = rng.uniform(-1.5, 1.5, size=n) if with_x0 else np.ones(n)
+    return A, x0
+
+
+def _quadratic(name, A, x0):
+    """(name, V, x0, A, grad psi(x0)) of a scan problem: A gives the
+    closed-form orbit."""
+    A = 0.5 * (A + A.T)
+    return name, make_quadratic(A).v, np.asarray(x0, float), A, A @ x0
+
+
+def _random(seed, count, lo, hi, lam):
+    rng = np.random.default_rng(seed)
+    return [_quadratic(f"rng{seed}#{k}", *_draw(rng, lo, hi, lam, True))
+            for k in range(count)]
+
+
+def scans() -> dict:
+    """{set: its scan problems}."""
+    lead = [("diag(1,2)", np.diag([1.0, 2.0])), ("1.5diag(1,2)", 1.5 * np.diag([1.0, 2.0])),
+            ("diag(0.3,1)", np.diag([0.3, 1.0])), ("diag(1.5,3)", np.diag([1.5, 3.0])),
+            ("[[1.3,.4],[.4,1.8]]", np.array([[1.3, 0.4], [0.4, 1.8]])),
+            ("diag(1,1.5,2)", np.diag([1.0, 1.5, 2.0]))]
+    rng = np.random.default_rng(7)
+    lead += [(f"rng7#{k}", _draw(rng, 2, 4, (0.2, 3.0), False)[0]) for k in range(8)]
+    A_nohess = np.array([[2.0, 0.5], [0.5, 1.0]])
+    main = ([_quadratic(name, A, np.ones(len(A))) for name, A in lead]
+            + _random(11, 40, 2, 5, (0.3, 3.0))
+            + [(f"quartic {name}", induced_potential(_quartic(A)), np.asarray(x0), None,
+                A @ x0 + np.asarray(x0) ** 3) for name, A, x0 in QUARTICS]
+            + [("no-hessvec", induced_potential(make_quadratic(A_nohess).psi),
+                np.array([1.0, -1.0]), A_nohess, A_nohess @ [1.0, -1.0])])
+    return {"main": main,
+            "held-out": _random(23, 40, 2, 5, (0.3, 3.0)) + _random(29, 40, 2, 5, (0.3, 3.0)),
+            "spd60": _random(4, 60, 2, 5, (0.8, 2.0))}
 
 
 TAIL_KEYS = ("tail_slope", "tail_estimate")
@@ -215,16 +292,15 @@ def cases() -> list:
         ("recon quadratic:0.05 -1:1:5", make_quadratic([[0.05]]),
          grid_points([(-1.0, 1.0, 5)])),
     ]
-    out += [(name, lambda pp=pp, points=points: reconstruct_grid(
-                pp.v.scaled(2.0), points, ReconstructOptions(workers=1)), _split_recon)
+    out += [(name, lambda pp=pp, points=points: reconstruct_grid(pp.v.scaled(2.0), points),
+             _split_recon)
             for name, pp, points in recon]
-    for a, A in (("diag(2,3)", np.diag([2.0, 3.0])), ("A4", [[1.0, 0.3], [0.3, 0.5]])):
+    for name, A, x0 in QUARTICS:
         psi = _quartic(A)
         V = induced_potential(psi)
-        for x0 in ([1.0, 1.0], [-1.0, 0.5]):
-            out += [(f"quartic {a}@{x0} {solve.__name__}",
-                     lambda solve=solve, V=V, x0=x0, psi=psi: solve(V, x0, psi=psi), None)
-                    for solve in (minimize_action, shoot_evanescent)]
+        out += [(f"quartic {name} {solve.__name__}",
+                 lambda solve=solve, V=V, x0=x0, psi=psi: solve(V, x0, psi=psi), None)
+                for solve in (minimize_action, shoot_evanescent)]
     return out
 
 
@@ -248,11 +324,39 @@ def lines(name, thunk, split) -> list:
     return [f"{name} values {fingerprint(values)}", f"{name} tail {fingerprint(tail)}"]
 
 
+def scan_lines(scan, problems):
+    """The printed lines of one scan: one per problem, then the totals."""
+    steps = orbits = converged = 0
+    for name, V, x0, A, grad in problems:
+        res = shoot_evanescent(V, x0, T)
+        d = res.detail
+        v0_err = float(np.linalg.norm(np.asarray(d["v0"]) + grad))
+        node_err, stiff = "-", "-"
+        if A is not None:
+            lam, Q = np.linalg.eigh(A)
+            t = res.trajectory
+            exact = (Q * np.exp(-np.outer(t.times, lam))[:, None, :]) @ (Q.T @ x0)
+            node_err = f"{np.max(np.abs(t.states - exact)):.3g}"
+            stiff = f"{lam[-1] * T:.1f}"
+        n_steps = d["steps_accepted"] + d["steps_rejected"]
+        steps += n_steps
+        orbits += d["evaluations"]
+        converged += res.converged
+        yield "\t".join([f"scan {scan} {name} {fingerprint(res)}", str(len(x0)), stiff,
+                         str(res.converged), str(d["evaluations"]), str(n_steps),
+                         f"{v0_err:.3g}", node_err])
+    yield (f"scan {scan} total\t{len(problems)} problems\tRK steps {steps}\t"
+           f"orbits {orbits}\tconverged {converged}")
+
+
 def main(argv) -> None:
     if argv != ["hash"]:
         sys.exit("usage: tools/corpus.py hash")
     for case in cases():
         print("\n".join(lines(*case)), flush=True)
+    for scan, problems in scans().items():
+        for line in scan_lines(scan, problems):
+            print(line, flush=True)
 
 
 if __name__ == "__main__":
