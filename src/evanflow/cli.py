@@ -327,10 +327,10 @@ def cmd_flow(cfg):
     x0 = _point(cfg, "x0", pp.dim)
     opts = _options(IntegratorOptions, cfg, method="integrator")
     available = {
-        "lyapunov": lambda: check_lyapunov_psi(traj, pp),
-        "energy": lambda: check_energy_identity(traj, pp),
-        "grad_norm_monotone": lambda: check_grad_norm_monotone(traj, pp),
-        "limit_point": lambda: check_limit_point(traj, pp),
+        "lyapunov": lambda: check_lyapunov_psi(traj, pp.psi),
+        "energy": lambda: check_energy_identity(traj, pp.psi),
+        "grad_norm_monotone": lambda: check_grad_norm_monotone(traj, pp.psi),
+        "limit_point": lambda: check_limit_point(traj, pp.psi),
     }
     requested = _requested(cfg, available)
     traj = gradient_flow(pp, x0, cfg["T"], opts)
@@ -346,13 +346,13 @@ def cmd_second_order(cfg):
     v0 = _point(cfg, "v0", pp.dim)
     opts = _options(IntegratorOptions, cfg, method="integrator")
     available = {
-        "first_integral": lambda: check_first_integral(traj, pp),
+        "first_integral": lambda: check_first_integral(traj, pp.v),
         "modula": lambda: check_modula_equality(traj, psi=pp.psi, V=pp.v),
         "phi_residual": lambda: check_phi_residual(traj, pp.psi),
         "hardy": lambda: check_hardy(traj),
     }
     requested = _requested(cfg, available)
-    traj = second_order_flow(pp, x0, v0, cfg["T"], opts)
+    traj = second_order_flow(pp.v, x0, v0, cfg["T"], opts)
     report = DiagnosticsReport(subject=f"second-order {pp.psi.name}")
     for name in requested:
         report.add(available[name]())

@@ -12,7 +12,6 @@ from typing import Optional
 import numpy as np
 
 from evanflow import kernels
-from evanflow.fields import _psi_of, _v_of
 from evanflow.integrate import (
     DEFAULT_EPS_CRIT,
     TERM_DIVERGED,
@@ -115,7 +114,6 @@ def _critical(psi, point, name) -> np.ndarray:
 
 def check_lyapunov_psi(traj: Trajectory, psi) -> CheckResult:
     """psi(u(t)) must be nonincreasing along a gradient-flow orbit."""
-    psi = _psi_of(psi)
     return _nonincreasing("lyapunov_psi", traj.times,
                           np.asarray(psi.value(traj.states), float))
 
@@ -151,7 +149,6 @@ def kinetic_integral(traj: Trajectory) -> float:
 
 def check_energy_identity(traj: Trajectory, psi) -> CheckResult:
     """Dissipated kinetic energy equals the drop of psi along the orbit."""
-    psi = _psi_of(psi)
     rho0 = float(psi.value(traj.states[0]))
     rhoT = float(psi.value(traj.states[-1]))
     integral = kinetic_integral(traj)
@@ -163,14 +160,12 @@ def check_energy_identity(traj: Trajectory, psi) -> CheckResult:
 
 def check_grad_norm_monotone(traj: Trajectory, psi) -> CheckResult:
     """For convex psi the speed ||grad psi(u(t))|| is nonincreasing."""
-    psi = _psi_of(psi)
     norms = np.linalg.norm(np.asarray(psi.gradient(traj.states), float), axis=-1)
     return _nonincreasing("grad_norm_monotone", traj.times, norms)
 
 
 def check_distance_monotone(traj: Trajectory, xhat, psi) -> CheckResult:
     """||u(t) - xhat|| is nonincreasing for any critical point xhat."""
-    psi = _psi_of(psi)
     xhat = _critical(psi, xhat, "xhat")
     dist = np.linalg.norm(traj.states - xhat, axis=-1)
     return _nonincreasing("distance_monotone", traj.times, dist)
@@ -179,7 +174,6 @@ def check_distance_monotone(traj: Trajectory, xhat, psi) -> CheckResult:
 def check_velocity_bound(traj: Trajectory, psi, y) -> CheckResult:
     """||u'(t)|| <= ||grad psi(y)|| + ||u(0) - y|| / t, convex psi, t > 0."""
     tol = 1e-8
-    psi = _psi_of(psi)
     y = np.asarray(y, float).reshape(psi.dim)
     gy = float(np.linalg.norm(psi.gradient(y)))
     d0 = float(np.linalg.norm(traj.states[0] - y))
@@ -197,7 +191,6 @@ def check_velocity_bound(traj: Trajectory, psi, y) -> CheckResult:
 def check_level_integral_bound(traj: Trajectory, psi, crit_point) -> CheckResult:
     """Integral of (psi(u) - min psi) is at most half the squared distance
     from u(0) to the supplied critical point."""
-    psi = _psi_of(psi)
     crit_point = _critical(psi, crit_point, "crit_point")
     psi_min = float(psi.value(crit_point))
     lhs = path_integral(traj, np.asarray(psi.value(traj.states), float) - psi_min)
@@ -211,7 +204,6 @@ def check_level_integral_bound(traj: Trajectory, psi, crit_point) -> CheckResult
 def check_limit_point(traj: Trajectory, psi) -> CheckResult:
     """Convex flows either diverge (empty critical set) or settle at a
     critical point with a shrinking tail."""
-    psi = _psi_of(psi)
     tol = DEFAULT_EPS_CONV
     if traj.termination == TERM_DIVERGED:
         return _result("limit_point", 0.0, traj.t_end, tol,
@@ -245,7 +237,6 @@ def check_limit_point(traj: Trajectory, psi) -> CheckResult:
 
 def check_first_integral(traj: Trajectory, V, tol=None) -> CheckResult:
     """I(t) = 0.5 ||v'||^2 - V(v) is conserved along the second-order system."""
-    V = _v_of(V)
     kin = 0.5 * np.sum(traj.velocities ** 2, axis=-1)
     I = kin - np.asarray(V.value(traj.states), float)
     drift = np.abs(I - I[0])
@@ -264,10 +255,8 @@ def check_modula_equality(traj: Trajectory, psi=None, V=None, tol=None) -> Check
     """
     speeds = np.linalg.norm(traj.velocities, axis=-1)
     if psi is not None:
-        psi = _psi_of(psi)
         rhs = np.linalg.norm(np.asarray(psi.gradient(traj.states), float), axis=-1)
     elif V is not None:
-        V = _v_of(V)
         rhs = np.sqrt(np.maximum(2.0 * np.asarray(V.value(traj.states), float), 0.0))
     else:
         raise ValueError("check_modula_equality needs psi or V")
@@ -284,7 +273,6 @@ def check_phi_residual(traj: Trajectory, psi, sigma: int = 1,
     first-order gradient-flow orbit."""
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
-    psi = _psi_of(psi)
     phi = traj.velocities + sigma * np.asarray(psi.gradient(traj.states), float)
     norms = np.linalg.norm(phi, axis=-1)
     i = int(np.argmax(norms))
@@ -342,7 +330,6 @@ def check_contraction(traj1: Trajectory, traj2: Trajectory, tol=None) -> CheckRe
 def check_monotone_gradient(field, point_pairs) -> CheckResult:
     """Sampled monotone-gradient (operational convexity) test:
     <grad f(x) - grad f(y), x - y> >= 0 for all supplied pairs."""
-    field = _psi_of(field)
     pairs = np.asarray(point_pairs, float)
     if pairs.ndim != 3 or pairs.shape[1] != 2:
         raise ValueError("point_pairs must have shape (m, 2, n)")
@@ -372,7 +359,6 @@ def evanescence_measures(traj: Trajectory, V) -> dict:
     tails to have decayed by DECAY_FACTOR (or below DEFAULT_EPS_TAIL) while
     the integral is still growing; anything else is "none".
     """
-    V = _v_of(V)
     Vvals = np.asarray(V.value(traj.states), float)
     speeds = np.linalg.norm(traj.velocities, axis=-1)
     density = speeds ** 2 + Vvals

@@ -61,15 +61,14 @@ class ReconstructionResult:
         }
 
 
-def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
-            final: bool) -> list:
+def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int) -> list:
     """The reconstruction dict of each row of X0 from its evanescent orbit
     (see _values), or the ValueError or ArithmeticError its solve or value
     step raised.  The rows are solved as stacks of action paths, and f = 2V
     on their nodes is read from the solve."""
     def solve(X):
         _, Vv, _, _, converged, _ = _minimize_actions(V, X, T, N)
-        return _values(2.0 * Vv, converged, T / N, T, final)
+        return _values(2.0 * Vv, converged, T / N, T)
 
     size = max(1, _STACK_BYTES // (8 * (N + 1) * V.dim))
     out = []
@@ -129,34 +128,29 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     ArithmeticError its solve or value step raised.  V = f/2 is built once,
     so an f that is negative at a probe point raises NonnegativityError
     here, and a point where f < -2e-12 carries the ValueError of its
-    solve's start check.  Every point is solved at (T, N), and those whose tail is not yet
-    decaying again at (2T, 2N).  A T that is not a positive finite number
-    and an N below 2 raise ValueError before anything is solved."""
+    solve's start check.  Every point is solved at (T, N), and those whose
+    tail is not yet decaying (tail_slope > TAIL_DECAY_SLOPE) again at
+    (2T, 2N).  A T that is not a positive finite number and an N below 2
+    raise ValueError before anything is solved."""
     _check_horizon(opts.T, opts.N)
     V = field_from_f(f)
-    out = [None] * len(points)
-    todo = list(range(len(points)))
-    T, N = opts.T, opts.N
-    for final in (False, True):
-        for i, d in zip(todo, _orbits(V, points[todo], T, N, final)):
-            out[i] = d
-        # tails not yet decaying: push the horizon once
-        todo = [i for i in todo if out[i] is None]
-        T, N = 2.0 * T, 2 * N
+    out = _orbits(V, points, opts.T, opts.N)
+    # tails not yet decaying: push the horizon once
+    todo = [i for i, d in enumerate(out)
+            if not isinstance(d, Exception) and d["tail_slope"] > TAIL_DECAY_SLOPE]
+    for i, d in zip(todo, _orbits(V, points[todo], 2.0 * opts.T, 2 * opts.N)):
+        out[i] = d
     return out
 
 
-def _values(F: np.ndarray, solve_ok: np.ndarray, dt: float, T: float,
-            final: bool) -> list:
+def _values(F: np.ndarray, solve_ok: np.ndarray, dt: float, T: float) -> list:
     """The reconstruction dict of each row of F (B, N+1), f on the nodes of
     action paths with spacing dt, at the nominal horizon T and given its
-    solve verdict, or None while its tail is not yet decaying and a longer
-    horizon remains to try.  The tail past T decays at the least-squares
-    slope of log f over the values above 1e-300 among the last 20% of
-    nodes, fitted for every row at once (-inf with fewer than 3 such
-    values).  log f is taken relative to its last node, so a constant tail
-    has slope 0.0 exactly.  A start where f vanishes is an equilibrium,
-    psi_hat = 0."""
+    solve verdict.  The tail past T decays at the least-squares slope of
+    log f over the values above 1e-300 among the last 20% of nodes, fitted
+    for every row at once (-inf with fewer than 3 such values).  log f is
+    taken relative to its last node, so a constant tail has slope 0.0
+    exactly.  A start where f vanishes is an equilibrium, psi_hat = 0."""
     k = max(3, F.shape[1] // 5)
     f_tail = np.maximum(F[:, -k:], 0.0)
     m = f_tail > 1e-300
@@ -174,9 +168,6 @@ def _values(F: np.ndarray, solve_ok: np.ndarray, dt: float, T: float,
         if f0 <= EPS_EQUILIBRIUM:
             out.append({"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
                         "converged": True, "T_used": T, "tail_slope": -np.inf})
-            continue
-        if slope > TAIL_DECAY_SLOPE and not final:
-            out.append(None)
             continue
         tail = (0.0 if f_end <= 0.0 or slope == -np.inf else
                 f_end / abs(slope) if slope < 0 else f_end * T)

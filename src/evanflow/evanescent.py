@@ -32,7 +32,7 @@ from evanflow.diagnostics import (
     check_monotone_gradient,
     check_phi_residual,
 )
-from evanflow.fields import DifferentiableField, NumericDomainError, PotentialPair, _v_of
+from evanflow.fields import DifferentiableField, NumericDomainError, PotentialPair
 from evanflow.integrate import (
     TERM_HORIZON,
     IntegratorOptions,
@@ -97,7 +97,6 @@ def discrete_action(V, path_nodes, dt: float, mu: float, want_grad: bool = True)
     value = sum_k dt * (0.5 ||(w_{k+1}-w_k)/dt||^2 + 0.5 (V_k + V_{k+1}))
             + mu * V(w_N)
     """
-    V = _v_of(V)
     W = np.asarray(path_nodes, float)
     if W.ndim != 2 or len(W) < 3:
         raise ValueError("path must be an (N+1, n) array with N >= 2")
@@ -363,8 +362,6 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
     range raise ValueError before V is evaluated, and V(x0) < -1e-12 before
     any step.
     """
-    _check_horizon(T, N)
-    V = _v_of(V)
     x0 = np.asarray(x0, float).reshape(V.dim)
     W, _, vel, actions, converged, detail = _minimize_actions(V, x0[None], T, N, max_iters)
     dt = T / N
@@ -416,7 +413,6 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     ||grad V(x0)|| is not finite raises NumericDomainError before any orbit.
     detail counts the orbits integrated (evaluations) and their RK steps."""
     _check_horizon(T)
-    V = _v_of(V)
     n = V.dim
     x0 = np.asarray(x0, float).reshape(n)
     v00 = float(V.value(x0))
@@ -584,11 +580,15 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
                    shot: Optional[EvanescentSolveResult] = None) -> DiagnosticsReport:
     """Run gradient flow, action minimization and shooting from the same x0
     and assert the three orbits agree on the shared uniform grid with
-    spacing T/N, then check the phi residual along each route's orbit.  A
-    route already solved from x0 at (T, N) with this max_iters is passed in
-    as ``action`` or ``shot`` and not solved again.  T and N out of range
-    raise ValueError before anything is evaluated."""
+    spacing T/N, then report the phi residual each route's solve checked
+    along its orbit.  A route already solved from x0 at (T, N) with this
+    max_iters and psi is passed in as ``action`` or ``shot`` and not solved
+    again.  T and N out of range, and a route passed in that was solved
+    without psi, raise ValueError before anything is evaluated."""
     _check_horizon(T, N)
+    for res in (action, shot):
+        if res is not None and res.diagnostics.get("phi_residual_sigma+1") is None:
+            raise ValueError(f"the {res.method} result passed in was solved without psi")
     psi, V = pp.psi, pp.v
     x0 = np.asarray(x0, float).reshape(psi.dim)
     report = DiagnosticsReport(subject=f"cross-validate {psi.name} from {x0.tolist()}")
@@ -618,8 +618,7 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
         report.add(CheckResult(cid, d <= TOL_XV, d, None, TOL_XV))
 
     for cid, res in (("phi_residual_action", act), ("phi_residual_shoot", shot)):
-        own = check_phi_residual(res.trajectory, psi, sigma=+1, tol=1e-3)
-        report.add(replace(own, check_id=cid))
+        report.add(replace(res.diagnostics.get("phi_residual_sigma+1"), check_id=cid))
     return report
 
 

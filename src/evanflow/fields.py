@@ -92,14 +92,6 @@ class PotentialPair:
         return self.psi.dim
 
 
-def _psi_of(pp) -> DifferentiableField:
-    return pp.psi if isinstance(pp, PotentialPair) else pp
-
-
-def _v_of(pp) -> DifferentiableField:
-    return pp.v if isinstance(pp, PotentialPair) else pp
-
-
 def fd_step(x) -> np.ndarray:
     """Central-difference step of each point of x (..., n), balanced for
     double precision; the norm is rounded as np.dot rounds it, so a point's

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from evanflow import kernels
-from evanflow.fields import NumericDomainError, _psi_of, _v_of
+from evanflow.fields import NumericDomainError
 
 TERM_HORIZON = "horizon_reached"
 TERM_CRIT = "critical_point_reached"
@@ -373,10 +373,11 @@ def _integrate(rhs, y0, T, opts: IntegratorOptions, eps_crit=None) -> RawOrbit:
 
 def gradient_flow(pp, x0, T: float,
                   opts: Optional[IntegratorOptions] = None) -> Trajectory:
-    """Integrate u' = -grad psi(u) from x0 until ||grad psi|| < DEFAULT_EPS_CRIT,
-    the integrator's test on its first stage; velocities are recomputed
-    exactly.  An orbit that stops at x0 is the constant orbit over [0, T]."""
-    psi = _psi_of(pp)
+    """Integrate u' = -grad psi(u), psi the pair's pp.psi, from x0 until
+    ||grad psi|| < DEFAULT_EPS_CRIT, the integrator's test on its first
+    stage; velocities are recomputed exactly.  An orbit that stops at x0 is
+    the constant orbit over [0, T]."""
+    psi = pp.psi
     opts = opts or IntegratorOptions()
     x0 = np.asarray(x0, float).reshape(psi.dim)
 
@@ -396,7 +397,6 @@ def _second_order_rhs(V):
     """Phase-space right-hand side (v, w)' = (w, grad V(v)) of v'' = grad V(v).
     It returns a new array shaped like y and fills its first 2n entries, so a
     longer state (the variational one) fills the rest itself."""
-    V = _v_of(V)
     n = V.dim
 
     def rhs(y):
@@ -415,7 +415,6 @@ def _variational_rhs(V):
     sensitivity to v0[j], so Hess V(v) acts on rows (V.hessvec) and nothing
     is transposed.
     """
-    V = _v_of(V)
     n = V.dim
     m = 2 * n + n * n
     orbit_rhs = _second_order_rhs(V)
@@ -468,7 +467,6 @@ def _variational_orbit(V, x0, v0, T: float,
 def second_order_flow(V, x0, v0, T: float,
                       opts: Optional[IntegratorOptions] = None) -> Trajectory:
     """Integrate the phase-space form (v, w)' = (w, grad V(v)) from (x0, v0)."""
-    V = _v_of(V)
     opts = opts or IntegratorOptions()
     n = V.dim
     x0 = np.asarray(x0, float).reshape(n)

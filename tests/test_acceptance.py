@@ -78,7 +78,7 @@ def test_criterion_02_energy_identity(announce):
     worst = 0.0
     for pp, x0 in CONVEX_FLOWS:
         traj = gradient_flow(pp, x0, 10.0, IntegratorOptions(rtol=1e-9))
-        c = check_energy_identity(traj, pp)
+        c = check_energy_identity(traj, pp.psi)
         worst = max(worst, c.worst_violation)
     announce(2, worst < 1e-5,
              f"energy identity worst gap {worst:.3g} on convex flows (< 1e-5)")
@@ -234,8 +234,8 @@ def test_criterion_13_velocity_and_level_bounds(announce):
     for pp, x0, xhat in [(QUAD_1D, [1.0], [0.0]),
                          (QUAD_2D, [1.0, 1.0], [0.0, 0.0])]:
         traj = gradient_flow(pp, x0, 20.0, IntegratorOptions(rtol=1e-9))
-        worst = max(worst, check_velocity_bound(traj, pp, xhat).worst_violation)
-        worst = max(worst, check_level_integral_bound(traj, pp, xhat).worst_violation)
+        worst = max(worst, check_velocity_bound(traj, pp.psi, xhat).worst_violation)
+        worst = max(worst, check_level_integral_bound(traj, pp.psi, xhat).worst_violation)
     announce(13, worst <= 1e-6,
              f"velocity/level-integral bounds worst violation {worst:.3g} (<= 1e-6)")
 

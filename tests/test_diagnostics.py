@@ -49,7 +49,7 @@ def evanescent_orbit(pp=QUAD_2D, x0=(1.0, 1.0), T=10.0, **kw):
 # --- first-order checks ---------------------------------------------------
 
 def test_lyapunov_passes_on_quadratic():
-    c = check_lyapunov_psi(quad_flow(), QUAD_1D)
+    c = check_lyapunov_psi(quad_flow(), QUAD_1D.psi)
     assert c.passed and c.check_id == "lyapunov_psi"
 
 
@@ -62,51 +62,51 @@ def test_kinetic_integral_hermite_accuracy():
 
 def test_energy_identity_quadratic_and_example_one():
     for pp, x0 in ((QUAD_1D, (1.0,)), (QUAD_2D, (1.0, 1.0))):
-        c = check_energy_identity(quad_flow(pp, x0), pp)
+        c = check_energy_identity(quad_flow(pp, x0), pp.psi)
         assert c.passed, c.notes
     pp = make_example_one()
-    c = check_energy_identity(gradient_flow(pp, [0.0], 10.0), pp)
+    c = check_energy_identity(gradient_flow(pp, [0.0], 10.0), pp.psi)
     assert c.passed, c.notes
 
 
 def test_grad_norm_monotone_fails_on_cubic():
     pp = make_counterexample("cubic")
     traj = gradient_flow(pp, [-1.0], 0.3)
-    c = check_grad_norm_monotone(traj, pp)
+    c = check_grad_norm_monotone(traj, pp.psi)
     assert not c.passed
 
 
 def test_distance_monotone():
-    c = check_distance_monotone(quad_flow(QUAD_2D, (1.0, 1.0)), [0.0, 0.0], QUAD_2D)
+    c = check_distance_monotone(quad_flow(QUAD_2D, (1.0, 1.0)), [0.0, 0.0], QUAD_2D.psi)
     assert c.passed
     with pytest.raises(ValueError, match=re.escape(
             "xhat is not critical: ||grad psi(xhat)|| = 0.5 >= 1e-10")):
-        check_distance_monotone(quad_flow(), [0.5], QUAD_1D)
+        check_distance_monotone(quad_flow(), [0.5], QUAD_1D.psi)
 
 
 def test_velocity_bound_quadratic():
-    c = check_velocity_bound(quad_flow(), QUAD_1D, [0.3])
+    c = check_velocity_bound(quad_flow(), QUAD_1D.psi, [0.3])
     assert c.passed
     assert c.worst_violation == 0.0
 
 
 def test_level_integral_bound_quadratic():
     traj = quad_flow(T=20.0)
-    c = check_level_integral_bound(traj, QUAD_1D, [0.0])
+    c = check_level_integral_bound(traj, QUAD_1D.psi, [0.0])
     assert c.passed, c.notes
     with pytest.raises(ValueError, match=re.escape(
             "crit_point is not critical: ||grad psi(crit_point)|| = 0.7 >= 1e-10")):
-        check_level_integral_bound(traj, QUAD_1D, [0.7])
+        check_level_integral_bound(traj, QUAD_1D.psi, [0.7])
 
 
 def test_limit_point_settled_and_escaping():
-    c = check_limit_point(quad_flow(T=30.0), QUAD_1D)
+    c = check_limit_point(quad_flow(T=30.0), QUAD_1D.psi)
     assert c.passed and "settled" in c.notes
     pp = make_example_one()
-    c = check_limit_point(gradient_flow(pp, [0.0], 4.0), pp)
+    c = check_limit_point(gradient_flow(pp, [0.0], 4.0), pp.psi)
     assert c.passed and "escaping" in c.notes
     lin = make_counterexample("linear")
-    c = check_limit_point(gradient_flow(lin, [0.0], 5.0), lin)
+    c = check_limit_point(gradient_flow(lin, [0.0], 5.0), lin.psi)
     assert c.passed and "escaping" in c.notes
 
 
@@ -114,7 +114,7 @@ def test_limit_point_fails_on_oscillating_tail():
     ts = np.linspace(0.0, 10.0, 101)
     states = np.cos(ts)[:, None]
     traj = Trajectory(ts, states, -np.sin(ts)[:, None], "horizon_reached", {})
-    c = check_limit_point(traj, QUAD_1D)
+    c = check_limit_point(traj, QUAD_1D.psi)
     assert not c.passed
 
 
@@ -183,7 +183,7 @@ def test_orbit_integrands_match_per_node_loops(monkeypatch):
     hardy = [W[0].dot(W[0])] + [(x - X[0]).dot(x - X[0]) / (s * s)
                                 for s, x in zip(t[1:], X[1:])]
     flow = quad_flow(QUAD_2D, (1.0, -1.0))
-    check_level_integral_bound(flow, QUAD_2D, [0.0, 0.0])
+    check_level_integral_bound(flow, QUAD_2D.psi, [0.0, 0.0])
     level = [float(QUAD_2D.psi.value(x)) for x in flow.states]
     for got, want in zip(seen, (hardy, [w.dot(w) for w in W], level)):
         assert np.array_equal(got, want)
@@ -195,6 +195,20 @@ def test_contraction_quadratic_pairs():
     t2 = evanescent_orbit(QUAD_1D, (2.0,), **opts)
     c = check_contraction(t1, t2)
     assert c.passed, c.notes
+
+
+def test_contraction_reports_the_larger_convexity_violation():
+    # q = 0.5 ||v1 - v2||^2 = 0.5 (1 - t^2) never increases but is concave,
+    # with q'' = -1, which is the violation reported
+    ts = np.linspace(0.0, 1.0, 101)
+    v1 = Trajectory(ts, np.sqrt(1.0 - ts * ts)[:, None], np.zeros((101, 1)),
+                    "horizon_reached", {})
+    v2 = Trajectory(ts, np.zeros((101, 1)), np.zeros((101, 1)), "horizon_reached", {})
+    c = check_contraction(v1, v2)
+    assert not c.passed
+    assert c.worst_violation == pytest.approx(1.0, rel=1e-6)
+    assert c.notes == "monotone=0 convexity=1"
+    assert 0.0 < c.worst_location < 1.0
 
 
 def test_contraction_rejects_mismatched_grids():

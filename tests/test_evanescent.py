@@ -253,6 +253,18 @@ def test_action_double_well_converges_through_the_fallback(fallbacks):
     assert res.final_action == pytest.approx(7.0 / 64.0, rel=1e-3)
 
 
+def test_action_non_finite_newton_band_takes_the_isotropic_factor(fallbacks):
+    # a Hessian that reads NaN makes every Newton band non-finite, so each
+    # iteration solves with c_b I node blocks; for V = ||x||^2 / 2, c_b = 1
+    # is its Hessian, and the solve is the one the exact Hessian gives
+    V = make_quadratic(np.eye(2)).v
+    nan_hess = dataclasses.replace(V, hessvec=lambda x, p: np.full(np.shape(p), np.nan))
+    res = minimize_action(nan_hess, [1.0, 1.0], T, N)
+    exact = minimize_action(V, [1.0, 1.0], T, N)
+    assert fallbacks and res.converged
+    assert np.array_equal(res.trajectory.states, exact.trajectory.states)
+
+
 @pytest.mark.parametrize("T_, N_", [
     (0.0, N), (-1.0, N), (np.nan, N), (np.inf, N), (T, 1), (T, 0), (T, 60.0), (T, 60.5),
     (T, True),
@@ -968,6 +980,22 @@ def test_cross_validate_integrates_only_the_flow(monkeypatch):
     rep = cross_validate(QUAD_2D, [1.0, 1.0], action=action, shot=shot)
     assert rep.all_passed, rep.to_dict()
     assert calls == ["rk4_fixed"]
+
+
+@pytest.mark.parametrize("route", ["action", "shot"])
+def test_cross_validate_refuses_a_route_solved_without_psi(route):
+    # a route's phi residual is the check its solve ran, so a result solved
+    # without psi is refused before the fields are evaluated
+    if route == "action":
+        res = minimize_action(QUAD_2D.v, [1.0, 1.0], T, N)
+    else:
+        res = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T)
+    calls = []
+    pp = PotentialPair(_counted(QUAD_2D.psi, calls), _counted(QUAD_2D.v, calls))
+    with pytest.raises(ValueError, match=f"the {res.method} result passed in was "
+                                         "solved without psi"):
+        cross_validate(pp, [1.0, 1.0], **{route: res})
+    assert calls == []
 
 
 def test_cross_validate_quadratic_2d():

@@ -14,6 +14,7 @@ from evanflow.fields import (
     NumericDomainError,
     make_counterexample,
     make_example_one,
+    make_pair,
     make_quadratic,
 )
 from evanflow.integrate import (
@@ -331,6 +332,18 @@ def test_estimated_first_step_falls_back_where_the_probe_fails(probe):
     assert abs(raw.ys[-1, 0] - np.exp(-1.0)) < 1e-8
 
 
+def test_estimated_first_step_falls_back_where_the_slope_overflows():
+    # ||f0||^2 overflows, with numpy's warning, so the first trial step is
+    # min(1e-3 T, 0.1) and the Euler probe is not taken
+    calls = []
+    y, f0 = np.array([1.0, 1.0]), np.array([1e200, 1e200])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        h = integrate._first_step(lambda y: calls.append(y) or f0, y, f0, 1.0, 1e-9,
+                                  DOP853.exponent, slice(None))
+    assert h == 1e-3
+    assert calls == []
+
+
 def test_adaptive_halves_h_on_a_nan_error_norm():
     # a step whose error norm is NaN fails the one accept test and halves
     # h, like a step with a non-finite stage
@@ -455,7 +468,7 @@ def test_gradient_flow_calls_grad_psi_once_per_stage(opts, T, termination):
         return pp.psi.gradient(x)
 
     psi = dataclasses.replace(pp.psi, gradient=gradient)
-    traj = gradient_flow(psi, [1.0, 1.0], T, opts)
+    traj = gradient_flow(make_pair(psi), [1.0, 1.0], T, opts)
     assert traj.termination == termination
     attempted = traj.meta["n_steps"] + traj.meta["n_rejected"]
     if opts.method == "rk45":

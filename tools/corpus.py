@@ -23,6 +23,15 @@ cases:
                 psi = 0.5 x'Ax + 0.25 sum x_i^4, given without a hessvec,
                 for A = diag(2, 3) and [[1, .3], [.3, .5]] from (1, 1) and
                 (-1, 0.5)
+  flow ...      gradient_flow under rk45 and under rk4 (h = 0.05), at
+                T = 0.3 and 12, with the four checks the CLI flow command
+                runs, and
+  second-order ...
+                second_order_flow from (x0, -grad psi(x0)) at T = 6, with
+                the four checks of the CLI second-order command and
+                evanescence_measures, from the x0 of each evanesce run
+                above; each check is called with the field it reads, psi
+                or V, and a check that raises hashes its error
   scan ...      shoot_evanescent(V, x0, T = 12) over three problem sets
 
 Each scan problem prints ``scan <set> <problem> hash`` of its whole result,
@@ -73,9 +82,26 @@ from pathlib import Path
 import numpy as np
 
 from evanflow import cli
+from evanflow.diagnostics import (
+    check_energy_identity,
+    check_first_integral,
+    check_grad_norm_monotone,
+    check_hardy,
+    check_limit_point,
+    check_lyapunov_psi,
+    check_modula_equality,
+    check_phi_residual,
+    evanescence_measures,
+)
 from evanflow.eikonal import grid_points, reconstruct_grid
 from evanflow.evanescent import minimize_action, shoot_evanescent
-from evanflow.fields import DifferentiableField, induced_potential, make_quadratic
+from evanflow.fields import (
+    DifferentiableField,
+    induced_potential,
+    make_quadratic,
+    resolve_potential,
+)
+from evanflow.integrate import IntegratorOptions, gradient_flow, second_order_flow
 
 T = 12.0  # the scans' horizon
 QUAD_2D = "quadratic:1,0;0,2"
@@ -245,6 +271,49 @@ def scans() -> dict:
             "spd60": _random(4, 60, 2, 5, (0.8, 2.0))}
 
 
+def _checked(traj, checks) -> list:
+    """traj, then each check's result on it or the error the check raised."""
+    out = [traj]
+    for check in checks:
+        try:
+            out.append(check(traj))
+        except (ValueError, ArithmeticError) as exc:
+            out.append(exc)
+    return out
+
+
+def _flow_case(pp, x0, T, opts) -> list:
+    return _checked(gradient_flow(pp, x0, T, opts), [
+        lambda t, check=check: check(t, pp.psi)
+        for check in (check_lyapunov_psi, check_energy_identity,
+                      check_grad_norm_monotone, check_limit_point)])
+
+
+def _second_order_case(pp, x0, T) -> list:
+    psi, V = pp.psi, pp.v
+    return _checked(second_order_flow(V, x0, -psi.gradient(x0), T), [
+        lambda t: check_first_integral(t, V), lambda t: check_modula_equality(t, psi=psi, V=V),
+        lambda t: check_phi_residual(t, psi), check_hardy,
+        lambda t: evanescence_measures(t, V)])
+
+
+def _orbit_cases() -> list:
+    """(name, thunk, None) of the flow and second-order cases, from the
+    starts of the evanesce runs with solver both."""
+    out = []
+    for p, x0 in EVANESCE_BOTH:
+        pp, x0 = resolve_potential(p), np.array([float(c) for c in x0.split(",")])
+        for method, opts in (("rk45", IntegratorOptions()),
+                             ("rk4", IntegratorOptions(method="rk4", h=0.05))):
+            out += [(f"flow {p} @{x0.tolist()} {method} T={horizon:g}",
+                     lambda pp=pp, x0=x0, horizon=horizon, opts=opts:
+                     _flow_case(pp, x0, horizon, opts), None)
+                    for horizon in (0.3, 12.0)]
+        out.append((f"second-order {p} @{x0.tolist()} T=6",
+                    lambda pp=pp, x0=x0: _second_order_case(pp, x0, 6.0), None))
+    return out
+
+
 TAIL_KEYS = ("tail_slope", "tail_estimate")
 
 
@@ -301,7 +370,7 @@ def cases() -> list:
         out += [(f"quartic {name} {solve.__name__}",
                  lambda solve=solve, V=V, x0=x0, psi=psi: solve(V, x0, psi=psi), None)
                 for solve in (minimize_action, shoot_evanescent)]
-    return out
+    return out + _orbit_cases()
 
 
 def fingerprint(obj) -> str:
