@@ -301,7 +301,7 @@ def _csv(header, rows) -> str:
     numbers to 17 significant digits (nan and inf kept) and flags as true
     or false."""
     lines = [",".join(header)]
-    lines += [",".join(str(v).lower() if isinstance(v, bool) else f"{v:.17g}"
+    lines += [",".join(str(v).lower() if isinstance(v, bool) else "%.17g" % v
                        for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -310,7 +310,7 @@ def _trajectory_csv(traj) -> str:
     """One row t, x0..x{n-1}, w0..w{n-1} per node of traj."""
     n = traj.dim
     return _csv(["t", *(f"x{i}" for i in range(n)), *(f"w{i}" for i in range(n))],
-                np.column_stack([traj.times, traj.states, traj.velocities]))
+                np.column_stack([traj.times, traj.states, traj.velocities]).tolist())
 
 
 def _orbit_run(stem, report: DiagnosticsReport, traj, cfg, **extra):

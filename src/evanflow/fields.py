@@ -157,6 +157,14 @@ def make_pair(psi: DifferentiableField) -> PotentialPair:
 # catalog
 # ---------------------------------------------------------------------------
 
+def _times(x, M) -> np.ndarray:
+    """x @ M, by ndarray.dot where x is 1-D or 2-D: the same BLAS call, bit
+    for bit, at half the per-call cost.  0-d x raises as @ does, and x of 3
+    or more dimensions keeps @, which dot would round differently."""
+    x = np.asarray(x, float)
+    return x.dot(M) if 0 < x.ndim < 3 else x @ M
+
+
 def make_quadratic(A) -> PotentialPair:
     """psi(x) = 0.5 <x, Ax> with A symmetrized; V(x) = 0.5 ||Ax||^2."""
     A = np.asarray(A, float)
@@ -171,10 +179,10 @@ def make_quadratic(A) -> PotentialPair:
         return 0.5 * np.einsum("...i,ij,...j->...", x, A, x)
 
     def gradient(x):
-        return np.asarray(x, float) @ A
+        return _times(x, A)
 
     def hessvec(x, h):
-        return np.asarray(h, float) @ A
+        return _times(h, A)
 
     psi = DifferentiableField(
         dim=n, value=value, gradient=gradient, hessvec=hessvec,
@@ -190,8 +198,8 @@ def make_quadratic(A) -> PotentialPair:
 
     v = DifferentiableField(
         dim=n, value=v_value,
-        gradient=lambda x: np.asarray(x, float) @ A2,
-        hessvec=lambda x, h: np.asarray(h, float) @ A2,
+        gradient=lambda x: _times(x, A2),
+        hessvec=lambda x, h: _times(h, A2),
         name=f"half-sq-grad({psi.name})",
     )
     return PotentialPair(psi=psi, v=v)

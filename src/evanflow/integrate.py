@@ -249,8 +249,9 @@ def _first_step(rhs, y, f0, T, tol, exponent, ctrl) -> float:
     ** exponent, f1 the slope at the probe.  The fixed first step where a
     slope is not finite or the probe leaves the domain of rhs."""
     fixed = _fixed_first_step(rhs, y, f0, T, tol, exponent, ctrl)
-    d0 = sqrt(y[ctrl].dot(y[ctrl])) / tol
-    d1 = sqrt(f0[ctrl].dot(f0[ctrl])) / tol
+    with np.errstate(over="ignore"):    # an overflowing norm takes the fixed step
+        d0 = sqrt(y[ctrl].dot(y[ctrl])) / tol
+        d1 = sqrt(f0[ctrl].dot(f0[ctrl])) / tol
     if not np.isfinite(d1):
         return fixed
     h0 = min(1e-6 if d0 <= 1e-5 or d1 <= 1e-5 else 0.01 * d0 / d1, T)
@@ -258,7 +259,8 @@ def _first_step(rhs, y, f0, T, tol, exponent, ctrl) -> float:
         df = (rhs(y + h0 * f0) - f0)[ctrl]
     except ArithmeticError:
         return fixed
-    d2 = sqrt(df.dot(df)) / (tol * h0)
+    with np.errstate(over="ignore"):
+        d2 = sqrt(df.dot(df)) / (tol * h0)
     if not np.isfinite(d2):
         return fixed
     d12 = max(d1, d2)
@@ -314,6 +316,7 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     stages = [(i, a, K[:i]) for i, a in enumerate(pair.rows, 1)]
     last = K[s]
     error, exponent = pair.error, pair.exponent
+    isfinite, count_nonzero = np.isfinite, np.count_nonzero
     # Euclidean norms as np.linalg.norm takes them on 1-D input
     y_norm = sqrt(y[ctrl].dot(y[ctrl]))
     h = pair.first_step(rhs, y, K[0], T, atol + rtol * y_norm, exponent, ctrl)
@@ -330,14 +333,14 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
         for i, a, Ki in stages:
             yi = y + h * a.dot(Ki)
             # counting the finite entries gives isfinite(yi).all()'s verdict
-            if np.count_nonzero(np.isfinite(yi)) != n:
+            if count_nonzero(isfinite(yi)) != n:
                 break
             K[i] = rhs(yi)
         else:
             # in both pairs K[0] is finite (or y1 is not), and K[i], 0 < i < s,
             # enters y_{i+1} with a nonzero last weight, so a finite y_{i+1}
             # proves it finite; only K[s] is left to test
-            if np.count_nonzero(np.isfinite(last)) == n:
+            if count_nonzero(isfinite(last)) == n:
                 err = error(y, yi, h, K, ctrl)   # the last stage input is the solution
         tol = atol + rtol * y_norm
         if err <= tol:
@@ -381,8 +384,10 @@ def gradient_flow(pp, x0, T: float,
     opts = opts or IntegratorOptions()
     x0 = np.asarray(x0, float).reshape(psi.dim)
 
+    grad = psi.gradient
+
     def rhs(y):
-        return -psi.gradient(y)
+        return -grad(y)
 
     raw = _integrate(rhs, x0, T, opts, eps_crit=DEFAULT_EPS_CRIT)
     if raw.termination == TERM_CRIT:
@@ -394,16 +399,13 @@ def gradient_flow(pp, x0, T: float,
 
 
 def _second_order_rhs(V):
-    """Phase-space right-hand side (v, w)' = (w, grad V(v)) of v'' = grad V(v).
-    It returns a new array shaped like y and fills its first 2n entries, so a
-    longer state (the variational one) fills the rest itself."""
+    """Phase-space right-hand side (v, w)' = (w, grad V(v)) of v'' = grad V(v),
+    for a state (v, w) of length 2n."""
     n = V.dim
+    grad = V.gradient
 
     def rhs(y):
-        out = np.empty_like(y)
-        out[:n] = y[n:2 * n]
-        out[n:2 * n] = V.gradient(y[:n])
-        return out
+        return np.concatenate((y[n:], grad(y[:n])))
 
     return rhs
 
@@ -413,17 +415,16 @@ def _variational_rhs(V):
     its sensitivities P = dv/dv0, Q = dw/dv0.  After (v, w) the state holds
     P and Q transposed, row-major: row j of each block is column j, the
     sensitivity to v0[j], so Hess V(v) acts on rows (V.hessvec) and nothing
-    is transposed.
+    is transposed.  Its first 2n entries are _second_order_rhs's.
     """
     n = V.dim
     m = 2 * n + n * n
-    orbit_rhs = _second_order_rhs(V)
+    grad, hessvec = V.gradient, V.hessvec
 
     def rhs(y):
-        out = orbit_rhs(y)
-        out[2 * n:m] = y[m:]
-        out[m:] = V.hessvec(y[:n][None].repeat(n, 0), y[2 * n:m].reshape(n, n)).ravel()
-        return out
+        v, P = y[:n], y[2 * n:m].reshape(n, n)
+        return np.concatenate((y[n:2 * n], grad(v), y[m:],
+                               hessvec(v[None].repeat(n, 0), P).ravel()))
 
     return rhs
 

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evanflow.diagnostics import check_monotone_gradient
 from evanflow.fields import (
@@ -93,6 +94,58 @@ def test_quadratic_matrix_is_symmetrized():
     x = np.array([1.0, 2.0])
     # psi(x) = 0.5 <x, Ax> with A = [[1, .5], [.5, 1]]
     assert pp.psi.value(x) == pytest.approx(0.5 * (1 + 4) + 0.5 * 2)
+
+
+_LEADING = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(0, 300)),
+    st.tuples(st.integers(0, 300), st.just(2)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+)
+
+
+def _points(rng, shape, layout):
+    """Points of the given shape, scaled over six decades, as a contiguous
+    array, a view that steps over every other entry of the last axis, or
+    the transpose of a contiguous array."""
+    def draw(s):
+        return rng.standard_normal(s) * 10.0 ** rng.uniform(-3.0, 3.0, s)
+
+    if layout == "step":
+        return draw((*shape[:-1], 2 * shape[-1]))[..., ::2]
+    if layout == "transposed":
+        return draw(shape[::-1]).T
+    return draw(shape)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4), _LEADING, st.sampled_from(["contiguous", "step", "transposed"]),
+       st.integers(0, 2**32 - 1))
+def test_quadratic_maps_round_as_matmul(n, leading, layout, seed):
+    # the four linear maps of a quadratic take x @ A (x @ A^2 for V) bit for
+    # bit, on one point, a stack, a batch of pairs and 3-D and 4-D batches
+    # (where ndarray.dot would round differently), over strided views too
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    pp = make_quadratic(A)
+    A = 0.5 * (A + A.T)
+    A2 = A @ A
+    x = _points(rng, (*leading, n), layout)
+    h = _points(rng, (*leading, n), layout)
+    for got, want in ((pp.psi.gradient(x), x @ A), (pp.psi.hessvec(x, h), h @ A),
+                      (pp.v.gradient(x), x @ A2), (pp.v.hessvec(x, h), h @ A2)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_quadratic_maps_refuse_a_scalar_point():
+    # a 0-d point raises as x @ A does
+    pp = make_quadratic([[2.0]])
+    x = np.float64(1.0)
+    for call in (lambda: pp.psi.gradient(x), lambda: pp.psi.hessvec(x, x),
+                 lambda: pp.v.gradient(x), lambda: pp.v.hessvec(x, x)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_quadratic_negative_definite_flags():

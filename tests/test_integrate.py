@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from evanflow import integrate
 from evanflow.cli import main
 from evanflow.fields import (
+    DifferentiableField,
     NumericDomainError,
+    induced_potential,
     make_counterexample,
     make_example_one,
     make_pair,
@@ -220,6 +223,70 @@ def test_adaptive_nodes_equal_the_seven_stage_loop():
         assert n_rejected > 0 or f is rhs
 
 
+def _slice_store_second_order_rhs(V):
+    # the right-hand side as it was: one array shaped like y, whose first 2n
+    # entries it fills
+    n = V.dim
+
+    def rhs(y):
+        out = np.empty_like(y)
+        out[:n] = y[n:2 * n]
+        out[n:2 * n] = V.gradient(y[:n])
+        return out
+
+    return rhs
+
+
+def _slice_store_variational_rhs(V):
+    n = V.dim
+    m = 2 * n + n * n
+    orbit_rhs = _slice_store_second_order_rhs(V)
+
+    def rhs(y):
+        out = orbit_rhs(y)
+        out[2 * n:m] = y[m:]
+        out[m:] = V.hessvec(y[:n][None].repeat(n, 0), y[2 * n:m].reshape(n, n)).ravel()
+        return out
+
+    return rhs
+
+
+def _quartic_without_hessvec(A):
+    # psi = 0.5 x'Ax + 0.25 sum x_i^4, whose hessvec is the central
+    # difference of its gradient, as is V's
+    return DifferentiableField(
+        dim=len(A),
+        value=lambda x: 0.5 * np.einsum("...i,ij,...j->...", x, A, x)
+        + 0.25 * np.sum(np.asarray(x) ** 4, axis=-1),
+        gradient=lambda x: np.asarray(x, float) @ A + np.asarray(x, float) ** 3,
+    )
+
+
+@pytest.mark.parametrize("kind, n", [
+    *(("quadratic", n) for n in range(1, 5)),
+    ("quartic_saddle", 2),
+    *(("induced_quartic", n) for n in range(1, 5)),
+])
+def test_right_hand_sides_equal_the_slice_store_ones(kind, n):
+    # one concatenate of the pieces gives the slice stores' array bit for
+    # bit, for an exact Hessian, a catalog V induced from psi, and a V whose
+    # gradient and hessvec are central differences
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n))
+    A = B @ B.T + n * np.eye(n)
+    V = {"quadratic": lambda: make_quadratic(A).v,
+         "quartic_saddle": lambda: make_counterexample("quartic_saddle").v,
+         "induced_quartic": lambda: induced_potential(_quartic_without_hessvec(A))}[kind]()
+    pairs = ((_second_order_rhs(V), _slice_store_second_order_rhs(V), 2 * n),
+             (_variational_rhs(V), _slice_store_variational_rhs(V), 2 * n + 2 * n * n))
+    for new, old, size in pairs:
+        for _ in range(20):
+            y = rng.standard_normal(size) * 10.0 ** rng.uniform(-2.0, 1.0)
+            got, want = new(y), old(y)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 def test_dop853_tableau_matches_scipys_coefficients():
     # the tableau is written as literals; scipy's private coefficient module
     # (read here only) holds the same published DOP853 numbers, so a typo in
@@ -333,11 +400,12 @@ def test_estimated_first_step_falls_back_where_the_probe_fails(probe):
 
 
 def test_estimated_first_step_falls_back_where_the_slope_overflows():
-    # ||f0||^2 overflows, with numpy's warning, so the first trial step is
+    # ||f0||^2 overflows, silently, so the first trial step is
     # min(1e-3 T, 0.1) and the Euler probe is not taken
     calls = []
     y, f0 = np.array([1.0, 1.0]), np.array([1e200, 1e200])
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         h = integrate._first_step(lambda y: calls.append(y) or f0, y, f0, 1.0, 1e-9,
                                   DOP853.exponent, slice(None))
     assert h == 1e-3
