@@ -249,7 +249,7 @@ def _first_step(rhs, y, f0, T, tol, exponent, ctrl) -> float:
     ** exponent, f1 the slope at the probe.  The fixed first step where a
     slope is not finite or the probe leaves the domain of rhs."""
     fixed = _fixed_first_step(rhs, y, f0, T, tol, exponent, ctrl)
-    with np.errstate(over="ignore"):    # an overflowing norm takes the fixed step
+    with np.errstate(over="ignore"):    # an overflowing slope norm is refused below
         d0 = sqrt(y[ctrl].dot(y[ctrl])) / tol
         d1 = sqrt(f0[ctrl].dot(f0[ctrl])) / tol
     if not np.isfinite(d1):
