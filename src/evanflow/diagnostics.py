@@ -211,9 +211,8 @@ def check_limit_point(traj: Trajectory, psi) -> CheckResult:
     gend = float(np.linalg.norm(psi.gradient(traj.states[-1])))
     m = max(2, len(traj) // 10)
     tail = traj.states[-m:]
-    spread = float(np.max(
-        np.linalg.norm(tail[:, None, :] - tail[None, :, :], axis=-1)
-    ))
+    spread = max(float(np.max(np.linalg.norm(tail[i:i + 256, None] - tail, axis=-1)))
+                 for i in range(0, m, 256))   # 256 rows at a time: O(m) memory
     if max(gend, spread) <= tol:
         return _result("limit_point", max(gend, spread), traj.t_end, tol,
                        notes=f"settled: terminal_grad_norm={gend:.3g} "

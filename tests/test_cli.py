@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,13 @@ def test_evanesce_both_solvers_cross_validated(tmp_path):
     assert (tmp_path / "evanesce_action_path.csv").exists()
 
 
+def test_evanesce_default_budget_is_50000_iterations(tmp_path):
+    # the README's default max_iters, echoed in the effective config
+    assert run(["evanesce", "--potential", "quadratic:1", "--x0", "1",
+                "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "evanesce_report.json")["config"]["max_iters"] == 50_000
+
+
 @pytest.mark.parametrize("solver", ["action", "both"])
 def test_evanesce_solves_each_route_once(tmp_path, monkeypatch, solver):
     # cross-validation reuses the routes the command already solved
@@ -323,6 +331,19 @@ def test_evanesce_overflowing_horizon_is_an_input_error(tmp_path, capsys, key):
                 "--x0", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_evanesce_tiny_horizon_warns_nothing(tmp_path, capsys):
+    # dt * dt underflows to 0 at T = 1e-300: the reported Euler-Lagrange
+    # residual is NaN, written as null, and no warning reaches stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["evanesce", "--potential", "quadratic:1", "--x0", "1", "--T", "1e-300",
+                    "--out", str(tmp_path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    detail = read_json(tmp_path / "evanesce_report.json")["results"]["action"]["detail"]
+    assert detail["el_residual"] is None
 
 
 @pytest.mark.parametrize("argv,key", [

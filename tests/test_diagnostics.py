@@ -1,6 +1,7 @@
 """Diagnostics checks against closed-form orbits and known counterexamples."""
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,45 @@ def test_limit_point_fails_on_oscillating_tail():
     traj = Trajectory(ts, states, -np.sin(ts)[:, None], "horizon_reached", {})
     c = check_limit_point(traj, QUAD_1D.psi)
     assert not c.passed
+
+
+@pytest.mark.parametrize("amplitude, passed", [(3e-5, True), (1e-4, False)])
+def test_limit_point_settles_within_1e_4(amplitude, passed):
+    # a tail oscillating about the minimizer of x^2 / 2, not escaping,
+    # spreads over twice its amplitude, against the tolerance 1e-4
+    ts = np.linspace(0.0, 10.0, 1001)
+    x = amplitude * np.cos(5.0 * ts)[:, None]
+    c = check_limit_point(Trajectory(ts, x, x, "horizon_reached", {}), QUAD_1D.psi)
+    assert c.worst_violation == pytest.approx(2.0 * amplitude, rel=0.05)
+    assert c.passed is passed
+
+
+def test_limit_point_spread_is_the_pairwise_maximum():
+    # the tail spread is taken 256 rows at a time; on a tail of 500 random
+    # points ending at the minimizer, where the violation is the spread, it
+    # is the maximum over every pair, bit for bit
+    rng = np.random.default_rng(5)
+    states = rng.uniform(-1.0, 1.0, size=(5000, 2))
+    states[-1] = 0.0
+    ts = np.arange(5000.0)
+    c = check_limit_point(Trajectory(ts, states, states, "horizon_reached", {}), QUAD_2D.psi)
+    tail = states[-500:]
+    assert c.worst_violation == np.max(np.linalg.norm(tail[:, None] - tail[None], axis=-1))
+
+
+def test_limit_point_memory_stays_linear_in_the_tail():
+    # a 50,001-node orbit has a 5,000-node tail, whose 25e6 pairwise
+    # differences at once took over 200 MB
+    ts = np.linspace(0.0, 50.0, 50_001)
+    traj = Trajectory(ts, ts[:, None], np.ones((len(ts), 1)), "horizon_reached", {})
+    tracemalloc.start()
+    try:
+        c = check_limit_point(traj, QUAD_1D.psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.passed and "escaping" in c.notes
+    assert peak < 50e6
 
 
 # --- second-order checks --------------------------------------------------
@@ -258,6 +298,17 @@ def test_evanescence_weak_proxy_on_example_one():
                              IntegratorOptions(rtol=1e-10))
     m = evanescence_measures(traj, pp.v)
     assert m["classification"] == "weak_only_proxy"
+
+
+@pytest.mark.parametrize("T, classification", [(5.3, "strong"), (3.9, "weak_only_proxy")])
+def test_evanescence_stability_threshold_is_1_percent(T, classification):
+    # v = 0.004 e^{-t} under V = x^2 / 2: both tails end below 1e-4, and the
+    # half-horizon integral falls short of the full one by about e^{-T},
+    # 0.5% at T = 5.3 and 2% at T = 3.9
+    ts = np.linspace(0.0, T, 2001)
+    x = 0.004 * np.exp(-ts)[:, None]
+    m = evanescence_measures(Trajectory(ts, x, -x, "horizon_reached", {}), QUAD_1D.v)
+    assert m["classification"] == classification
 
 
 # --- report plumbing ------------------------------------------------------

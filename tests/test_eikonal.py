@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import evanflow.eikonal as eikonal
 from evanflow.cli import main
 from evanflow.eikonal import (
     CONVEXITY_FLOW_T,
@@ -14,6 +15,7 @@ from evanflow.eikonal import (
     TAIL_DECAY_SLOPE,
     _values,
     ReconstructOptions,
+    ReconstructionResult,
     convexity_criterion_check,
     determination_check,
     determination_verdict,
@@ -22,7 +24,7 @@ from evanflow.eikonal import (
     reconstruct_grid,
     reconstruct_value,
 )
-from evanflow.evanescent import minimize_action, shoot_evanescent
+from evanflow.evanescent import _minimize_actions, minimize_action, shoot_evanescent
 from evanflow.fields import (
     DifferentiableField,
     NonnegativityError,
@@ -73,6 +75,28 @@ def test_reconstruct_value_equilibrium_point():
         assert out["converged"]
         assert out["psi_hat"] == 0.0
         assert out["T_used"] == 12.0
+
+
+def test_reconstruct_value_equilibrium_threshold_is_f_1e_12():
+    # f = x^2 is 8.1e-13 at 9e-7, an equilibrium, and 2.25e-12 at 1.5e-6,
+    # where the orbit is solved to psi_hat = x^2 / 2
+    f = f_of(QUAD_1D)
+    assert reconstruct_value(f, [9e-7])["psi_hat"] == 0.0
+    assert reconstruct_value(f, [1.5e-6])["psi_hat"] == pytest.approx(1.125e-12, rel=1e-3)
+
+
+def test_reconstruct_tail_slope_threshold_is_minus_0_1():
+    # a tail of log f decaying faster than slope -0.1 is kept at T: cubic's
+    # algebraic tails read -0.13 to -0.14 at T = 12; quadratic:0.1's reads
+    # above -0.1 at T = 12, so its points are solved again at 2T, where the
+    # tail, at -0.055, is still too flat to converge
+    pts = grid_points([(0.5, 1.0, 3)])
+    cubic = reconstruct_grid(f_of(make_counterexample("cubic")), pts)
+    assert [d["T_used"] for d in cubic.per_point] == [12.0] * 3
+    assert all(-0.15 < d["tail_slope"] < -0.13 for d in cubic.per_point)
+    slow = reconstruct_grid(f_of(resolve_potential("quadratic:0.1")), pts)
+    assert [d["T_used"] for d in slow.per_point] == [24.0] * 3
+    assert not any(d["converged"] for d in slow.per_point)
 
 
 def test_reconstruct_action_and_shoot_agree():
@@ -272,6 +296,21 @@ def test_reconstruct_grid_reads_f_on_the_nodes_from_the_solve():
     assert not any(np.array_equal(a, w) for a in args for w in paths)
 
 
+def test_reconstruct_grid_stacks_hold_4_mib_of_nodes(monkeypatch):
+    # at N + 1 = 2^17 nodes a 1-D path takes 1 MiB, so a stack holds 4 paths
+    sizes = []
+
+    def spy(V, X, *args):
+        sizes.append(len(X))
+        return _minimize_actions(V, X, *args)
+
+    monkeypatch.setattr(eikonal, "_minimize_actions", spy)
+    rec = reconstruct_grid(f_of(QUAD_1D), grid_points([(0.5, 1.0, 5)]),
+                           ReconstructOptions(N=2 ** 17 - 1))
+    assert sizes == [4, 1]
+    assert all(d["converged"] for d in rec.per_point)
+
+
 def test_reconstruct_grid_isolates_a_failing_point():
     # the gradient of f fails beyond x = 0.95; the stack that holds that
     # point is solved again point by point, so only that point fails
@@ -356,6 +395,18 @@ def test_eikonal_residual_zero_field():
     assert c.worst_violation == 0.0
 
 
+@pytest.mark.parametrize("excess, passed", [(0.03, True), (0.1, False)])
+def test_eikonal_residual_tolerance_is_5e_2(excess, passed):
+    # psi_hat = c x^2 / 2 with c^2 = 1 + excess: its central differences are
+    # exact, so | psi_hat'^2 - f | = excess x^2 peaks at the interior x = +-1
+    spec = [(-2.0, 2.0, 5)]
+    pts = grid_points(spec)
+    psi_hat = 0.5 * np.sqrt(1.0 + excess) * pts[:, 0] ** 2
+    c = eikonal_residual(ReconstructionResult(pts, psi_hat, []), f_of(QUAD_1D), spec)
+    assert c.worst_violation == pytest.approx(excess)
+    assert c.passed is passed
+
+
 def test_eikonal_residual_rejects_mismatched_spec():
     spec = [(-1.0, 1.0, 5)]
     rec = reconstruct_grid(f_of(QUAD_1D), grid_points(spec),
@@ -429,6 +480,37 @@ def test_determination_linear_pair_hypothesis_not_met():
     assert verdict == "hypothesis_not_met"
     assert not rep.get("hyp_inf_gradient_or_bounded").passed
     assert not rep.get("det_difference_constant").passed
+
+
+@pytest.mark.parametrize("check_id, tol", [("hyp_equal_grad_norms", 1e-8),
+                                           ("det_gradients_equal", 1e-6)])
+@pytest.mark.parametrize("ratio, passed", [(1.0, True), (4.0, False)])
+def test_determination_gradient_tolerances(check_id, tol, ratio, passed):
+    # psi2 = (1 + d) x^2 / 2 against x^2 / 2 on [-1, 1]: moduli and
+    # gradients differ by up to d = ratio tol, judged against
+    # tol (1 + max ||grad psi1||) = 2 tol
+    pts = np.linspace(-1.0, 1.0, 21)[:, None]
+    psi2 = make_quadratic([[1.0 + ratio * tol]]).psi
+    assert determination_check(QUAD_1D.psi, psi2, pts).get(check_id).passed is passed
+
+
+@pytest.mark.parametrize("slope, passed", [(5e-4, True), (2e-3, False)])
+def test_determination_infimum_probe_threshold(slope, passed):
+    # psi = slope x claims no lower bound, so only a sampled gradient
+    # modulus below 1e-3 passes the infimum probe
+    psi = resolve_potential("linear").psi.scaled(slope)
+    rep = determination_check(psi, psi, rand_points(1, seed=4))
+    assert rep.get("hyp_inf_gradient_or_bounded").passed is passed
+
+
+@pytest.mark.parametrize("shift, passed", [(-5e5, True), (-2e6, False)])
+def test_determination_bounded_below_floor(shift, passed):
+    # on [1, 2] the gradient modulus of x^2 / 2 is at least 1, so the
+    # infimum probe passes only on psi's claim of a lower bound, which the
+    # samples corroborate while psi stays above -1e6
+    psi = QUAD_1D.psi.shifted(shift)
+    rep = determination_check(psi, psi, np.linspace(1.0, 2.0, 11)[:, None])
+    assert rep.get("hyp_inf_gradient_or_bounded").passed is passed
 
 
 def test_determination_sign_flipped_quadratic_hypothesis_not_met():

@@ -1,8 +1,10 @@
-"""Corpus fingerprints: one hash per fixed case, for bit-identity claims.
+"""Corpus fingerprints for bit-identity claims, and the pins of the
+module constants.
 
     PYTHONPATH=src python tools/corpus.py hash
+    PYTHONPATH=src python tools/corpus.py pins [NAME ...]
 
-Prints one line per case, ``name sha256[:16]``, or two for a
+hash prints one line per case, ``name sha256[:16]``, or two for a
 reconstruction case, then the lines of the shooting scans (see below).
 A case hashes its result (arrays as dtype, shape and bytes; floats by
 their hex form) or, where it raises, the error's type and message.  The
@@ -66,14 +68,31 @@ lines as they were.
 
 The bytes depend on the machine's BLAS, so two trees are compared on one
 machine; the output is not a reference to check in.
+
+pins asks of each numeric module constant of src/evanflow/ (an upper-case
+module-level name bound to a number; the CLI's exit codes and MAX_COUNT
+are left out) whether a tier-1 test holds it.  It rewrites the constant
+alone to x4 and to 1/4 in a temporary copy of src/, tests/, README.md and
+pyproject.toml, runs tier-1 there with -x under a PIN_TIMEOUT of 300 s, and
+prints ``file NAME xFACTOR result``: ``held <first failing test>``,
+``free`` (every test passed) or ``timeout``, which does not count as held.
+NAMEs limit it to those constants.  It exits 1 if a constant is held at
+neither factor, and writes nothing into the checkout.  The full probe runs
+tier-1 62 times, about 7.5 minutes on 2 cores; one constant takes two runs,
+about 15 s.
 """
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import os
+import re
+import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -418,9 +437,93 @@ def scan_lines(scan, problems):
            f"orbits {orbits}\tconverged {converged}")
 
 
+ROOT = Path(__file__).resolve().parents[1]
+PIN_FACTORS = (4, 0.25)
+PIN_TIMEOUT = 300.0     # seconds per tier-1 run
+# not thresholds: the CLI's exit codes and its bound on counts
+PIN_SKIP = re.compile(r"EXIT_|MAX_COUNT$")
+
+
+def constants() -> list:
+    """(file, name, value, (start, end) offsets of the value's source) of
+    every numeric module constant of src/evanflow/: an upper-case name
+    assigned at module level a number its own expression computes."""
+    out = []
+    for path in sorted((ROOT / "src" / "evanflow").glob("*.py")):
+        text = path.read_text()
+        starts = [0]
+        for line in text.splitlines(keepends=True):
+            starts.append(starts[-1] + len(line))
+        for node in ast.parse(text).body:
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                continue
+            name, v = node.targets[0].id, node.value
+            if not re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name) or PIN_SKIP.match(name):
+                continue
+            try:
+                value = eval(compile(ast.Expression(v), str(path), "eval"), {"__builtins__": {}})
+            except NameError:   # computed from other names
+                continue
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                out.append((path.relative_to(ROOT), name, value,
+                            (starts[v.lineno - 1] + v.col_offset,
+                             starts[v.end_lineno - 1] + v.end_col_offset)))
+    return out
+
+
+def _tier1(tree: Path) -> str:
+    """`held <first failing test>`, `free` or `timeout` of one tier-1 run,
+    stopped at its first failure, in tree."""
+    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=PIN_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if run.returncode == 0:
+        return "free"
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.M)
+    return f"held {failed.group(1) if failed else f'(pytest exit {run.returncode})'}"
+
+
+def pins(names) -> int:
+    """Print `file name factor result` for each numeric module constant
+    (only those named, if any) at x4 and at 1/4, each rewritten alone in a
+    copy of the tree; returns 1 if a constant is held at neither factor."""
+    found = [c for c in constants() if not names or c[1] in names]
+    missing = set(names) - {c[1] for c in found}
+    if missing:
+        sys.exit(f"no numeric module constant named {', '.join(sorted(missing))}")
+    loose = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        for part in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / part, tree / part)
+        for path, name, value, (a, b) in found:
+            text = (ROOT / path).read_text()
+            held = False
+            for factor in PIN_FACTORS:
+                new = value * factor if isinstance(value, float) else int(value * factor)
+                (tree / path).write_text(text[:a] + repr(new) + text[b:])
+                result = _tier1(tree)
+                held |= result.startswith("held")
+                print(f"{path} {name} x{factor:g} {result}", flush=True)
+            (tree / path).write_text(text)
+            loose += not held
+    return int(loose > 0)
+
+
 def main(argv) -> None:
+    if argv[:1] == ["pins"]:
+        sys.exit(pins(argv[1:]))
     if argv != ["hash"]:
-        sys.exit("usage: tools/corpus.py hash")
+        sys.exit("usage: tools/corpus.py hash | pins [NAME ...]")
     for case in cases():
         print("\n".join(lines(*case)), flush=True)
     for scan, problems in scans().items():
