@@ -299,10 +299,16 @@ def _json(obj) -> str:
 def _csv(header, rows) -> str:
     """The text of a CSV artifact: the header, then one line per row, with
     numbers to 17 significant digits (nan and inf kept) and flags as true
-    or false."""
+    or false.  The first row's types give one %-format for every row."""
     lines = [",".join(header)]
-    lines += [",".join(str(v).lower() if isinstance(v, bool) else "%.17g" % v
-                       for v in row) for row in rows]
+    fmt = None
+    for row in rows:
+        if fmt is None:
+            flags = [j for j, v in enumerate(row) if isinstance(v, bool)]
+            fmt = ",".join("%s" if j in flags else "%.17g" for j in range(len(row)))
+        if flags:
+            row = [("true" if v else "false") if j in flags else v for j, v in enumerate(row)]
+        lines.append(fmt % tuple(row))
     return "\n".join(lines) + "\n"
 
 

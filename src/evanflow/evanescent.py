@@ -139,14 +139,13 @@ def _check_start(X0, V0) -> None:
 
 def _node_hessians(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
     """Hess V at nodes 1..N of each path of a (B, N+1, n) stack, as
-    (B, N, n, n), from n calls of V.hessvec over every node of the stack."""
+    (B, N, n, n), from n calls of V.hessvec over every node of the stack,
+    each with one unit vector, which hessvec broadcasts against the nodes."""
     B, N, n = W.shape[0], W.shape[1] - 1, W.shape[2]
     X = W[:, 1:].reshape(-1, n)
     H = np.empty((len(X), n, n))
-    for j in range(n):
-        E = np.zeros_like(X)
-        E[:, j] = 1.0
-        H[:, :, j] = V.hessvec(X, E)
+    for j, e in enumerate(np.eye(n)):
+        H[:, :, j] = V.hessvec(X, e)
     return H.reshape(B, N, n, n)
 
 

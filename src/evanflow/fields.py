@@ -43,6 +43,9 @@ class NonnegativityError(ValueError):
 @dataclass(frozen=True)
 class DifferentiableField:
     """A field built without a hessvec takes _central_hessvec of its gradient.
+    hessvec(x, h) broadcasts the leading axes of x and h against each other:
+    shooting passes one point x (1, n) with n rows h, the action route many
+    points with one h (n,); its result broadcasts to that common shape.
     replace(field, gradient=g) keeps the old hessvec.  scaled(a) of a field
     without an exact hessvec gives a times the difference of grad f, which
     is bit-equal to the difference of a grad f only where a is a power of
@@ -266,9 +269,8 @@ def _quartic_saddle() -> PotentialPair:
     def hessvec(x, h):
         x = np.asarray(x, float)
         h = np.asarray(h, float)
-        return np.stack(
-            [12.0 * x[..., 0] ** 2 * h[..., 0], -2.0 * h[..., 1]], axis=-1
-        )
+        return np.stack(np.broadcast_arrays(
+            12.0 * x[..., 0] ** 2 * h[..., 0], -2.0 * h[..., 1]), axis=-1)
 
     return make_pair(DifferentiableField(
         dim=2, value=value, gradient=gradient, hessvec=hessvec,

@@ -81,8 +81,8 @@ def _state_vector(y0) -> np.ndarray:
 
 
 def _check_state(y: np.ndarray) -> Optional[str]:
-    # counting the finite entries gives isfinite(y).all()'s verdict, cheaper
-    if np.count_nonzero(np.isfinite(y)) != y.size:
+    # bool bytes are 0 or 1, so this is isfinite(y).all()'s verdict, cheaper
+    if np.isfinite(y).tobytes() != b"\x01" * y.size:
         return "nan"
     # the Euclidean norm as np.linalg.norm takes it on 1-D input
     if sqrt(y.dot(y)) > DEFAULT_R_MAX:
@@ -312,11 +312,13 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     s = len(pair.rows)
     K = np.empty((s + 1, n))
     K[0] = rhs(y)
-    # stage i's weights and the slopes they combine, K[:i] (views of K)
-    stages = [(i, a, K[:i]) for i, a in enumerate(pair.rows, 1)]
+    # stage i's weights, the slopes they combine, K[:i], and its own K[i]
+    # (views of K, which each stage writes in place)
+    stages = [(a, K[:i], K[i]) for i, a in enumerate(pair.rows, 1)]
     last = K[s]
     error, exponent = pair.error, pair.exponent
-    isfinite, count_nonzero = np.isfinite, np.count_nonzero
+    # bool bytes are 0 or 1: a finite vector's isfinite() bytes are all ones
+    isfinite, finite = np.isfinite, b"\x01" * n
     # Euclidean norms as np.linalg.norm takes them on 1-D input
     y_norm = sqrt(y[ctrl].dot(y[ctrl]))
     h = pair.first_step(rhs, y, K[0], T, atol + rtol * y_norm, exponent, ctrl)
@@ -330,17 +332,16 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
             break
         h = min(h, T - t)
         err = nan
-        for i, a, Ki in stages:
+        for a, Ki, Kr in stages:
             yi = y + h * a.dot(Ki)
-            # counting the finite entries gives isfinite(yi).all()'s verdict
-            if count_nonzero(isfinite(yi)) != n:
+            if isfinite(yi).tobytes() != finite:
                 break
-            K[i] = rhs(yi)
+            Kr[...] = rhs(yi)
         else:
             # in both pairs K[0] is finite (or y1 is not), and K[i], 0 < i < s,
             # enters y_{i+1} with a nonzero last weight, so a finite y_{i+1}
             # proves it finite; only K[s] is left to test
-            if count_nonzero(isfinite(last)) == n:
+            if isfinite(last).tobytes() == finite:
                 err = error(y, yi, h, K, ctrl)   # the last stage input is the solution
         tol = atol + rtol * y_norm
         if err <= tol:
@@ -350,7 +351,8 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
             n_steps += 1
             times.append(t)
             ys.append(y)
-            y_norm = sqrt(y[ctrl].dot(y[ctrl]))
+            yc = y[ctrl]
+            y_norm = sqrt(yc.dot(yc))
             if y_norm > DEFAULT_R_MAX:
                 termination = TERM_DIVERGED
                 break
@@ -414,8 +416,9 @@ def _variational_rhs(V):
     """(v, w, P, Q)' = (w, grad V(v), Q, Hess V(v) P): v'' = grad V(v) with
     its sensitivities P = dv/dv0, Q = dw/dv0.  After (v, w) the state holds
     P and Q transposed, row-major: row j of each block is column j, the
-    sensitivity to v0[j], so Hess V(v) acts on rows (V.hessvec) and nothing
-    is transposed.  Its first 2n entries are _second_order_rhs's.
+    sensitivity to v0[j], so Hess V(v) acts on rows (V.hessvec broadcasts
+    v against them) and nothing is transposed.  Its first 2n entries are
+    _second_order_rhs's.
     """
     n = V.dim
     m = 2 * n + n * n
@@ -423,8 +426,7 @@ def _variational_rhs(V):
 
     def rhs(y):
         v, P = y[:n], y[2 * n:m].reshape(n, n)
-        return np.concatenate((y[n:2 * n], grad(v), y[m:],
-                               hessvec(v[None].repeat(n, 0), P).ravel()))
+        return np.concatenate((y[n:2 * n], grad(v), y[m:], hessvec(v[None], P).ravel()))
 
     return rhs
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evanflow.cli import _DEFAULTS, _FLAGS, _INTEG_KEYS, _POSITIONAL, build_parser, main
+from evanflow.cli import _DEFAULTS, _FLAGS, _INTEG_KEYS, _POSITIONAL, _csv, build_parser, main
 
 
 def run(argv):
@@ -259,6 +259,35 @@ def test_evanesce_failure_exit_code(tmp_path):
 
 
 # --- reconstruct ----------------------------------------------------------
+
+def _per_cell_csv(header, rows):
+    # the CSV writer as it was, one %-format per cell: the reference
+    lines = [",".join(header)]
+    lines += [",".join(str(v).lower() if isinstance(v, bool) else "%.17g" % v
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_CSV_EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+              0.1, 1.0 / 3.0, -2.5e-17, 7, -3, 0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.booleans(), st.lists(st.one_of(
+    st.sampled_from(_CSV_EDGES), st.floats(width=64), st.integers(-10**6, 10**6)),
+    min_size=0, max_size=60))
+def test_csv_rows_are_written_as_the_per_cell_writer_writes_them(width, flag, cells):
+    # one %-format per artifact, read off the first row, gives each row the
+    # bytes the per-cell formats gave it: nan, +-inf, -0.0, subnormals,
+    # ints, and a bool column written true / false
+    rows = [cells[i:i + width] for i in range(0, len(cells) - width + 1, width)]
+    if flag:
+        rows = [[*row, i % 3 == 0] for i, row in enumerate(rows)]
+    header = [f"c{j}" for j in range(width + flag)]
+    want = _per_cell_csv(header, rows)
+    assert _csv(header, (list(row) for row in rows)) == want
+    assert _csv(header, rows) == want
+
 
 def test_reconstruct_1d_grid(tmp_path):
     rc = run(["reconstruct", "--potential", "quadratic:1", "--grid=-1:1:5",

@@ -10,6 +10,7 @@ from evanflow.fields import (
     CatalogError,
     DifferentiableField,
     NonnegativityError,
+    _central_hessvec,
     catalog_ids,
     fd_gradient,
     fd_step,
@@ -17,6 +18,7 @@ from evanflow.fields import (
     induced_potential,
     make_counterexample,
     make_example_one,
+    make_pair,
     make_quadratic,
     parse_matrix_literal,
     resolve_potential,
@@ -257,6 +259,54 @@ def test_field_without_hessvec_takes_fd_step_per_point():
     quad = make_quadratic([[1.0, 0.3], [0.3, 2.0]]).v
     assert DifferentiableField(dim=2, value=quad.value, gradient=quad.gradient,
                                hessvec=quad.hessvec).hessvec is quad.hessvec
+
+
+def _quartic_without_hessvec(A):
+    # psi = 0.5 x'Ax + 0.25 sum x_i^4, given by value and gradient only
+    return DifferentiableField(
+        dim=len(A),
+        value=lambda x: (0.5 * np.einsum("...i,ij,...j->...", x, A, x)
+                         + 0.25 * np.sum(np.asarray(x) ** 4, axis=-1)),
+        gradient=lambda x: np.asarray(x, float) @ A + np.asarray(x, float) ** 3)
+
+
+def _contract_fields():
+    # every catalog psi and V, the quadratic family in 1 to 4 dimensions, a
+    # quartic built without a hessvec with its induced V, and the central
+    # difference of its gradient taken directly
+    rng = np.random.default_rng(11)
+    pairs = {name: resolve_potential(name) for name in catalog_ids()[1:]}
+    for n in range(1, 5):
+        B = rng.standard_normal((n, n))
+        A = B @ B.T + n * np.eye(n)
+        pairs[f"quadratic{n}"] = make_quadratic(A)
+        quartic = _quartic_without_hessvec(A)
+        pairs[f"quartic{n}"] = make_pair(quartic)
+        yield pytest.param(n, _central_hessvec(quartic.gradient), id=f"central{n}")
+    for name, pp in pairs.items():
+        yield pytest.param(pp.dim, pp.psi.hessvec, id=f"{name}.psi")
+        yield pytest.param(pp.dim, pp.v.hessvec, id=f"{name}.v")
+
+
+@pytest.mark.parametrize("dim, hessvec", list(_contract_fields()))
+def test_hessvec_broadcasts_points_against_directions(dim, hessvec):
+    # the contract of DifferentiableField.hessvec: the leading axes of x and
+    # h broadcast, bit for bit as the repeated operand gives them.  Shooting
+    # passes one point with n sensitivity rows, x[None] (1, n) against H
+    # (k, n); the action route one unit vector (n,) against many nodes
+    rng = np.random.default_rng(dim)
+    for k in range(1, 5):
+        for _ in range(5):
+            x = rng.uniform(-1.5, 1.5, dim)
+            H = rng.standard_normal((k, dim))
+            H[-1] = 0.0 if k > 1 else H[-1]
+            got, want = hessvec(x[None], H), hessvec(x[None].repeat(k, 0), H)
+            assert got.shape == want.shape == (k, dim)
+            assert np.array_equal(got, want), k
+            X = rng.uniform(-1.5, 1.5, (k, dim))
+            for e in np.eye(dim):
+                got, want = hessvec(X, e), hessvec(X, e[None].repeat(k, 0))
+                assert np.array_equal(np.broadcast_to(got, (k, dim)), want), (k, e)
 
 
 def test_induced_gradient_without_hessvec_is_accurate():

@@ -412,6 +412,29 @@ def test_estimated_first_step_falls_back_where_the_slope_overflows():
     assert calls == []
 
 
+_EDGE_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                                1e-310, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(_EDGE_FLOATS, st.floats(width=64)), min_size=1, max_size=40))
+def test_finiteness_bytes_test_is_isfinite_all(values):
+    # rk_adaptive's stage test and _check_state compare the bytes of
+    # isfinite(y) with all ones: bool bytes are exactly 0 or 1, so this is
+    # isfinite(y).all()'s verdict, on contiguous and strided vectors, with
+    # nan, infinities, -0.0, subnormals and near-overflow entries, and it
+    # raises no warning (tier-1 makes a RuntimeWarning an error)
+    y = np.array(values)
+    for v in (y, y[::2], y[::-1]):
+        want = bool(np.isfinite(v).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (np.isfinite(v).tobytes() == b"\x01" * v.size) is want
+        # the divergence test after it squares the norm, which may overflow
+        with np.errstate(over="ignore"):
+            assert (integrate._check_state(v) != "nan") is want
+
+
 def test_adaptive_halves_h_on_a_nan_error_norm():
     # a step whose error norm is NaN fails the one accept test and halves
     # h, like a step with a non-finite stage
