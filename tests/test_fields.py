@@ -299,7 +299,8 @@ def test_hessvec_broadcasts_points_against_directions(dim, hessvec):
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, dim)
             H = rng.standard_normal((k, dim))
-            H[-1] = 0.0 if k > 1 else H[-1]
+            if k > 1:
+                H[-1] = 0.0   # the p = 0 branch of _central_hessvec
             got, want = hessvec(x[None], H), hessvec(x[None].repeat(k, 0), H)
             assert got.shape == want.shape == (k, dim)
             assert np.array_equal(got, want), k
