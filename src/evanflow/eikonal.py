@@ -11,8 +11,8 @@ from dataclasses import dataclass, field as dc_field, asdict
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
+from evanflow import kernels
 from evanflow.diagnostics import CheckResult, DiagnosticsReport, check_monotone_gradient
 from evanflow.evanescent import (
     DEFAULT_N,
@@ -163,7 +163,7 @@ def _values(F: np.ndarray, solve_ok: np.ndarray, dt: float, T: float) -> list:
         fit = (t * (y - (y.sum(axis=1) / cnt)[:, None])).sum(axis=1) / (t * t).sum(axis=1)
     out = []
     for f0, ev, f_end, slope, ok in zip(
-            F[:, 0], simpson(F, dx=dt, axis=-1).tolist(), f_tail[:, -1].tolist(),
+            F[:, 0], kernels.simpson(F, dt).tolist(), f_tail[:, -1].tolist(),
             np.where(cnt >= 3, fit, -np.inf).tolist(), solve_ok):
         if f0 <= EPS_EQUILIBRIUM:
             out.append({"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,

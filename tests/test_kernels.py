@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import example, given, settings, strategies as st
 
 from evanflow import kernels
 
@@ -48,6 +50,48 @@ def test_trapezoid_nonuniform():
     ts = np.array([0.0, 0.5, 2.0])
     vals = np.array([1.0, 3.0, 3.0])
     assert kernels.trapezoid(ts, vals) == pytest.approx(0.5 * 2 + 1.5 * 3)
+
+
+_EDGE_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+                                 np.inf, -np.inf, np.nan])
+# dx of 1e-160 or less underflows the squares and cubes of Cartwright's
+# weights, and below about 1e-108 their denominators too
+_SPACINGS = st.one_of(st.floats(5e-324, 1e300), st.floats(5e-324, 1e-160), st.floats(1e-3, 1.0),
+                      st.sampled_from([5e-324, 1e-320, 1e-200, 1e-160, 1e-108, 1e300]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda rows: st.integers(3, 64).flatmap(
+           lambda nodes: st.lists(st.one_of(_EDGE_ENTRIES, st.floats(width=64), st.floats(-10.0, 10.0)),
+                                  min_size=rows * nodes, max_size=rows * nodes).map(
+               lambda v: np.array(v).reshape(rows, nodes)))),
+       _SPACINGS)
+# dx / 3 and every weight round to 0, and the correction is -0.0: scipy's
+# trailing `+= 0.0` makes the result +0.0
+@example(np.array([[-10.0, 1.0, -1.0, -1.0]]), 5e-324)
+# the last weight's 0 / 0 is NaN without scipy's zero-denominator guard
+@example(np.array([[1.0, 2.0, 3.0, 4.0]]), 1e-170)
+# the last weight's h ** 3 is one pow; h * h * h rounds twice, and moves
+# the result's last bit here
+@example(np.array([[0.0, 1.0, 0.0, 0.0]]), 0.81)
+def test_simpson_is_scipys_bit_for_bit(F, dx):
+    # the value step's quadrature is scipy's composite Simpson, Cartwright's
+    # last-interval correction on an even node count included, byte for
+    # byte on a stack and on one row: signed zeros, NaN and the zero
+    # weights where a denominator underflows
+    for G in (F, F[0]):
+        with np.errstate(all="ignore"):
+            got = kernels.simpson(G, dx)
+            want = scipy.integrate.simpson(G, dx=dx, axis=-1)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("nodes", [0, 1, 2])
+def test_simpson_needs_three_nodes(nodes):
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        kernels.simpson(np.ones((2, nodes)), 0.1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])

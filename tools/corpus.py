@@ -18,9 +18,12 @@ cases:
   recon-action  reconstruct_grid on the 5x5 grid of each of the three
                 seed-1 quadratics of the benchmark's recon-action workload
   recon ...     reconstruct_grid on the 41x41 grid of [-1, 1]^2 for the
-                quadratic [[1.3, .4], [.4, 1.8]], and on the 5 points of
+                quadratic [[1.3, .4], [.4, 1.8]], on the 5 points of
                 -1:1:5 for quadratic:0.05, whose points take the (2T, 2N)
-                horizon retry
+                horizon retry, and with N = 239 on the 5x5 grid for
+                [[1.3, .4], [.4, 1.8]]: 240 nodes, an even count, so the
+                value step's Simpson takes Cartwright's last-interval
+                correction (every other case has an odd node count)
   quartic ...   minimize_action and shoot_evanescent at T = 12 on
                 psi = 0.5 x'Ax + 0.25 sum x_i^4, given without a hessvec,
                 for A = diag(2, 3) and [[1, .3], [.3, .5]] from (1, 1) and
@@ -112,7 +115,7 @@ from evanflow.diagnostics import (
     check_phi_residual,
     evanescence_measures,
 )
-from evanflow.eikonal import grid_points, reconstruct_grid
+from evanflow.eikonal import ReconstructOptions, grid_points, reconstruct_grid
 from evanflow.evanescent import minimize_action, shoot_evanescent
 from evanflow.fields import (
     DifferentiableField,
@@ -372,17 +375,19 @@ def cases() -> list:
             _split_cli_recon if argv[0] == "reconstruct" else None)
            for name, argv, config in _cli_runs()]
     points = grid_points([(-1.0, 1.0, 5), (-1.0, 1.0, 5)])
-    recon = [(f"recon-action seed 1 grid {k}", make_quadratic(A), points)
+    recon = [(f"recon-action seed 1 grid {k}", make_quadratic(A), points, None)
              for k, A in enumerate(_recon_action_quadratics())]
     recon += [
         ("recon 41x41 [[1.3,.4],[.4,1.8]]", make_quadratic([[1.3, 0.4], [0.4, 1.8]]),
-         grid_points([(-1.0, 1.0, 41), (-1.0, 1.0, 41)])),
+         grid_points([(-1.0, 1.0, 41), (-1.0, 1.0, 41)]), None),
         ("recon quadratic:0.05 -1:1:5", make_quadratic([[0.05]]),
-         grid_points([(-1.0, 1.0, 5)])),
+         grid_points([(-1.0, 1.0, 5)]), None),
+        ("recon 5x5 [[1.3,.4],[.4,1.8]] N=239", make_quadratic([[1.3, 0.4], [0.4, 1.8]]),
+         points, ReconstructOptions(N=239)),
     ]
-    out += [(name, lambda pp=pp, points=points: reconstruct_grid(pp.v.scaled(2.0), points),
-             _split_recon)
-            for name, pp, points in recon]
+    out += [(name, lambda pp=pp, points=points, opts=opts:
+             reconstruct_grid(pp.v.scaled(2.0), points, opts), _split_recon)
+            for name, pp, points, opts in recon]
     for name, A, x0 in QUARTICS:
         psi = _quartic(A)
         V = induced_potential(psi)
