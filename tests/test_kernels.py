@@ -52,18 +52,18 @@ def test_trapezoid_nonuniform():
     assert kernels.trapezoid(ts, vals) == pytest.approx(0.5 * 2 + 1.5 * 3)
 
 
-_EDGE_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
-                                 np.inf, -np.inf, np.nan])
-# dx of 1e-160 or less underflows the squares and cubes of Cartwright's
-# weights, and below about 1e-108 their denominators too
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300,
+                                      -1e300, np.inf, -np.inf, np.nan]),
+                     st.floats(width=64), st.floats(-10.0, 10.0))
+# below about 1e-108 the cube in Cartwright's last weight underflows, and
+# below about 1e-162 the squares and that weight's denominator too
 _SPACINGS = st.one_of(st.floats(5e-324, 1e300), st.floats(5e-324, 1e-160), st.floats(1e-3, 1.0),
                       st.sampled_from([5e-324, 1e-320, 1e-200, 1e-160, 1e-108, 1e300]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 5).flatmap(lambda rows: st.integers(3, 64).flatmap(
-           lambda nodes: st.lists(st.one_of(_EDGE_ENTRIES, st.floats(width=64), st.floats(-10.0, 10.0)),
-                                  min_size=rows * nodes, max_size=rows * nodes).map(
+           lambda nodes: st.lists(_ENTRIES, min_size=rows * nodes, max_size=rows * nodes).map(
                lambda v: np.array(v).reshape(rows, nodes)))),
        _SPACINGS)
 # dx / 3 and every weight round to 0, and the correction is -0.0: scipy's
