@@ -7,7 +7,10 @@ last stage as the next step's first (FSAL).  Flows, and the config key
 integrator "rk45", take the Dormand-Prince 5(4) pair (DP45); shooting
 orbits take the 8th-order DOP853 at _SHOOT_RTOL and an atol scaled by
 their start.  The right-hand side is the integrators' only callback: an
-orbit stops where its first stage rhs(y) is shorter than eps_crit.  Orbit
+orbit stops where its first stage rhs(y) is shorter than eps_crit.  Each
+orbit steps under np.errstate(over="ignore", invalid="ignore"), so an
+overflow in a norm, a stage or the right-hand side is silent during an
+orbit: the finiteness and divergence tests decide what it means.  Orbit
 generators wrap them for u' = -grad psi(u) and for the phase-space form of
 v'' = grad V(v); every shooting orbit comes from one of them, which on
 request carries the sensitivities P = dv/dv0 and Q = dw/dv0 transposed,
@@ -104,32 +107,33 @@ def rk4_fixed(rhs: Callable, y0, T: float, h: float,
     ys = [y]
     termination = TERM_HORIZON
     n_steps = 0
-    while t < T - 1e-14 * T:
-        k1 = rhs(y)
-        if eps_crit is not None and sqrt(k1.dot(k1)) < eps_crit:
-            termination = TERM_CRIT
-            break
-        # node times are computed as multiples of h (not accumulated) so the
-        # grid is exactly uniform apart from a final partial step
-        t_next = min((n_steps + 1) * h, T)
-        hs = t_next - t
-        k2 = rhs(y + 0.5 * hs * k1)
-        k3 = rhs(y + 0.5 * hs * k2)
-        k4 = rhs(y + hs * k3)
-        y_new = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        flag = _check_state(y_new)
-        if flag == "nan":
-            raise NumericDomainError(
-                f"non-finite state at t = {t + hs:g} (last valid t = {t:g})"
-            )
-        y = y_new
-        t = t_next
-        n_steps += 1
-        times.append(t)
-        ys.append(y)
-        if flag == TERM_DIVERGED:
-            termination = TERM_DIVERGED
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < T - 1e-14 * T:
+            k1 = rhs(y)
+            if eps_crit is not None and sqrt(k1.dot(k1)) < eps_crit:
+                termination = TERM_CRIT
+                break
+            # node times are computed as multiples of h (not accumulated) so the
+            # grid is exactly uniform apart from a final partial step
+            t_next = min((n_steps + 1) * h, T)
+            hs = t_next - t
+            k2 = rhs(y + 0.5 * hs * k1)
+            k3 = rhs(y + 0.5 * hs * k2)
+            k4 = rhs(y + hs * k3)
+            y_new = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            flag = _check_state(y_new)
+            if flag == "nan":
+                raise NumericDomainError(
+                    f"non-finite state at t = {t + hs:g} (last valid t = {t:g})"
+                )
+            y = y_new
+            t = t_next
+            n_steps += 1
+            times.append(t)
+            ys.append(y)
+            if flag == TERM_DIVERGED:
+                termination = TERM_DIVERGED
+                break
     return RawOrbit(
         np.asarray(times), np.asarray(ys), termination,
         {"method": "rk4", "h": h, "n_steps": n_steps, "n_rejected": 0},
@@ -319,48 +323,50 @@ def rk_adaptive(rhs: Callable, y0, T: float, rtol: float = 1e-9,
     error, exponent = pair.error, pair.exponent
     # bool bytes are 0 or 1: a finite vector's isfinite() bytes are all ones
     isfinite, finite = np.isfinite, b"\x01" * n
-    # Euclidean norms as np.linalg.norm takes them on 1-D input
-    y_norm = sqrt(y[ctrl].dot(y[ctrl]))
-    h = pair.first_step(rhs, y, K[0], T, atol + rtol * y_norm, exponent, ctrl)
-    while t < T * (1.0 - 1e-15):
-        # K[0] is rhs(y): set at y0, carried over by FSAL, kept on rejection
-        if eps_crit is not None and sqrt(K[0].dot(K[0])) < eps_crit:
-            termination = TERM_CRIT
-            break
-        if h < 1e-14 * T:
-            termination = TERM_STEP_COLLAPSE
-            break
-        h = min(h, T - t)
-        err = nan
-        for a, Ki, Kr in stages:
-            yi = y + h * a.dot(Ki)
-            if isfinite(yi).tobytes() != finite:
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Euclidean norms as np.linalg.norm takes them on 1-D input
+        y_norm = sqrt(y[ctrl].dot(y[ctrl]))
+        h = pair.first_step(rhs, y, K[0], T, atol + rtol * y_norm, exponent, ctrl)
+        while t < T * (1.0 - 1e-15):
+            # K[0] is rhs(y): set at y0, carried over by FSAL, kept on rejection
+            if eps_crit is not None and sqrt(K[0].dot(K[0])) < eps_crit:
+                termination = TERM_CRIT
                 break
-            Kr[...] = rhs(yi)
-        else:
-            # in both pairs K[0] is finite (or y1 is not), and K[i], 0 < i < s,
-            # enters y_{i+1} with a nonzero last weight, so a finite y_{i+1}
-            # proves it finite; only K[s] is left to test
-            if isfinite(last).tobytes() == finite:
-                err = error(y, yi, h, K, ctrl)   # the last stage input is the solution
-        tol = atol + rtol * y_norm
-        if err <= tol:
-            t += h
-            y = yi
-            K[0] = last
-            n_steps += 1
-            times.append(t)
-            ys.append(y)
-            yc = y[ctrl]
-            y_norm = sqrt(yc.dot(yc))
-            if y_norm > DEFAULT_R_MAX:
-                termination = TERM_DIVERGED
+            if h < 1e-14 * T:
+                termination = TERM_STEP_COLLAPSE
                 break
-        else:
-            n_rejected += 1
-        # a step without a finite error norm halves h
-        factor = 0.5 if not isfinite(err) else 0.9 * (tol / err) ** exponent if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+            h = min(h, T - t)
+            err = nan
+            for a, Ki, Kr in stages:
+                yi = y + h * a.dot(Ki)
+                if isfinite(yi).tobytes() != finite:
+                    break
+                Kr[...] = rhs(yi)
+            else:
+                # in both pairs K[0] is finite (or y1 is not), and K[i], 0 < i < s,
+                # enters y_{i+1} with a nonzero last weight, so a finite y_{i+1}
+                # proves it finite; only K[s] is left to test
+                if isfinite(last).tobytes() == finite:
+                    err = error(y, yi, h, K, ctrl)   # the last stage input is the solution
+            tol = atol + rtol * y_norm
+            if err <= tol:
+                t += h
+                y = yi
+                K[0] = last
+                n_steps += 1
+                times.append(t)
+                ys.append(y)
+                yc = y[ctrl]
+                y_norm = sqrt(yc.dot(yc))
+                if y_norm > DEFAULT_R_MAX:
+                    termination = TERM_DIVERGED
+                    break
+            else:
+                n_rejected += 1
+            # a step without a finite error norm halves h
+            factor = (0.5 if not isfinite(err)
+                      else 0.9 * (tol / err) ** exponent if err > 0 else 5.0)
+            h *= min(5.0, max(0.2, factor))
     return RawOrbit(
         np.asarray(times), np.asarray(ys), termination,
         {"method": pair.name, "rtol": rtol, "atol": atol,

@@ -12,8 +12,8 @@ import numpy as np
 # there is no compiled backend; the flag stays for code that reads it
 USING_EXTENSION = False
 
-__all__ = ["USING_EXTENSION", "action_assemble", "action_gradient",
-           "el_residual_max", "row_dots", "simpson", "trapezoid"]
+__all__ = ["USING_EXTENSION", "action_assemble", "action_gradient", "row_dots",
+           "simpson", "trapezoid"]
 
 
 def _scalar(x):
@@ -26,8 +26,8 @@ def action_assemble(W, Vv, Vg, dt, mu, want_grad=True):
     W: (..., N+1, n) node positions, Vv: (..., N+1) potential values,
     Vg: (..., N+1, n) potential gradients, dt: spacing, mu: terminal penalty
     weight.  Returns (value, grad) with grad of shape (..., N, n) covering
-    nodes 1..N (node 0 is the fixed endpoint); grad is None when want_grad
-    is False.
+    nodes 1..N (node 0 is the fixed endpoint); when want_grad is False, Vg
+    is not read (None will do) and grad is None.
     """
     W = np.asarray(W, float)
     Vv = np.asarray(Vv, float)
@@ -53,25 +53,17 @@ def action_gradient(W, Vg, dt, mu):
     return grad
 
 
-def _decrease(d, Vv, d_t, Vv_t, dt, mu):
-    """Action of a path minus that of a trial path, from their node
-    differences d, d_t and potential values, each term differenced before
-    the sum, so a decrease near the double-precision floor is not cancelled
-    away as in the difference of two summed action values."""
+def _decrease(W, Vv, W_t, Vv_t, dt, mu):
+    """Action of a path minus that of a trial path, from their nodes W, W_t
+    and potential values, each term differenced before the sum, so a
+    decrease near the double-precision floor is not cancelled away as in
+    the difference of two summed action values."""
+    d = W[..., 1:, :] - W[..., :-1, :]
+    d_t = W_t[..., 1:, :] - W_t[..., :-1, :]
     dV = np.asarray(Vv, float) - np.asarray(Vv_t, float)
     kinetic = 0.5 * ((d - d_t) * (d + d_t)).sum(axis=(-2, -1)) / dt
     potential = 0.5 * dt * (dV[..., :-1] + dV[..., 1:]).sum(axis=-1)
     return _scalar(kinetic + potential + mu * dV[..., -1])
-
-
-def el_residual_max(W, Vg, dt):
-    """Max norm of the discrete Euler-Lagrange residual at interior nodes."""
-    W = np.asarray(W, float)
-    Vg = np.asarray(Vg, float)
-    if W.shape[-2] < 3:
-        return _scalar(np.zeros(W.shape[:-2]))
-    res = (W[..., 2:, :] - 2.0 * W[..., 1:-1, :] + W[..., :-2, :]) / (dt * dt) - Vg[..., 1:-1, :]
-    return _scalar(np.max(np.sqrt(np.sum(res * res, axis=-1)), axis=-1))
 
 
 def row_dots(X):

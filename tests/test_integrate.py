@@ -493,6 +493,21 @@ def test_adaptive_divergence_guard():
     assert np.linalg.norm(raw.ys[-1]) > DEFAULT_R_MAX
 
 
+@pytest.mark.parametrize("orbit", [
+    lambda rhs, y0: rk4_fixed(rhs, y0, 1.0, 0.1, eps_crit=1e-10),
+    lambda rhs, y0: rk_adaptive(rhs, y0, 1.0, eps_crit=1e-10, pair=DP45),
+], ids=["rk4", "dp45"])
+def test_an_overflowing_norm_ends_the_orbit_diverged_without_a_warning(orbit):
+    # from 1e200 every squared norm (the state's, the slope's, the error
+    # estimate's) overflows to inf: the orbit ends diverged after its first
+    # step, and no RuntimeWarning escapes the integrator
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = orbit(lambda y: -y, np.array([1e200]))
+    assert raw.termination == TERM_DIVERGED
+    assert raw.meta["n_steps"] == 1
+
+
 def test_adaptive_step_collapse_on_finite_time_blowup():
     # y' = y^2 from y(0) = 1 blows up at t = 1: the orbit ends there, past
     # DEFAULT_R_MAX or on a collapsed step size, never at the horizon

@@ -24,6 +24,18 @@ cases:
                 [[1.3, .4], [.4, 1.8]]: 240 nodes, an even count, so the
                 value step's Simpson takes Cartwright's last-interval
                 correction (every other case has an odd node count)
+  recon double-well
+                reconstruct_grid of f = 2V, V = induced_potential(psi) for
+                the double well psi = x^4/4 - x^2/2 with its exact hessvec,
+                at -0.4, 0, 0.5, 1.5 and 2: V is not convex between the
+                wells, so members take the isotropic fallback factor, and
+                their line searches halve the step
+  recon quartic diag(2,3) 5x5
+                reconstruct_grid of f = 2V, V = induced_potential of the
+                quartic diag(2, 3) below, on the 5x5 grid of [-1, 1]^2: the
+                members stop after different iteration counts, so the
+                working set shrinks between iterations, and the points that
+                miss the tail test take the (2T, 2N) retry
   quartic ...   minimize_action and shoot_evanescent at T = 12 on
                 psi = 0.5 x'Ax + 0.25 sum x_i^4, given without a hessvec,
                 for A = diag(2, 3) and [[1, .3], [.3, .5]] from (1, 1) and
@@ -245,6 +257,23 @@ def _quartic(A) -> DifferentiableField:
     return DifferentiableField(dim=len(A), value=value, gradient=gradient, name="quartic")
 
 
+def _double_well() -> DifferentiableField:
+    """psi = x^4/4 - x^2/2 with its exact hessvec."""
+    def value(x):
+        x = np.asarray(x, float)[..., 0]
+        return 0.25 * x ** 4 - 0.5 * x ** 2
+
+    def gradient(x):
+        x = np.asarray(x, float)
+        return x ** 3 - x
+
+    def hessvec(x, h):
+        return (3.0 * np.asarray(x, float) ** 2 - 1.0) * np.asarray(h, float)
+
+    return DifferentiableField(dim=1, value=value, gradient=gradient, hessvec=hessvec,
+                               name="double_well")
+
+
 # (name, A, x0) of each quartic start
 QUARTICS = [(f"{a}@{x0}", A, x0)
             for a, A in (("diag(2,3)", np.diag([2.0, 3.0])),
@@ -375,19 +404,23 @@ def cases() -> list:
             _split_cli_recon if argv[0] == "reconstruct" else None)
            for name, argv, config in _cli_runs()]
     points = grid_points([(-1.0, 1.0, 5), (-1.0, 1.0, 5)])
-    recon = [(f"recon-action seed 1 grid {k}", make_quadratic(A), points, None)
+    recon = [(f"recon-action seed 1 grid {k}", make_quadratic(A).v, points, None)
              for k, A in enumerate(_recon_action_quadratics())]
     recon += [
-        ("recon 41x41 [[1.3,.4],[.4,1.8]]", make_quadratic([[1.3, 0.4], [0.4, 1.8]]),
+        ("recon 41x41 [[1.3,.4],[.4,1.8]]", make_quadratic([[1.3, 0.4], [0.4, 1.8]]).v,
          grid_points([(-1.0, 1.0, 41), (-1.0, 1.0, 41)]), None),
-        ("recon quadratic:0.05 -1:1:5", make_quadratic([[0.05]]),
+        ("recon quadratic:0.05 -1:1:5", make_quadratic([[0.05]]).v,
          grid_points([(-1.0, 1.0, 5)]), None),
-        ("recon 5x5 [[1.3,.4],[.4,1.8]] N=239", make_quadratic([[1.3, 0.4], [0.4, 1.8]]),
+        ("recon 5x5 [[1.3,.4],[.4,1.8]] N=239", make_quadratic([[1.3, 0.4], [0.4, 1.8]]).v,
          points, ReconstructOptions(N=239)),
+        ("recon double-well", induced_potential(_double_well()),
+         [[-0.4], [0.0], [0.5], [1.5], [2.0]], None),
+        ("recon quartic diag(2,3) 5x5", induced_potential(_quartic(np.diag([2.0, 3.0]))),
+         points, None),
     ]
-    out += [(name, lambda pp=pp, points=points, opts=opts:
-             reconstruct_grid(pp.v.scaled(2.0), points, opts), _split_recon)
-            for name, pp, points, opts in recon]
+    out += [(name, lambda V=V, points=points, opts=opts:
+             reconstruct_grid(V.scaled(2.0), points, opts), _split_recon)
+            for name, V, points, opts in recon]
     for name, A, x0 in QUARTICS:
         psi = _quartic(A)
         V = induced_potential(psi)
