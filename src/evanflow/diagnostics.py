@@ -81,8 +81,10 @@ def _result(check_id, violation, location, tol, notes="") -> CheckResult:
 
 
 def _max_consecutive_increase(times, series):
-    """Largest positive forward difference and where it happens."""
-    diffs = np.diff(series)
+    """Largest positive forward difference and where it happens; NaN where
+    it meets a non-finite pair, as on a diverged orbit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.diff(series)
     if len(diffs) == 0:
         return 0.0, float(times[0])
     i = int(np.argmax(diffs))
@@ -139,11 +141,13 @@ def kinetic_integral(traj: Trajectory) -> float:
     w0 = traj.velocities[:-1, None, :]
     w1 = traj.velocities[1:, None, :]
     tau = _GAUSS3_NODES[None, :, None]
-    dp = ((6 * tau * tau - 6 * tau) * (u0 - u1)
-          + (3 * tau * tau - 4 * tau + 1) * h * w0
-          + (3 * tau * tau - 2 * tau) * h * w1)
-    sq = np.sum(dp * dp, axis=-1)                     # (m-1, 3)
-    per_interval = sq @ _GAUSS3_WEIGHTS / h[:, 0, 0]
+    # a diverged orbit overflows here, silently: the integral is inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp = ((6 * tau * tau - 6 * tau) * (u0 - u1)
+              + (3 * tau * tau - 4 * tau + 1) * h * w0
+              + (3 * tau * tau - 2 * tau) * h * w1)
+        sq = np.sum(dp * dp, axis=-1)                 # (m-1, 3)
+        per_interval = sq @ _GAUSS3_WEIGHTS / h[:, 0, 0]
     return float(np.sum(per_interval))
 
 
@@ -160,7 +164,8 @@ def check_energy_identity(traj: Trajectory, psi) -> CheckResult:
 
 def check_grad_norm_monotone(traj: Trajectory, psi) -> CheckResult:
     """For convex psi the speed ||grad psi(u(t))|| is nonincreasing."""
-    norms = np.linalg.norm(np.asarray(psi.gradient(traj.states), float), axis=-1)
+    with np.errstate(over="ignore"):    # inf on a diverged orbit
+        norms = np.linalg.norm(np.asarray(psi.gradient(traj.states), float), axis=-1)
     return _nonincreasing("grad_norm_monotone", traj.times, norms)
 
 

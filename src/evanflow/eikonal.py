@@ -21,7 +21,7 @@ from evanflow.evanescent import (
     _minimize_actions,
 )
 from evanflow.fields import DifferentiableField, PotentialPair, field_from_f
-from evanflow.integrate import IntegratorOptions, gradient_flow
+from evanflow.integrate import IntegratorOptions, gradient_flow, _CHECK_RTOL
 
 TAIL_DECAY_SLOPE = -0.1
 BOUNDED_BELOW_FLOOR = -1e6
@@ -281,7 +281,7 @@ def convexity_criterion_check(pp: PotentialPair, sample_pairs,
     # the reported location is the least finite psi sampled
     vals, states = [np.asarray(pp.psi.value(probes), float)], [probes]
     unbounded = False
-    flow_opts = IntegratorOptions(rtol=1e-8)
+    flow_opts = IntegratorOptions(rtol=_CHECK_RTOL)
     for x0 in probes[:5]:
         try:
             traj = gradient_flow(pp, x0, CONVEXITY_FLOW_T, flow_opts)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from evanflow import kernels
 from evanflow.diagnostics import (
@@ -39,6 +38,7 @@ from evanflow.integrate import (
     Trajectory,
     gradient_flow,
     path_integral,
+    _CHECK_RTOL,
     _SHOOT_RTOL,
     _variational_orbit,
 )
@@ -171,6 +171,7 @@ def _action_hessian_bands(H: np.ndarray, dt: float, mu: float) -> np.ndarray:
 def _newton_factor(band: np.ndarray) -> Optional[np.ndarray]:
     """cholesky_banded of one member's band, or None where it is not finite
     or not positive definite (V not convex along the path)."""
+    from scipy.linalg import LinAlgError, cholesky_banded
     if not np.isfinite(band).all():
         return None
     try:
@@ -205,6 +206,9 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     so every member gets the direction, and the result, it gets alone.
     Returns the final (W, Vv, iterations, grad_inf) per member.
     """
+    # scipy.linalg (about 0.2 s of a fresh process) loads on the first solve,
+    # so the commands that never solve an action do not pay for it
+    from scipy.linalg import cho_solve_banded, cholesky_banded
     W = np.array(W, float)
     Vv = _potential_values(V, W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
     _check_start(W[:, 0], Vv[:, 0])
@@ -568,10 +572,10 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
                    max_iters: int = DEFAULT_MAX_ITERS,
                    action: Optional[EvanescentSolveResult] = None,
                    shot: Optional[EvanescentSolveResult] = None) -> DiagnosticsReport:
-    """Run gradient flow, action minimization and shooting from the same x0
-    and assert the three orbits agree on the shared uniform grid with
-    spacing T/N, then report the phi residual each route's solve checked
-    along its orbit.  A route already solved from x0 at (T, N) with this
+    """Run gradient flow (DP45 at _CHECK_RTOL), action minimization and
+    shooting from the same x0 and assert the three orbits agree on the
+    shared uniform grid with spacing T/N, then report the phi residual each
+    route's solve checked along its orbit.  A route already solved from x0 at (T, N) with this
     max_iters and psi is passed in as ``action`` or ``shot`` and not solved
     again.  T and N out of range, and a route passed in that was solved
     without psi, raise ValueError before anything is evaluated."""
@@ -589,7 +593,7 @@ def cross_validate(pp: PotentialPair, x0, T: float = DEFAULT_T,
     report.add(check_monotone_gradient(psi, pairs))
 
     grid = T / N * np.arange(N + 1)
-    flow = gradient_flow(pp, x0, T, IntegratorOptions(method="rk4", h=T / N))
+    flow = gradient_flow(pp, x0, T, IntegratorOptions(rtol=_CHECK_RTOL))
     act = action or minimize_action(V, x0, T, N, max_iters, psi=psi)
     shot = shot or shoot_evanescent(V, x0, T, psi=psi)
     flow_states = _on_grid(V, flow, grid)

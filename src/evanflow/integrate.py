@@ -4,18 +4,20 @@ Two integrators are provided: classical fixed-step RK4 and one adaptive
 loop over an embedded Runge-Kutta pair given as data (stage rows, error
 norm, step-control exponent, first step), which reuses each accepted step's
 last stage as the next step's first (FSAL).  Flows, and the config key
-integrator "rk45", take the Dormand-Prince 5(4) pair (DP45); shooting
-orbits take the 8th-order DOP853 at _SHOOT_RTOL and an atol scaled by
-their start.  The right-hand side is the integrators' only callback: an
-orbit stops where its first stage rhs(y) is shorter than eps_crit.  Each
-orbit steps under np.errstate(over="ignore", invalid="ignore"), so an
-overflow in a norm, a stage or the right-hand side is silent during an
-orbit: the finiteness and divergence tests decide what it means.  Orbit
-generators wrap them for u' = -grad psi(u) and for the phase-space form of
-v'' = grad V(v); every shooting orbit comes from one of them, which on
-request carries the sensitivities P = dv/dv0 and Q = dw/dv0 transposed,
-one row per component of v0.  Orbit integrals take one value per node,
-and optionally its time derivative for the endpoint-corrected trapezoid.
+integrator "rk45", take the Dormand-Prince 5(4) pair (DP45), the flows
+that only feed a check at _CHECK_RTOL; fixed-step RK4 serves only the
+config key integrator "rk4".  Shooting orbits take the 8th-order DOP853 at
+_SHOOT_RTOL and an atol scaled by their start.  The right-hand side is the
+integrators' only callback: an orbit stops where its first stage rhs(y) is
+shorter than eps_crit.  Each orbit steps under np.errstate(over="ignore",
+invalid="ignore"), so an overflow in a norm, a stage or the right-hand side
+is silent during an orbit: the finiteness and divergence tests decide what
+it means.  Orbit generators wrap them for u' = -grad psi(u) and for the
+phase-space form of v'' = grad V(v); every shooting orbit comes from one of
+them, which on request carries the sensitivities P = dv/dv0 and
+Q = dw/dv0 transposed, one row per component of v0.  Orbit integrals take
+one value per node, and optionally its time derivative for the
+endpoint-corrected trapezoid.
 """
 from __future__ import annotations
 
@@ -39,6 +41,11 @@ DEFAULT_EPS_CRIT = 1e-10
 # by up to e^{lambda_max T} along an orbit: at 1e-10 a node of the fast 2-D
 # quadratic in test_shoot_spd_quadratic_property ends 1.5e-6 off
 _SHOOT_RTOL = 3e-11
+# rtol of the DP45 flows that only feed a check: cross_validate's flow, whose
+# grid error must sit far below TOL_XV = 5e-3 (1.4e-8 on the 2-D quadratic
+# diag(1, 2) from (1, 1)), and the convexity probes, whose least psi only has
+# to cross BOUNDED_BELOW_FLOOR
+_CHECK_RTOL = 1e-7
 
 
 @dataclass
@@ -251,11 +258,11 @@ def _first_step(rhs, y, f0, T, tol, exponent, ctrl) -> float:
     h0 = 0.01 ||y|| / ||f0|| probes the change of slope, and the step is
     min(100 h0, h1, T) with h1 = (0.01 tol / max(||f0||, ||f1 - f0|| / h0))
     ** exponent, f1 the slope at the probe.  The fixed first step where a
-    slope is not finite or the probe leaves the domain of rhs."""
+    slope is not finite or the probe leaves the domain of rhs.  It runs
+    inside rk_adaptive's np.errstate, so an overflowing norm is silent."""
     fixed = _fixed_first_step(rhs, y, f0, T, tol, exponent, ctrl)
-    with np.errstate(over="ignore"):    # an overflowing slope norm is refused below
-        d0 = sqrt(y[ctrl].dot(y[ctrl])) / tol
-        d1 = sqrt(f0[ctrl].dot(f0[ctrl])) / tol
+    d0 = sqrt(y[ctrl].dot(y[ctrl])) / tol
+    d1 = sqrt(f0[ctrl].dot(f0[ctrl])) / tol
     if not np.isfinite(d1):
         return fixed
     h0 = min(1e-6 if d0 <= 1e-5 or d1 <= 1e-5 else 0.01 * d0 / d1, T)
@@ -263,8 +270,7 @@ def _first_step(rhs, y, f0, T, tol, exponent, ctrl) -> float:
         df = (rhs(y + h0 * f0) - f0)[ctrl]
     except ArithmeticError:
         return fixed
-    with np.errstate(over="ignore"):
-        d2 = sqrt(df.dot(df)) / (tol * h0)
+    d2 = sqrt(df.dot(df)) / (tol * h0)
     if not np.isfinite(d2):
         return fixed
     d12 = max(d1, d2)

@@ -372,6 +372,22 @@ def test_evanesce_tiny_horizon_warns_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_flow_that_diverges_reports_its_checks_without_a_warning(tmp_path, capsys):
+    # x' = -x from 1e200 ends diverged after one step; the checks read psi,
+    # the kinetic integral and the gradient norms as inf or NaN, silently,
+    # so the run exits 2 with its report even with warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["flow", "--potential", "quadratic:1", "--x0", "1e200",
+                    "--out", str(tmp_path)]) == 2
+    rep = read_json(tmp_path / "flow_report.json")
+    assert rep["termination"] == "diverged"
+    assert {c["check_id"]: c["passed"] for c in rep["checks"]} == {
+        "lyapunov_psi": False, "energy_identity": False, "grad_norm_monotone": False,
+        "limit_point": True}
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv,key", [
     (["flow", "--x0", "1"], "x0"),
     (["second-order", "--x0", "1", "--v0=-1,-2"], "x0"),

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+import scipy.linalg
 from scipy.linalg import cholesky_banded
 
 import evanflow.evanescent as evanescent
@@ -571,8 +572,9 @@ def test_fallback_direction_matches_the_isotropic_tridiagonal_factor(pp, X0, mon
     n_nodes, dt = 60, T / 60
     mu = evanescent._MU_PER_DT * dt
     stack, failed, solves = {}, set(), []
+    # _descend imports the solve from scipy.linalg when it runs
     node_hessians, newton, solve = (evanescent._node_hessians, evanescent._newton_factor,
-                                    evanescent.cho_solve_banded)
+                                    scipy.linalg.cho_solve_banded)
 
     def spy_hessians(V, W):
         H = node_hessians(V, W)
@@ -597,7 +599,7 @@ def test_fallback_direction_matches_the_isotropic_tridiagonal_factor(pp, X0, mon
 
     monkeypatch.setattr(evanescent, "_node_hessians", spy_hessians)
     monkeypatch.setattr(evanescent, "_newton_factor", spy_newton)
-    monkeypatch.setattr(evanescent, "cho_solve_banded", spy_solve)
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", spy_solve)
     W = np.repeat(X0[:, None, :], n_nodes + 1, axis=1)
     _descend(pp.v, W, dt, mu)
     assert solves
@@ -1041,10 +1043,12 @@ def test_on_grid_samples_the_shooting_orbit():
 
 def test_cross_validate_compares_the_returned_shooting_orbit():
     # psi = x^3 from 1: the flow is 1/(1+3t); the shooting orbit the solver
-    # returns follows it, where an RK4 pass from its v0 grows away
+    # returns follows it, where an RK4 pass from its v0 grows away.  Both
+    # sides are adaptive orbits sampled between their nodes, 2.2e-8 apart;
+    # a fixed-step RK4 flow at h = T/N reads 2.1e-6
     pp = make_counterexample("cubic")
     rep = cross_validate(pp, [1.0])
-    assert rep.get("xv_shoot_vs_flow").worst_violation < 1e-5
+    assert rep.get("xv_shoot_vs_flow").worst_violation < 1e-7
     shot = shoot_evanescent(pp.v, [1.0], T, psi=pp.psi)
     assert rep.get("phi_residual_shoot") == dataclasses.replace(
         shot.diagnostics.get("phi_residual_sigma+1"), check_id="phi_residual_shoot")
@@ -1053,20 +1057,30 @@ def test_cross_validate_compares_the_returned_shooting_orbit():
 
 
 def test_cross_validate_integrates_only_the_flow(monkeypatch):
-    # the routes passed in are sampled as returned, not integrated again
+    # the routes passed in are sampled as returned, not integrated again;
+    # the flow is DP45 at _CHECK_RTOL: 93 accepted steps at 1e-7, more at a
+    # tighter rtol (the uniform grid has N = 240 intervals)
     action = minimize_action(QUAD_2D.v, [1.0, 1.0], T, N, psi=QUAD_2D.psi)
     shot = shoot_evanescent(QUAD_2D.v, [1.0, 1.0], T, psi=QUAD_2D.psi)
-    calls = []
+    calls, metas = [], []
     # an integrator that evanescent imports by name is counted there too
     for mod in (integrate, evanescent):
         for name in ("rk4_fixed", "rk_adaptive"):
             if hasattr(mod, name):
                 fn = getattr(integrate, name)
-                monkeypatch.setattr(mod, name, lambda *a, fn=fn, name=name, **k:
-                                    calls.append(name) or fn(*a, **k))
+
+                def counted(*a, fn=fn, name=name, **k):
+                    calls.append(name)
+                    raw = fn(*a, **k)
+                    metas.append(raw.meta)
+                    return raw
+
+                monkeypatch.setattr(mod, name, counted)
     rep = cross_validate(QUAD_2D, [1.0, 1.0], action=action, shot=shot)
     assert rep.all_passed, rep.to_dict()
-    assert calls == ["rk4_fixed"]
+    assert calls == ["rk_adaptive"]
+    assert metas[0]["method"] == "rk45" and metas[0]["rtol"] == integrate._CHECK_RTOL
+    assert metas[0]["n_steps"] <= 93
 
 
 @pytest.mark.parametrize("route", ["action", "shot"])
