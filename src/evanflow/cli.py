@@ -2,7 +2,9 @@
 
 Each command computes its run and returns its artifacts as texts, its
 summary and its exit code; main alone creates --out, writes the artifacts
-and prints the summary, so a run that fails writes nothing.
+and prints the summary, so a run that fails writes nothing.  The config
+each artifact echoes holds every key but out, so a run's artifacts are the
+same bytes whichever directory they are written to.
 
 Exit codes: 0 all requested checks pass, 1 input error, 2 at least one check
 failed, 3 theorem hypotheses not met (determination).
@@ -496,8 +498,8 @@ def main(argv=None) -> int:
         args = vars(build_parser().parse_args(argv))
         cmd = args.pop("command")
         cfg = _load_config(cmd, args.pop("config"), args)
+        out = Path(cfg.pop("out"))
         files, summary, code = _COMMANDS[cmd](cfg)
-        out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out / name).write_text(text, newline="\n")

@@ -19,6 +19,7 @@ from evanflow.evanescent import (
     DEFAULT_T,
     _check_horizon,
     _minimize_actions,
+    _verdict,
 )
 from evanflow.fields import DifferentiableField, PotentialPair, field_from_f
 from evanflow.integrate import IntegratorOptions, gradient_flow, _CHECK_RTOL
@@ -67,8 +68,8 @@ def _orbits(V: DifferentiableField, X0: np.ndarray, T: float, N: int) -> list:
     step raised.  The rows are solved as stacks of action paths, and f = 2V
     on their nodes is read from the solve."""
     def solve(X):
-        _, Vv, _, _, converged, _ = _minimize_actions(V, X, T, N)
-        return _values(2.0 * Vv, converged, T / N, T)
+        _, Vv, _, _, terms, _ = _minimize_actions(V, X, T, N)
+        return _values(2.0 * Vv, terms, T / N, T)
 
     size = max(1, _STACK_BYTES // (8 * (N + 1) * V.dim))
     out = []
@@ -100,14 +101,16 @@ def reconstruct_value(f: DifferentiableField, x0,
 def reconstruct_grid(f: DifferentiableField, points,
                      opts: Optional[ReconstructOptions] = None) -> ReconstructionResult:
     """Per-point reconstructions, renormalized so min psi_hat = 0.  A point
-    whose solve fails carries NaN values and the message under "error"."""
+    whose solve fails has NaN values, its message as "error" and failed ["error"]."""
     opts = opts or ReconstructOptions()
     points = np.asarray(points, float).reshape(-1, f.dim)
+    out = _reconstruct(f, points, opts)
+    converged, failed = _verdict({"error": np.array([not isinstance(d, Exception) for d in out])})
     details = [d if not isinstance(d, Exception) else
                {"psi_hat": np.nan, "ev_integral": np.nan,
-                "tail_estimate": np.nan, "converged": False,
-                "T_used": opts.T, "tail_slope": np.nan, "error": str(d)}
-               for d in _reconstruct(f, points, opts)]
+                "tail_estimate": np.nan, "converged": bool(ok),
+                "T_used": opts.T, "tail_slope": np.nan, "error": str(d), "failed": names}
+               for d, ok, names in zip(out, converged, failed)]
 
     raw = np.array([d["psi_hat"] for d in details])
     good = np.isfinite(raw)
@@ -143,13 +146,13 @@ def _reconstruct(f: DifferentiableField, points: np.ndarray,
     return out
 
 
-def _values(F: np.ndarray, solve_ok: np.ndarray, dt: float, T: float) -> list:
+def _values(F: np.ndarray, terms: dict, dt: float, T: float) -> list:
     """The reconstruction dict of each row of F (B, N+1), f on the nodes of
-    action paths with spacing dt, at the nominal horizon T and given its
-    solve verdict.  The tail past T decays at the least-squares slope of
-    log f over the values above 1e-300 among the last 20% of nodes, fitted
-    for every row at once (-inf with fewer than 3 such values).  log f is
-    taken relative to its last node, so a constant tail has slope 0.0
+    action paths with spacing dt, at the nominal horizon T, given its solve's
+    verdict terms, to which it adds tail_slope.  The tail past T decays at the
+    least-squares slope of log f over the values above 1e-300 among the last
+    20% of nodes, fitted for every row at once (-inf with fewer than 3).  log
+    f is taken relative to its last node, so a constant tail has slope 0.0
     exactly.  A start where f vanishes is an equilibrium, psi_hat = 0."""
     k = max(3, F.shape[1] // 5)
     f_tail = np.maximum(F[:, -k:], 0.0)
@@ -161,19 +164,20 @@ def _values(F: np.ndarray, solve_ok: np.ndarray, dt: float, T: float) -> list:
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(m, t - (t.sum(axis=1) / cnt)[:, None], 0.0)
         fit = (t * (y - (y.sum(axis=1) / cnt)[:, None])).sum(axis=1) / (t * t).sum(axis=1)
+    ends, slopes = f_tail[:, -1], np.where(cnt >= 3, fit, -np.inf)
+    converged, failed = _verdict(terms | {"tail_slope": (ends <= 0) | (slopes <= TAIL_DECAY_SLOPE)})
     out = []
-    for f0, ev, f_end, slope, ok in zip(
-            F[:, 0], kernels.simpson(F, dt).tolist(), f_tail[:, -1].tolist(),
-            np.where(cnt >= 3, fit, -np.inf).tolist(), solve_ok):
+    for f0, ev, f_end, slope, ok, names in zip(
+            F[:, 0], kernels.simpson(F, dt).tolist(), ends.tolist(),
+            slopes.tolist(), converged.tolist(), failed):
         if f0 <= EPS_EQUILIBRIUM:
             out.append({"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
-                        "converged": True, "T_used": T, "tail_slope": -np.inf})
+                        "converged": True, "T_used": T, "tail_slope": -np.inf, "failed": []})
             continue
         tail = (0.0 if f_end <= 0.0 or slope == -np.inf else
                 f_end / abs(slope) if slope < 0 else f_end * T)
         out.append({"psi_hat": ev + tail, "ev_integral": ev, "tail_estimate": float(tail),
-                    "converged": bool(ok and (f_end <= 0.0 or slope <= TAIL_DECAY_SLOPE)),
-                    "T_used": T, "tail_slope": slope})
+                    "converged": ok, "T_used": T, "tail_slope": slope, "failed": names})
     return out
 
 

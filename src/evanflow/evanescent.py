@@ -310,7 +310,7 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
     anything is solved, and a start where V < -1e-12 before any step.
     Returns the stack as arrays: the nodes W (B, N+1, n) at times dt * k, V
     on them Vv (B, N+1), their finite-difference velocities (B, N+1, n), the
-    actions (B,), the verdicts (B,) and detail, a dict of (B,) arrays."""
+    actions (B,), the verdict terms (see _verdict) and detail, a dict of (B,) arrays."""
     _check_horizon(T, N)
     dt = T / N
     mu = _MU_PER_DT * dt
@@ -325,12 +325,19 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
     # discrete problem, but breaks the first integral I = 0.5 ||v'||^2 - V
     I = 0.5 * np.sum(vel ** 2, axis=-1) - Vv
     fi_drift = np.max(np.abs(I - I[:, :1]), axis=-1)
-    converged = ((ginf < _TOL_OPT)
-                 & (tail_vprime < DEFAULT_EPS_TAIL) & (tail_V < DEFAULT_EPS_TAIL)
-                 & (fi_drift <= _first_integral_tol(vel[:, 0], dt)))
+    terms = {"grad_inf": ginf < _TOL_OPT, "tail_vprime": tail_vprime < DEFAULT_EPS_TAIL,
+             "tail_V": tail_V < DEFAULT_EPS_TAIL,
+             "first_integral_drift": fi_drift <= _first_integral_tol(vel[:, 0], dt)}
     detail = {"iterations": iters, "grad_inf": ginf, "tail_vprime": tail_vprime,
               "tail_V": tail_V, "first_integral_drift": fi_drift}
-    return W, Vv, vel, values, converged, detail
+    return W, Vv, vel, values, terms, detail
+
+
+def _verdict(terms: dict) -> tuple:
+    """converged (B,) of terms, name -> (B,) passed, and each member's failed names in order."""
+    passed = np.array(list(terms.values()), bool)
+    return passed.all(axis=0), [[t for t, ok in zip(terms, p) if not ok] if False in p else []
+                                for p in passed.T.tolist()]
 
 
 def _first_integral_tol(v0: np.ndarray, dt: float) -> np.ndarray:
@@ -358,13 +365,14 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
     any step.
     """
     x0 = np.asarray(x0, float).reshape(V.dim)
-    W, _, vel, actions, converged, detail = _minimize_actions(V, x0[None], T, N, max_iters)
+    W, _, vel, actions, terms, detail = _minimize_actions(V, x0[None], T, N, max_iters)
+    (converged,), (failed,) = _verdict(terms)
     dt = T / N
     traj = Trajectory(dt * np.arange(N + 1), W[0], vel[0], TERM_HORIZON,
                       {"method": "action", "dt": dt, "mu": _MU_PER_DT * dt})
     report = _solve_diagnostics(traj, V, psi, float(_first_integral_tol(vel[:, 0], dt)[0]))
-    return EvanescentSolveResult(traj, "action", bool(converged[0]), float(actions[0]),
-                                 report, {k: v[0].item() for k, v in detail.items()})
+    return EvanescentSolveResult(traj, "action", bool(converged), float(actions[0]), report,
+                                 {k: v[0].item() for k, v in detail.items()} | {"failed": failed})
 
 
 def _solve_diagnostics(traj, V, psi=None, fi_tol=None) -> DiagnosticsReport:
@@ -431,12 +439,10 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
         2.0 * np.sum(traj.velocities * np.asarray(V.gradient(traj.states), float), axis=1),
     ) if len(traj) >= 2 else np.inf
     # _penalty scores an orbit that stops early at 1e12 or more
-    converged = p < 2.0 * DEFAULT_EPS_TAIL ** 2
-    report = _solve_diagnostics(traj, V, psi)
+    (converged,), (failed,) = _verdict({"penalty": np.array([p < 2.0 * DEFAULT_EPS_TAIL ** 2])})
     return EvanescentSolveResult(
-        traj, "shooting", bool(converged), float(act), report,
-        {"v0": np.asarray(v0).tolist(), "penalty": float(p), **counts},
-    )
+        traj, "shooting", bool(converged), float(act), _solve_diagnostics(traj, V, psi),
+        {"v0": np.asarray(v0).tolist(), "penalty": float(p), **counts, "failed": failed})
 
 
 def _penalty(V, traj, T):

@@ -193,7 +193,8 @@ def make_quadratic(A) -> PotentialPair:
         claims_bounded_below=psd,
     )
 
-    A2 = A @ A
+    with np.errstate(over="ignore", invalid="ignore"):    # inf where entries overflow
+        A2 = A @ A
 
     def v_value(x):
         x = np.asarray(x, float)

@@ -388,6 +388,51 @@ def test_flow_that_diverges_reports_its_checks_without_a_warning(tmp_path, capsy
     assert capsys.readouterr().err == ""
 
 
+DIVERGED_SECOND_ORDER = ["second-order", "--potential", "quadratic:1", "--x0", "1e200",
+                         "--v0", "1"]
+
+
+def test_second_order_that_diverges_reports_its_checks_without_a_warning(tmp_path, capsys):
+    # v'' = v from 1e200 diverges at once; the first integral, the modula,
+    # the phi residual and the evanescence measures read the orbit as inf
+    # or NaN, silently, so the run writes the report it writes without the
+    # flag; the Hardy check needs 3 nodes, so the default checks refuse it
+    argv = [*DIVERGED_SECOND_ORDER, "--checks", "first_integral,modula,phi_residual"]
+    assert run([*argv, "--out", str(tmp_path / "plain")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([*argv, "--out", str(tmp_path / "strict")]) == 2
+        assert run([*DIVERGED_SECOND_ORDER, "--out", str(tmp_path / "hardy")]) == 1
+    report = (tmp_path / "strict" / "second_order_report.json").read_bytes()
+    assert report == (tmp_path / "plain" / "second_order_report.json").read_bytes()
+    assert json.loads(report)["summary"] == {"failed": 3, "passed": 0, "total": 3}
+    assert capsys.readouterr().err == "error: check_hardy needs >= 3 nodes\n"
+
+
+def test_quadratic_that_overflows_is_built_and_checked_without_a_warning(tmp_path):
+    # A @ A overflows to inf, and the inner products of V's gradient read
+    # NaN: V's convexity fails and the implication holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["check-convexity", "--potential", "quadratic:1e200",
+                    "--out", str(tmp_path)]) == 0
+        assert run(["reconstruct", "--potential", "quadratic:1e200", "--grid=-1:1:3",
+                    "--out", str(tmp_path)]) in (0, 2)
+    checks = read_json(tmp_path / "convexity_criterion.json")["checks"]
+    assert {c["check_id"]: c["passed"] for c in checks}["crit_V_convex"] is False
+
+
+def test_out_leaves_the_artifacts(tmp_path, monkeypatch):
+    # the config each artifact echoes holds every key but out, so one run
+    # writes the same bytes into any directory
+    monkeypatch.chdir(tmp_path)
+    for out in ("a", str(tmp_path / "b" / "c")):
+        assert run(["evanesce", "--potential", "quadratic:1", "--x0", "1", "--out", out]) == 0
+    report = (tmp_path / "a" / "evanesce_report.json").read_bytes()
+    assert report == (tmp_path / "b" / "c" / "evanesce_report.json").read_bytes()
+    assert "out" not in json.loads(report)["config"]
+
+
 @pytest.mark.parametrize("argv,key", [
     (["flow", "--x0", "1"], "x0"),
     (["second-order", "--x0", "1", "--v0=-1,-2"], "x0"),

@@ -99,6 +99,15 @@ def test_reconstruct_tail_slope_threshold_is_minus_0_1():
     assert not any(d["converged"] for d in slow.per_point)
 
 
+def test_reconstruct_verdict_adds_the_tail_slope_to_the_solve_terms():
+    # f = 0.0016 x^2 decays too slowly for T = 12, so the point is solved
+    # again at T = 24, where its action path still moves at the end and its
+    # tail slope, -9.1e-3, is above -0.1
+    d = reconstruct_value(f_of(resolve_potential("quadratic:0.04")), [1.0])
+    assert d["T_used"] == 24.0 and d["tail_slope"] > TAIL_DECAY_SLOPE
+    assert d["failed"] == ["tail_vprime", "tail_V", "tail_slope"] and not d["converged"]
+
+
 def test_reconstruct_action_and_shoot_agree():
     # along an evanescent orbit 0.5||w||^2 = V, so the shooting solve's action
     # is the integral of f = 2V that the reconstruction takes
@@ -228,11 +237,12 @@ def test_tail_slope_matches_a_per_row_polyfit(stack):
     F, T, N, kinds = stack
     k = max(3, (N + 1) // 5)
     t = (T / N * np.arange(N + 1))[-k:]
-    out = _values(F, np.ones(len(F), bool), T / N, T)
+    out = _values(F, {}, T / N, T)
     for row, kind, d in zip(F, kinds, out):
         if row[0] <= EPS_EQUILIBRIUM:
             assert d == {"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
-                         "converged": True, "T_used": T, "tail_slope": -np.inf}
+                         "converged": True, "T_used": T, "tail_slope": -np.inf,
+                         "failed": []}
             continue
         f_tail = np.maximum(row[-k:], 0.0)
         pos = f_tail > 1e-300
@@ -255,6 +265,7 @@ def test_tail_slope_matches_a_per_row_polyfit(stack):
             # a constant or growing tail
             assert d["tail_estimate"] == f_end * T
         assert d["converged"] == (f_end <= 0.0 or expected <= TAIL_DECAY_SLOPE)
+        assert d["failed"] == ([] if d["converged"] else ["tail_slope"])
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -262,8 +273,9 @@ def test_tail_slope_matches_a_per_row_polyfit(stack):
 def test_each_row_of_a_stack_gets_its_solo_tail(stack):
     F, T, N, _ = stack
     ok = np.arange(len(F)) % 2 == 0
-    together = _values(F, ok, T / N, T)
-    alone = [_values(F[i:i + 1], ok[i:i + 1], T / N, T)[0] for i in range(len(F))]
+    together = _values(F, {"grad_inf": ok}, T / N, T)
+    alone = [_values(F[i:i + 1], {"grad_inf": ok[i:i + 1]}, T / N, T)[0]
+             for i in range(len(F))]
     assert repr(together) == repr(alone)
 
 
@@ -326,6 +338,8 @@ def test_reconstruct_grid_isolates_a_failing_point():
     rec = reconstruct_grid(bad, pts, ReconstructOptions(N=60))
     assert ["error" in d for d in rec.per_point] == [False] * 4 + [True]
     assert "outside the domain" in rec.per_point[-1]["error"]
+    assert [d["failed"] for d in rec.per_point] == [[]] * 4 + [["error"]]
+    assert not rec.per_point[-1]["converged"]
     assert np.isnan(rec.psi_hat[-1])
     good = reconstruct_grid(f, pts[:4], ReconstructOptions(N=60))
     assert np.array_equal(rec.psi_hat[:4], good.psi_hat)

@@ -19,6 +19,7 @@ from evanflow.evanescent import (
     shoot_evanescent,
     _descend,
     _minimize_actions,
+    _verdict,
     _on_grid,
 )
 from evanflow.diagnostics import DEFAULT_EPS_TAIL
@@ -339,6 +340,63 @@ def test_action_verdict_grad_inf_alone_rejects_an_unsolved_path():
     assert d["grad_inf"] == pytest.approx(5.25e-3) and not res.converged
 
 
+def test_action_verdict_names_the_tail_terms_of_example_one():
+    # from 0 the descent solves its discrete problem (grad_inf 1.6e-10) and
+    # resolves it (drift 5.3e-4), but at T = 12 the orbit is still moving:
+    # tail_vprime reads 1.1e-2 and tail_V 3.8e-2
+    res = minimize_action(make_example_one().v, [0.0], T, N)
+    assert res.detail["failed"] == ["tail_vprime", "tail_V"] and not res.converged
+    assert res.detail["grad_inf"] < evanescent._TOL_OPT
+
+
+def test_shoot_verdict_names_the_penalty():
+    # V = x^2 / 8: the penalty at T = 12 is 3.07e-6, above 2 eps_tail^2
+    res = shoot_evanescent(resolve_potential("quadratic:0.5").v, [1.0], T)
+    assert res.detail["failed"] == ["penalty"] and not res.converged
+    assert res.detail["penalty"] == pytest.approx(3.07e-6, rel=1e-3)
+
+
+# each action verdict term's limit on the detail value it reads, in table order
+ACTION_LIMITS = {
+    "grad_inf": lambda d, fi_tol: d["grad_inf"] < evanescent._TOL_OPT,
+    "tail_vprime": lambda d, fi_tol: d["tail_vprime"] < DEFAULT_EPS_TAIL,
+    "tail_V": lambda d, fi_tol: d["tail_V"] < DEFAULT_EPS_TAIL,
+    "first_integral_drift": lambda d, fi_tol: d["first_integral_drift"] <= fi_tol,
+}
+
+
+@st.composite
+def verdict_stacks(draw):
+    """(V, starts, T, N, max_iters): an SPD quadratic stack of spd_stacks or
+    the double-well stack, at one of two horizons, with a budget that some
+    members may exhaust."""
+    if draw(st.booleans()):
+        A, X0, _ = draw(spd_stacks())
+        V = make_quadratic(A).v
+    else:
+        V, X0 = _double_well().v, np.array([[0.5], [1.5], [-0.4], [2.0], [0.9], [0.0]])
+    T_, N_ = draw(st.sampled_from([(3.0, 60), (T, N)]))
+    return V, X0, T_, N_, draw(st.integers(0, 30))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(verdict_stacks())
+def test_action_verdict_fails_exactly_the_violated_terms(problem):
+    # every member converges exactly when it fails no term, and it fails
+    # exactly the terms whose detail values violate their limits; a solve
+    # alone reports its member's verdict
+    V, X0, T_, N_, max_iters = problem
+    _, _, vel, _, terms, detail = _minimize_actions(V, X0, T_, N_, max_iters)
+    converged, failed = _verdict(terms)
+    fi_tol = evanescent._first_integral_tol(vel[:, 0], T_ / N_)
+    for b in range(len(X0)):
+        d = {k: a[b] for k, a in detail.items()}
+        assert failed[b] == [t for t, ok in ACTION_LIMITS.items() if not ok(d, fi_tol[b])]
+        assert converged[b] == (failed[b] == [])
+    res = minimize_action(V, X0[0], T_, N_, max_iters)
+    assert res.detail["failed"] == failed[0] and res.converged == converged[0]
+
+
 def test_action_descent_stops_at_its_first_iterate_below_1e_8():
     # the stopping tolerance on the action gradient's inf-norm is 1e-8: on
     # quartic_saddle from (1, 1) the descent stops at the first iterate
@@ -627,34 +685,39 @@ def test_descend_rejects_trials_outside_the_domain(wall):
     # search runs out of halvings before max_iters
     V = _walled(QUAD_2D.v, wall)
     X0 = np.array([[1.0, 1.0], [0.5, -0.5]])
-    W, _, _, actions, converged, detail = _minimize_actions(V, X0, T, N, 50)
+    W, _, _, actions, terms, detail = _minimize_actions(V, X0, T, N, 50)
     ref = _minimize_actions(_walled(QUAD_2D.v, "inf"), X0, T, N, 50)[0]
     assert np.all(detail["iterations"] < 50)
     for b in range(len(X0)):
         assert np.array_equal(W[b], _minimize_actions(V, X0[b:b + 1], T, N, 50)[0][0])
     assert np.array_equal(W, ref)
     assert np.all(np.isfinite(actions))
-    assert not converged.any()
+    assert not _verdict(terms)[0].any()
 
 
 def test_minimize_actions_returns_the_stack_as_arrays():
     # V on the returned nodes is V.value of each member's path, bit for bit;
-    # every other array holds one entry per member, and minimize_action
+    # every other array holds one entry per member, each verdict term's
+    # measured value is in detail under the term's name, and minimize_action
     # reports the stack's first member
     X0 = np.array([[1.0, 1.0], [0.5, -0.5], [0.0, 0.0]])
     B = len(X0)
-    W, Vv, vel, actions, converged, detail = _minimize_actions(QUAD_2D.v, X0, T, N)
+    W, Vv, vel, actions, terms, detail = _minimize_actions(QUAD_2D.v, X0, T, N)
     assert W.shape == vel.shape == (B, N + 1, 2)
     assert Vv.shape == (B, N + 1)
     for b in range(B):
         assert np.array_equal(Vv[b], QUAD_2D.v.value(W[b]))
-    assert actions.shape == converged.shape == (B,)
+    assert actions.shape == (B,)
+    assert list(terms) == ["grad_inf", "tail_vprime", "tail_V", "first_integral_drift"]
+    assert all(a.shape == (B,) and a.dtype == bool for a in terms.values())
+    assert set(terms) < set(detail)
     assert all(a.shape == (B,) for a in detail.values())
+    converged, failed = _verdict(terms)
     res = minimize_action(QUAD_2D.v, X0[0], T, N)
     assert np.array_equal(res.trajectory.states, W[0])
     assert np.array_equal(res.trajectory.velocities, vel[0])
     assert res.final_action == actions[0] and res.converged == converged[0]
-    assert res.detail == {k: a[0] for k, a in detail.items()}
+    assert res.detail == {**{k: a[0] for k, a in detail.items()}, "failed": failed[0]}
     assert res.trajectory.meta == {"method": "action", "dt": DT,
                                    "mu": evanescent._MU_PER_DT * DT}
 
