@@ -6,6 +6,11 @@ and prints the summary, so a run that fails writes nothing.  The config
 each artifact echoes holds every key but out, so a run's artifacts are the
 same bytes whichever directory they are written to.
 
+The floating-point policy for outside input is set here, once: main runs
+each command inside np.errstate(over="ignore", invalid="ignore"), so an
+input that overflows gives inf and NaN values, which the checks fail on,
+and no warning.  The library below follows the caller's numpy settings.
+
 Exit codes: 0 all requested checks pass, 1 input error, 2 at least one check
 failed, 3 theorem hypotheses not met (determination).
 """
@@ -499,7 +504,9 @@ def main(argv=None) -> int:
         cmd = args.pop("command")
         cfg = _load_config(cmd, args.pop("config"), args)
         out = Path(cfg.pop("out"))
-        files, summary, code = _COMMANDS[cmd](cfg)
+        # a new errstate per run: one instance cannot be entered twice
+        with np.errstate(over="ignore", invalid="ignore"):
+            files, summary, code = _COMMANDS[cmd](cfg)
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out / name).write_text(text, newline="\n")

@@ -83,8 +83,7 @@ def _result(check_id, violation, location, tol, notes="") -> CheckResult:
 def _max_consecutive_increase(times, series):
     """Largest positive forward difference and where it happens; NaN where
     it meets a non-finite pair, as on a diverged orbit."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        diffs = np.diff(series)
+    diffs = np.diff(series)
     if len(diffs) == 0:
         return 0.0, float(times[0])
     i = int(np.argmax(diffs))
@@ -141,13 +140,12 @@ def kinetic_integral(traj: Trajectory) -> float:
     w0 = traj.velocities[:-1, None, :]
     w1 = traj.velocities[1:, None, :]
     tau = _GAUSS3_NODES[None, :, None]
-    # a diverged orbit overflows here, silently: the integral is inf or NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        dp = ((6 * tau * tau - 6 * tau) * (u0 - u1)
-              + (3 * tau * tau - 4 * tau + 1) * h * w0
-              + (3 * tau * tau - 2 * tau) * h * w1)
-        sq = np.sum(dp * dp, axis=-1)                 # (m-1, 3)
-        per_interval = sq @ _GAUSS3_WEIGHTS / h[:, 0, 0]
+    # a diverged orbit overflows here: the integral is inf or NaN
+    dp = ((6 * tau * tau - 6 * tau) * (u0 - u1)
+          + (3 * tau * tau - 4 * tau + 1) * h * w0
+          + (3 * tau * tau - 2 * tau) * h * w1)
+    sq = np.sum(dp * dp, axis=-1)                 # (m-1, 3)
+    per_interval = sq @ _GAUSS3_WEIGHTS / h[:, 0, 0]
     return float(np.sum(per_interval))
 
 
@@ -164,8 +162,7 @@ def check_energy_identity(traj: Trajectory, psi) -> CheckResult:
 
 def check_grad_norm_monotone(traj: Trajectory, psi) -> CheckResult:
     """For convex psi the speed ||grad psi(u(t))|| is nonincreasing."""
-    with np.errstate(over="ignore"):    # inf on a diverged orbit
-        norms = np.linalg.norm(np.asarray(psi.gradient(traj.states), float), axis=-1)
+    norms = np.linalg.norm(np.asarray(psi.gradient(traj.states), float), axis=-1)
     return _nonincreasing("grad_norm_monotone", traj.times, norms)
 
 
@@ -241,10 +238,9 @@ def check_limit_point(traj: Trajectory, psi) -> CheckResult:
 
 def check_first_integral(traj: Trajectory, V, tol=None) -> CheckResult:
     """I(t) = 0.5 ||v'||^2 - V(v) is conserved along the second-order system."""
-    with np.errstate(over="ignore", invalid="ignore"):    # inf or NaN on a diverged orbit
-        kin = 0.5 * np.sum(traj.velocities ** 2, axis=-1)
-        I = kin - np.asarray(V.value(traj.states), float)
-        drift = np.abs(I - I[0])
+    kin = 0.5 * np.sum(traj.velocities ** 2, axis=-1)
+    I = kin - np.asarray(V.value(traj.states), float)
+    drift = np.abs(I - I[0])
     i = int(np.argmax(drift))
     if tol is None:
         tol = 1e-6 * (1.0 + abs(float(I[0])))
@@ -258,15 +254,14 @@ def check_modula_equality(traj: Trajectory, psi=None, V=None, tol=None) -> Check
     When psi is unavailable (V-only setting) the right-hand side is taken as
     sqrt(2 V(v)), which equals the gradient modulus by construction.
     """
-    with np.errstate(over="ignore", invalid="ignore"):    # inf or NaN on a diverged orbit
-        speeds = np.linalg.norm(traj.velocities, axis=-1)
-        if psi is not None:
-            rhs = np.linalg.norm(np.asarray(psi.gradient(traj.states), float), axis=-1)
-        elif V is not None:
-            rhs = np.sqrt(np.maximum(2.0 * np.asarray(V.value(traj.states), float), 0.0))
-        else:
-            raise ValueError("check_modula_equality needs psi or V")
-        gap = np.abs(speeds - rhs)
+    speeds = np.linalg.norm(traj.velocities, axis=-1)
+    if psi is not None:
+        rhs = np.linalg.norm(np.asarray(psi.gradient(traj.states), float), axis=-1)
+    elif V is not None:
+        rhs = np.sqrt(np.maximum(2.0 * np.asarray(V.value(traj.states), float), 0.0))
+    else:
+        raise ValueError("check_modula_equality needs psi or V")
+    gap = np.abs(speeds - rhs)
     i = int(np.argmax(gap))
     if tol is None:
         tol = 1e-6 * (1.0 + float(speeds[0]))
@@ -279,9 +274,8 @@ def check_phi_residual(traj: Trajectory, psi, sigma: int = 1,
     first-order gradient-flow orbit."""
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
-    with np.errstate(over="ignore", invalid="ignore"):    # inf or NaN on a diverged orbit
-        phi = traj.velocities + sigma * np.asarray(psi.gradient(traj.states), float)
-        norms = np.linalg.norm(phi, axis=-1)
+    phi = traj.velocities + sigma * np.asarray(psi.gradient(traj.states), float)
+    norms = np.linalg.norm(phi, axis=-1)
     i = int(np.argmax(norms))
     return _result(f"phi_residual_sigma{sigma:+d}", float(norms[i]),
                    float(traj.times[i]), tol)
@@ -345,8 +339,7 @@ def check_monotone_gradient(field, point_pairs) -> CheckResult:
     x, y = pairs[:, 0, :], pairs[:, 1, :]
     gx = np.asarray(field.gradient(x), float)
     gy = np.asarray(field.gradient(y), float)
-    with np.errstate(over="ignore", invalid="ignore"):    # NaN where gradients overflow
-        inner = np.sum((gx - gy) * (x - y), axis=-1)
+    inner = np.sum((gx - gy) * (x - y), axis=-1)
     sep = np.sum((x - y) ** 2, axis=-1)
     tols = 1e-10 * (1.0 + sep)
     excess = -inner - tols
@@ -367,15 +360,14 @@ def evanescence_measures(traj: Trajectory, V) -> dict:
     tails to have decayed by DECAY_FACTOR (or below DEFAULT_EPS_TAIL) while
     the integral is still growing; anything else is "none".
     """
-    with np.errstate(over="ignore", invalid="ignore"):    # inf or NaN on a diverged orbit
-        Vvals = np.asarray(V.value(traj.states), float)
-        speeds = np.linalg.norm(traj.velocities, axis=-1)
-        density = speeds ** 2 + Vvals
-        full = kernels.trapezoid(traj.times, density)
-        t_half = 0.5 * traj.t_end
-        k_half = int(np.searchsorted(traj.times, t_half, side="right"))
-        k_half = max(k_half, 2)
-        half = kernels.trapezoid(traj.times[:k_half], density[:k_half])
+    Vvals = np.asarray(V.value(traj.states), float)
+    speeds = np.linalg.norm(traj.velocities, axis=-1)
+    density = speeds ** 2 + Vvals
+    full = kernels.trapezoid(traj.times, density)
+    t_half = 0.5 * traj.t_end
+    k_half = int(np.searchsorted(traj.times, t_half, side="right"))
+    k_half = max(k_half, 2)
+    half = kernels.trapezoid(traj.times[:k_half], density[:k_half])
     m = max(2, len(traj) // 10)
     tail_vprime = float(np.min(speeds[-m:]))
     tail_V = float(np.min(Vvals[-m:]))

@@ -101,7 +101,7 @@ def reconstruct_value(f: DifferentiableField, x0,
 def reconstruct_grid(f: DifferentiableField, points,
                      opts: Optional[ReconstructOptions] = None) -> ReconstructionResult:
     """Per-point reconstructions, renormalized so min psi_hat = 0.  A point
-    whose solve fails has NaN values, its message as "error" and failed ["error"]."""
+    whose solve fails has NaN values, its message as "error" and failed_terms ["error"]."""
     opts = opts or ReconstructOptions()
     points = np.asarray(points, float).reshape(-1, f.dim)
     out = _reconstruct(f, points, opts)
@@ -109,7 +109,7 @@ def reconstruct_grid(f: DifferentiableField, points,
     details = [d if not isinstance(d, Exception) else
                {"psi_hat": np.nan, "ev_integral": np.nan,
                 "tail_estimate": np.nan, "converged": bool(ok),
-                "T_used": opts.T, "tail_slope": np.nan, "error": str(d), "failed": names}
+                "T_used": opts.T, "tail_slope": np.nan, "error": str(d), "failed_terms": names}
                for d, ok, names in zip(out, converged, failed)]
 
     raw = np.array([d["psi_hat"] for d in details])
@@ -172,12 +172,12 @@ def _values(F: np.ndarray, terms: dict, dt: float, T: float) -> list:
             slopes.tolist(), converged.tolist(), failed):
         if f0 <= EPS_EQUILIBRIUM:
             out.append({"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
-                        "converged": True, "T_used": T, "tail_slope": -np.inf, "failed": []})
+                        "converged": True, "T_used": T, "tail_slope": -np.inf, "failed_terms": []})
             continue
         tail = (0.0 if f_end <= 0.0 or slope == -np.inf else
                 f_end / abs(slope) if slope < 0 else f_end * T)
         out.append({"psi_hat": ev + tail, "ev_integral": ev, "tail_estimate": float(tail),
-                    "converged": ok, "T_used": T, "tail_slope": slope, "failed": names})
+                    "converged": ok, "T_used": T, "tail_slope": slope, "failed_terms": names})
     return out
 
 
@@ -292,8 +292,7 @@ def convexity_criterion_check(pp: PotentialPair, sample_pairs,
         except ArithmeticError:
             unbounded = True
             continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals.append(np.asarray(pp.psi.value(traj.states), float))
+        vals.append(np.asarray(pp.psi.value(traj.states), float))
         states.append(traj.states)
     vals, states = np.concatenate(vals), np.concatenate(states)
     finite = np.isfinite(vals)

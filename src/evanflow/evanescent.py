@@ -372,7 +372,7 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
                       {"method": "action", "dt": dt, "mu": _MU_PER_DT * dt})
     report = _solve_diagnostics(traj, V, psi, float(_first_integral_tol(vel[:, 0], dt)[0]))
     return EvanescentSolveResult(traj, "action", bool(converged), float(actions[0]), report,
-                                 {k: v[0].item() for k, v in detail.items()} | {"failed": failed})
+                                 {k: v[0].item() for k, v in detail.items()} | {"failed_terms": failed})
 
 
 def _solve_diagnostics(traj, V, psi=None, fi_tol=None) -> DiagnosticsReport:
@@ -442,7 +442,7 @@ def shoot_evanescent(V, x0, T: float = DEFAULT_T,
     (converged,), (failed,) = _verdict({"penalty": np.array([p < 2.0 * DEFAULT_EPS_TAIL ** 2])})
     return EvanescentSolveResult(
         traj, "shooting", bool(converged), float(act), _solve_diagnostics(traj, V, psi),
-        {"v0": np.asarray(v0).tolist(), "penalty": float(p), **counts, "failed": failed})
+        {"v0": np.asarray(v0).tolist(), "penalty": float(p), **counts, "failed_terms": failed})
 
 
 def _penalty(V, traj, T):

@@ -193,8 +193,7 @@ def make_quadratic(A) -> PotentialPair:
         claims_bounded_below=psd,
     )
 
-    with np.errstate(over="ignore", invalid="ignore"):    # inf where entries overflow
-        A2 = A @ A
+    A2 = A @ A    # inf where entries overflow
 
     def v_value(x):
         x = np.asarray(x, float)

@@ -14,6 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evanflow.cli import _DEFAULTS, _FLAGS, _INTEG_KEYS, _POSITIONAL, _csv, build_parser, main
+from evanflow.diagnostics import check_first_integral
+from evanflow.fields import resolve_potential
+from evanflow.integrate import gradient_flow
 
 
 def run(argv):
@@ -422,6 +425,31 @@ def test_quadratic_that_overflows_is_built_and_checked_without_a_warning(tmp_pat
     assert {c["check_id"]: c["passed"] for c in checks}["crit_V_convex"] is False
 
 
+def test_main_leaves_the_floating_point_state_as_it_found_it(tmp_path):
+    # main ignores overflow and invalid results for its command alone, so
+    # a caller's numpy settings hold again once it returns: on a verdict,
+    # on an input error and on an --out that cannot be written
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    with np.errstate(over="raise", invalid="print", divide="warn", under="ignore"):
+        state = np.geterr()
+        for argv, code in [
+                (["flow", "--potential", "quadratic:1", "--x0", "1e200",
+                  "--out", str(tmp_path / "a")], 2),
+                (["flow", "--potential", "quadratic:1,0;0,2", "--x0", "1",
+                  "--out", str(tmp_path / "b")], 1),
+                (["flow", "--potential", "quadratic:1", "--x0", "1",
+                  "--out", str(blocked)], 1)]:
+            assert run(argv) == code
+            assert np.geterr() == state
+    # a check called directly follows its caller's settings
+    pp = resolve_potential("quadratic:1")
+    traj = gradient_flow(pp, np.array([1e200]), 10.0)
+    assert traj.termination == "diverged"
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        check_first_integral(traj, pp.v)
+
+
 def test_out_leaves_the_artifacts(tmp_path, monkeypatch):
     # the config each artifact echoes holds every key but out, so one run
     # writes the same bytes into any directory
@@ -484,10 +512,10 @@ def test_determine_dimension_mismatch(tmp_path):
 
 # a box as large as 1e308 draws finite points; the fields overflow on them,
 # which the reports record as failed checks
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv,stem,code", [
     (["determine", "quadratic:1", "quadratic:1+5"], "determination", 3),
     (["check-convexity", "--potential", "cubic"], "convexity_criterion", 0),
+    (["check-convexity", "--potential", "quadratic:1"], "convexity_criterion", 0),
 ])
 def test_huge_box_draws_without_overflow(tmp_path, argv, stem, code):
     cfg = tmp_path / "cfg.json"
@@ -522,7 +550,6 @@ README_RUNS = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", README_RUNS, ids=lambda argv: " ".join(argv[:3]))
 def test_json_artifacts_and_summaries_are_strict(tmp_path, capsys, argv):
     # an equilibrium's tail slope is -inf and a failed point's values NaN;
@@ -539,7 +566,6 @@ def test_json_artifacts_and_summaries_are_strict(tmp_path, capsys, argv):
 
 
 # the fields overflow on the first three starts
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv,config", [
     # the orbit leaves r_max at once, so the Hardy check has too few nodes
     (["second-order", "--potential", "neg_square", "--x0", "1e200", "--v0", "1"], {}),
@@ -700,7 +726,6 @@ def _edge_configs(cmd):
 
 def _contract_test(cmd, *examples):
     """The contract test of cmd, with explicit edge configs run first."""
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing inputs warn
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_edge_configs(cmd))
     def test(edge):

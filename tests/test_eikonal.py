@@ -105,7 +105,7 @@ def test_reconstruct_verdict_adds_the_tail_slope_to_the_solve_terms():
     # tail slope, -9.1e-3, is above -0.1
     d = reconstruct_value(f_of(resolve_potential("quadratic:0.04")), [1.0])
     assert d["T_used"] == 24.0 and d["tail_slope"] > TAIL_DECAY_SLOPE
-    assert d["failed"] == ["tail_vprime", "tail_V", "tail_slope"] and not d["converged"]
+    assert d["failed_terms"] == ["tail_vprime", "tail_V", "tail_slope"] and not d["converged"]
 
 
 def test_reconstruct_action_and_shoot_agree():
@@ -242,7 +242,7 @@ def test_tail_slope_matches_a_per_row_polyfit(stack):
         if row[0] <= EPS_EQUILIBRIUM:
             assert d == {"psi_hat": 0.0, "ev_integral": 0.0, "tail_estimate": 0.0,
                          "converged": True, "T_used": T, "tail_slope": -np.inf,
-                         "failed": []}
+                         "failed_terms": []}
             continue
         f_tail = np.maximum(row[-k:], 0.0)
         pos = f_tail > 1e-300
@@ -265,7 +265,7 @@ def test_tail_slope_matches_a_per_row_polyfit(stack):
             # a constant or growing tail
             assert d["tail_estimate"] == f_end * T
         assert d["converged"] == (f_end <= 0.0 or expected <= TAIL_DECAY_SLOPE)
-        assert d["failed"] == ([] if d["converged"] else ["tail_slope"])
+        assert d["failed_terms"] == ([] if d["converged"] else ["tail_slope"])
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -338,7 +338,7 @@ def test_reconstruct_grid_isolates_a_failing_point():
     rec = reconstruct_grid(bad, pts, ReconstructOptions(N=60))
     assert ["error" in d for d in rec.per_point] == [False] * 4 + [True]
     assert "outside the domain" in rec.per_point[-1]["error"]
-    assert [d["failed"] for d in rec.per_point] == [[]] * 4 + [["error"]]
+    assert [d["failed_terms"] for d in rec.per_point] == [[]] * 4 + [["error"]]
     assert not rec.per_point[-1]["converged"]
     assert np.isnan(rec.psi_hat[-1])
     good = reconstruct_grid(f, pts[:4], ReconstructOptions(N=60))

@@ -345,14 +345,14 @@ def test_action_verdict_names_the_tail_terms_of_example_one():
     # resolves it (drift 5.3e-4), but at T = 12 the orbit is still moving:
     # tail_vprime reads 1.1e-2 and tail_V 3.8e-2
     res = minimize_action(make_example_one().v, [0.0], T, N)
-    assert res.detail["failed"] == ["tail_vprime", "tail_V"] and not res.converged
+    assert res.detail["failed_terms"] == ["tail_vprime", "tail_V"] and not res.converged
     assert res.detail["grad_inf"] < evanescent._TOL_OPT
 
 
 def test_shoot_verdict_names_the_penalty():
     # V = x^2 / 8: the penalty at T = 12 is 3.07e-6, above 2 eps_tail^2
     res = shoot_evanescent(resolve_potential("quadratic:0.5").v, [1.0], T)
-    assert res.detail["failed"] == ["penalty"] and not res.converged
+    assert res.detail["failed_terms"] == ["penalty"] and not res.converged
     assert res.detail["penalty"] == pytest.approx(3.07e-6, rel=1e-3)
 
 
@@ -394,7 +394,7 @@ def test_action_verdict_fails_exactly_the_violated_terms(problem):
         assert failed[b] == [t for t, ok in ACTION_LIMITS.items() if not ok(d, fi_tol[b])]
         assert converged[b] == (failed[b] == [])
     res = minimize_action(V, X0[0], T_, N_, max_iters)
-    assert res.detail["failed"] == failed[0] and res.converged == converged[0]
+    assert res.detail["failed_terms"] == failed[0] and res.converged == converged[0]
 
 
 def test_action_descent_stops_at_its_first_iterate_below_1e_8():
@@ -717,7 +717,7 @@ def test_minimize_actions_returns_the_stack_as_arrays():
     assert np.array_equal(res.trajectory.states, W[0])
     assert np.array_equal(res.trajectory.velocities, vel[0])
     assert res.final_action == actions[0] and res.converged == converged[0]
-    assert res.detail == {**{k: a[0] for k, a in detail.items()}, "failed": failed[0]}
+    assert res.detail == {**{k: a[0] for k, a in detail.items()}, "failed_terms": failed[0]}
     assert res.trajectory.meta == {"method": "action", "dt": DT,
                                    "mu": evanescent._MU_PER_DT * DT}
 
