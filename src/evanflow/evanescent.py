@@ -123,15 +123,23 @@ def _trial_values(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
         return np.concatenate([_trial_values(V, w[None]) for w in W])
 
 
-def _check_start(X0, V0) -> None:
-    """Raise ValueError unless V(x0) >= _V_FLOOR at every start x0, the rows
-    of X0 (..., n), given their values V0 (...): the evanescent orbit lives
-    where V >= 0, so a negative start is no rounding of a valid one."""
+def _check_start(X0, V0, G0=None) -> None:
+    """Raise ValueError unless, at every start x0, the rows of X0 (..., n),
+    V(x0) >= _V_FLOOR, given their values V0 (...), and grad V(x0) is finite
+    where V(x0) > 0, given their gradients G0 (..., n): the orbit lives where
+    V >= 0, so a negative start is no rounding of a valid one, and at
+    V(x0) = 0, a minimum of V, it is the constant path however grad V rounds."""
     V0 = np.reshape(V0, -1)
+    X0 = np.reshape(X0, (len(V0), -1))
     bad = np.flatnonzero(V0 < _V_FLOOR)
     if bad.size:
-        x0 = np.reshape(X0, (len(V0), -1))[bad[0]]
-        raise ValueError(f"V(x0) = {V0[bad[0]]:g} is negative at x0 = {x0.tolist()}")
+        raise ValueError(f"V(x0) = {V0[bad[0]]:g} is negative at x0 = {X0[bad[0]].tolist()}")
+    if G0 is not None:
+        G0 = np.reshape(G0, X0.shape)
+        bad = np.flatnonzero(~np.isfinite(G0).all(axis=1) & (V0 > 0.0))
+        if bad.size:
+            raise ValueError(f"grad V(x0) = {G0[bad[0]].tolist()} is not finite at "
+                             f"x0 = {X0[bad[0]].tolist()}")
 
 
 def _node_hessians(V: DifferentiableField, W: np.ndarray) -> np.ndarray:
@@ -183,8 +191,9 @@ def _newton_factor(band: np.ndarray) -> Optional[np.ndarray]:
 def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
              max_iters: int = DEFAULT_MAX_ITERS):
     """Damped Newton descent on the discrete action of each path of a
-    (B, N+1, n) stack; node 0 of every path is fixed, and V(x0) < -1e-12 at
-    any node 0 raises ValueError before any step.
+    (B, N+1, n) stack; node 0 of every path is fixed, and V(x0) < -1e-12, or
+    V(x0) > 0 with a grad V(x0) that is not finite, at any node 0 raises
+    ValueError before any step.
 
     Each iteration, member b steps along -P_b(W)^{-1} g, where P_b(W) is the
     action's own Hessian at its current path (_action_hessian_bands),
@@ -201,9 +210,10 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     max_iters iterations, or when its line
     search finds no step, and then leaves the working set; only the members
     still going are factored, and only rejected members are tried again
-    inside a line search.  Each distinct band of the working set is factored
-    once and solves the members that share it together, one column each,
-    so every member gets the direction, and the result, it gets alone.
+    inside a line search.  Members with equal node-Hessian stacks share one
+    band and one factor, and members with equal isotropic bands theirs; each
+    factor solves its members together, one column each, so every member
+    gets the direction, and the result, it gets alone.
     Returns the final (W, Vv, iterations, grad_inf) per member.
     """
     # scipy.linalg (about 0.2 s of a fresh process) loads on the first solve,
@@ -211,27 +221,31 @@ def _descend(V: DifferentiableField, W: np.ndarray, dt: float, mu: float,
     from scipy.linalg import cho_solve_banded, cholesky_banded
     W = np.array(W, float)
     Vv = _potential_values(V, W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
-    _check_start(W[:, 0], Vv[:, 0])
     Vg = _gradients(V, W)
+    _check_start(W[:, 0], Vv[:, 0], Vg[:, 0])
     out_W, out_Vv = np.empty_like(W), np.empty_like(Vv)
     iters = np.zeros(len(W), int)
     ginf = np.zeros(len(W))
     N, n = W.shape[1] - 1, W.shape[2]
 
     def newton_directions(W, Vv, Vg, g):
-        # members whose bands are equal byte for byte share one factor and
-        # one solve, a column each: pbtrs solves column by column, so every
-        # direction is bit for bit the one its member gets alone
-        factors, members = {}, {}
-        for b, band in enumerate(_action_hessian_bands(_node_hessians(V, W), dt, mu)):
-            key = ("newton", band.tobytes())
-            if key not in factors:
-                factors[key] = _newton_factor(band)
+        # members whose node-Hessian stacks are equal byte for byte share one
+        # band, built from the first of them, one factor and one solve, a
+        # column each: the band is elementwise in H, and pbtrs solves column
+        # by column, so every direction is bit for bit the one its member gets alone
+        H = _node_hessians(V, W)
+        keys, first = [("newton", h.tobytes()) for h in H], {}
+        for b, key in enumerate(keys):
+            first.setdefault(key, b)
+        factors = {key: _newton_factor(band) for key, band in
+                   zip(first, _action_hessian_bands(H[list(first.values())], dt, mu))}
+        members = {}
+        for b, key in enumerate(keys):
             if factors[key] is None:
                 v0, g0 = Vv[b, 0], Vg[b, 0]
                 c = float(np.dot(g0, g0)) / (2.0 * v0) if v0 > 0.0 else 1.0
-                H = np.broadcast_to(np.diag(np.full(n, c)), (1, N, n, n))
-                band = _action_hessian_bands(H, dt, mu)[0]
+                iso = np.broadcast_to(np.diag(np.full(n, c)), (1, N, n, n))
+                band = _action_hessian_bands(iso, dt, mu)[0]
                 key = ("isotropic", band.tobytes())
                 if key not in factors:
                     factors[key] = cholesky_banded(band)
@@ -307,7 +321,7 @@ def _minimize_actions(V: DifferentiableField, X0: np.ndarray, T: float, N: int,
     """The action solves from the rows of X0 (B, n) as one stack, each from
     the constant path at its x0, with the terminal penalty weight
     mu = _MU_PER_DT * T/N.  T and N out of range raise ValueError before
-    anything is solved, and a start where V < -1e-12 before any step.
+    anything is solved, and a start refused by _check_start before any step.
     Returns the stack as arrays: the nodes W (B, N+1, n) at times dt * k, V
     on them Vv (B, N+1), their finite-difference velocities (B, N+1, n), the
     actions (B,), the verdict terms (see _verdict) and detail, a dict of (B,) arrays."""
@@ -361,8 +375,8 @@ def minimize_action(V, x0, T: float = DEFAULT_T, N: int = DEFAULT_N,
     instead.  Every accepted step satisfies the Armijo condition, so the
     action is nonincreasing across iterations.  At an equilibrium the
     constant path has zero gradient and stops at once.  T and N out of
-    range raise ValueError before V is evaluated, and V(x0) < -1e-12 before
-    any step.
+    range raise ValueError before V is evaluated, and V(x0) < -1e-12, or
+    V(x0) > 0 with a grad V(x0) that is not finite, before any step.
     """
     x0 = np.asarray(x0, float).reshape(V.dim)
     W, _, vel, actions, terms, detail = _minimize_actions(V, x0[None], T, N, max_iters)

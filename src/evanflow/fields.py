@@ -8,7 +8,8 @@ are vectorized over leading axes: points have shape ``(..., n)``, values
 Every potential ``psi`` comes paired with the induced potential
 ``V(x) = 0.5 * ||grad psi(x)||^2`` of the second-order system.  A named
 catalog entry defines psi only and takes V from ``induced_potential``; the
-quadratic family alone writes V in closed form, with its exact Hessian A^2.
+quadratic family alone writes V = 0.5 ||Ax||^2 from psi's gradient Ax,
+with V's gradient and exact Hessian from A^2.
 """
 from __future__ import annotations
 
@@ -169,7 +170,9 @@ def _times(x, M) -> np.ndarray:
 
 
 def make_quadratic(A) -> PotentialPair:
-    """psi(x) = 0.5 <x, Ax> with A symmetrized; V(x) = 0.5 ||Ax||^2."""
+    """psi(x) = 0.5 <x, Ax> with A symmetrized; V(x) = 0.5 ||Ax||^2.  Each
+    value is one row_dots of the gradient Ax, so a point's value does not
+    depend on how many points share the call where its gradient does not."""
     A = np.asarray(A, float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise CatalogError(f"quadratic matrix must be square, got shape {A.shape}")
@@ -177,12 +180,12 @@ def make_quadratic(A) -> PotentialPair:
     n = A.shape[0]
     psd = bool(np.min(np.linalg.eigvalsh(A)) >= -1e-10)
 
-    def value(x):
-        x = np.asarray(x, float)
-        return 0.5 * np.einsum("...i,ij,...j->...", x, A, x)
-
     def gradient(x):
         return _times(x, A)
+
+    def value(x):
+        x = np.asarray(x, float)
+        return 0.5 * row_dots(x, gradient(x))
 
     def hessvec(x, h):
         return _times(h, A)
@@ -195,12 +198,8 @@ def make_quadratic(A) -> PotentialPair:
 
     A2 = A @ A    # inf where entries overflow
 
-    def v_value(x):
-        x = np.asarray(x, float)
-        return 0.5 * np.einsum("...i,ij,...j->...", x, A2, x)
-
     v = DifferentiableField(
-        dim=n, value=v_value,
+        dim=n, value=lambda x: 0.5 * row_dots(_times(x, A)),
         gradient=lambda x: _times(x, A2),
         hessvec=lambda x, h: _times(h, A2),
         name=f"half-sq-grad({psi.name})",

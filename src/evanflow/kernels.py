@@ -66,10 +66,13 @@ def _decrease(W, Vv, W_t, Vv_t, dt, mu):
     return _scalar(kinetic + potential + mu * dV[..., -1])
 
 
-def row_dots(X):
-    """x.dot(x) for each row x of X (..., n), rounded as np.dot rounds it (a
-    sum of squares can differ in the last bit)."""
-    return np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0]
+def row_dots(X, Y=None):
+    """x.dot(y) for each row x of X and row y of Y (..., n), Y = X if not
+    given, rounded as np.dot rounds it (np.sum of the products can differ in
+    the last bit), so a row's dot does not depend on how many rows share
+    the call."""
+    Y = X if Y is None else Y
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
 
 
 def simpson(F, dx):

@@ -425,6 +425,16 @@ def test_quadratic_that_overflows_is_built_and_checked_without_a_warning(tmp_pat
     assert {c["check_id"]: c["passed"] for c in checks}["crit_V_convex"] is False
 
 
+def test_evanesce_refuses_a_start_whose_grad_v_is_not_finite(tmp_path, capsys):
+    # on quadratic:1e155, V(0.01) = 5e305 is finite while A @ A overflows,
+    # so grad V(0.01) = inf: the action route's start check refuses it
+    out = tmp_path / "out"
+    assert run(["evanesce", "--potential", "quadratic:1e155", "--x0", "0.01",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: grad V(x0) = [inf] is not finite at x0 = [0.01]\n"
+    assert not out.exists()
+
+
 def test_main_leaves_the_floating_point_state_as_it_found_it(tmp_path):
     # main ignores overflow and invalid results for its command alone, so
     # a caller's numpy settings hold again once it returns: on a verdict,

@@ -363,6 +363,20 @@ def test_reconstruct_grid_refuses_a_point_where_f_is_negative():
     assert "error" not in rec.per_point[1]
 
 
+def test_reconstruct_grid_refuses_a_point_whose_grad_v_is_not_finite():
+    # on quadratic:1e155, A @ A overflows: grad V = inf at +-0.01, where V
+    # is finite, so those points carry the start check's error, while at
+    # the origin V = 0 and the equilibrium still converges
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = resolve_potential("quadratic:1e155").v.scaled(2.0)
+        rec = reconstruct_grid(f, [[0.01], [0.0], [-0.01]], ReconstructOptions(N=60))
+    for i, g in ((0, "inf"), (2, "-inf")):
+        d = rec.per_point[i]
+        assert not d["converged"] and np.isnan(d["psi_hat_raw"])
+        assert d["error"] == f"grad V(x0) = [{g}] is not finite at x0 = [{[0.01, 0, -0.01][i]}]"
+    assert rec.per_point[1]["converged"] and rec.psi_hat[1] == 0.0
+
+
 def test_reconstruct_grid_rejects_trials_where_f_is_negative():
     # from x = 1 the descent's trials run past |x| = 2, where f < 0; the line
     # search rejects them as it rejects a non-finite V, so no overflow warning

@@ -183,6 +183,19 @@ def test_action_and_shooting_share_the_start_check(shift):
                 solve(V, [0.0, 0.0], T)
 
 
+def test_action_route_refuses_a_start_whose_grad_v_is_not_finite():
+    # V = 1/2 everywhere with grad V = inf: the isotropic fallback would
+    # scale by c = inf, which scipy's banded Cholesky refuses with its own
+    # message; the start check refuses the start first, as shooting does
+    V = DifferentiableField(dim=1, value=lambda x: np.full(np.shape(x)[:-1], 0.5),
+                            gradient=lambda x: np.full(np.shape(x), np.inf))
+    with pytest.raises(ValueError, match=re.escape(
+            "grad V(x0) = [inf] is not finite at x0 = [0.3]")):
+        minimize_action(V, [0.3], T, N)
+    with pytest.raises(NumericDomainError, match="finite sqrt"):
+        shoot_evanescent(V, [0.3], T)
+
+
 def test_action_iterations_do_not_grow_with_N():
     # on a quadratic V the discrete action is quadratic, so the Newton step
     # from the constant path is exact at any N
@@ -528,32 +541,42 @@ def test_descend_stack_matches_single_paths_through_the_fallback(fallbacks):
 
 
 def _count_factors(monkeypatch):
-    """One [working-set size, Newton factorizations] entry per iteration of
-    each descent."""
+    """One [working-set size, Newton factorizations, Newton band rows]
+    entry per iteration of each descent: the rows are those of the node
+    Hessians passed to the iteration's first _action_hessian_bands call
+    (the isotropic fallback makes a call of one row for each band)."""
     counts = []
     node_hessians, newton = evanescent._node_hessians, evanescent._newton_factor
+    bands = evanescent._action_hessian_bands
 
     def spy_hessians(V, W):
-        counts.append([len(W), 0])
+        counts.append([len(W), 0, None])
         return node_hessians(V, W)
 
     def spy_newton(band):
         counts[-1][1] += 1
         return newton(band)
 
+    def spy_bands(H, dt, mu):
+        if counts[-1][2] is None:
+            counts[-1][2] = len(H)
+        return bands(H, dt, mu)
+
     monkeypatch.setattr(evanescent, "_node_hessians", spy_hessians)
     monkeypatch.setattr(evanescent, "_newton_factor", spy_newton)
+    monkeypatch.setattr(evanescent, "_action_hessian_bands", spy_bands)
     return counts
 
 
 def test_a_quadratic_stack_factors_once_per_iteration(monkeypatch):
     # on a quadratic V the action's Hessian does not depend on the path, so
-    # the members of a 5x5 grid share one band and one factor; the member
-    # at the equilibrium stops before the first iteration
+    # the members of a 5x5 grid share one node-Hessian stack, one band and
+    # one factor; the member at the equilibrium stops before the first
+    # iteration
     counts = _count_factors(monkeypatch)
     X0 = grid_points([(-1.0, 1.0, 5), (-1.0, 1.0, 5)])
     _minimize_actions(make_quadratic([[1.0, 0.3], [0.3, 2.0]]).v, X0, T, N)
-    assert counts == [[24, 1]]
+    assert counts == [[24, 1, 1]]
 
 
 @pytest.mark.parametrize("V, X0", [
@@ -562,10 +585,11 @@ def test_a_quadratic_stack_factors_once_per_iteration(monkeypatch):
 ], ids=["quartic", "double_well"])
 def test_a_stack_of_distinct_bands_factors_once_per_member(V, X0, monkeypatch):
     # where V is not quadratic, members from starts of distinct |x0| never
-    # share a band, so sharing saves nothing and costs no factorization
+    # share a node-Hessian stack or a band, so sharing saves nothing and
+    # costs no band or factorization
     counts = _count_factors(monkeypatch)
     _minimize_actions(V, np.array(X0), T, N)
-    assert counts and all(m == f for m, f in counts)
+    assert counts and all(m == f == rows for m, f, rows in counts)
 
 
 def test_descend_stack_with_repeated_starts_matches_single_paths(fallbacks, monkeypatch):
@@ -577,8 +601,8 @@ def test_descend_stack_with_repeated_starts_matches_single_paths(fallbacks, monk
     V = _double_well().v
     counts = _count_factors(monkeypatch)
     _descend(V, W, DT, evanescent._MU_PER_DT * DT)
-    assert counts[0] == [9, 4]
-    assert all(f < m for m, f in counts)
+    assert counts[0] == [9, 4, 4]
+    assert all(f == rows < m for m, f, rows in counts)
     assert fallbacks
     _assert_stack_matches_single_paths(V, W, evanescent.DEFAULT_MAX_ITERS)
 

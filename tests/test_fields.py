@@ -23,6 +23,7 @@ from evanflow.fields import (
     parse_matrix_literal,
     resolve_potential,
 )
+from evanflow.kernels import row_dots
 
 
 def sample_points(dim, m=25, seed=0, scale=2.0):
@@ -138,6 +139,32 @@ def test_quadratic_maps_round_as_matmul(n, leading, layout, seed):
                       (pp.v.gradient(x), x @ A2), (pp.v.hessvec(x, h), h @ A2)):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def test_a_quadratic_value_is_the_same_whatever_else_is_in_the_call():
+    # psi = x.grad psi / 2 and V = ||grad psi||^2 / 2 are one row-wise dot
+    # each, so a point's value as a 1-D call and as a (1, 2) call is its
+    # value in a stack of 60, bit for bit
+    pp = make_quadratic([[1.3, 0.4], [0.4, 1.8]])
+    X = np.random.default_rng(0).uniform(-2.0, 2.0, (60, 2))
+    for f in (pp.psi, pp.v):
+        stack = f.value(X)
+        assert [f.value(x) for x in X] == stack.tolist()
+        assert [f.value(x[None])[0] for x in X] == stack.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("spd", [True, False], ids=["spd", "indefinite"])
+def test_quadratic_values_are_dots_of_the_gradient(n, spd):
+    rng = np.random.default_rng(n)
+    M = rng.normal(size=(n, n))
+    A = M @ M.T + np.eye(n) if spd else M + M.T
+    pp = make_quadratic(A)
+    X = rng.uniform(-2.0, 2.0, (40, n))
+    G = pp.psi.gradient(X)
+    assert np.array_equal(pp.v.value(X), 0.5 * row_dots(G))
+    assert np.array_equal(pp.psi.value(X), 0.5 * row_dots(X, G))
+    assert np.all(pp.v.value(X) >= 0.0)
 
 
 def test_quadratic_maps_refuse_a_scalar_point():

@@ -93,6 +93,8 @@ def test_row_dots_round_as_np_dot(n):
     Y = np.random.default_rng(n).normal(size=(200, 2 * n))
     for X in (Y, Y[:, n:]):             # contiguous, and a strided view
         assert np.array_equal(kernels.row_dots(X), [x.dot(x) for x in X])
+    X, Z = Y[:, :n], Y[:, n:]           # and two operands
+    assert np.array_equal(kernels.row_dots(X, Z), [x.dot(z) for x, z in zip(X, Z)])
 
 
 def test_value_resolves_tiny_decreases():
